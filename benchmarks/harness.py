@@ -19,7 +19,10 @@ Run it from the repository root (no pytest involved)::
 The sweep section runs the *same* pipeline through the serial and the
 process backends and asserts the results are bit-identical before
 reporting the speedup, so a regression in determinism fails the harness
-rather than polluting the baseline.
+rather than polluting the baseline.  The ratio gates time the library
+against the reference implementations kept as test oracles in
+``tests/oracles`` (chunk assembly, sort-based group-by, the per-packet
+object-level monitor), after the same bit-identity check.
 """
 
 from __future__ import annotations
@@ -34,19 +37,23 @@ from datetime import datetime, timezone
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
-if str(REPO_ROOT / "src") not in sys.path:
-    sys.path.insert(0, str(REPO_ROOT / "src"))
+for _path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
+    if str(_path) not in sys.path:
+        sys.path.insert(0, str(_path))
 
 import numpy as np  # noqa: E402
+from oracles.assembly import reference_chunks  # noqa: E402
+from oracles.groupby import sort_engine  # noqa: E402
+from oracles.objectpath import ObjectFlowTable  # noqa: E402
 
 from repro.flows.accounting import FlowAccountingEngine  # noqa: E402
 from repro.flows.keys import FiveTupleKeyPolicy  # noqa: E402
 from repro.flows.packets import Packet  # noqa: E402
 from repro.flows.records import FlowSummary, ranking_sort_key  # noqa: E402
-from repro.flows.table import BinnedFlowTable, FlowBin  # noqa: E402
+from repro.flows.table import FlowBin  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
-from repro.pipeline.executor import DEFAULT_CHUNK_PACKETS, iter_expanded_chunks  # noqa: E402
 from repro.registry import TRACES  # noqa: E402
+from repro.traces.source import DEFAULT_CHUNK_PACKETS, iter_expanded_chunks  # noqa: E402
 
 #: Sampling rates of the paper's trace-driven sweep (Figs. 12-15).
 SWEEP_RATES = (0.001, 0.01, 0.1, 0.5)
@@ -74,39 +81,38 @@ def _timed(func):
     return time.perf_counter() - start, value
 
 
+def _library_chunks(source, rng, chunk_packets):
+    return source.iter_chunks(rng, chunk_packets)
+
+
 def _assert_streams_identical(source, rng_seed: int, chunk_packets, label: str) -> None:
-    """One untimed lockstep pass: fast chunks must equal reference chunks."""
+    """One untimed lockstep pass: library chunks must equal the oracle's."""
     from itertools import zip_longest
 
-    from repro.traces.source import use_assembly
-
-    with use_assembly("fast"):
-        fast = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
-        with use_assembly("reference"):
-            reference = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
-            for fast_chunk, ref_chunk in zip_longest(fast, reference):
-                if fast_chunk is None or ref_chunk is None:
-                    raise SystemExit(
-                        f"FATAL: {label} fast assembly emits a different chunk count "
-                        "— assembly regression"
-                    )
-                for column in ("timestamps", "flow_ids", "sizes_bytes"):
-                    left = getattr(fast_chunk, column)
-                    right = getattr(ref_chunk, column)
-                    if left.dtype != right.dtype or not np.array_equal(left, right):
-                        raise SystemExit(
-                            f"FATAL: {label} fast assembly diverges from the reference "
-                            f"on {column} — assembly regression"
-                        )
+    fast = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
+    reference = reference_chunks(source, np.random.default_rng(rng_seed), chunk_packets)
+    for fast_chunk, ref_chunk in zip_longest(fast, reference):
+        if fast_chunk is None or ref_chunk is None:
+            raise SystemExit(
+                f"FATAL: {label} assembly emits a different chunk count than the "
+                "reference — assembly regression"
+            )
+        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+            left = getattr(fast_chunk, column)
+            right = getattr(ref_chunk, column)
+            if left.dtype != right.dtype or not np.array_equal(left, right):
+                raise SystemExit(
+                    f"FATAL: {label} assembly diverges from the reference "
+                    f"on {column} — assembly regression"
+                )
 
 
-def _timed_source_pass(source, rng_seed: int, chunk_packets, backend: str) -> tuple[float, int]:
-    from repro.traces.source import use_assembly
+def _timed_source_pass(source, rng_seed: int, chunk_packets, chunks_of) -> tuple[float, int]:
+    """Best-of-two pass over ``chunks_of(source, rng, chunk_packets)``."""
 
     def consume() -> int:
-        with use_assembly(backend):
-            chunks = source.iter_chunks(np.random.default_rng(rng_seed), chunk_packets)
-            return sum(len(chunk) for chunk in chunks)
+        chunks = chunks_of(source, np.random.default_rng(rng_seed), chunk_packets)
+        return sum(len(chunk) for chunk in chunks)
 
     # Best of two passes: at smoke scales a single pass is scheduling
     # noise, and the CI gate asserts on the recorded ratio.
@@ -116,22 +122,22 @@ def _timed_source_pass(source, rng_seed: int, chunk_packets, backend: str) -> tu
 
 
 def bench_expansion(args: argparse.Namespace) -> dict:
-    """Throughput of the chunked packet expansion alone, fast vs reference.
+    """Throughput of the chunked packet expansion alone, library vs reference.
 
-    Times one full pass per assembly backend and, before recording
-    anything, replays both streams in lockstep asserting every chunk is
+    Times one full pass of the library assembly and one of the oracle's
+    concatenate-and-argsort assembly and, before recording anything,
+    replays both streams in lockstep asserting every chunk is
     bit-identical — a divergence fails the harness rather than
-    polluting the baseline.  The legacy ``seconds``/``packets_per_second``
-    keys record the fast (default) backend so the trajectory stays
-    comparable across PRs.
+    polluting the baseline.  ``seconds``/``packets_per_second`` record
+    the library path so the trajectory stays comparable across PRs.
     """
     plan = _pipeline(args).plan()
     _assert_streams_identical(plan.source, args.seed, plan.chunk_packets, "expansion")
     reference_seconds, packets = _timed_source_pass(
-        plan.source, args.seed, plan.chunk_packets, "reference"
+        plan.source, args.seed, plan.chunk_packets, reference_chunks
     )
     seconds, fast_packets = _timed_source_pass(
-        plan.source, args.seed, plan.chunk_packets, "fast"
+        plan.source, args.seed, plan.chunk_packets, _library_chunks
     )
     assert fast_packets == packets
     return {
@@ -152,10 +158,10 @@ def bench_scenarios(args: argparse.Namespace) -> dict:
 
     Builds each scenario at the harness scale and times one full pass
     over its chunked stream — the cost of the source layer alone
-    (expansion + merge + transforms), before any sampling — under both
-    assembly backends, after asserting the two streams are
-    bit-identical chunk for chunk.  Legacy keys record the fast
-    (default) backend.
+    (expansion + merge + transforms), before any sampling — for the
+    library and the reference assembly, after asserting the two streams
+    are bit-identical chunk for chunk.  ``seconds`` and
+    ``packets_per_second`` record the library path.
     """
     from repro.scenarios import SCENARIOS
 
@@ -167,9 +173,9 @@ def bench_scenarios(args: argparse.Namespace) -> dict:
         )
         _assert_streams_identical(source, args.seed, DEFAULT_CHUNK_PACKETS, f"scenario {name}")
         reference_seconds, packets = _timed_source_pass(
-            source, args.seed, DEFAULT_CHUNK_PACKETS, "reference"
+            source, args.seed, DEFAULT_CHUNK_PACKETS, reference_chunks
         )
-        seconds, _ = _timed_source_pass(source, args.seed, DEFAULT_CHUNK_PACKETS, "fast")
+        seconds, _ = _timed_source_pass(source, args.seed, DEFAULT_CHUNK_PACKETS, _library_chunks)
         results[name] = {
             "packets": packets,
             "seconds": round(seconds, 4),
@@ -243,15 +249,16 @@ def _accounts_identical(left, right) -> bool:
 
 
 def bench_flow_accounting(args: argparse.Namespace) -> dict:
-    """Monitor flow accounting: legacy object path vs columnar engine.
+    """Monitor flow accounting: object-level oracle vs columnar engine.
 
     Streams the same expanded packet trace through the per-packet
-    ``BinnedFlowTable`` (``backend="object"``) and through the columnar
-    ``FlowAccountingEngine`` with both group-by backends (the reference
-    ``sort`` kernel and the ``hash`` accumulator), asserts all produced
-    bins are bit-identical, and records packets/second for each.  In
-    full mode the workload is at least a million packets so the speedup
-    is measured where it matters.
+    object-level table of ``tests/oracles/objectpath.py`` and through
+    the columnar ``FlowAccountingEngine`` — once as the library runs it
+    (the hash accumulator) and once with the sort-based group-by oracle
+    of ``tests/oracles/groupby.py`` — asserts all produced bins are
+    bit-identical, and records packets/second for each.  In full mode
+    the workload is at least a million packets so the speedup is
+    measured where it matters.
     """
     scale = args.scale if args.quick else max(args.scale, 0.06)
     generator = TRACES.create("sprint", scale=scale, duration=args.duration)
@@ -276,25 +283,25 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
         encoder=encoder,
     )
 
-    def columnar(groupby: str):
-        engine = FlowAccountingEngine(60.0, order_key=encoder.order_key, groupby=groupby)
+    def columnar(make_engine):
+        engine = make_engine(60.0, order_key=encoder.order_key)
         for chunk in chunks:
             engine.observe_batch(chunk, codes)
         return engine.flush()
 
-    sort_seconds, sort_accounts = _timed(lambda: columnar("sort"))
-    columnar_seconds, accounts = _timed(lambda: columnar("hash"))
+    sort_seconds, sort_accounts = _timed(lambda: columnar(sort_engine))
+    columnar_seconds, accounts = _timed(lambda: columnar(FlowAccountingEngine))
     hash_identical = _accounts_identical(accounts, sort_accounts)
     if not hash_identical:
         raise SystemExit(
-            "FATAL: hash group-by diverges from the sort backend — kernel regression"
+            "FATAL: hash group-by diverges from the sort-based oracle — kernel regression"
         )
 
     # Object path: the same stream, one Packet at a time.  Object
     # construction happens outside the timer so both paths are timed on
     # accounting work alone.
     five_tuples = [trace.five_tuple(index) for index in range(trace.num_flows)]
-    table = BinnedFlowTable(60.0, backend="object")
+    table = ObjectFlowTable(60.0)
     object_seconds = 0.0
     for chunk in chunks:
         packets = [
@@ -365,15 +372,14 @@ def _outcomes_identical(left, right) -> bool:
 
 
 def bench_batch_transport(args: argparse.Namespace) -> dict:
-    """Zero-copy shared-memory batch transport vs pickle, bit-checked.
+    """Serial vs the shared-memory and replay process transports, bit-checked.
 
     Runs the same two-sampler plan serially and through the process
     backend at two workers with each batch transport, asserts every
-    outcome matches the serial reference bit for bit, and records the
-    transports actually used (the degradation chain makes ``"shm"``
-    fall back where ``/dev/shm`` is unusable).  On single-core machines
-    the speedup number measures transport overhead, not parallelism —
-    the section says so explicitly.
+    outcome matches the serial result bit for bit, and records the
+    transports actually used.  On single-core machines the timings
+    measure transport overhead, not parallelism — the section says so
+    explicitly.
     """
     from repro.pipeline.parallel import probe_shared_memory
 
@@ -383,7 +389,7 @@ def bench_batch_transport(args: argparse.Namespace) -> dict:
     serial_seconds, serial = _timed(lambda: fresh_plan().execute(backend="serial"))
     section: dict = {"jobs": 2, "serial_seconds": round(serial_seconds, 4)}
     shm_error = probe_shared_memory()
-    for transport in ("pickle", "shm"):
+    for transport in ("shm", "replay"):
         if transport == "shm" and shm_error is not None:
             section[transport] = {"unavailable": shm_error}
             continue
@@ -407,26 +413,29 @@ def bench_batch_transport(args: argparse.Namespace) -> dict:
             "fallback_reason": plan.fallback_reason,
             "bit_identical": identical,
         }
-    pickle_seconds = section["pickle"].get("seconds")
-    shm_seconds = section.get("shm", {}).get("seconds")
-    if pickle_seconds and shm_seconds:
-        section["shm_speedup"] = round(pickle_seconds / shm_seconds, 3)
+    replay_seconds = section["replay"].get("seconds")
+    shm_seconds = section["shm"].get("seconds")
+    if replay_seconds and shm_seconds:
+        section["replay_over_shm"] = round(replay_seconds / shm_seconds, 3)
     if _single_core():
         section["note"] = SINGLE_CORE_NOTE
     return section
 
 
 def bench_monitor(args: argparse.Namespace) -> dict:
-    """Fused vs unfused monitor-in-the-loop pass, bit-checked.
+    """Unbounded monitor pass vs the stream accumulator, bit-checked.
 
-    Streams the flow-accounting workload through
-    ``run_monitor_stream`` twice — the fused single-pass kernel and the
-    legacy per-stage path — asserts the outcomes are bit-identical, and
-    records the fusion speedup.  The bounded (``max_flows``) variant is
-    bit-checked in ``tests/test_pipeline.py``; here the engines run
-    unbounded, where the hash-kernel fast path carries the fusion gain.
+    Streams the flow-accounting workload with the paper sweep's streams
+    (one Bernoulli sampler per rate and run) through
+    ``run_monitor_stream`` with ``max_flows=None`` and through
+    ``run_stream`` — two independent accumulators of the same per-bin
+    counts (one accounting engine per stream vs one sorted-union table
+    for all streams) — asserts their outcomes are bit-identical, and
+    records both times.  The monitor's cost grows with the number of
+    streams; at the sweep's 40 streams it is the slower one, which is
+    why ``run_stream`` stays the accumulator of unbounded runs.
     """
-    from repro.pipeline.executor import run_monitor_stream
+    from repro.pipeline.executor import run_monitor_stream, run_stream
     from repro.sampling import BernoulliSampler
 
     scale = args.scale if args.quick else max(args.scale, 0.06)
@@ -451,32 +460,36 @@ def bench_monitor(args: argparse.Namespace) -> dict:
         encoder=encoder,
     )
 
-    def run(fused: bool):
+    rates = [rate for rate in SWEEP_RATES for _ in range(args.runs)]
+
+    def run(accumulate):
         samplers = [
             BernoulliSampler(rate, rng=np.random.default_rng(args.seed + index))
-            for index, rate in enumerate((0.01, 0.1))
+            for index, rate in enumerate(rates)
         ]
-        return run_monitor_stream(iter(chunks), groups, samplers, 60.0, 10, fused=fused)
+        return accumulate(iter(chunks), groups, samplers, 60.0, 10)
 
-    # Best of two passes each: the fused/unfused gap is a per-chunk
-    # constant, easily drowned by one cold-cache pass on a single run.
-    unfused_seconds, unfused = _timed(lambda: run(False))
-    fused_seconds, fused = _timed(lambda: run(True))
-    unfused_seconds = min(unfused_seconds, _timed(lambda: run(False))[0])
-    fused_seconds = min(fused_seconds, _timed(lambda: run(True))[0])
-    identical = _outcomes_identical(fused, unfused) and np.array_equal(
-        fused.evictions, unfused.evictions
-    )
+    # Best of two passes each: the gap is a per-chunk constant, easily
+    # drowned by one cold-cache pass on a single run.
+    stream_seconds, stream = _timed(lambda: run(run_stream))
+    monitor_seconds, monitor = _timed(lambda: run(run_monitor_stream))
+    stream_seconds = min(stream_seconds, _timed(lambda: run(run_stream))[0])
+    monitor_seconds = min(monitor_seconds, _timed(lambda: run(run_monitor_stream))[0])
+    identical = _outcomes_identical(monitor, stream) and not monitor.evictions.any()
     if not identical:
-        raise SystemExit("FATAL: fused monitor pass diverges from unfused — fusion regression")
+        raise SystemExit(
+            "FATAL: unbounded monitor pass diverges from run_stream — accounting regression"
+        )
     total_packets = sum(len(chunk) for chunk in chunks)
     return {
         "packets": total_packets,
-        "streams": 2,
+        "streams": len(rates),
         "max_flows": None,
-        "unfused_seconds": round(unfused_seconds, 4),
-        "fused_seconds": round(fused_seconds, 4),
-        "fused_speedup": round(unfused_seconds / fused_seconds, 3) if fused_seconds else None,
+        "stream_seconds": round(stream_seconds, 4),
+        "monitor_seconds": round(monitor_seconds, 4),
+        "monitor_over_stream": round(monitor_seconds / stream_seconds, 3)
+        if stream_seconds
+        else None,
         "bit_identical": identical,
     }
 
@@ -518,7 +531,7 @@ def bench_end_to_end(args: argparse.Namespace) -> dict:
             BernoulliSampler(rate, rng=np.random.default_rng(args.seed + index))
             for index, rate in enumerate((0.01, 0.1))
         ]
-        return run_monitor_stream(stream(), groups, samplers, 60.0, 10, fused=True)
+        return run_monitor_stream(stream(), groups, samplers, 60.0, 10)
 
     seconds, _ = _timed(run)
     return {
@@ -820,8 +833,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"monitor     ... ", end="", flush=True)
         report["results"]["monitor"] = monitor = bench_monitor(args)
         print(
-            f"{monitor['packets']:,} packets: unfused {monitor['unfused_seconds']}s vs "
-            f"fused {monitor['fused_seconds']}s -> {monitor['fused_speedup']}x (bit-identical)"
+            f"{monitor['packets']:,} packets: run_stream {monitor['stream_seconds']}s vs "
+            f"unbounded monitor {monitor['monitor_seconds']}s -> "
+            f"{monitor['monitor_over_stream']}x (bit-identical)"
         )
 
     if wanted("end_to_end"):
@@ -835,17 +849,11 @@ def main(argv: list[str] | None = None) -> int:
     if wanted("batch_transport"):
         print(f"transport   ... ", end="", flush=True)
         report["results"]["batch_transport"] = transport = bench_batch_transport(args)
-        pickle_part = transport.get("pickle", {})
-        shm_part = transport.get("shm", {})
+        shm_part = transport["shm"]
         print(
             f"serial {transport['serial_seconds']}s, "
-            f"pickle {pickle_part.get('seconds', 'n/a')}s, "
-            f"shm {shm_part.get('seconds', shm_part.get('unavailable', 'n/a'))}s"
-            + (
-                f" -> shm {transport['shm_speedup']}x over pickle"
-                if "shm_speedup" in transport
-                else ""
-            )
+            f"shm {shm_part.get('seconds', shm_part.get('unavailable', 'n/a'))}s, "
+            f"replay {transport['replay']['seconds']}s"
             + (f" [{transport['note']}]" if "note" in transport else "")
         )
 

@@ -63,7 +63,7 @@ Quickstart
 5
 """
 
-__version__ = "1.10.0"
+__version__ = "2.0.0"
 
 from . import analysis, telemetry
 from .core import (

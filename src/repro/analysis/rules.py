@@ -605,14 +605,15 @@ class NonAtomicWriteRule(Rule):
 
 #: Modules forming the flow-accounting hot path (rule REP205).  A chunk
 #: of N packets must be accounted in O(N); an ``argsort``/``lexsort``
-#: there silently regresses the hash kernel back to the O(N log N)
-#: reference behaviour.
+#: there silently regresses the hash kernel back to an O(N log N)
+#: sort-based group-by.
 _HOT_PATH_MODULES = frozenset({"repro.flows.accounting", "repro.flows.groupby"})
 
-#: Functions implementing the *reference* sort backend — exempt from
-#: REP205 by design: they exist precisely to cross-check the hash
-#: kernel bit-for-bit, so their sorts are the point, not a regression.
-_REFERENCE_BACKEND_FUNCTIONS = frozenset({"sort_group_index", "aggregate_codes"})
+#: The sort-based group-by functions — exempt from REP205 by design:
+#: the bounded table's eviction replay needs the per-code packet
+#: positions only a stable sort yields, so their sorts are the point,
+#: not a regression.
+_SORT_GROUPBY_FUNCTIONS = frozenset({"sort_group_index", "aggregate_codes"})
 
 #: Call leaf names that perform an O(N log N) sort-based group-by.
 _SORT_CALL_NAMES = frozenset({"argsort", "lexsort"})
@@ -630,8 +631,9 @@ class HotPathSortRule(Rule):
         "The per-chunk accounting path is the pipeline's throughput "
         "ceiling and is deliberately O(N) via the hash-accumulator "
         "kernel; an np.argsort/np.lexsort in repro.flows.accounting or "
-        "repro.flows.groupby (outside the designated reference sort "
-        "backend) silently reintroduces an O(N log N) pass per chunk.  "
+        "repro.flows.groupby (outside the designated sort-based "
+        "group-by functions) silently reintroduces an O(N log N) pass "
+        "per chunk.  "
         "Suppressions must say why the sort is not per-packet work."
     )
 
@@ -660,15 +662,15 @@ class HotPathSortRule(Rule):
             if leaf not in _SORT_CALL_NAMES:
                 continue
             function = self._enclosing_function(call, parents)
-            if function in _REFERENCE_BACKEND_FUNCTIONS:
+            if function in _SORT_GROUPBY_FUNCTIONS:
                 continue
             yield self.violation(
                 context,
                 call,
                 f"`{target}` on the flow-accounting hot path is an "
                 "O(N log N) pass per chunk; group with the hash "
-                "accumulator, move the sort into the reference backend "
-                f"({', '.join(sorted(_REFERENCE_BACKEND_FUNCTIONS))}), or "
+                "accumulator, move the sort into the sort-based group-by "
+                f"({', '.join(sorted(_SORT_GROUPBY_FUNCTIONS))}), or "
                 "suppress with a reason explaining why the sorted input "
                 "is not per-packet work",
             )
@@ -700,8 +702,7 @@ class SourceHotConcatRule(Rule):
         "chunk, turning O(N) streaming into O(N^2/chunk) churn.  Grow "
         "pending packets through repro.traces.buffers (ChunkBuffer "
         "amortised appends, RunQueue zero-copy runs) instead.  "
-        "Suppressions must say why the copy is not per-chunk work "
-        "(e.g. the retained bit-checked reference path)."
+        "Suppressions must say why the copy is not per-chunk work."
     )
 
     def check(self, context: FileContext) -> Iterator[Violation]:

@@ -73,7 +73,7 @@ from .experiments.report import (
     render_sweep_status,
     render_sweep_watch,
 )
-from .pipeline import DEFAULT_CHUNK_PACKETS, Pipeline
+from .pipeline import Pipeline
 from .registry import (
     DISTRIBUTIONS,
     KEY_POLICIES,
@@ -97,6 +97,7 @@ from .sweep import (
     sweep_status,
     worker_status,
 )
+from .traces.source import DEFAULT_CHUNK_PACKETS
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -1,24 +1,17 @@
-"""Flow abstraction substrate: keys, packets, records, classification.
+"""Flow abstraction substrate: keys, packets, records, flow accounting.
 
-Two parallel APIs cover the monitor path:
-
-* the **object path** — :class:`Packet` streams through
-  :class:`FlowClassifier` / :class:`BinnedFlowTable`;
-* the **columnar path** — :class:`PacketBatch` chunks through the
-  :class:`FlowAccountingEngine`, with flow keys carried as integer
-  codes (:class:`FlowKeyEncoder`).
-
-Both produce bit-identical bins; the columnar path is the fast one.
+The monitor path accounts :class:`PacketBatch` chunks through the
+:class:`FlowAccountingEngine`, with flow keys carried as integer codes
+(:class:`FlowKeyEncoder`); :class:`BinnedFlowTable` puts the same
+engine behind a per-:class:`Packet` object API.
 """
 
 from .accounting import (
-    GROUPBY_BACKENDS,
     BinAccount,
     FlowAccountingEngine,
     aggregate_codes,
     bin_segments,
 )
-from .classifier import FlowClassifier
 from .groupby import HashAccumulator
 from .keys import (
     PROTO_ICMP,
@@ -39,7 +32,7 @@ from .keys import (
 )
 from .packets import DEFAULT_PACKET_SIZE_BYTES, Packet, PacketBatch
 from .records import FlowRecord, FlowSummary, ranking_sort_key
-from .table import TABLE_BACKENDS, BinnedFlowTable, FlowBin
+from .table import BinnedFlowTable, FlowBin
 
 __all__ = [
     "FiveTuple",
@@ -63,13 +56,10 @@ __all__ = [
     "FlowRecord",
     "FlowSummary",
     "ranking_sort_key",
-    "FlowClassifier",
     "BinnedFlowTable",
     "FlowBin",
-    "TABLE_BACKENDS",
     "BinAccount",
     "FlowAccountingEngine",
-    "GROUPBY_BACKENDS",
     "HashAccumulator",
     "aggregate_codes",
     "bin_segments",

@@ -2,31 +2,32 @@
 
 The accounting engine reduces each measurement bin to per-flow
 ``(packets, bytes, first_seen, last_seen)`` tuples keyed by ``int64``
-key codes.  This module holds the two interchangeable kernels that
-perform that reduction:
+key codes.  This module holds the kernels that perform that reduction:
 
-* :func:`aggregate_codes` / :func:`sort_group_index` — the **sort
-  backend**: a stable ``argsort`` + ``reduceat`` group-by per chunk
-  segment.  This is the reference path (PR 3) and the designated home
-  of the hot-path sorts that reprolint rule ``REP205`` bans from
-  :mod:`repro.flows.accounting` itself.
-* :class:`HashAccumulator` — the **hash backend**: an open-addressing
-  ``int64`` hash table that accumulates all four statistics in one
-  pass per segment, with no per-chunk sort and no sorted-union merge
-  between chunks.  Codes drawn from a small contiguous universe (the
-  common case: interned five-tuple codes, group ids) use *identity
-  addressing* — the degenerate perfect hash — while arbitrary codes
-  fall back to Fibonacci hashing with linear probing.
+* :class:`HashAccumulator` — the unbounded engine's accumulator: an
+  open-addressing ``int64`` hash table that accumulates all four
+  statistics in one pass per segment, with no per-chunk sort and no
+  sorted-union merge between chunks.  Codes drawn from a small
+  contiguous universe (the common case: interned five-tuple codes,
+  group ids) use *identity addressing* — the degenerate perfect hash —
+  while arbitrary codes fall back to Fibonacci hashing with linear
+  probing.
+* :func:`aggregate_codes` / :func:`sort_group_index` — a stable
+  ``argsort`` + ``reduceat`` group-by of one segment.  The bounded
+  engine's eviction replay needs the per-code packet positions this
+  sort yields, so these two functions are the designated home of the
+  sorts that reprolint rule ``REP205`` bans elsewhere on the
+  accounting path.
 
-Both kernels are pure NumPy, so they run everywhere the reference path
-runs; when Numba is installed the probing loop is JIT-compiled, but
-nothing requires it.  The two backends are bit-identical by
-construction: packet counts and byte sums are integer additions and
-first/last timestamps are floating min/max selections, none of which
-depend on accumulation order, and both backends emit codes in
-ascending order.  ``tests/test_groupby.py`` asserts the equivalence
-property-based, including adversarial codes that collide modulo the
-table size.
+The kernels are pure NumPy; when Numba is installed the probing loop
+is JIT-compiled, but nothing requires it.  The hash accumulator is
+bit-identical to a sort-based group-by by construction: packet counts
+and byte sums are integer additions and first/last timestamps are
+floating min/max selections, none of which depend on accumulation
+order, and codes are emitted in ascending order.
+``tests/test_groupby.py`` asserts the equivalence property-based
+against the sort-based oracle (``tests/oracles/groupby.py``), including
+adversarial codes that collide modulo the table size.
 
 >>> import numpy as np
 >>> acc = HashAccumulator()
@@ -69,7 +70,7 @@ _INITIAL_PROBE_SLOTS = 1 << 12
 
 
 def sort_group_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable group-by index of one code column: the reference sort.
+    """Stable group-by index of one code column.
 
     Parameters
     ----------
@@ -99,7 +100,7 @@ def aggregate_codes(
     timestamps: np.ndarray,
     sizes_bytes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group-by-code aggregation of one packet segment (sort backend).
+    """Group-by-code aggregation of one packet segment (sort-based).
 
     Parameters
     ----------

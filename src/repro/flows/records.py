@@ -113,7 +113,7 @@ def ranking_sort_key(flow: FlowSummary) -> tuple[object, ...]:
     then by :func:`~repro.flows.keys.flow_key_order` of the flow key —
     so the full ranking is a pure function of the flow statistics,
     never of dict insertion order.  Every ranking the library produces
-    (classifier export, bin reports, the columnar engine) uses this key.
+    (bin reports, the columnar engine's exports) uses this key.
     """
     return (-flow.packets, -flow.bytes, flow_key_order(flow.key))
 

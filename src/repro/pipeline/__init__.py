@@ -1,4 +1,4 @@
-"""Composable experiment pipeline: source -> sampler -> classifier -> evaluator.
+"""Composable experiment pipeline: source -> sampler -> flow accounting -> evaluator.
 
 This package is the one public way to run any experiment of the
 reproduction.  See :class:`Pipeline` for the facade,
@@ -10,13 +10,7 @@ engine, and :mod:`repro.pipeline.parallel` for the multi-process
 dispatch of the independent (sampler, run) cells.
 """
 
-from .executor import (
-    DEFAULT_CHUNK_PACKETS,
-    MonitorOutcome,
-    iter_expanded_chunks,
-    run_monitor_stream,
-    run_stream,
-)
+from .executor import MonitorOutcome, run_monitor_stream, run_stream
 from .parallel import BACKENDS, Cell, ExecutionPlan
 from .pipeline import Pipeline, SamplerSpec
 from .result import PipelineResult, SamplerSummary
@@ -26,8 +20,6 @@ __all__ = [
     "SamplerSpec",
     "PipelineResult",
     "SamplerSummary",
-    "DEFAULT_CHUNK_PACKETS",
-    "iter_expanded_chunks",
     "run_stream",
     "run_monitor_stream",
     "MonitorOutcome",

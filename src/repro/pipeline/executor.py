@@ -30,11 +30,13 @@ Consequently ``chunk_packets=None`` (materialise everything) and any
 finite chunk size produce identical :class:`MetricSeries` for the same
 seed — a property the test suite asserts.
 
-The chunk iterator is usable on its own; the concatenation of the
-chunks is always the globally time-sorted packet stream:
+The chunk iterator of :mod:`repro.traces.source` is usable on its own;
+the concatenation of the chunks is always the globally time-sorted
+packet stream:
 
 >>> import numpy as np
 >>> from repro.traces.flow_trace import FlowLevelTrace
+>>> from repro.traces.source import iter_expanded_chunks
 >>> trace = FlowLevelTrace(
 ...     start_times=[0.0, 1.0],
 ...     durations=[5.0, 2.0],
@@ -66,11 +68,6 @@ from ..flows.packets import PacketBatch
 from ..sampling.base import PacketSampler
 from ..simulation.evaluation import swapped_pair_counts
 from ..simulation.results import MetricSeries
-
-# The chunked expansion now lives with the PacketSource abstraction in
-# repro.traces.source; re-exported here because this module is its
-# historical home and the execution engine's public namespace.
-from ..traces.source import DEFAULT_CHUNK_PACKETS, iter_expanded_chunks
 
 
 class _BinState:
@@ -140,7 +137,7 @@ def run_stream(
     ----------
     chunks:
         Packet chunks whose concatenation is sorted by timestamp (see
-        :func:`iter_expanded_chunks`).
+        :meth:`repro.traces.source.PacketSource.iter_chunks`).
     group_of_flow:
         Array mapping flow ids to non-negative flow-group identifiers
         under the chosen flow definition.
@@ -282,7 +279,6 @@ def run_monitor_stream(
     bin_duration: float,
     top_t: int,
     max_flows: int | None = None,
-    fused: bool = True,
 ) -> MonitorOutcome:
     """Monitor-in-the-loop evaluation: sampler -> accounting engine -> metrics.
 
@@ -301,6 +297,13 @@ def run_monitor_stream(
     monitor's account are drained and scored, so memory never scales
     with the number of bins.
 
+    Each chunk makes a single fused pass: the flow-group codes are
+    gathered once, the truth engine and every monitor consume trusted
+    views through
+    :meth:`~repro.flows.accounting.FlowAccountingEngine.observe_sorted_chunk`
+    (no re-validation, no per-engine code gathers), and the samplers'
+    keep-masks are applied as index gathers.
+
     Parameters
     ----------
     chunks:
@@ -317,17 +320,6 @@ def run_monitor_stream(
     max_flows:
         Flow-memory bound of each stream's monitor (``None`` =
         unbounded).
-    fused:
-        When ``True`` (the default), each chunk makes a single fused
-        pass: the flow-group codes are gathered once, every engine
-        consumes trusted masked views through
-        :meth:`~repro.flows.accounting.FlowAccountingEngine.observe_sorted_chunk`
-        (no re-validation, no per-engine code gathers), and the
-        samplers' keep-masks are applied as index gathers.  ``False``
-        keeps the reference pass — one validating ``observe_chunk``
-        per engine per chunk.  The two are bit-identical (asserted in
-        the test suite); the samplers consume the same draws either
-        way.
 
     Returns
     -------
@@ -387,46 +379,33 @@ def run_monitor_stream(
             telemetry.count("monitor.packets", len(chunk))
             telemetry.count("monitor.bytes", int(chunk.sizes_bytes.sum()))
 
-        if fused:
-            # Fused pass: one code gather and one constant-size check
-            # per chunk, then sampler decision + truth accounting +
-            # monitor accounting all consume the same trusted columns.
-            # Masked views are index gathers of the shared arrays — no
-            # per-engine re-validation, no intermediate batch objects.
-            with telemetry.span("monitor.account"):
-                timestamps = chunk.timestamps
-                sizes = chunk.sizes_bytes
-                codes = groups.take(chunk.flow_ids)
-                const_size = int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
-                truth.observe_sorted_chunk(
-                    timestamps,
-                    codes,
-                    sizes,
-                    in_bounds=truth.reserve_codes(group_low, group_high),
+        # One code gather and one constant-size check per chunk, then
+        # sampler decision + truth accounting + monitor accounting all
+        # consume the same trusted columns.  Masked views are index
+        # gathers of the shared arrays — no per-engine re-validation,
+        # no intermediate batch objects.
+        with telemetry.span("monitor.account"):
+            timestamps = chunk.timestamps
+            sizes = chunk.sizes_bytes
+            codes = groups.take(chunk.flow_ids)
+            const_size = int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
+            truth.observe_sorted_chunk(
+                timestamps,
+                codes,
+                sizes,
+                in_bounds=truth.reserve_codes(group_low, group_high),
+                const_size=const_size,
+            )
+        with telemetry.span("monitor.sample"):
+            for stream, sampler in enumerate(stream_samplers):
+                keep = np.flatnonzero(np.asarray(sampler.sample_mask(chunk), dtype=bool))
+                monitors[stream].observe_sorted_chunk(
+                    timestamps.take(keep),
+                    codes.take(keep),
+                    sizes.take(keep),
+                    in_bounds=monitors[stream].reserve_codes(group_low, group_high),
                     const_size=const_size,
                 )
-            with telemetry.span("monitor.sample"):
-                for stream, sampler in enumerate(stream_samplers):
-                    keep = np.flatnonzero(
-                        np.asarray(sampler.sample_mask(chunk), dtype=bool)
-                    )
-                    monitors[stream].observe_sorted_chunk(
-                        timestamps.take(keep),
-                        codes.take(keep),
-                        sizes.take(keep),
-                        in_bounds=monitors[stream].reserve_codes(group_low, group_high),
-                        const_size=const_size,
-                    )
-        else:
-            with telemetry.span("monitor.account"):
-                codes = groups[chunk.flow_ids]
-                truth.observe_chunk(chunk.timestamps, codes, chunk.sizes_bytes)
-            with telemetry.span("monitor.sample"):
-                for stream, sampler in enumerate(stream_samplers):
-                    mask = np.asarray(sampler.sample_mask(chunk), dtype=bool)
-                    monitors[stream].observe_chunk(
-                        chunk.timestamps[mask], codes[mask], chunk.sizes_bytes[mask]
-                    )
         # Bins the stream head has moved past can never grow again.
         for account in truth.drain_completed():
             _score(account)
@@ -489,10 +468,8 @@ def metric_series_for_stream(
 
 
 __all__ = [
-    "DEFAULT_CHUNK_PACKETS",
     "StreamOutcome",
     "MonitorOutcome",
-    "iter_expanded_chunks",
     "run_stream",
     "run_monitor_stream",
     "metric_series_for_stream",

@@ -21,27 +21,22 @@ through a pluggable backend:
 The process backend additionally chooses a *batch transport* — how the
 packet stream reaches the workers:
 
-* ``"replay"`` — no packets cross the process boundary: every worker
-  re-derives the expansion from the shared entropy (the historical
-  behaviour, duplicating the expansion cost per worker);
-* ``"pickle"`` — the parent expands once and ships every
-  :class:`~repro.flows.packets.PacketBatch` to each worker through a
-  bounded queue of pickled column tuples (:class:`PickleBatchChannel`);
 * ``"shm"`` — the parent expands once and ships batch columns through
   parent-owned ``multiprocessing.shared_memory`` ring buffers
   (:class:`SharedMemoryBatchChannel`) — no serialisation of the packet
   columns at all, just two memcpys per batch per worker;
-* ``"auto"`` — prefers ``"shm"``, degrades to ``"pickle"`` when shared
-  memory is unavailable (no ``/dev/shm``, sandboxed) or the chunk size
-  is unbounded, and to ``"replay"`` when streaming cannot be set up.
-  The degradation chain is recorded on the plan
-  (:attr:`ExecutionPlan.transport_used`,
+* ``"replay"`` — no packets cross the process boundary: every worker
+  re-derives the expansion from the shared entropy, duplicating the
+  expansion cost per worker;
+* ``"auto"`` — ``"shm"``, degrading to ``"replay"`` only when shared
+  memory is unusable (no ``/dev/shm``, sandboxed).  The degradation is
+  recorded on the plan (:attr:`ExecutionPlan.transport_used`,
   :attr:`ExecutionPlan.fallback_reason`) — never silent.
 
 Because every cell's sampler generator is derived from the cell's own
 ``SeedSequence`` child and the expansion entropy is shared — and the
-streaming transports ship the parent's *exact* chunks — the merged
-:class:`~repro.pipeline.executor.StreamOutcome` is **bit-identical**
+shared-memory transport ships the parent's *exact* packet stream — the
+merged :class:`~repro.pipeline.executor.StreamOutcome` is **bit-identical**
 across backends and transports for the same seed; merging orders rows
 by cell index, never by completion order.  The test suite asserts this
 equality.
@@ -69,7 +64,6 @@ import queue as queue_module
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -78,15 +72,12 @@ from ..flows.packets import PacketBatch
 from ..traces.source import DEFAULT_CHUNK_PACKETS, PacketSource
 from .executor import StreamOutcome, run_stream
 
-if TYPE_CHECKING:
-    from ..traces.flow_trace import FlowLevelTrace
-
 #: Backend names accepted by :meth:`ExecutionPlan.execute`.
 BACKENDS = ("auto", "serial", "process")
 
 #: Batch-transport names accepted by :meth:`ExecutionPlan.execute` for
 #: the process backend.
-TRANSPORTS = ("auto", "replay", "pickle", "shm")
+TRANSPORTS = ("auto", "replay", "shm")
 
 #: Ring slots per worker for the shared-memory transport: enough to keep
 #: the producer ahead of a consumer without unbounded buffering.
@@ -148,11 +139,9 @@ class ExecutionPlan:
         Flow id to flow-group mapping under the chosen flow definition.
     expand_entropy:
         Source of the stream's randomness (packet placement etc.): a
-        ``SeedSequence`` child of the pipeline seed, or a
-        caller-supplied generator/seed (see
-        :meth:`repro.pipeline.Pipeline.with_packet_rng`).  Every batch
-        derives a *fresh* generator from it, so the stream is
-        bit-identical in every worker.
+        ``SeedSequence`` child of the pipeline seed.  Every batch
+        derives a *fresh* generator from a copy of it, so the stream is
+        bit-identical in every worker and on every :meth:`execute`.
     sampler_specs:
         The pipeline's sampler specs, indexed by ``Cell.spec_index``.
     cells:
@@ -165,7 +154,7 @@ class ExecutionPlan:
 
     source: PacketSource
     groups: np.ndarray
-    expand_entropy: np.random.SeedSequence | np.random.Generator | int
+    expand_entropy: np.random.SeedSequence
     sampler_specs: list
     cells: list[Cell]
     bin_duration: float
@@ -177,20 +166,11 @@ class ExecutionPlan:
     #: observable instead of silent.  ``None`` otherwise.
     fallback_reason: str | None = None
     #: Batch transport the last :meth:`execute` actually used:
-    #: ``"replay"``, ``"pickle"`` or ``"shm"`` for the process backend,
-    #: ``None`` for serial execution (no transport involved).
+    #: ``"replay"`` or ``"shm"`` for the process backend, ``None`` for
+    #: serial execution (no transport involved).
     transport_used: str | None = None
 
     # ------------------------------------------------------------------
-    @property
-    def trace(self) -> FlowLevelTrace | None:
-        """The flow-level trace behind the source, when there is one.
-
-        ``None`` for packet-level and composed sources; kept for
-        callers that predate the :class:`PacketSource` abstraction.
-        """
-        return getattr(self.source, "trace", None)
-
     @property
     def num_cells(self) -> int:
         """Number of independent (sampler spec, run) streams."""
@@ -298,9 +278,8 @@ class ExecutionPlan:
         ----------
         transport:
             One of :data:`TRANSPORTS`.  ``"auto"`` prefers ``"shm"``
-            and degrades to ``"pickle"`` when shared memory is
-            unusable or the plan streams unbounded chunks (a single
-            materialised chunk defeats a fixed-capacity ring).
+            and degrades to ``"replay"`` when shared memory is
+            unusable.
 
         Returns
         -------
@@ -316,11 +295,9 @@ class ExecutionPlan:
             )
         if transport != "auto":
             return transport, None
-        if self.chunk_packets is None:
-            return "pickle", "auto transport fell back to pickle: unbounded chunks"
         problem = probe_shared_memory()
         if problem is not None:
-            return "pickle", f"auto transport fell back to pickle: {problem}"
+            return "replay", f"auto transport fell back to replay: {problem}"
         return "shm", None
 
     def execute(
@@ -379,7 +356,7 @@ class ExecutionPlan:
                 if problem is not None:
                     raise ValueError(
                         f"shared-memory transport is unusable here ({problem}); "
-                        "run with transport='pickle' or transport='replay'"
+                        "run with transport='replay'"
                     )
             self.transport_used = chosen_transport
             if telemetry.enabled:
@@ -404,32 +381,28 @@ class ExecutionPlan:
                         ]
                         parts = [future.result() for future in futures]
             else:
-                parts = self._execute_streamed(chosen_transport, resolved_jobs)
+                parts = self._execute_streamed(resolved_jobs)
         return merge_outcomes(parts, self.num_cells)
 
-    def _execute_streamed(
-        self, transport: str, jobs: int
-    ) -> list[tuple[list[int], StreamOutcome]]:
-        """Expand once in the parent and stream chunks to every worker.
+    def _execute_streamed(self, jobs: int) -> list[tuple[list[int], StreamOutcome]]:
+        """Expand once in the parent and stream chunks to every worker over shm.
 
         The parent owns every transport resource: channels are created
         here and reclaimed in the ``finally`` whatever happens to the
         workers, so a crashed (even SIGKILLed) worker cannot leak
-        shared-memory segments.
+        shared-memory segments.  A slot holds twice the target chunk
+        size; the rarer larger chunks travel as slot-sized slices (see
+        :meth:`SharedMemoryBatchChannel.send`).
         """
         context = multiprocessing.get_context()
         batches = self.batches(jobs)
         capacity = 2 * int(self.chunk_packets or DEFAULT_CHUNK_PACKETS)
         results: multiprocessing.queues.Queue = context.Queue()
-        channels: list[SharedMemoryBatchChannel | PickleBatchChannel] = []
+        channels: list[SharedMemoryBatchChannel] = []
         workers: list[multiprocessing.process.BaseProcess] = []
         try:
             for batch in batches:
-                channel: SharedMemoryBatchChannel | PickleBatchChannel
-                if transport == "shm":
-                    channel = SharedMemoryBatchChannel(capacity, context=context)
-                else:
-                    channel = PickleBatchChannel(context=context)
+                channel = SharedMemoryBatchChannel(capacity, context=context)
                 payload = [
                     (cell.stream_index, cell.spec_index, cell.seed)
                     for cell in (self.cells[index] for index in batch)
@@ -488,10 +461,15 @@ class ExecutionPlan:
 
     # ------------------------------------------------------------------
     def _expand_rng(self) -> np.random.Generator:
-        """A fresh, identical packet-placement generator for one batch."""
-        if isinstance(self.expand_entropy, np.random.Generator):
-            return copy.deepcopy(self.expand_entropy)
-        return np.random.default_rng(self.expand_entropy)
+        """A fresh, identical packet-placement generator for one batch.
+
+        The generator is seeded from a *copy* of :attr:`expand_entropy`:
+        sources that spawn child generators (``MergeSource``) advance
+        the spawn counter of the sequence they are given, and a shared
+        sequence would make the next execution replay a different
+        stream.
+        """
+        return np.random.default_rng(copy.deepcopy(self.expand_entropy))
 
 
 def _spawn_probe_target() -> None:
@@ -586,11 +564,11 @@ class SharedMemoryBatchChannel:
     (consumer).  The parent pre-creates ``slots`` fixed-size shared
     memory segments, each laid out as the three :class:`PacketBatch`
     columns back to back (``float64`` timestamps, ``int64`` flow ids,
-    ``int32`` sizes); :meth:`send` copies a batch's columns into a free
-    slot and posts a ``(slot, count)`` descriptor, :meth:`receive` (in
-    the worker) rebuilds the batch from the slot and returns it to the
-    free ring.  Only the small descriptors are pickled — the packet
-    columns cross the process boundary as plain memcpys.
+    ``int32`` sizes); :meth:`send` copies a batch's columns into free
+    slots and posts ``(slot, count)`` descriptors, :meth:`receive` (in
+    the worker) rebuilds each batch from its slot and returns the slot
+    to the free ring.  Only the small descriptors are pickled — the
+    packet columns cross the process boundary as plain memcpys.
 
     Crash safety: the *parent* creates and unlinks every segment
     (:meth:`unlink`, idempotent, called in a ``finally``).  A worker
@@ -601,7 +579,7 @@ class SharedMemoryBatchChannel:
     Parameters
     ----------
     capacity_packets:
-        Largest batch (in packets) one slot can carry.
+        Packets one slot can carry; larger batches are split.
     slots:
         Ring depth; bounds how far the producer can run ahead.
     context:
@@ -677,33 +655,34 @@ class SharedMemoryBatchChannel:
 
     # -- producer side ---------------------------------------------------
     def send(self, batch: PacketBatch, timeout: float = TRANSPORT_TIMEOUT_S) -> None:
-        """Copy one batch into a free slot and post its descriptor.
+        """Copy one batch into free slots and post their descriptors.
+
+        A batch larger than one slot travels as consecutive slot-sized
+        slices, which the consumer receives as separate time-ordered
+        chunks — the stream is the same, and stream results do not
+        depend on chunk boundaries.  Empty batches post nothing.
 
         Raises
         ------
-        ValueError
-            When the batch exceeds the slot capacity.
         TimeoutError
             When no slot frees up within ``timeout`` seconds — the
             consumer has stopped draining (crashed or wedged).
         """
-        count = len(batch)
-        if count > self.capacity:
-            raise ValueError(
-                f"batch of {count} packets exceeds channel capacity {self.capacity}"
-            )
-        try:
-            slot = self._free.get(timeout=timeout)
-        except queue_module.Empty:
-            raise TimeoutError(
-                f"no free transport slot within {timeout:g}s; the worker "
-                "has stopped draining the channel"
-            ) from None
-        timestamps, flow_ids, sizes = self._views(slot, count)
-        timestamps[:] = batch.timestamps
-        flow_ids[:] = batch.flow_ids
-        sizes[:] = batch.sizes_bytes
-        self._ready.put((slot, count))
+        total = len(batch)
+        for lo in range(0, total, self.capacity):
+            hi = min(lo + self.capacity, total)
+            try:
+                slot = self._free.get(timeout=timeout)
+            except queue_module.Empty:
+                raise TimeoutError(
+                    f"no free transport slot within {timeout:g}s; the worker "
+                    "has stopped draining the channel"
+                ) from None
+            timestamps, flow_ids, sizes = self._views(slot, hi - lo)
+            timestamps[:] = batch.timestamps[lo:hi]
+            flow_ids[:] = batch.flow_ids[lo:hi]
+            sizes[:] = batch.sizes_bytes[lo:hi]
+            self._ready.put((slot, hi - lo))
 
     def close_sending(self) -> None:
         """Signal end of stream to the consumer."""
@@ -761,51 +740,8 @@ class SharedMemoryBatchChannel:
         self._segments = None
 
 
-class PickleBatchChannel:
-    """Bounded queue of pickled batch columns: the fallback transport.
-
-    Same :meth:`send` / :meth:`close_sending` / :meth:`receive` /
-    :meth:`unlink` surface as :class:`SharedMemoryBatchChannel`, but the
-    columns are pickled through a ``multiprocessing.Queue`` — the
-    reference transport for environments without usable shared memory,
-    and the baseline the benchmark compares against.
-    """
-
-    def __init__(
-        self,
-        context: multiprocessing.context.BaseContext | None = None,
-        maxsize: int = SHM_SLOTS_PER_WORKER,
-    ) -> None:
-        ctx = context if context is not None else multiprocessing.get_context()
-        self._queue: multiprocessing.queues.Queue = ctx.Queue(maxsize)
-
-    def send(self, batch: PacketBatch, timeout: float = TRANSPORT_TIMEOUT_S) -> None:
-        try:
-            self._queue.put(
-                (batch.timestamps, batch.flow_ids, batch.sizes_bytes), timeout=timeout
-            )
-        except queue_module.Full:
-            raise TimeoutError(
-                f"transport queue full for {timeout:g}s; the worker has "
-                "stopped draining the channel"
-            ) from None
-
-    def close_sending(self) -> None:
-        self._queue.put(None)
-
-    def receive(self, timeout: float = TRANSPORT_TIMEOUT_S) -> Iterator[PacketBatch]:
-        while True:
-            item = self._queue.get(timeout=timeout)
-            if item is None:
-                return
-            yield PacketBatch.from_trusted_columns(*item)
-
-    def unlink(self) -> None:
-        """Nothing to reclaim — queues clean up with the processes."""
-
-
 def _stream_worker(
-    channel: SharedMemoryBatchChannel | PickleBatchChannel,
+    channel: SharedMemoryBatchChannel,
     sampler_specs: list,
     cell_payload: list[tuple[int, int, np.random.SeedSequence]],
     groups: np.ndarray,
@@ -814,9 +750,9 @@ def _stream_worker(
     results: multiprocessing.queues.Queue,
     telemetry_enabled: bool = False,
 ) -> None:
-    """Worker entry point for the streaming transports.
+    """Worker entry point for the shared-memory transport.
 
-    Receives the parent's exact chunks through ``channel`` — so every
+    Receives the parent's exact packet stream through ``channel`` — so every
     cell sees the very same packet stream the serial backend would —
     and posts ``("ok", indices, outcome, snapshot)`` or ``("error",
     message)``.  ``snapshot`` is this worker's telemetry registry when
@@ -947,7 +883,6 @@ __all__ = [
     "BACKENDS",
     "Cell",
     "ExecutionPlan",
-    "PickleBatchChannel",
     "SHM_SLOTS_PER_WORKER",
     "SharedMemoryBatchChannel",
     "TRANSPORTS",

@@ -3,7 +3,7 @@
 A pipeline composes the four stages every workload in this repository
 needs::
 
-    PacketSource -> PacketSampler(s) -> FlowClassifier -> Evaluator
+    PacketSource -> PacketSampler(s) -> flow accounting -> Evaluator
 
 The first stage is any :class:`~repro.traces.source.PacketSource`:
 ``with_trace`` wraps the classic flow-trace expansion, ``with_source``
@@ -57,7 +57,6 @@ see :mod:`repro.pipeline.parallel`.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -69,14 +68,9 @@ from ..registry import KEY_POLICIES, SAMPLERS, TRACES, accepts_rng, parse_spec
 from ..sampling.base import PacketSampler
 from ..scenarios import SCENARIOS
 from ..traces.flow_trace import FlowLevelTrace
-from ..traces.source import FlowTraceSource, PacketSource
+from ..traces.source import DEFAULT_CHUNK_PACKETS, FlowTraceSource, PacketSource
 from ..traces.synthetic import SyntheticTraceGenerator
-from .executor import (
-    DEFAULT_CHUNK_PACKETS,
-    MonitorOutcome,
-    metric_series_for_stream,
-    run_monitor_stream,
-)
+from .executor import MonitorOutcome, metric_series_for_stream, run_monitor_stream
 from .parallel import Cell, ExecutionPlan
 from .result import PipelineResult, SamplerSummary
 
@@ -138,7 +132,6 @@ class Pipeline:
         self._chunk_packets: int | None = DEFAULT_CHUNK_PACKETS
         self._evaluate_ranking: bool = True
         self._evaluate_detection: bool = True
-        self._packet_rng: np.random.Generator | int | None = None
         self._monitor: bool = False
         self._monitor_max_flows: int | None = None
 
@@ -494,18 +487,6 @@ class Pipeline:
         self._monitor_max_flows = None if max_flows is None else int(max_flows)
         return self
 
-    def with_packet_rng(self, rng: np.random.Generator | int | None) -> "Pipeline":
-        """Advanced: override the generator used for packet placement.
-
-        By default the expansion generator is derived from the pipeline
-        seed; the legacy ``run_trace_simulation`` shim uses this hook to
-        honour its ``packet_rng`` parameter.  A passed ``Generator`` is
-        copied at every :meth:`run`, so repeated runs stay reproducible
-        and the caller's generator is never consumed.
-        """
-        self._packet_rng = rng
-        return self
-
     # ------------------------------------------------------------------
     @classmethod
     def from_spec(
@@ -649,17 +630,7 @@ class Pipeline:
         seed_sequence = np.random.SeedSequence(self._seed)
         num_specs = len(self._samplers)
         children = seed_sequence.spawn(2 + num_specs * self._num_runs)
-        trace_rng = np.random.default_rng(children[0])
-        if self._packet_rng is not None:
-            expand_entropy = (
-                copy.deepcopy(self._packet_rng)
-                if isinstance(self._packet_rng, np.random.Generator)
-                else int(self._packet_rng)
-            )
-        else:
-            expand_entropy = children[1]
-
-        source = self._resolve_source(trace_rng)
+        source = self._resolve_source(np.random.default_rng(children[0]))
         groups = source.group_ids(self._resolve_key_policy())
 
         cells: list[Cell] = []
@@ -677,7 +648,7 @@ class Pipeline:
         return ExecutionPlan(
             source=source,
             groups=groups,
-            expand_entropy=expand_entropy,
+            expand_entropy=children[1],
             sampler_specs=list(self._samplers),
             cells=cells,
             bin_duration=self._bin_duration,

@@ -8,13 +8,6 @@ from .evaluation import (
     swapped_pair_counts,
 )
 from .results import MetricSeries, SimulationResult
-from .runner import (
-    PAPER_NUM_RUNS,
-    PAPER_SAMPLING_RATES,
-    SimulationConfig,
-    run_packet_simulation,
-    run_trace_simulation,
-)
 
 __all__ = [
     "BinLayout",
@@ -25,9 +18,4 @@ __all__ = [
     "detection_pair_budget",
     "MetricSeries",
     "SimulationResult",
-    "SimulationConfig",
-    "run_trace_simulation",
-    "run_packet_simulation",
-    "PAPER_SAMPLING_RATES",
-    "PAPER_NUM_RUNS",
 ]

@@ -71,7 +71,6 @@ from __future__ import annotations
 import json
 import math
 import time
-import warnings
 from collections.abc import Callable, Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from threading import Lock
@@ -453,8 +452,7 @@ def absorb(snapshots: Iterable[Mapping[str, object]]) -> None:
 class EventBus:
     """Multi-subscriber ``(event, key)`` callback bus.
 
-    Replaces the single-slot ``RunStore.on_event`` attribute: any
-    number of observers (fault-injection plans, telemetry adapters,
+    Any number of observers (fault-injection plans, telemetry adapters,
     progress reporters) subscribe concurrently and none clobbers the
     others.  Subscribers are invoked synchronously, in subscription
     order, on the emitting thread.
@@ -494,15 +492,6 @@ class EventBus:
         return len(self._subscribers)
 
 
-def deprecated_single_slot(name: str, replacement: str) -> None:
-    """Emit the deprecation warning for a legacy single-callback slot."""
-    warnings.warn(
-        f"{name} is deprecated; use {replacement} on the event bus instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
-
-
 __all__ = [
     "SCHEMA",
     "enabled",
@@ -518,5 +507,4 @@ __all__ = [
     "merge_snapshots",
     "absorb",
     "EventBus",
-    "deprecated_single_slot",
 ]

@@ -15,7 +15,6 @@ import numpy as np
 from ..flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 from .buffers import stable_order
 from .flow_trace import FlowLevelTrace
-from .source import _resolve_assembly
 
 
 def expand_to_packets(
@@ -23,7 +22,6 @@ def expand_to_packets(
     rng: np.random.Generator | int | None = None,
     packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
     clip_to_duration: float | None = None,
-    assembly: str | None = None,
 ) -> PacketBatch:
     """Expand a flow-level trace into a packet-level batch.
 
@@ -40,24 +38,16 @@ def expand_to_packets(
         When given, packets falling after this time are dropped — this
         reproduces the truncation that the binning method applies to
         flows still active at the end of the observation window.
-    assembly:
-        Ordering backend (``"fast"``/``"reference"``); ``None`` uses
-        the scoped default (:func:`repro.traces.source.use_assembly`).
-        ``"fast"`` replaces the stable ``np.argsort`` over all ~N
-        packets with :func:`repro.traces.buffers.stable_order` (the
-        introsort + exact tie fix-up), which is bit-identical — packet
-        placements are drawn in row order either way, so ties between
-        flows keep row order under both backends.
 
     Returns
     -------
     PacketBatch
-        Packets sorted by timestamp; ``flow_ids`` index the rows of the
-        input trace.
+        Packets sorted by timestamp (ties keep flow row order, via
+        :func:`repro.traces.buffers.stable_order`); ``flow_ids`` index
+        the rows of the input trace.
     """
     if packet_size_bytes <= 0:
         raise ValueError("packet_size_bytes must be positive")
-    backend = _resolve_assembly(assembly)
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
 
     sizes = trace.sizes_packets
@@ -78,17 +68,9 @@ def expand_to_packets(
         timestamps = timestamps[keep]
         flow_ids = flow_ids[keep]
 
-    if backend == "fast":
-        order = stable_order(timestamps)
-        timestamps = timestamps[order]
-        flow_ids = flow_ids[order]
-        sizes_bytes = np.full(timestamps.size, packet_size_bytes, dtype=np.int32)
-        return PacketBatch.from_trusted_columns(timestamps, flow_ids, sizes_bytes)
-    order = np.argsort(timestamps, kind="stable")
-    timestamps = timestamps[order]
-    flow_ids = flow_ids[order]
+    order = stable_order(timestamps)
     sizes_bytes = np.full(timestamps.size, packet_size_bytes, dtype=np.int32)
-    return PacketBatch(timestamps, flow_ids, sizes_bytes)
+    return PacketBatch.from_trusted_columns(timestamps[order], flow_ids[order], sizes_bytes)
 
 
 def expected_link_utilisation_bps(

@@ -1,0 +1,17 @@
+"""Reference implementations the library is bit-checked against.
+
+Each module here keeps the original, straightforward version of a stage
+whose library implementation was later rebuilt for speed.  They are not
+part of ``repro``: the test suite asserts the library equals them
+property-based, and ``benchmarks/harness.py`` imports them for its
+speed-ratio gates.
+
+* :mod:`oracles.assembly` — concatenate + stable-argsort chunk assembly
+  for every packet source (the library uses pooled buffers and merges);
+* :mod:`oracles.groupby` — the argsort + ``reduceat`` group-by with
+  sorted-union merges between chunks (the library uses the hash
+  accumulator);
+* :mod:`oracles.objectpath` — per-packet flow classification and the
+  binned flow table over :class:`~repro.flows.packets.Packet` objects
+  (the library accounts columnar chunks).
+"""

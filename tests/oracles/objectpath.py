@@ -1,18 +1,12 @@
-"""Packet-to-flow classification.
+"""Reference monitor: per-packet classification into Python flow records.
 
-The link monitor of the paper classifies (sampled) packets into flows
-according to a flow definition (5-tuple or destination prefix) and keeps
-one record per flow for the duration of a measurement interval.  The
-:class:`FlowClassifier` implements that classification step for streams
-of :class:`~repro.flows.packets.Packet` objects; it is the *object-level
-reference path* against which the columnar engine
-(:mod:`repro.flows.accounting`) is asserted bit-identical.
-
-Bulk ingestion (:meth:`FlowClassifier.observe_batch`) routes through the
-engine's group-by aggregation, and eviction
-(:meth:`FlowClassifier.evict_smallest`) is a public API backed by a lazy
-min-heap — no caller needs to reach into the record dict, and evicting
-costs O(log n) amortised instead of an O(n) min-scan.
+:class:`FlowClassifier` keeps one :class:`~repro.flows.records.FlowRecord`
+per flow key and evicts through a lazy min-heap; :class:`ObjectFlowTable`
+bins a :class:`~repro.flows.packets.Packet` stream with it, one packet
+at a time.  This is the object-level monitor the columnar
+:class:`~repro.flows.accounting.FlowAccountingEngine` and
+:class:`~repro.flows.table.BinnedFlowTable` must match bit for bit:
+same bins, rankings and eviction counts.
 """
 
 from __future__ import annotations
@@ -21,10 +15,12 @@ import heapq
 from collections.abc import Iterable, Sequence
 from itertools import count
 
-from .accounting import _HEAP_GROWTH, _HEAP_SLACK, aggregate_codes
-from .keys import FiveTuple, FiveTupleKeyPolicy, FlowKeyPolicy, flow_key_order
-from .packets import Packet, PacketBatch
-from .records import FlowRecord, FlowSummary, ranking_sort_key
+from repro.flows.accounting import _HEAP_GROWTH, _HEAP_SLACK
+from repro.flows.groupby import aggregate_codes
+from repro.flows.keys import FiveTuple, FiveTupleKeyPolicy, FlowKeyPolicy, flow_key_order
+from repro.flows.packets import Packet, PacketBatch
+from repro.flows.records import FlowRecord, FlowSummary, ranking_sort_key
+from repro.flows.table import FlowBin
 
 
 class FlowClassifier:
@@ -33,14 +29,11 @@ class FlowClassifier:
     Parameters
     ----------
     key_policy:
-        Flow definition (5-tuple by default; use
-        :class:`~repro.flows.keys.DestinationPrefixKeyPolicy` for the
-        /24 aggregation studied in the paper).
+        Flow definition (5-tuple by default).
 
     Examples
     --------
     >>> from repro.flows.keys import FiveTuple
-    >>> from repro.flows.packets import Packet
     >>> classifier = FlowClassifier()
     >>> ft = FiveTuple.from_strings("10.0.0.1", "10.0.0.2", 1234, 80)
     >>> classifier.observe(Packet(0.0, ft))
@@ -59,7 +52,6 @@ class FlowClassifier:
         self._heap: list | None = None
         self._heap_seq = count()
 
-    # ------------------------------------------------------------------
     @property
     def num_flows(self) -> int:
         """Number of distinct flows observed so far."""
@@ -73,9 +65,6 @@ class FlowClassifier:
     def tracks(self, key: object) -> bool:
         """Whether a flow record currently exists for ``key``."""
         return key in self._records
-
-    def __contains__(self, key: object) -> bool:
-        return self.tracks(key)
 
     def _record_for(self, key: object) -> FlowRecord:
         record = self._records.get(key)
@@ -104,20 +93,7 @@ class FlowClassifier:
             self.observe(packet)
 
     def observe_batch(self, batch: PacketBatch, five_tuples: Sequence[FiveTuple]) -> None:
-        """Account a columnar packet chunk in one vectorised pass.
-
-        The batch is group-by aggregated per flow id with the engine's
-        :func:`~repro.flows.accounting.aggregate_codes`, then each
-        distinct flow updates its record once — so the Python-level
-        work scales with the flows in the chunk, not the packets.
-
-        Parameters
-        ----------
-        batch:
-            The packets, flow ids referencing ``five_tuples``.
-        five_tuples:
-            5-tuple of every flow id that can appear in the batch.
-        """
+        """Account a columnar chunk: group by flow id, then update each record once."""
         if len(batch) == 0:
             return
         if int(batch.flow_ids.max()) >= len(five_tuples):
@@ -138,15 +114,11 @@ class FlowClassifier:
                 self._heap_push(key, record)
         self._packets_seen += len(batch)
 
-    # ------------------------------------------------------------------
     def evict_smallest(self) -> FlowSummary:
         """Remove the smallest tracked flow and return its final summary.
 
         The smallest flow has the fewest packets; ties break by
-        :func:`~repro.flows.keys.flow_key_order` of the flow key, so the
-        choice is deterministic and matches the columnar engine's
-        bounded mode exactly.  Backed by a lazy min-heap: each eviction
-        is O(log n) amortised.
+        :func:`~repro.flows.keys.flow_key_order` of the flow key.
         """
         if not self._records:
             raise ValueError("cannot evict from an empty classifier")
@@ -165,20 +137,14 @@ class FlowClassifier:
                     for live_key, live_record in self._records.items():
                         self._heap_push(live_key, live_record)
                 return summary
-        raise AssertionError("eviction heap lost track of live records")  # pragma: no cover
+        raise AssertionError("eviction heap lost track of live records")
 
-    # ------------------------------------------------------------------
     def export(self) -> list[FlowSummary]:
         """Summaries of all flows observed so far (unsorted)."""
         return [record.freeze() for record in self._records.values()]
 
     def export_sorted(self) -> list[FlowSummary]:
-        """Summaries in the monitor's ranking order.
-
-        Decreasing packet count, then decreasing byte count, then the
-        flow key (see :func:`~repro.flows.records.ranking_sort_key`) —
-        fully deterministic, independent of observation order.
-        """
+        """Summaries in the monitor's ranking order (see ``ranking_sort_key``)."""
         return sorted(self.export(), key=ranking_sort_key)
 
     def top(self, count: int) -> list[FlowSummary]:
@@ -195,4 +161,68 @@ class FlowClassifier:
             self._heap = []
 
 
-__all__ = ["FlowClassifier"]
+class ObjectFlowTable:
+    """Binned flow table over :class:`FlowClassifier`, one packet at a time.
+
+    Same surface as :class:`repro.flows.table.BinnedFlowTable`: a new
+    flow arriving at a full table (``max_flows``) evicts the smallest
+    tracked flow, and each non-empty bin is reported on close.
+    """
+
+    def __init__(
+        self,
+        bin_duration: float,
+        key_policy: FlowKeyPolicy | None = None,
+        max_flows: int | None = None,
+    ) -> None:
+        self.bin_duration = float(bin_duration)
+        self.max_flows = max_flows
+        self._classifier = FlowClassifier(key_policy)
+        self._current_bin_index = 0
+        self._completed: list[FlowBin] = []
+        self.evictions = 0
+
+    @property
+    def completed_bins(self) -> list[FlowBin]:
+        """Bins that have been closed so far."""
+        return list(self._completed)
+
+    def observe(self, packet: Packet) -> None:
+        """Account one packet, closing bins as time advances."""
+        bin_index = int(packet.timestamp // self.bin_duration)
+        if bin_index < self._current_bin_index:
+            raise ValueError("packets must be observed in non-decreasing time order")
+        while bin_index > self._current_bin_index:
+            self._close_bin(self._current_bin_index)
+            self._current_bin_index += 1
+        key = self._classifier.key_policy.key_of(packet.five_tuple)
+        if (
+            not self._classifier.tracks(key)
+            and self.max_flows is not None
+            and self._classifier.num_flows >= self.max_flows
+        ):
+            self._classifier.evict_smallest()
+            self.evictions += 1
+        self._classifier.observe(packet)
+
+    def flush(self) -> list[FlowBin]:
+        """Close the current bin (if non-empty) and return all completed bins."""
+        if self._classifier.num_flows > 0:
+            self._close_bin(self._current_bin_index)
+            self._current_bin_index += 1
+        return list(self._completed)
+
+    def _close_bin(self, bin_index: int) -> None:
+        flows = tuple(self._classifier.export_sorted())
+        if not flows:
+            # Empty measurement intervals produce no report.
+            return
+        self._completed.append(
+            FlowBin(
+                index=bin_index,
+                start_time=bin_index * self.bin_duration,
+                end_time=(bin_index + 1) * self.bin_duration,
+                flows=flows,
+            )
+        )
+        self._classifier.reset()

@@ -1,9 +1,10 @@
 """Columnar flow-accounting engine: equivalence with the object path.
 
 The load-bearing guarantee of :mod:`repro.flows.accounting` is that the
-columnar engine is *bit-identical* to the legacy per-packet object path
-— same bins, same rankings, same eviction counts — for any packet
-stream, any chunking, with and without a ``max_flows`` bound.  The
+columnar engine is *bit-identical* to the per-packet object-level
+monitor (the oracle in ``tests/oracles/objectpath.py``) — same bins,
+same rankings, same eviction counts — for any packet stream, any
+chunking, with and without a ``max_flows`` bound.  The
 property-based tests here generate adversarial streams (tiny key
 spaces, colliding counts, binding memory bounds) and assert exactly
 that.
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.objectpath import FlowClassifier, ObjectFlowTable
 
 from repro.flows.accounting import (
     BinAccount,
@@ -69,7 +71,7 @@ def _columns(five_tuples: list[FiveTuple]):
 
 
 def _run_object_table(timestamps, flow_ids, sizes, five_tuples, policy, max_flows):
-    table = BinnedFlowTable(10.0, key_policy=policy, max_flows=max_flows, backend="object")
+    table = ObjectFlowTable(10.0, key_policy=policy, max_flows=max_flows)
     for ts, fid, size in zip(timestamps, flow_ids, sizes):
         table.observe(Packet(float(ts), five_tuples[int(fid)], int(size)))
     return table.flush(), table.evictions
@@ -147,13 +149,13 @@ class TestObjectColumnarEquivalence:
     )
     @settings(max_examples=25, deadline=None)
     def test_columnar_wrapper_matches_object_backend(self, seed, max_flows):
-        """The default (columnar) BinnedFlowTable backend is bit-identical
-        to the legacy object backend, including mid-stream accessors."""
+        """BinnedFlowTable is bit-identical to the object-level table,
+        including mid-stream accessors."""
         five_tuples = _flow_universe(10, seed)
         timestamps, flow_ids, sizes = _stream(300, 10, 35.0, seed + 1)
         tables = {
-            backend: BinnedFlowTable(10.0, max_flows=max_flows, backend=backend)
-            for backend in ("columnar", "object")
+            "columnar": BinnedFlowTable(10.0, max_flows=max_flows),
+            "object": ObjectFlowTable(10.0, max_flows=max_flows),
         }
         for position, (ts, fid, size) in enumerate(zip(timestamps, flow_ids, sizes)):
             packet = Packet(float(ts), five_tuples[int(fid)], int(size))
@@ -334,8 +336,6 @@ class TestDeterministicRanking:
         assert [flow.key for flow in bin_.top(3)] == keys
 
     def test_classifier_export_sorted_is_deterministic(self):
-        from repro.flows.classifier import FlowClassifier
-
         five_tuples = sorted(_flow_universe(4, 11), key=flow_key_order, reverse=True)
         classifier = FlowClassifier()
         for ft in five_tuples:
@@ -346,8 +346,6 @@ class TestDeterministicRanking:
 
 class TestClassifierEviction:
     def test_evict_smallest_matches_naive_min(self):
-        from repro.flows.classifier import FlowClassifier
-
         rng = np.random.default_rng(13)
         five_tuples = _flow_universe(12, 13)
         classifier = FlowClassifier()
@@ -363,16 +361,12 @@ class TestClassifierEviction:
                 assert (evicted.key, evicted.packets) == (expected.key, expected.packets)
 
     def test_evict_from_empty_classifier_raises(self):
-        from repro.flows.classifier import FlowClassifier
-
         with pytest.raises(ValueError):
             FlowClassifier().evict_smallest()
 
 
 class TestClassifierObserveBatch:
     def test_batch_matches_per_packet(self):
-        from repro.flows.classifier import FlowClassifier
-
         five_tuples = _flow_universe(6, 17)
         timestamps, flow_ids, sizes = _stream(200, 6, 30.0, 18)
         one_by_one = FlowClassifier()
@@ -382,9 +376,3 @@ class TestClassifierObserveBatch:
         batched.observe_batch(PacketBatch(timestamps, flow_ids, sizes), five_tuples)
         assert batched.export_sorted() == one_by_one.export_sorted()
         assert batched.packets_seen == one_by_one.packets_seen
-
-
-class TestTableBackendValidation:
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            BinnedFlowTable(10.0, backend="quantum")

@@ -9,6 +9,7 @@ the contracts the rules encode can never silently regress.
 
 from __future__ import annotations
 
+import ast
 import json
 from pathlib import Path
 
@@ -17,7 +18,7 @@ import pytest
 from repro.analysis import RULES, all_rules, lint_file, lint_paths, lint_source
 from repro.analysis import cli as analysis_cli
 from repro.analysis.base import PARSE_ERROR_ID, resolve_rule_keys
-from repro.analysis.engine import collect_files, module_name_of
+from repro.analysis.engine import collect_files, module_name_of, parse_suppressions
 
 LIB = "repro.fixture"  # module name that activates library-scoped rules
 
@@ -546,6 +547,33 @@ class TestRepositoryIsClean:
         repo = Path(__file__).resolve().parent.parent
         findings = lint_paths([repo / "src", repo / "tests"])
         assert findings == [], "\n".join(v.format() for v in findings)
+
+    def test_hot_path_suppressions_are_pinned(self):
+        # One implementation per stage: no chunk loop in the library may
+        # carry a source-hot-concat suppression, and the only hot-path
+        # sort is HashAccumulator.extract's once-per-bin sort of flows.
+        repo = Path(__file__).resolve().parent.parent
+        aliases = {"rep205": "hot-path-sort", "rep206": "source-hot-concat"}
+        found: dict[str, list[tuple[Path, int]]] = {name: [] for name in aliases.values()}
+        for path in sorted((repo / "src" / "repro").rglob("*.py")):
+            line_scoped, file_scoped = parse_suppressions(path.read_text().splitlines())
+            for suppression in line_scoped + file_scoped:
+                for key in suppression.keys:
+                    name = aliases.get(key, key)
+                    if name in found:
+                        found[name].append((path, suppression.line))
+        assert found["source-hot-concat"] == []
+        assert len(found["hot-path-sort"]) == 1
+        ((path, line),) = found["hot-path-sort"]
+        owners = [
+            f"{cls.name}.{function.name}"
+            for cls in ast.parse(path.read_text()).body
+            if isinstance(cls, ast.ClassDef)
+            for function in cls.body
+            if isinstance(function, ast.FunctionDef)
+            and function.lineno <= line <= (function.end_lineno or function.lineno)
+        ]
+        assert owners == ["HashAccumulator.extract"]
 
     def test_registry_defaults_are_spec_representable(self):
         # Dynamic counterpart of REP203: every registered factory's

@@ -1,11 +1,11 @@
-"""Tests for packet records, flow records and the flow classifier."""
+"""Tests for packet records, flow records and the object-level flow classifier."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.objectpath import FlowClassifier
 
-from repro.flows.classifier import FlowClassifier
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTuple
 from repro.flows.packets import DEFAULT_PACKET_SIZE_BYTES, Packet, PacketBatch
 from repro.flows.records import FlowRecord

@@ -1,22 +1,23 @@
-"""Property tests: the hash group-by kernel is bit-identical to the sort backend.
+"""Property tests: the hash group-by kernel is bit-identical to a sort-based group-by.
 
-The hash-accumulator kernel (:mod:`repro.flows.groupby`) replaces the
-reference ``argsort`` + ``reduceat`` group-by on the flow-accounting hot
-path.  Its contract is *bit identity*: for any packet stream, any
+The hash-accumulator kernel (:mod:`repro.flows.groupby`) is the
+flow-accounting engine's unbounded accumulator.  Its contract is *bit
+identity* with the ``argsort`` + ``reduceat`` group-by it replaced (the
+oracle in ``tests/oracles/groupby.py``): for any packet stream, any
 chunking, dense or sparse code spaces, adversarial hash collisions, and
 the :data:`~repro.flows.groupby.EMPTY_SLOT` sentinel code, the engine
-produces exactly the same bins with ``groupby="hash"`` as with
-``groupby="sort"``.  Everything here asserts exactly that, plus the
-kernel-internal paths (dense reservation, deferred byte sums, probing
-collisions) that the engine-level streams may not reach every run.
+produces exactly the same bins as the sort-based engine.  Everything
+here asserts exactly that, plus the kernel-internal paths (dense
+reservation, deferred byte sums, probing collisions) that the
+engine-level streams may not reach every run.
 """
 
 from __future__ import annotations
 
 import numpy as np
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.groupby import sort_engine
 
 from repro.flows.accounting import BinAccount, FlowAccountingEngine
 from repro.flows.groupby import (
@@ -54,7 +55,10 @@ def run_engine(
     chunk: int,
     max_flows: int | None,
 ) -> tuple[list[BinAccount], int]:
-    engine = FlowAccountingEngine(10.0, max_flows=max_flows, groupby=groupby)
+    if groupby == "sort":
+        engine = sort_engine(10.0, max_flows=max_flows)
+    else:
+        engine = FlowAccountingEngine(10.0, max_flows=max_flows)
     for low in range(0, timestamps.size, chunk):
         batch = PacketBatch(
             timestamps[low : low + chunk],
@@ -137,10 +141,6 @@ class TestHashSortEquivalence:
         a, _ = run_engine("hash", timestamps, flow_ids, sizes, mapping, chunk_a, None)
         b, _ = run_engine("hash", timestamps, flow_ids, sizes, mapping, chunk_b, None)
         assert accounts_equal(a, b)
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            FlowAccountingEngine(10.0, groupby="quantum")
 
 
 # ----------------------------------------------------------------------

@@ -7,17 +7,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles.objectpath import FlowClassifier
 
 from repro.core.flow_size_model import FlowPopulation
 from repro.core.metrics import ranking_swapped_pairs
 from repro.core.ranking import RankingModel
 from repro.distributions import EmpiricalFlowSizes, ParetoFlowSizes
-from repro.flows.classifier import FlowClassifier
 from repro.flows.keys import FiveTupleKeyPolicy
 from repro.flows.packets import Packet
 from repro.flows.table import BinnedFlowTable
+from repro.pipeline import Pipeline
 from repro.sampling import BernoulliSampler
-from repro.simulation import SimulationConfig, run_trace_simulation
 from repro.traces import SyntheticTraceGenerator, expand_to_packets, sprint_like_config
 
 
@@ -93,19 +93,25 @@ class TestObjectAndVectorPathsAgree:
         assert object_total == int(mask.sum())
 
 
+def _simulate(trace, rates, bin_duration, top_t, seed):
+    return (
+        Pipeline()
+        .with_trace(trace)
+        .with_sampling_rates(rates)
+        .with_bin_duration(bin_duration)
+        .with_top(top_t)
+        .with_runs(5)
+        .with_seed(seed)
+        .run()
+    )
+
+
 class TestEndToEndPipeline:
     def test_simulation_confirms_model_ordering(self):
         """Trace simulation and analytical model agree on which rates are viable."""
         config = sprint_like_config(scale=0.004, duration=600.0)
         trace = SyntheticTraceGenerator(config).generate(rng=23)
-        sim_config = SimulationConfig(
-            bin_duration=300.0,
-            top_t=5,
-            sampling_rates=(0.001, 0.1, 0.5),
-            num_runs=5,
-            seed=23,
-        )
-        result = run_trace_simulation(trace, sim_config)
+        result = _simulate(trace, (0.001, 0.1, 0.5), bin_duration=300.0, top_t=5, seed=23)
 
         means = [result.series("ranking", rate).overall_mean for rate in (0.001, 0.1, 0.5)]
         assert means[0] > means[1] > means[2]
@@ -115,14 +121,7 @@ class TestEndToEndPipeline:
     def test_detection_beats_ranking_in_simulation(self):
         config = sprint_like_config(scale=0.004, duration=300.0)
         trace = SyntheticTraceGenerator(config).generate(rng=29)
-        sim_config = SimulationConfig(
-            bin_duration=150.0,
-            top_t=10,
-            sampling_rates=(0.1,),
-            num_runs=5,
-            seed=29,
-        )
-        result = run_trace_simulation(trace, sim_config)
+        result = _simulate(trace, (0.1,), bin_duration=150.0, top_t=10, seed=29)
         assert (
             result.series("detection", 0.1).overall_mean
             <= result.series("ranking", 0.1).overall_mean

@@ -11,6 +11,7 @@ the merge step.
 
 from __future__ import annotations
 
+import copy
 import os
 import signal
 import time
@@ -274,7 +275,7 @@ def _consume_one_and_hang(channel, started) -> None:
 
 
 class TestBatchTransports:
-    @pytest.mark.parametrize("transport", ["replay", "pickle", "shm"])
+    @pytest.mark.parametrize("transport", ["replay", "shm"])
     def test_each_transport_matches_serial(self, small_trace, transport):
         if transport == "shm" and not _shm_available():
             pytest.skip("shared memory unusable in this environment")
@@ -294,14 +295,46 @@ class TestBatchTransports:
             assert plan.transport_used == "shm"
             assert plan.fallback_reason is None
         else:
-            assert plan.transport_used == "pickle"
-            assert "fell back to pickle" in plan.fallback_reason
+            assert plan.transport_used == "replay"
+            assert "fell back to replay" in plan.fallback_reason
 
-    def test_auto_degrades_to_pickle_for_unbounded_chunks(self, small_trace):
-        plan = _sweep_pipeline(small_trace).materialised().plan()
+    def test_auto_falls_back_to_replay_only_without_shm(self, small_trace, monkeypatch):
+        from repro.pipeline import parallel as parallel_module
+
+        monkeypatch.setattr(
+            parallel_module, "probe_shared_memory", lambda: "no /dev/shm in sandbox"
+        )
+        plan = _sweep_pipeline(small_trace).plan()
         transport, reason = plan.resolve_transport("auto")
-        assert transport == "pickle"
-        assert "unbounded chunks" in reason
+        assert transport == "replay"
+        assert "fell back to replay: no /dev/shm in sandbox" in reason
+
+    @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
+    def test_auto_streams_unbounded_chunks_over_shm(self, small_trace):
+        serial = _sweep_pipeline(small_trace).materialised().plan().execute(backend="serial")
+        plan = _sweep_pipeline(small_trace).materialised().plan()
+        assert plan.resolve_transport("auto") == ("shm", None)
+        outcome = plan.execute(backend="process", jobs=2, transport="auto")
+        assert plan.transport_used == "shm" and plan.fallback_reason is None
+        np.testing.assert_array_equal(serial.ranking_values, outcome.ranking_values)
+        np.testing.assert_array_equal(serial.detection_values, outcome.detection_values)
+        assert serial.total_packets == outcome.total_packets
+
+    @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
+    def test_shm_carries_chunks_larger_than_a_slot(self, small_trace):
+        # A source round emits its backlog plus a new block, so chunks
+        # can exceed the two-chunk slot size; they must arrive intact.
+        chunk_packets = 256
+        plan = _sweep_pipeline(small_trace).streaming(chunk_packets).plan()
+        rng = np.random.default_rng(copy.deepcopy(plan.expand_entropy))
+        largest = max(len(chunk) for chunk in plan.source.iter_chunks(rng, chunk_packets))
+        assert largest > 2 * chunk_packets
+        serial = _sweep_pipeline(small_trace).streaming(chunk_packets).plan().execute("serial")
+        outcome = plan.execute(backend="process", jobs=2, transport="shm")
+        np.testing.assert_array_equal(serial.ranking_values, outcome.ranking_values)
+        np.testing.assert_array_equal(serial.detection_values, outcome.detection_values)
+        np.testing.assert_array_equal(serial.bin_start_times, outcome.bin_start_times)
+        assert serial.total_packets == outcome.total_packets
 
     def test_serial_backend_records_no_transport(self, small_trace):
         plan = _sweep_pipeline(small_trace).plan()
@@ -354,13 +387,21 @@ class TestSharedMemoryChannel:
             np.testing.assert_array_equal(got.flow_ids, want.flow_ids)
             np.testing.assert_array_equal(got.sizes_bytes, want.sizes_bytes)
 
-    def test_oversized_batch_rejected(self):
-        channel = self._channel(capacity=8)
+    def test_oversized_batch_split_across_slots(self):
+        channel = self._channel(capacity=8, slots=2)
+        sent = _batch(13)
         try:
-            with pytest.raises(ValueError, match="exceeds channel capacity"):
-                channel.send(_batch(9))
+            channel.send(sent)
+            channel.close_sending()
+            received = list(channel.receive())
         finally:
             channel.unlink()
+        assert [len(batch) for batch in received] == [8, 5]
+        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+            np.testing.assert_array_equal(
+                np.concatenate([getattr(batch, column) for batch in received]),
+                getattr(sent, column),
+            )
 
     def test_send_times_out_when_consumer_stalls(self):
         channel = self._channel(slots=1)

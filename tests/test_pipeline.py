@@ -2,7 +2,7 @@
 
 Covers the builder API, the streaming-vs-materialised equivalence that
 the executor guarantees, sampler state isolation between runs, result
-export, and the legacy shims.
+export, and monitor mode.
 """
 
 from __future__ import annotations
@@ -13,11 +13,10 @@ import pytest
 from repro.flows.keys import DestinationPrefixKeyPolicy
 from repro.flows.packets import PacketBatch
 from repro.pipeline import Pipeline, PipelineResult
-from repro.pipeline.executor import iter_expanded_chunks
 from repro.sampling import BernoulliSampler, PeriodicSampler
 from repro.sampling.base import PacketSampler
-from repro.simulation import SimulationConfig, run_packet_simulation, run_trace_simulation
 from repro.traces import SyntheticTraceGenerator, sprint_like_config
+from repro.traces.source import iter_expanded_chunks
 
 
 def _base_pipeline(trace, rates=(0.01, 0.5), runs=3, seed=7) -> Pipeline:
@@ -126,16 +125,6 @@ class TestStreamingEquivalence:
                 first.series("ranking", label).values,
                 second.series("ranking", label).values,
             )
-
-    def test_repeated_runs_reproducible_with_packet_rng_generator(self, small_trace):
-        """A caller-supplied Generator is copied per run, never consumed."""
-        rng = np.random.default_rng(0)
-        pipeline = _base_pipeline(small_trace, rates=(0.5,), runs=1).with_packet_rng(rng)
-        first = pipeline.run()
-        second = pipeline.run()
-        np.testing.assert_array_equal(
-            first.series("ranking", 0.5).values, second.series("ranking", 0.5).values
-        )
 
     def test_chunk_iteration_covers_all_packets_in_time_order(self, small_trace):
         rng_a = np.random.default_rng(11)
@@ -352,51 +341,6 @@ class TestPipelineResult:
             )
 
 
-class TestLegacyShims:
-    def test_run_trace_simulation_warns_and_matches_streaming(self, small_trace):
-        """The legacy shim and the streaming pipeline agree bit-for-bit."""
-        config = SimulationConfig(
-            bin_duration=60.0, top_t=5, sampling_rates=(0.01, 0.5), num_runs=2, seed=13
-        )
-        with pytest.warns(DeprecationWarning):
-            legacy = run_trace_simulation(small_trace, config)
-
-        streamed = (
-            Pipeline()
-            .with_trace(small_trace)
-            .with_sampling_rates(config.sampling_rates)
-            .with_key_policy(config.key_policy)
-            .with_bin_duration(config.bin_duration)
-            .with_top(config.top_t)
-            .with_runs(config.num_runs)
-            .with_seed(config.seed)
-            .streaming(4096)
-            .run()
-        )
-        for rate in config.sampling_rates:
-            np.testing.assert_array_equal(
-                legacy.series("ranking", rate).values,
-                streamed.series("ranking", rate).values,
-            )
-            np.testing.assert_array_equal(
-                legacy.series("detection", rate).values,
-                streamed.series("detection", rate).values,
-            )
-
-    def test_run_packet_simulation_warns(self, small_trace):
-        from repro.traces import expand_to_packets
-
-        batch = expand_to_packets(small_trace, rng=3, clip_to_duration=small_trace.duration)
-        groups = np.arange(small_trace.num_flows)
-        config = SimulationConfig(
-            bin_duration=60.0, top_t=3, sampling_rates=(0.5,), num_runs=2, seed=3
-        )
-        with pytest.warns(DeprecationWarning):
-            result = run_packet_simulation(batch, groups, config)
-        assert result.series("ranking", 0.5).num_runs == 2
-        assert result.flows_per_bin > 0
-
-
 class TestMonitorMode:
     """Monitor-in-the-loop: sampler -> accounting engine -> metrics."""
 
@@ -454,18 +398,12 @@ class TestMonitorMode:
         with pytest.raises(ValueError):
             Pipeline().with_monitor(max_flows=0)
 
-    def test_simulation_config_max_flows_routes_through_monitor(self, small_trace):
-        config = SimulationConfig(
-            bin_duration=60.0, top_t=3, sampling_rates=(0.5,), num_runs=2, seed=3,
-            max_flows=3,
-        )
-        with pytest.warns(DeprecationWarning):
-            bounded = run_trace_simulation(small_trace, config)
-        config_free = SimulationConfig(
-            bin_duration=60.0, top_t=3, sampling_rates=(0.5,), num_runs=2, seed=3
-        )
-        with pytest.warns(DeprecationWarning):
-            unbounded = run_trace_simulation(small_trace, config_free)
+    def test_bounded_monitor_is_no_better_than_unbounded(self, small_trace):
+        def build():
+            return _base_pipeline(small_trace, rates=(0.5,), runs=2, seed=3).with_top(3)
+
+        bounded = build().with_monitor(max_flows=3).run()
+        unbounded = build().run()
         # The bound must bite: a 3-record monitor cannot match the
         # idealised evaluation on this trace.
         assert bounded.series("ranking", 0.5).overall_mean >= (
@@ -474,11 +412,10 @@ class TestMonitorMode:
 
 
 class TestFusedMonitorPass:
-    """The fused sample+account pass is bit-identical to the staged one."""
+    """The fused sample+account monitor pass, driven directly."""
 
     def _workload(self, trace, chunk_packets=2048, seed=3):
         from repro.flows.keys import FiveTupleKeyPolicy
-        from repro.pipeline.executor import iter_expanded_chunks
 
         chunks = list(
             iter_expanded_chunks(
@@ -499,7 +436,7 @@ class TestFusedMonitorPass:
         )
         return chunks, groups
 
-    def _run(self, chunks, groups, fused, max_flows, seed=11):
+    def _run(self, chunks, groups, max_flows, seed=11):
         from repro.pipeline.executor import run_monitor_stream
         from repro.sampling import SampleAndHoldSampler
 
@@ -507,26 +444,12 @@ class TestFusedMonitorPass:
             BernoulliSampler(0.2, rng=np.random.default_rng(seed)),
             SampleAndHoldSampler(0.05, rng=np.random.default_rng(seed + 1)),
         ]
-        return run_monitor_stream(
-            iter(chunks), groups, samplers, 60.0, 5, max_flows=max_flows, fused=fused
-        )
-
-    @pytest.mark.parametrize("max_flows", [None, 3])
-    def test_fused_matches_unfused(self, small_trace, max_flows):
-        chunks, groups = self._workload(small_trace)
-        fused = self._run(chunks, groups, True, max_flows)
-        unfused = self._run(chunks, groups, False, max_flows)
-        np.testing.assert_array_equal(fused.bin_start_times, unfused.bin_start_times)
-        np.testing.assert_array_equal(fused.ranking_values, unfused.ranking_values)
-        np.testing.assert_array_equal(fused.detection_values, unfused.detection_values)
-        np.testing.assert_array_equal(fused.evictions, unfused.evictions)
-        assert fused.flows_per_bin == unfused.flows_per_bin
-        assert fused.total_packets == unfused.total_packets
+        return run_monitor_stream(iter(chunks), groups, samplers, 60.0, 5, max_flows=max_flows)
 
     def test_fused_is_chunk_size_invariant(self, small_trace):
         coarse_chunks, groups = self._workload(small_trace, chunk_packets=8192)
         fine_chunks, _ = self._workload(small_trace, chunk_packets=512)
-        coarse = self._run(coarse_chunks, groups, True, 3)
-        fine = self._run(fine_chunks, groups, True, 3)
+        coarse = self._run(coarse_chunks, groups, 3)
+        fine = self._run(fine_chunks, groups, 3)
         np.testing.assert_array_equal(coarse.ranking_values, fine.ranking_values)
         np.testing.assert_array_equal(coarse.evictions, fine.evictions)

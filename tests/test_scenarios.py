@@ -173,3 +173,41 @@ class TestScenarioStreams:
         serial = build().run(parallel="serial").to_dict()
         process = build().run(parallel="process", jobs=2).to_dict()
         assert serial == process
+
+
+def _assert_outcomes_equal(first, second) -> None:
+    np.testing.assert_array_equal(first.bin_start_times, second.bin_start_times)
+    np.testing.assert_array_equal(first.ranking_values, second.ranking_values)
+    np.testing.assert_array_equal(first.detection_values, second.detection_values)
+    assert first.total_packets == second.total_packets
+    assert first.flows_per_bin == second.flows_per_bin
+
+
+class TestPlanReplay:
+    """One ExecutionPlan replays the same stream however often it runs."""
+
+    @staticmethod
+    def _plan(name: str):
+        return (
+            Pipeline()
+            .with_scenario(name, **SMALL)
+            .with_sampler("bernoulli", rate=0.5)
+            .with_runs(2)
+            .with_seed(3)
+            .plan()
+        )
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS.names()))
+    def test_executing_a_plan_twice_is_identical(self, name):
+        plan = self._plan(name)
+        first = plan.execute(backend="serial")
+        second = plan.execute(backend="serial")
+        _assert_outcomes_equal(first, second)
+
+    @pytest.mark.parametrize("name", sorted(SCENARIOS.names()))
+    def test_serial_then_replay_process_is_identical(self, name):
+        plan = self._plan(name)
+        serial = plan.execute(backend="serial")
+        replayed = plan.execute(backend="process", jobs=2, transport="replay")
+        assert plan.transport_used == "replay"
+        _assert_outcomes_equal(serial, replayed)

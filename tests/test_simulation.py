@@ -1,4 +1,4 @@
-"""Tests for binning, vectorised metrics and the simulation runner."""
+"""Tests for binning, vectorised metrics and trace-driven simulation results."""
 
 from __future__ import annotations
 
@@ -8,16 +8,31 @@ import pytest
 from repro.core.metrics import detection_swapped_pairs, ranking_swapped_pairs
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.flows.packets import PacketBatch
+from repro.pipeline import Pipeline
 from repro.simulation import (
     MetricSeries,
-    SimulationConfig,
     build_bin_layouts,
     detection_pair_budget,
     ranking_pair_budget,
-    run_trace_simulation,
     swapped_pair_counts,
 )
 from repro.traces import SyntheticTraceGenerator, sprint_like_config
+
+
+def _simulate(trace, rates, runs, seed, top_t, bin_duration=60.0, key_policy=None):
+    """The paper's Section-8 simulation: one Bernoulli sampler per rate."""
+    pipeline = (
+        Pipeline()
+        .with_trace(trace)
+        .with_sampling_rates(rates)
+        .with_bin_duration(bin_duration)
+        .with_top(top_t)
+        .with_runs(runs)
+        .with_seed(seed)
+    )
+    if key_policy is not None:
+        pipeline.with_key_policy(key_policy)
+    return pipeline.run().to_simulation_result()
 
 
 class TestBinLayouts:
@@ -117,24 +132,17 @@ class TestSimulationRunner:
     def simulation_result(self):
         config = sprint_like_config(scale=0.003, duration=300.0)
         trace = SyntheticTraceGenerator(config).generate(rng=11)
-        sim_config = SimulationConfig(
-            bin_duration=60.0,
-            top_t=5,
-            sampling_rates=(0.01, 0.5),
-            num_runs=4,
-            seed=11,
-        )
-        return run_trace_simulation(trace, sim_config)
+        return _simulate(trace, rates=(0.01, 0.5), runs=4, seed=11, top_t=5)
 
-    def test_config_validation(self):
+    def test_config_validation(self, small_trace):
         with pytest.raises(ValueError):
-            SimulationConfig(bin_duration=0.0)
+            _simulate(small_trace, rates=(0.5,), runs=1, seed=0, top_t=5, bin_duration=0.0)
         with pytest.raises(ValueError):
-            SimulationConfig(sampling_rates=(1.5,))
+            _simulate(small_trace, rates=(1.5,), runs=1, seed=0, top_t=5)
         with pytest.raises(ValueError):
-            SimulationConfig(num_runs=0)
+            _simulate(small_trace, rates=(0.5,), runs=0, seed=0, top_t=5)
         with pytest.raises(ValueError):
-            SimulationConfig(evaluate_ranking=False, evaluate_detection=False)
+            Pipeline().with_problems(ranking=False, detection=False)
 
     def test_result_structure(self, simulation_result):
         assert set(simulation_result.ranking) == {0.01, 0.5}
@@ -167,26 +175,18 @@ class TestSimulationRunner:
     def test_prefix_policy_runs(self):
         config = sprint_like_config(scale=0.002, duration=180.0)
         trace = SyntheticTraceGenerator(config).generate(rng=21)
-        sim_config = SimulationConfig(
-            bin_duration=60.0,
-            top_t=3,
-            sampling_rates=(0.2,),
-            num_runs=2,
+        result = _simulate(
+            trace, rates=(0.2,), runs=2, seed=21, top_t=3,
             key_policy=DestinationPrefixKeyPolicy(24),
-            seed=21,
         )
-        result = run_trace_simulation(trace, sim_config)
         assert result.flow_definition == "/24 destination prefix"
         assert result.flows_per_bin > 0
 
     def test_reproducible_with_seed(self):
         config = sprint_like_config(scale=0.002, duration=120.0)
         trace = SyntheticTraceGenerator(config).generate(rng=31)
-        sim_config = SimulationConfig(
-            bin_duration=60.0, top_t=3, sampling_rates=(0.1,), num_runs=2, seed=31
-        )
-        a = run_trace_simulation(trace, sim_config)
-        b = run_trace_simulation(trace, sim_config)
+        a = _simulate(trace, rates=(0.1,), runs=2, seed=31, top_t=3)
+        b = _simulate(trace, rates=(0.1,), runs=2, seed=31, top_t=3)
         np.testing.assert_allclose(
             a.series("ranking", 0.1).values, b.series("ranking", 0.1).values
         )

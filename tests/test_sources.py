@@ -14,6 +14,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.assembly import (
+    reference_chunks,
+    reference_expand_to_packets,
+    reference_expanded_chunks,
+)
 
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.flows.packets import PacketBatch
@@ -36,7 +41,6 @@ from repro.traces.source import (
     TimeWarpSource,
     diurnal_warp,
     iter_expanded_chunks,
-    use_assembly,
 )
 
 
@@ -430,7 +434,7 @@ class TestChunkSizeInvariance:
 
 
 # ----------------------------------------------------------------------
-# Fast vs reference assembly backends (hypothesis, bit-identity)
+# Library assembly vs the reference oracle (hypothesis, bit-identity)
 # ----------------------------------------------------------------------
 def _flow_trace_strategy():
     """Tiny flow traces with tie-heavy starts and zero durations."""
@@ -456,9 +460,12 @@ def _flow_trace_strategy():
     )
 
 
-def _chunks(source, backend, seed, chunk_packets):
-    with use_assembly(backend):
-        return list(source.iter_chunks(np.random.default_rng(seed), chunk_packets))
+def _chunks(source, seed, chunk_packets):
+    return list(source.iter_chunks(np.random.default_rng(seed), chunk_packets))
+
+
+def _reference(source, seed, chunk_packets):
+    return list(reference_chunks(source, np.random.default_rng(seed), chunk_packets))
 
 
 def _assert_chunks_identical(fast, reference):
@@ -471,11 +478,11 @@ def _assert_chunks_identical(fast, reference):
 
 
 class TestAssemblyBackendEquivalence:
-    """Tentpole acceptance: every fast assembly path is bit-identical to
-    the retained reference — same chunk boundaries, values, and dtypes —
-    for arbitrary chunk sizes, including empty chunks, single-flow
-    traces, tied timestamps, and clips landing exactly on a pending
-    packet."""
+    """Every source's chunk assembly is bit-identical to the reference
+    oracle (``tests/oracles/assembly.py``) — same chunk boundaries,
+    values, and dtypes — for arbitrary chunk sizes, including empty
+    chunks, single-flow traces, tied timestamps, and clips landing
+    exactly on a pending packet."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -484,15 +491,9 @@ class TestAssemblyBackendEquivalence:
         seed=st.integers(0, 3),
     )
     def test_expanded_chunks_bit_identical(self, trace, chunk_packets, seed):
-        fast = list(
-            iter_expanded_chunks(
-                trace, np.random.default_rng(seed), chunk_packets, assembly="fast"
-            )
-        )
+        fast = list(iter_expanded_chunks(trace, np.random.default_rng(seed), chunk_packets))
         reference = list(
-            iter_expanded_chunks(
-                trace, np.random.default_rng(seed), chunk_packets, assembly="reference"
-            )
+            reference_expanded_chunks(trace, np.random.default_rng(seed), chunk_packets)
         )
         _assert_chunks_identical(fast, reference)
 
@@ -504,7 +505,7 @@ class TestAssemblyBackendEquivalence:
     )
     def test_clip_on_pending_packet_bit_identical(self, trace, chunk_packets, seed):
         # Clip exactly on an emitted packet timestamp: the < comparison
-        # must drop it identically under both backends.
+        # must drop it identically in the library and the oracle.
         reference_all = _concat(FlowTraceSource(trace), rng_seed=seed)
         ts = reference_all.timestamps
         clip = float(ts[ts.size // 2]) if ts.size else 1.0
@@ -512,20 +513,12 @@ class TestAssemblyBackendEquivalence:
             clip = 1.0
         fast = list(
             iter_expanded_chunks(
-                trace,
-                np.random.default_rng(seed),
-                chunk_packets,
-                clip_to_duration=clip,
-                assembly="fast",
+                trace, np.random.default_rng(seed), chunk_packets, clip_to_duration=clip
             )
         )
         reference = list(
-            iter_expanded_chunks(
-                trace,
-                np.random.default_rng(seed),
-                chunk_packets,
-                clip_to_duration=clip,
-                assembly="reference",
+            reference_expanded_chunks(
+                trace, np.random.default_rng(seed), chunk_packets, clip_to_duration=clip
             )
         )
         _assert_chunks_identical(fast, reference)
@@ -537,8 +530,8 @@ class TestAssemblyBackendEquivalence:
         seed=st.integers(0, 2),
     )
     def test_merge_and_transform_stack_bit_identical(self, source, chunk_packets, seed):
-        fast = _chunks(source, "fast", seed, chunk_packets)
-        reference = _chunks(source, "reference", seed, chunk_packets)
+        fast = _chunks(source, seed, chunk_packets)
+        reference = _reference(source, seed, chunk_packets)
         _assert_chunks_identical(fast, reference)
 
     @settings(max_examples=30, deadline=None)
@@ -549,8 +542,8 @@ class TestAssemblyBackendEquivalence:
     )
     def test_load_scale_paths_bit_identical(self, trace, factor, chunk_packets):
         source = LoadScaleSource(FlowTraceSource(trace), factor)
-        fast = _chunks(source, "fast", 9, chunk_packets)
-        reference = _chunks(source, "reference", 9, chunk_packets)
+        fast = _chunks(source, 9, chunk_packets)
+        reference = _reference(source, 9, chunk_packets)
         _assert_chunks_identical(fast, reference)
 
     @settings(max_examples=30, deadline=None)
@@ -564,8 +557,8 @@ class TestAssemblyBackendEquivalence:
             inputs=np.array([0.0, 10.0]), outputs=np.array([0.0, 10.0 * stretch])
         )
         source = TimeWarpSource(FlowTraceSource(trace), warp)
-        fast = _chunks(source, "fast", 4, chunk_packets)
-        reference = _chunks(source, "reference", 4, chunk_packets)
+        fast = _chunks(source, 4, chunk_packets)
+        reference = _reference(source, 4, chunk_packets)
         _assert_chunks_identical(fast, reference)
 
     @settings(max_examples=40, deadline=None)
@@ -573,8 +566,8 @@ class TestAssemblyBackendEquivalence:
     def test_expand_to_packets_bit_identical(self, trace, seed):
         from repro.traces.expansion import expand_to_packets
 
-        fast = expand_to_packets(trace, seed, assembly="fast")
-        reference = expand_to_packets(trace, seed, assembly="reference")
+        fast = expand_to_packets(trace, seed)
+        reference = reference_expand_to_packets(trace, seed)
         _assert_chunks_identical([fast], [reference])
 
     def test_single_flow_trace_bit_identical(self):
@@ -591,11 +584,6 @@ class TestAssemblyBackendEquivalence:
         for chunk_packets in (None, 1, 5, 64):
             source = FlowTraceSource(trace)
             _assert_chunks_identical(
-                _chunks(source, "fast", 0, chunk_packets),
-                _chunks(source, "reference", 0, chunk_packets),
+                _chunks(source, 0, chunk_packets),
+                _reference(source, 0, chunk_packets),
             )
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError, match="unknown assembly backend"):
-            with use_assembly("turbo"):
-                pass

@@ -11,14 +11,13 @@ The two load-bearing contracts (docs/observability.md):
 
 The rest covers the registry primitives (spans nest and survive
 exceptions, snapshots round-trip through JSON exactly), the store
-event bus plus its ``on_event`` deprecation shim, and the sweep-worker
-heartbeat files behind ``repro sweep watch``.
+event bus, and the sweep-worker heartbeat files behind ``repro sweep
+watch``.
 """
 
 from __future__ import annotations
 
 import json
-import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -310,7 +309,7 @@ class TestBitIdentityOnVsOff:
 
 
 # ----------------------------------------------------------------------
-# Store: event bus, counters, the on_event shim
+# Store: event bus and counters
 # ----------------------------------------------------------------------
 class TestEventBus:
     def test_subscribe_emit_unsubscribe(self):
@@ -375,35 +374,24 @@ class TestStoreTelemetry:
         assert counters["store.lease.renew"] == 1
         assert counters["store.lease.release"] == 1
 
-    def test_on_event_shim_warns_and_still_fires(self, store):
-        seen: list[str] = []
-        with pytest.warns(DeprecationWarning, match="on_event is deprecated"):
-            store.on_event = lambda event, key: seen.append(event)
-        assert store.get(self.SPEC) is None
-        assert seen == ["get.miss"]
-        assert callable(store.on_event)
-
-    def test_on_event_shim_replaces_previous_callback(self, store):
+    def test_unsubscribed_store_callback_stops_firing(self, store):
         first: list[str] = []
         second: list[str] = []
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            store.on_event = lambda event, key: first.append(event)
-            store.on_event = lambda event, key: second.append(event)
+        callback = store.events.subscribe(lambda event, key: first.append(event))
+        store.events.unsubscribe(callback)
+        store.events.subscribe(lambda event, key: second.append(event))
         store.get(self.SPEC)
         assert first == []
         assert second == ["get.miss"]
 
-    def test_shim_coexists_with_bus_subscribers(self, store):
-        bus_seen: list[str] = []
-        shim_seen: list[str] = []
-        store.events.subscribe(lambda event, key: bus_seen.append(event))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", DeprecationWarning)
-            store.on_event = lambda event, key: shim_seen.append(event)
+    def test_store_subscribers_coexist(self, store):
+        seen_a: list[str] = []
+        seen_b: list[str] = []
+        store.events.subscribe(lambda event, key: seen_a.append(event))
+        store.events.subscribe(lambda event, key: seen_b.append(event))
         store.get(self.SPEC)
-        assert bus_seen == ["get.miss"]
-        assert shim_seen == ["get.miss"]
+        assert seen_a == ["get.miss"]
+        assert seen_b == ["get.miss"]
 
 
 # ----------------------------------------------------------------------
