@@ -372,51 +372,54 @@ def _outcomes_identical(left, right) -> bool:
 
 
 def bench_batch_transport(args: argparse.Namespace) -> dict:
-    """Serial vs the shared-memory and replay process transports, bit-checked.
+    """Serial vs the shared-memory process transport, bit-checked.
 
     Runs the same two-sampler plan serially and through the process
-    backend at two workers with each batch transport, asserts every
-    outcome matches the serial result bit for bit, and records the
-    transports actually used.  On single-core machines the timings
-    measure transport overhead, not parallelism — the section says so
-    explicitly.
+    backend over shared memory at one and two workers, asserts every
+    outcome matches the serial result bit for bit, and records
+    ``shm_overhead_ns_per_pkt``: (shm at one worker - serial) / packets,
+    the transport's single-core cost per packet.  On single-core
+    machines the two-worker timing measures transport overhead, not
+    parallelism — the section says so explicitly.
     """
     from repro.pipeline.parallel import probe_shared_memory
 
-    def fresh_plan():
-        return _pipeline(args, rates=(0.1, 0.5), runs=2).plan()
+    def best_of_three(backend: str, jobs: int):
+        # On few-core machines the producer/consumer scheduling jitter
+        # dwarfs the transport cost on any single run.
+        runs = []
+        for _ in range(3):
+            plan = _pipeline(args, rates=(0.1, 0.5), runs=2).plan()
+            seconds, outcome = _timed(lambda: plan.execute(backend=backend, jobs=jobs))
+            runs.append((seconds, outcome, plan))
+        return min(runs, key=lambda run: run[0])
 
-    serial_seconds, serial = _timed(lambda: fresh_plan().execute(backend="serial"))
-    section: dict = {"jobs": 2, "serial_seconds": round(serial_seconds, 4)}
+    serial_seconds, serial, _ = best_of_three("serial", 1)
+    section: dict = {
+        "packets": serial.total_packets,
+        "serial_seconds": round(serial_seconds, 4),
+    }
     shm_error = probe_shared_memory()
-    for transport in ("shm", "replay"):
-        if transport == "shm" and shm_error is not None:
-            section[transport] = {"unavailable": shm_error}
-            continue
-        # Best of two passes: on few-core machines the producer/consumer
-        # scheduling jitter dwarfs the transport cost on any single run.
-        seconds = None
-        for _ in range(2):
-            plan = fresh_plan()
-            attempt, outcome = _timed(
-                lambda: plan.execute(backend="process", jobs=2, transport=transport)
+    if shm_error is not None:
+        section["shm"] = {"unavailable": shm_error}
+        return section
+    shm_seconds = {}
+    for jobs in (1, 2):
+        shm_seconds[jobs], outcome, plan = best_of_three("process", jobs)
+        if not _outcomes_identical(outcome, serial):
+            raise SystemExit(
+                f"FATAL: shm transport at jobs={jobs} diverges from serial — "
+                "transport regression"
             )
-            seconds = attempt if seconds is None else min(seconds, attempt)
-            identical = _outcomes_identical(outcome, serial)
-            if not identical:
-                raise SystemExit(
-                    f"FATAL: {transport} transport diverges from serial — transport regression"
-                )
-        section[transport] = {
-            "seconds": round(seconds, 4),
+        section[f"shm_jobs{jobs}"] = {
+            "seconds": round(shm_seconds[jobs], 4),
             "transport_used": plan.transport_used,
             "fallback_reason": plan.fallback_reason,
-            "bit_identical": identical,
+            "bit_identical": True,
         }
-    replay_seconds = section["replay"].get("seconds")
-    shm_seconds = section["shm"].get("seconds")
-    if replay_seconds and shm_seconds:
-        section["replay_over_shm"] = round(replay_seconds / shm_seconds, 3)
+    section["shm_overhead_ns_per_pkt"] = round(
+        (shm_seconds[1] - serial_seconds) / serial.total_packets * 1e9, 1
+    )
     if _single_core():
         section["note"] = SINGLE_CORE_NOTE
     return section
@@ -849,13 +852,16 @@ def main(argv: list[str] | None = None) -> int:
     if wanted("batch_transport"):
         print(f"transport   ... ", end="", flush=True)
         report["results"]["batch_transport"] = transport = bench_batch_transport(args)
-        shm_part = transport["shm"]
-        print(
-            f"serial {transport['serial_seconds']}s, "
-            f"shm {shm_part.get('seconds', shm_part.get('unavailable', 'n/a'))}s, "
-            f"replay {transport['replay']['seconds']}s"
-            + (f" [{transport['note']}]" if "note" in transport else "")
-        )
+        if "shm" in transport:
+            print(f"serial {transport['serial_seconds']}s, shm {transport['shm']['unavailable']}")
+        else:
+            print(
+                f"serial {transport['serial_seconds']}s, "
+                f"shm jobs=1 {transport['shm_jobs1']['seconds']}s, "
+                f"jobs=2 {transport['shm_jobs2']['seconds']}s -> "
+                f"{transport['shm_overhead_ns_per_pkt']} ns/pkt transport overhead"
+                + (f" [{transport['note']}]" if "note" in transport else "")
+            )
 
     if wanted("sweep"):
         print(f"sweep       ... ", end="", flush=True)
@@ -915,8 +921,14 @@ def main(argv: list[str] | None = None) -> int:
             )
         )
 
-    for section in report["results"].values():
-        section["host"] = host
+    for name, section in report["results"].items():
+        if name == "scenarios":
+            # Keyed by scenario name: a section-level "host" would read
+            # as one more scenario, so each entry carries it instead.
+            for entry in section.values():
+                entry["host"] = host
+        else:
+            section["host"] = host
 
     args.output.write_text(json.dumps(report, indent=2) + "\n")
     print(f"wrote {args.output}")

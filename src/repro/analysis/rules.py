@@ -312,9 +312,9 @@ class UnpicklablePlanRule(Rule):
     id = "REP201"
     name = "unpicklable-plan"
     rationale = (
-        "Plans are pickled wholesale to worker processes; a lambda, local "
-        "closure or open file handle stored on a plan turns the process "
-        "backend into a runtime error (or a silent serial fallback)."
+        "A plan's sampler specs and cells are pickled to worker processes; "
+        "a lambda, local closure or open file handle stored on a plan risks "
+        "turning the process backend into a runtime error (or a serial fallback)."
     )
 
     def _local_def_names(self, function: ast.FunctionDef | ast.AsyncFunctionDef) -> set[str]:

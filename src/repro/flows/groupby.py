@@ -19,12 +19,11 @@ key codes.  This module holds the kernels that perform that reduction:
   sorts that reprolint rule ``REP205`` bans elsewhere on the
   accounting path.
 
-The kernels are pure NumPy; when Numba is installed the probing loop
-is JIT-compiled, but nothing requires it.  The hash accumulator is
-bit-identical to a sort-based group-by by construction: packet counts
-and byte sums are integer additions and first/last timestamps are
-floating min/max selections, none of which depend on accumulation
-order, and codes are emitted in ascending order.
+The kernels are pure NumPy.  The hash accumulator is bit-identical to
+a sort-based group-by by construction: packet counts and byte sums are
+integer additions and first/last timestamps are floating min/max
+selections, none of which depend on accumulation order, and codes are
+emitted in ascending order.
 ``tests/test_groupby.py`` asserts the equivalence property-based
 against the sort-based oracle (``tests/oracles/groupby.py``), including
 adversarial codes that collide modulo the table size.
@@ -41,14 +40,6 @@ adversarial codes that collide modulo the table size.
 from __future__ import annotations
 
 import numpy as np
-
-try:  # pragma: no cover - exercised only where numba is installed
-    from numba import njit as _njit  # type: ignore[import-not-found]
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - the supported default
-    _njit = None
-    HAVE_NUMBA = False
 
 #: Sentinel marking an unoccupied slot in a probing table.  A real key
 #: equal to the sentinel is tracked in a scalar side-car instead.
@@ -172,29 +163,6 @@ def _probe_slots(keys: np.ndarray, codes: np.ndarray, shift: int) -> np.ndarray:
         unresolved = unresolved[keep]
         probe = (probe[keep] + 1) & mask
     return slots
-
-
-if HAVE_NUMBA:  # pragma: no cover - exercised only where numba is installed
-
-    @_njit(cache=True)
-    def _probe_slots_jit(keys, codes, shift):  # type: ignore[no-untyped-def]
-        mask = keys.size - 1
-        out = np.empty(codes.size, dtype=np.int64)
-        for i in range(codes.size):
-            code = codes[i]
-            slot = np.int64((np.uint64(code) * np.uint64(0x9E3779B97F4A7C15)) >> np.uint64(shift))
-            while True:
-                key = keys[slot]
-                if key == code:
-                    break
-                if key == EMPTY_SLOT:
-                    keys[slot] = code
-                    break
-                slot = (slot + 1) & mask
-            out[i] = slot
-        return out
-
-    _probe_slots = _probe_slots_jit  # noqa: F811 - JIT path replaces the NumPy loop
 
 
 class HashAccumulator:
@@ -558,7 +526,6 @@ __all__ = [
     "DENSE_SPAN_LIMIT",
     "EMPTY_SLOT",
     "HASH_MULTIPLIER",
-    "HAVE_NUMBA",
     "HashAccumulator",
     "aggregate_codes",
     "sort_group_index",

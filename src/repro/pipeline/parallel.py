@@ -6,40 +6,33 @@ parallel sweep: the (sampler spec, run) streams evaluated by
 turns that structure into an explicit :class:`ExecutionPlan` — one
 :class:`Cell` per independent stream, each carrying its own
 ``SeedSequence`` child — and dispatches contiguous *batches* of cells
-through a pluggable backend:
+through one of two backends:
 
 * ``"serial"`` — all cells in one batch, in process (the reference
   path: one expansion, one pass over the stream);
-* ``"process"`` — one batch per worker via
-  :class:`concurrent.futures.ProcessPoolExecutor`; each worker replays
-  the *same* packet expansion (drawn from the same entropy, so it is
-  bit-identical everywhere) and evaluates only its cells;
+* ``"process"`` — one batch per worker process.  The parent expands the
+  packet stream once and ships every chunk to each worker through a
+  parent-owned ring of ``multiprocessing.shared_memory`` slots
+  (:class:`SharedMemoryBatchChannel`): only small slot descriptors are
+  pickled, the packet columns cross as plain memcpys, and each worker
+  evaluates only its cells;
 * ``"auto"`` — picks ``"process"`` when the workload is large enough to
-  amortise process start-up (and the plan is picklable), ``"serial"``
-  otherwise.
+  amortise process start-up, ``"serial"`` otherwise.
 
-The process backend additionally chooses a *batch transport* — how the
-packet stream reaches the workers:
-
-* ``"shm"`` — the parent expands once and ships batch columns through
-  parent-owned ``multiprocessing.shared_memory`` ring buffers
-  (:class:`SharedMemoryBatchChannel`) — no serialisation of the packet
-  columns at all, just two memcpys per batch per worker;
-* ``"replay"`` — no packets cross the process boundary: every worker
-  re-derives the expansion from the shared entropy, duplicating the
-  expansion cost per worker;
-* ``"auto"`` — ``"shm"``, degrading to ``"replay"`` only when shared
-  memory is unusable (no ``/dev/shm``, sandboxed).  The degradation is
-  recorded on the plan (:attr:`ExecutionPlan.transport_used`,
-  :attr:`ExecutionPlan.fallback_reason`) — never silent.
+The process backend needs picklable sampler specs (each worker rebuilds
+its samplers from them) and usable shared memory.  Without them
+``"auto"`` runs serially and records why — in
+:attr:`ExecutionPlan.fallback_reason` and the ``parallel.fallback``
+telemetry gauge — while an explicit ``"process"`` raises ``ValueError``
+naming the problem.  A worker that fails is reported as soon as it
+exits, with its own error message.
 
 Because every cell's sampler generator is derived from the cell's own
-``SeedSequence`` child and the expansion entropy is shared — and the
-shared-memory transport ships the parent's *exact* packet stream — the
-merged :class:`~repro.pipeline.executor.StreamOutcome` is **bit-identical**
-across backends and transports for the same seed; merging orders rows
-by cell index, never by completion order.  The test suite asserts this
-equality.
+``SeedSequence`` child and every worker receives the parent's exact
+packet stream, the merged :class:`~repro.pipeline.executor.StreamOutcome`
+is **bit-identical** across backends for the same seed; merging orders
+rows by cell index, never by completion order.  The test suite asserts
+this equality.
 
 >>> from repro.pipeline import Pipeline
 >>> result = (
@@ -57,13 +50,14 @@ equality.
 from __future__ import annotations
 
 import copy
+import math
 import multiprocessing
 import os
 import pickle
 import queue as queue_module
 from collections.abc import Iterator
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from typing import Any
 
 import numpy as np
 
@@ -75,21 +69,21 @@ from .executor import StreamOutcome, run_stream
 #: Backend names accepted by :meth:`ExecutionPlan.execute`.
 BACKENDS = ("auto", "serial", "process")
 
-#: Batch-transport names accepted by :meth:`ExecutionPlan.execute` for
-#: the process backend.
-TRANSPORTS = ("auto", "replay", "shm")
-
 #: Ring slots per worker for the shared-memory transport: enough to keep
 #: the producer ahead of a consumer without unbounded buffering.
 SHM_SLOTS_PER_WORKER = 4
 
-#: Seconds a transport waits for the peer before declaring it dead.
+#: Seconds a transport waits for a live but silent peer before declaring
+#: it wedged.  A peer that has exited is noticed within ``_POLL_S``.
 TRANSPORT_TIMEOUT_S = 120.0
+
+#: Seconds between liveness checks while the parent waits on a worker.
+_POLL_S = 0.1
 
 #: Minimum workload (total packets x cells, i.e. per-packet sampling
 #: decisions) below which ``"auto"`` stays serial: under this size the
-#: cost of forking workers and re-expanding the trace in each of them
-#: exceeds what parallelism can win back.
+#: cost of starting workers and copying every chunk into each worker's
+#: shared-memory ring exceeds what parallelism can win back.
 AUTO_PROCESS_MIN_WORK = 8_000_000
 
 
@@ -139,9 +133,9 @@ class ExecutionPlan:
         Flow id to flow-group mapping under the chosen flow definition.
     expand_entropy:
         Source of the stream's randomness (packet placement etc.): a
-        ``SeedSequence`` child of the pipeline seed.  Every batch
-        derives a *fresh* generator from a copy of it, so the stream is
-        bit-identical in every worker and on every :meth:`execute`.
+        ``SeedSequence`` child of the pipeline seed.  Every
+        :meth:`execute` derives a *fresh* generator from a copy of it,
+        so each execution streams the bit-identical packets.
     sampler_specs:
         The pipeline's sampler specs, indexed by ``Cell.spec_index``.
     cells:
@@ -160,14 +154,14 @@ class ExecutionPlan:
     bin_duration: float
     top_t: int
     chunk_packets: int | None
-    #: Set by :meth:`execute` when the ``"auto"`` backend downgraded to
-    #: serial because the plan could not be pickled, or when the
-    #: ``"auto"`` transport degraded along its chain — the downgrade is
-    #: observable instead of silent.  ``None`` otherwise.
+    #: Set by :meth:`execute` when the ``"auto"`` backend ran serially
+    #: because the process backend cannot run here (unpicklable sampler
+    #: specs, unusable shared memory) — the downgrade is observable
+    #: instead of silent.  ``None`` when the last execution did not
+    #: fall back.
     fallback_reason: str | None = None
-    #: Batch transport the last :meth:`execute` actually used:
-    #: ``"replay"`` or ``"shm"`` for the process backend, ``None`` for
-    #: serial execution (no transport involved).
+    #: Transport the last :meth:`execute` used: ``"shm"`` for the
+    #: process backend, ``None`` for serial execution (no transport).
     transport_used: str | None = None
 
     # ------------------------------------------------------------------
@@ -200,38 +194,45 @@ class ExecutionPlan:
         list[list[int]]
             Non-empty, contiguous, in-order index batches.  Contiguity
             keeps each worker's cells adjacent in stream order, and the
-            near-equal sizes balance the duplicated expansion cost.
+            near-equal sizes balance the per-worker sampling and
+            accounting work.
         """
         count = max(1, min(int(count), self.num_cells))
         bounds = np.linspace(0, self.num_cells, count + 1).astype(int)
         return [list(range(lo, hi)) for lo, hi in zip(bounds[:-1], bounds[1:]) if hi > lo]
 
     def pickle_check(self) -> str | None:
-        """Why the plan cannot be shipped to worker processes, if it cannot.
+        """Why the sampler specs cannot be shipped to worker processes, if they cannot.
 
-        Probes the parts of the plan the process backend pickles and
-        returns ``None`` when everything serialises, or a short
-        diagnostic (exception type and message) when it does not.  Only
-        genuine serialisation failures are caught — ``PicklingError``
-        (lambdas, local closures), ``TypeError`` (open handles, locks)
-        and ``AttributeError`` (objects whose module-level name is gone)
-        — so a real bug inside ``__reduce__`` still surfaces.
+        The process backend pickles only what crosses into the workers:
+        each worker rebuilds its samplers from the plan's sampler specs,
+        while the source stays in the parent, which expands the stream
+        and ships the packets.  Returns ``None`` when the specs
+        serialise, or a short diagnostic (exception type and message)
+        when they do not.  Only genuine serialisation failures are
+        caught — ``PicklingError`` (lambdas, local closures),
+        ``TypeError`` (open handles, locks) and ``AttributeError``
+        (objects whose module-level name is gone) — so a real bug inside
+        ``__reduce__`` still surfaces.
         """
         try:
-            pickle.dumps((self.sampler_specs, self.expand_entropy, self.source))
+            pickle.dumps(self.sampler_specs)
         except (pickle.PicklingError, TypeError, AttributeError) as error:
             return f"{type(error).__name__}: {error}"
         return None
 
-    def is_picklable(self) -> bool:
-        """Whether the plan can be shipped to worker processes.
-
-        Sampler specs holding locally defined factories or instances
-        cannot be pickled; the ``"auto"`` backend falls back to serial
-        for them (recording :attr:`fallback_reason`), the ``"process"``
-        backend raises.
-        """
-        return self.pickle_check() is None
+    def _process_problem(self) -> str | None:
+        """Why the process backend cannot run this plan here — or ``None``."""
+        problem = self.pickle_check()
+        if problem is not None:
+            return (
+                "the pipeline uses sampler factories or instances that cannot be "
+                f"pickled to worker processes ({problem})"
+            )
+        problem = probe_shared_memory()
+        if problem is not None:
+            return f"shared memory is unusable here ({problem})"
+        return None
 
     # ------------------------------------------------------------------
     def resolve_backend(self, backend: str = "auto", jobs: int | None = None) -> tuple[str, int]:
@@ -271,117 +272,61 @@ class ExecutionPlan:
             resolved_jobs = 1
         return backend, resolved_jobs
 
-    def resolve_transport(self, transport: str = "auto") -> tuple[str, str | None]:
-        """Normalise a transport request into a concrete choice.
-
-        Parameters
-        ----------
-        transport:
-            One of :data:`TRANSPORTS`.  ``"auto"`` prefers ``"shm"``
-            and degrades to ``"replay"`` when shared memory is
-            unusable.
-
-        Returns
-        -------
-        tuple[str, str | None]
-            The chosen transport and, for a degraded ``"auto"``
-            request, the one-line reason — ``None`` when the first
-            preference was usable.  Explicit requests never degrade;
-            :meth:`execute` raises instead.
-        """
-        if transport not in TRANSPORTS:
-            raise ValueError(
-                f"unknown transport {transport!r}; expected one of {TRANSPORTS}"
-            )
-        if transport != "auto":
-            return transport, None
-        problem = probe_shared_memory()
-        if problem is not None:
-            return "replay", f"auto transport fell back to replay: {problem}"
-        return "shm", None
-
-    def execute(
-        self,
-        backend: str = "auto",
-        jobs: int | None = None,
-        transport: str = "auto",
-    ) -> StreamOutcome:
+    def execute(self, backend: str = "auto", jobs: int | None = None) -> StreamOutcome:
         """Run every cell and merge the outcomes deterministically.
 
         Parameters
         ----------
         backend:
             ``"serial"``, ``"process"`` or ``"auto"`` (the default).
+            When the process backend cannot run here (see
+            :meth:`pickle_check` and :func:`probe_shared_memory`),
+            ``"auto"`` runs serially and records why in
+            :attr:`fallback_reason`; ``"process"`` raises
+            ``ValueError``.
         jobs:
             Worker processes for the process backend; ``None`` means one
             per CPU.
-        transport:
-            Batch transport for the process backend, one of
-            :data:`TRANSPORTS`; serial execution ignores it.  The
-            choice actually used is recorded in
-            :attr:`transport_used`.
 
         Returns
         -------
         StreamOutcome
             Per-bin metric rows for every stream, ordered by cell index
-            — bit-identical across backends and transports for the
-            same plan.
+            — bit-identical across backends for the same plan.
+
+        Raises
+        ------
+        RuntimeError
+            When a worker process fails; the message carries the
+            worker's own error, or its exit code if it posted none.
         """
         choice, resolved_jobs = self.resolve_backend(backend, jobs)
+        self.fallback_reason = None
         self.transport_used = None
         if choice == "process":
-            problem = self.pickle_check()
+            problem = self._process_problem()
             if problem is not None:
                 if backend == "process":
-                    raise ValueError(
-                        "the pipeline uses sampler factories or instances that cannot "
-                        f"be pickled to worker processes ({problem}); run with "
-                        "parallel='serial' instead"
-                    )
+                    raise ValueError(f"{problem}; run with parallel='serial' instead")
                 # auto mode degrades gracefully — and observably.
                 self.fallback_reason = f"auto backend fell back to serial: {problem}"
-                choice = "serial"
+                choice, resolved_jobs = "serial", 1
         if telemetry.enabled:
             telemetry.gauge("parallel.backend", choice)
             telemetry.gauge("parallel.jobs", resolved_jobs)
+            if self.fallback_reason is not None:
+                telemetry.gauge("parallel.fallback", self.fallback_reason)
         if choice == "serial":
-            parts = [_run_cell_batch(self, list(range(self.num_cells)))]
+            samplers = _build_samplers(self.sampler_specs, self.cells)
+            outcome = run_stream(
+                self._chunks(), self.groups, samplers, self.bin_duration, self.top_t
+            )
+            parts = [([cell.stream_index for cell in self.cells], outcome)]
         else:
-            chosen_transport, degradation = self.resolve_transport(transport)
-            if degradation is not None:
-                self.fallback_reason = degradation
-            if chosen_transport == "shm":
-                problem = probe_shared_memory()
-                if problem is not None:
-                    raise ValueError(
-                        f"shared-memory transport is unusable here ({problem}); "
-                        "run with transport='replay'"
-                    )
-            self.transport_used = chosen_transport
+            self.transport_used = "shm"
             if telemetry.enabled:
-                telemetry.gauge("parallel.transport", chosen_transport)
-            if chosen_transport == "replay":
-                batches = self.batches(resolved_jobs)
-                with ProcessPoolExecutor(max_workers=len(batches)) as pool:
-                    if telemetry.enabled:
-                        # Children start with telemetry off; the wrapper
-                        # enables it and returns each worker's snapshot
-                        # alongside the outcome for a deterministic merge.
-                        futures = [
-                            pool.submit(_run_cell_batch_telemetry, self, batch)
-                            for batch in batches
-                        ]
-                        packed = [future.result() for future in futures]
-                        parts = [(indices, outcome) for indices, outcome, _ in packed]
-                        telemetry.absorb([snapshot for _, _, snapshot in packed])
-                    else:
-                        futures = [
-                            pool.submit(_run_cell_batch, self, batch) for batch in batches
-                        ]
-                        parts = [future.result() for future in futures]
-            else:
-                parts = self._execute_streamed(resolved_jobs)
+                telemetry.gauge("parallel.transport", "shm")
+            parts = self._execute_streamed(resolved_jobs)
         return merge_outcomes(parts, self.num_cells)
 
     def _execute_streamed(self, jobs: int) -> list[tuple[list[int], StreamOutcome]]:
@@ -392,60 +337,47 @@ class ExecutionPlan:
         workers, so a crashed (even SIGKILLed) worker cannot leak
         shared-memory segments.  A slot holds twice the target chunk
         size; the rarer larger chunks travel as slot-sized slices (see
-        :meth:`SharedMemoryBatchChannel.send`).
+        :meth:`SharedMemoryBatchChannel.send`).  Each channel watches
+        its worker, so a worker that exits early is reported while the
+        parent is still sending instead of after a transport timeout.
         """
         context = multiprocessing.get_context()
         batches = self.batches(jobs)
         capacity = 2 * int(self.chunk_packets or DEFAULT_CHUNK_PACKETS)
-        results: multiprocessing.queues.Queue = context.Queue()
         channels: list[SharedMemoryBatchChannel] = []
         workers: list[multiprocessing.process.BaseProcess] = []
         try:
             for batch in batches:
                 channel = SharedMemoryBatchChannel(capacity, context=context)
-                payload = [
-                    (cell.stream_index, cell.spec_index, cell.seed)
-                    for cell in (self.cells[index] for index in batch)
-                ]
+                channels.append(channel)
                 worker = context.Process(
                     target=_stream_worker,
                     args=(
                         channel,
                         self.sampler_specs,
-                        payload,
+                        [self.cells[index] for index in batch],
                         self.groups,
                         self.bin_duration,
                         self.top_t,
-                        results,
                         telemetry.enabled,
                     ),
                     daemon=True,
                 )
                 worker.start()
-                channels.append(channel)
                 workers.append(worker)
-            for chunk in self.source.iter_chunks(
-                self._expand_rng(), chunk_packets=self.chunk_packets
-            ):
+                channel.consumer = worker
+            for chunk in self._chunks():
                 for channel in channels:
                     channel.send(chunk)
             for channel in channels:
                 channel.close_sending()
             parts: list[tuple[list[int], StreamOutcome]] = []
             snapshots: list[dict] = []
-            for _ in workers:
-                try:
-                    message = results.get(timeout=TRANSPORT_TIMEOUT_S)
-                except queue_module.Empty:
-                    raise RuntimeError(
-                        "a transport worker produced no result within "
-                        f"{TRANSPORT_TIMEOUT_S:g}s"
-                    ) from None
-                if message[0] == "error":
-                    raise RuntimeError(f"transport worker failed: {message[1]}")
-                parts.append((message[1], message[2]))
-                if len(message) > 3 and message[3] is not None:
-                    snapshots.append(message[3])
+            for batch, channel in zip(batches, channels):
+                outcome, snapshot = channel.result()
+                parts.append(([self.cells[index].stream_index for index in batch], outcome))
+                if snapshot is not None:
+                    snapshots.append(snapshot)
             if snapshots:
                 telemetry.absorb(snapshots)
             for worker in workers:
@@ -460,8 +392,8 @@ class ExecutionPlan:
                 channel.unlink()
 
     # ------------------------------------------------------------------
-    def _expand_rng(self) -> np.random.Generator:
-        """A fresh, identical packet-placement generator for one batch.
+    def _chunks(self) -> Iterator[PacketBatch]:
+        """The plan's packet stream, replayed from a fresh generator.
 
         The generator is seeded from a *copy* of :attr:`expand_entropy`:
         sources that spawn child generators (``MergeSource``) advance
@@ -469,7 +401,8 @@ class ExecutionPlan:
         sequence would make the next execution replay a different
         stream.
         """
-        return np.random.default_rng(copy.deepcopy(self.expand_entropy))
+        rng = np.random.default_rng(copy.deepcopy(self.expand_entropy))
+        return self.source.iter_chunks(rng, chunk_packets=self.chunk_packets)
 
 
 def _spawn_probe_target() -> None:
@@ -540,25 +473,8 @@ def probe_shared_memory() -> str | None:
     return None
 
 
-def _unregister_attached_segment(name: str) -> None:
-    """Keep the parent the sole owner of an attached segment.
-
-    ``SharedMemory(name=...)`` registers the segment with the caller's
-    resource tracker even when merely attaching (CPython < 3.13), which
-    would let a worker's tracker unlink a segment the parent still owns.
-    Attach paths undo that registration; the parent's own registration
-    stays, so segments are always reclaimed exactly once.
-    """
-    try:  # pragma: no cover - depends on interpreter internals
-        from multiprocessing import resource_tracker
-
-        resource_tracker.unregister(f"/{name}", "shared_memory")
-    except Exception:  # noqa: BLE001 - best effort, never fatal
-        pass
-
-
 class SharedMemoryBatchChannel:
-    """Parent-owned ring of shared-memory slots shipping batch columns.
+    """Parent-owned link to one worker: a ring of shared-memory slots out, a result back.
 
     One channel connects the parent (producer) to one worker process
     (consumer).  The parent pre-creates ``slots`` fixed-size shared
@@ -568,13 +484,22 @@ class SharedMemoryBatchChannel:
     slots and posts ``(slot, count)`` descriptors, :meth:`receive` (in
     the worker) rebuilds each batch from its slot and returns the slot
     to the free ring.  Only the small descriptors are pickled — the
-    packet columns cross the process boundary as plain memcpys.
+    packet columns cross the process boundary as plain memcpys.  The
+    worker answers once, through :meth:`post_result`, and the parent
+    collects the answer with :meth:`result`.
+
+    Failure detection: the parent records the worker process in
+    :attr:`consumer`.  While the parent waits — for a free slot or for
+    the result — it checks every ``_POLL_S`` whether the consumer has
+    exited, and if so raises ``RuntimeError`` carrying the error the
+    worker posted (or its exit code when it posted none).
+    :data:`TRANSPORT_TIMEOUT_S` bounds only a consumer that is alive
+    but wedged.
 
     Crash safety: the *parent* creates and unlinks every segment
     (:meth:`unlink`, idempotent, called in a ``finally``).  A worker
     that dies mid-transfer — even ``SIGKILL`` — leaks nothing, because
-    it never owns a segment; the parent notices the stalled free ring
-    via :data:`TRANSPORT_TIMEOUT_S` and reclaims.
+    it never owns a segment.
 
     Parameters
     ----------
@@ -583,8 +508,12 @@ class SharedMemoryBatchChannel:
     slots:
         Ring depth; bounds how far the producer can run ahead.
     context:
-        Multiprocessing context for the descriptor queues.
+        Multiprocessing context for the descriptor and result queues.
     """
+
+    #: The worker process draining this channel (parent side only);
+    #: ``None`` until the parent assigns it.
+    consumer: multiprocessing.process.BaseProcess | None
 
     def __init__(
         self,
@@ -608,8 +537,10 @@ class SharedMemoryBatchChannel:
         self.segment_names = [segment.name for segment in self._segments]
         self._ready: multiprocessing.queues.Queue = ctx.Queue()
         self._free: multiprocessing.queues.Queue = ctx.Queue()
+        self._results: multiprocessing.queues.Queue = ctx.Queue()
         for index in range(slots):
             self._free.put(index)
+        self.consumer = None
         self._owner = True
         self._unlinked = False
 
@@ -621,27 +552,27 @@ class SharedMemoryBatchChannel:
             "segment_names": self.segment_names,
             "_ready": self._ready,
             "_free": self._free,
+            "_results": self._results,
         }
 
     def __setstate__(self, state: dict) -> None:
-        self.capacity = state["capacity"]
-        self._slot_bytes = state["_slot_bytes"]
-        self.segment_names = state["segment_names"]
-        self._ready = state["_ready"]
-        self._free = state["_free"]
+        self.__dict__.update(state)
         self._segments = None
+        self.consumer = None
         self._owner = False
         self._unlinked = False
 
     def _attach(self) -> None:
+        # A spawned worker shares the parent's resource tracker, which
+        # keys segments by name: attaching re-registers a name it already
+        # holds, and the parent's unlink unregisters it exactly once.  (A
+        # forked worker inherits the parent's handles and never attaches.)
         if self._segments is None:
             from multiprocessing import shared_memory
 
             self._segments = [
                 shared_memory.SharedMemory(name=name) for name in self.segment_names
             ]
-            for name in self.segment_names:
-                _unregister_attached_segment(name)
 
     def _views(self, slot: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         assert self._segments is not None
@@ -652,6 +583,37 @@ class SharedMemoryBatchChannel:
         flow_ids = np.ndarray(count, dtype=np.int64, buffer=buffer, offset=ids_offset)
         sizes = np.ndarray(count, dtype=np.int32, buffer=buffer, offset=sizes_offset)
         return timestamps, flow_ids, sizes
+
+    def _wait(self, source: multiprocessing.queues.Queue, timeout: float, stalled: str) -> Any:
+        """Take the next item from ``source``, or ``None`` once the consumer has exited.
+
+        Raises
+        ------
+        TimeoutError
+            With ``stalled`` as the message, when nothing arrives within
+            ``timeout`` seconds from a consumer that is still alive.
+        """
+        for _ in range(max(1, math.ceil(timeout / _POLL_S))):
+            try:
+                return source.get(timeout=min(timeout, _POLL_S))
+            except queue_module.Empty:
+                pass
+            if self.consumer is not None and self.consumer.exitcode is not None:
+                # Whatever the consumer posted is flushed before it exits.
+                try:
+                    return source.get_nowait()
+                except queue_module.Empty:
+                    return None
+        raise TimeoutError(stalled)
+
+    def _failure(self, message: tuple | None) -> RuntimeError:
+        """The error for a consumer that answered ``message`` (``None``: nothing) and exited."""
+        if message is not None and message[0] == "error":
+            detail = message[1]
+        else:
+            assert self.consumer is not None
+            detail = f"exited with code {self.consumer.exitcode} before posting a result"
+        return RuntimeError(f"transport worker failed: {detail}")
 
     # -- producer side ---------------------------------------------------
     def send(self, batch: PacketBatch, timeout: float = TRANSPORT_TIMEOUT_S) -> None:
@@ -664,20 +626,24 @@ class SharedMemoryBatchChannel:
 
         Raises
         ------
+        RuntimeError
+            When the consumer has exited (see :meth:`_wait`).
         TimeoutError
             When no slot frees up within ``timeout`` seconds — the
-            consumer has stopped draining (crashed or wedged).
+            consumer is alive but has stopped draining.
         """
+        stalled = (
+            f"no free transport slot within {timeout:g}s; the worker "
+            "has stopped draining the channel"
+        )
         total = len(batch)
         for lo in range(0, total, self.capacity):
             hi = min(lo + self.capacity, total)
-            try:
-                slot = self._free.get(timeout=timeout)
-            except queue_module.Empty:
-                raise TimeoutError(
-                    f"no free transport slot within {timeout:g}s; the worker "
-                    "has stopped draining the channel"
-                ) from None
+            slot = self._wait(self._free, timeout, stalled)
+            if slot is None:
+                # The worker left before the end of the stream, so what
+                # it posted, if anything, is its error.
+                raise self._failure(self._wait(self._results, timeout, stalled))
             timestamps, flow_ids, sizes = self._views(slot, hi - lo)
             timestamps[:] = batch.timestamps[lo:hi]
             flow_ids[:] = batch.flow_ids[lo:hi]
@@ -687,6 +653,26 @@ class SharedMemoryBatchChannel:
     def close_sending(self) -> None:
         """Signal end of stream to the consumer."""
         self._ready.put(None)
+
+    def result(self) -> tuple[StreamOutcome, dict | None]:
+        """Wait for the worker's ``(outcome, telemetry snapshot)``.
+
+        Raises
+        ------
+        RuntimeError
+            When the worker posted an error or exited without a result.
+        TimeoutError
+            When a live worker posts nothing within
+            :data:`TRANSPORT_TIMEOUT_S` seconds.
+        """
+        message = self._wait(
+            self._results,
+            TRANSPORT_TIMEOUT_S,
+            f"the transport worker produced no result within {TRANSPORT_TIMEOUT_S:g}s",
+        )
+        if message is None or message[0] == "error":
+            raise self._failure(message)
+        return message[1], message[2]
 
     # -- consumer side ---------------------------------------------------
     def receive(self, timeout: float = TRANSPORT_TIMEOUT_S) -> Iterator[PacketBatch]:
@@ -719,6 +705,10 @@ class SharedMemoryBatchChannel:
                     segment.close()
                 self._segments = None
 
+    def post_result(self, message: tuple) -> None:
+        """Send the worker's one answer: ``("ok", outcome, snapshot)`` or ``("error", text)``."""
+        self._results.put(message)
+
     # -- owner cleanup ---------------------------------------------------
     def unlink(self) -> None:
         """Release every segment (parent side; idempotent).
@@ -740,87 +730,41 @@ class SharedMemoryBatchChannel:
         self._segments = None
 
 
+def _build_samplers(sampler_specs: list, cells: list[Cell]) -> list:
+    """One fresh sampler per cell, seeded from the cell's own seed alone."""
+    return [
+        sampler_specs[cell.spec_index].build(np.random.default_rng(cell.seed)) for cell in cells
+    ]
+
+
 def _stream_worker(
     channel: SharedMemoryBatchChannel,
     sampler_specs: list,
-    cell_payload: list[tuple[int, int, np.random.SeedSequence]],
+    cells: list[Cell],
     groups: np.ndarray,
     bin_duration: float,
     top_t: int,
-    results: multiprocessing.queues.Queue,
     telemetry_enabled: bool = False,
 ) -> None:
-    """Worker entry point for the shared-memory transport.
+    """Worker entry point of the process backend.
 
-    Receives the parent's exact packet stream through ``channel`` — so every
-    cell sees the very same packet stream the serial backend would —
-    and posts ``("ok", indices, outcome, snapshot)`` or ``("error",
-    message)``.  ``snapshot`` is this worker's telemetry registry when
-    the parent had telemetry on (children start fresh, so the flag must
-    travel explicitly); ``None`` otherwise.
+    Receives the parent's exact packet stream through ``channel`` — so
+    every cell sees the very same packet stream the serial backend
+    would — evaluates ``cells`` on it, and posts ``("ok", outcome,
+    snapshot)`` or ``("error", message)`` back on the channel.
+    ``snapshot`` is this worker's telemetry registry when the parent
+    had telemetry on (children start fresh, so the flag must travel
+    explicitly); ``None`` otherwise.
     """
     try:
         if telemetry_enabled:
             telemetry.enable()
-        samplers = [
-            sampler_specs[spec_index].build(np.random.default_rng(seed))
-            for _, spec_index, seed in cell_payload
-        ]
+        samplers = _build_samplers(sampler_specs, cells)
         outcome = run_stream(channel.receive(), groups, samplers, bin_duration, top_t)
-        indices = [stream_index for stream_index, _, _ in cell_payload]
         snapshot = telemetry.snapshot() if telemetry_enabled else None
-        results.put(("ok", indices, outcome, snapshot))
+        channel.post_result(("ok", outcome, snapshot))
     except BaseException as error:  # noqa: BLE001 - marshalled to the parent
-        results.put(("error", f"{type(error).__name__}: {error}"))
-
-
-def _run_cell_batch(
-    plan: ExecutionPlan, cell_indices: list[int]
-) -> tuple[list[int], StreamOutcome]:
-    """Evaluate one batch of cells against a freshly replayed stream.
-
-    This is the worker entry point of the process backend (and, with a
-    single batch of all cells, the whole serial backend).  The stream
-    generator is re-derived from the plan's entropy, so every batch sees
-    the same packet stream; each cell's sampler comes from the cell's
-    own seed, so the rows it produces do not depend on which batch (or
-    process) evaluated it.
-
-    Parameters
-    ----------
-    plan:
-        The execution plan (pickled to the worker by the pool).
-    cell_indices:
-        Indices into ``plan.cells`` to evaluate here.
-
-    Returns
-    -------
-    tuple[list[int], StreamOutcome]
-        The global stream indices of the batch and their outcome rows.
-    """
-    cells = [plan.cells[index] for index in cell_indices]
-    samplers = [
-        plan.sampler_specs[cell.spec_index].build(np.random.default_rng(cell.seed))
-        for cell in cells
-    ]
-    chunks = plan.source.iter_chunks(plan._expand_rng(), chunk_packets=plan.chunk_packets)
-    outcome = run_stream(chunks, plan.groups, samplers, plan.bin_duration, plan.top_t)
-    return [cell.stream_index for cell in cells], outcome
-
-
-def _run_cell_batch_telemetry(
-    plan: ExecutionPlan, cell_indices: list[int]
-) -> tuple[list[int], StreamOutcome, dict]:
-    """Replay-backend worker entry with telemetry on.
-
-    Pool children start with telemetry disabled (module state does not
-    cross the process boundary); this wrapper enables it, evaluates the
-    batch, and returns the worker's registry snapshot for the parent to
-    :func:`~repro.telemetry.absorb` deterministically.
-    """
-    telemetry.enable()
-    indices, outcome = _run_cell_batch(plan, cell_indices)
-    return indices, outcome, telemetry.snapshot()
+        channel.post_result(("error", f"{type(error).__name__}: {error}"))
 
 
 def merge_outcomes(
@@ -831,8 +775,8 @@ def merge_outcomes(
     Parameters
     ----------
     parts:
-        ``(stream indices, outcome)`` pairs as returned by the batch
-        runner; together they must cover every stream exactly once.
+        ``(stream indices, outcome)`` pairs, one per batch; together
+        they must cover every stream exactly once.
     num_streams:
         Total number of streams across all parts.
 
@@ -842,8 +786,8 @@ def merge_outcomes(
         One outcome whose metric rows sit at their stream index,
         regardless of batch completion order.  The shared fields
         (bin start times, flows per bin, total packets) are checked for
-        equality across batches — a mismatch would mean the replayed
-        expansions diverged, which breaks the determinism contract.
+        equality across batches — a mismatch would mean the workers saw
+        different packet streams, which breaks the determinism contract.
     """
     if not parts:
         raise ValueError("no outcomes to merge")
@@ -853,12 +797,14 @@ def merge_outcomes(
     detection = np.empty((num_streams, num_bins), dtype=float)
     seen = np.zeros(num_streams, dtype=bool)
     for indices, outcome in parts:
-        if not np.array_equal(outcome.bin_start_times, reference.bin_start_times) or (
-            outcome.total_packets != reference.total_packets
+        if (
+            not np.array_equal(outcome.bin_start_times, reference.bin_start_times)
+            or outcome.flows_per_bin != reference.flows_per_bin
+            or outcome.total_packets != reference.total_packets
         ):
             raise RuntimeError(
-                "parallel batches disagree on the packet stream; the expansion "
-                "entropy was not replayed identically across workers"
+                "parallel batches disagree on the packet stream; the workers' "
+                "streams diverged"
             )
         rows = np.asarray(indices, dtype=int)
         if seen[rows].any():
@@ -885,7 +831,6 @@ __all__ = [
     "ExecutionPlan",
     "SHM_SLOTS_PER_WORKER",
     "SharedMemoryBatchChannel",
-    "TRANSPORTS",
     "TRANSPORT_TIMEOUT_S",
     "merge_outcomes",
     "probe_process_spawn",

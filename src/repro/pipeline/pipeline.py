@@ -71,7 +71,7 @@ from ..traces.flow_trace import FlowLevelTrace
 from ..traces.source import DEFAULT_CHUNK_PACKETS, FlowTraceSource, PacketSource
 from ..traces.synthetic import SyntheticTraceGenerator
 from .executor import MonitorOutcome, metric_series_for_stream, run_monitor_stream
-from .parallel import Cell, ExecutionPlan
+from .parallel import Cell, ExecutionPlan, _build_samplers
 from .result import PipelineResult, SamplerSummary
 
 
@@ -753,13 +753,9 @@ class Pipeline:
         with ``max_flows=None`` the outcome matches
         :meth:`ExecutionPlan.execute` bit for bit.
         """
-        samplers = [
-            plan.sampler_specs[cell.spec_index].build(np.random.default_rng(cell.seed))
-            for cell in plan.cells
-        ]
-        chunks = plan.source.iter_chunks(plan._expand_rng(), chunk_packets=plan.chunk_packets)
+        samplers = _build_samplers(plan.sampler_specs, plan.cells)
         return run_monitor_stream(
-            chunks,
+            plan._chunks(),
             plan.groups,
             samplers,
             plan.bin_duration,

@@ -12,9 +12,15 @@ the merge step.
 from __future__ import annotations
 
 import copy
+import glob
+import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,6 +32,9 @@ from repro.pipeline.parallel import (
     merge_outcomes,
 )
 from repro.sampling import BernoulliSampler
+from repro.traces.source import FlowTraceSource, TimeWarpSource
+
+REPO_SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def _sweep_pipeline(trace, seed=11, runs=3) -> Pipeline:
@@ -145,8 +154,8 @@ class TestExecutionPlan:
             .with_seed(1)
         )
         plan = pipeline.plan()
-        assert not plan.is_picklable()
-        result = pipeline.run(parallel="auto", jobs=4)  # silently serial
+        assert plan.pickle_check() is not None
+        result = pipeline.run(parallel="auto", jobs=4)  # serial, reason recorded
         assert result.num_runs == 2
 
     def test_fallback_reason_names_the_pickle_failure(self, small_trace):
@@ -184,6 +193,29 @@ class TestExecutionPlan:
         with pytest.raises(ValueError, match="pickle"):
             pipeline.run(parallel="process", jobs=2)
 
+    def test_pickle_check_ignores_the_source(self, small_trace):
+        """Only sampler specs cross into workers; the source stays in the parent."""
+        source = TimeWarpSource(FlowTraceSource(small_trace), lambda t: t * 0.5)
+
+        def pipeline():
+            return (
+                Pipeline()
+                .with_source(source)
+                .with_sampler("bernoulli", rate=0.3)
+                .with_sampler("periodic", rate=0.1)
+                .with_runs(2)
+                .with_seed(6)
+                .streaming(4096)
+            )
+
+        plan = pipeline().plan()
+        assert plan.pickle_check() is None
+        if not _shm_available():
+            pytest.skip("shared memory unusable in this environment")
+        outcome = plan.execute(backend="process", jobs=2)
+        assert plan.transport_used == "shm"
+        _assert_outcome_matches(pipeline().plan().execute(backend="serial"), outcome)
+
 
 def _outcome(indices: list[int], bins: int = 4, offset: float = 0.0) -> StreamOutcome:
     rows = len(indices)
@@ -219,6 +251,12 @@ class TestMergeOutcomes:
         parts = [([0], _outcome([0])), ([1], _outcome([1], offset=1.0))]
         with pytest.raises(RuntimeError, match="disagree"):
             merge_outcomes(parts, 2)
+        other_flows = replace(_outcome([1]), flows_per_bin=12.5)
+        with pytest.raises(RuntimeError, match="disagree"):
+            merge_outcomes([([0], _outcome([0])), ([1], other_flows)], 2)
+        other_packets = replace(_outcome([1]), total_packets=999)
+        with pytest.raises(RuntimeError, match="disagree"):
+            merge_outcomes([([0], _outcome([0])), ([1], other_packets)], 2)
 
     def test_empty_parts_rejected(self):
         with pytest.raises(ValueError, match="no outcomes"):
@@ -250,7 +288,7 @@ class TestPlanExecuteDirectly:
 
 
 # ----------------------------------------------------------------------
-# Batch transports
+# The process transport (shared memory)
 # ----------------------------------------------------------------------
 def _shm_available() -> bool:
     from repro.pipeline.parallel import probe_shared_memory
@@ -274,51 +312,74 @@ def _consume_one_and_hang(channel, started) -> None:
     time.sleep(300.0)
 
 
+def _no_shm(monkeypatch) -> None:
+    from repro.pipeline import parallel as parallel_module
+
+    monkeypatch.setattr(parallel_module, "probe_shared_memory", lambda: "no /dev/shm in sandbox")
+
+
+def _assert_outcome_matches(serial, outcome) -> None:
+    np.testing.assert_array_equal(serial.ranking_values, outcome.ranking_values)
+    np.testing.assert_array_equal(serial.detection_values, outcome.detection_values)
+    np.testing.assert_array_equal(serial.bin_start_times, outcome.bin_start_times)
+    assert serial.flows_per_bin == outcome.flows_per_bin
+    assert serial.total_packets == outcome.total_packets
+
+
 class TestBatchTransports:
-    @pytest.mark.parametrize("transport", ["replay", "shm"])
-    def test_each_transport_matches_serial(self, small_trace, transport):
-        if transport == "shm" and not _shm_available():
-            pytest.skip("shared memory unusable in this environment")
+    @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
+    def test_shm_transport_matches_serial(self, small_trace):
         serial = _sweep_pipeline(small_trace).plan().execute(backend="serial")
         plan = _sweep_pipeline(small_trace).plan()
-        outcome = plan.execute(backend="process", jobs=2, transport=transport)
-        np.testing.assert_array_equal(serial.ranking_values, outcome.ranking_values)
-        np.testing.assert_array_equal(serial.detection_values, outcome.detection_values)
-        np.testing.assert_array_equal(serial.bin_start_times, outcome.bin_start_times)
-        assert serial.total_packets == outcome.total_packets
-        assert plan.transport_used == transport
+        outcome = plan.execute(backend="process", jobs=2)
+        _assert_outcome_matches(serial, outcome)
+        assert plan.transport_used == "shm"
 
+    @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
     def test_auto_transport_records_its_choice(self, small_trace):
+        """``"auto"`` with an explicit job count runs the process backend over shm."""
         plan = _sweep_pipeline(small_trace).plan()
-        plan.execute(backend="process", jobs=2, transport="auto")
-        if _shm_available():
-            assert plan.transport_used == "shm"
-            assert plan.fallback_reason is None
-        else:
-            assert plan.transport_used == "replay"
-            assert "fell back to replay" in plan.fallback_reason
+        plan.execute(backend="auto", jobs=2)
+        assert plan.transport_used == "shm"
+        assert plan.fallback_reason is None
 
-    def test_auto_falls_back_to_replay_only_without_shm(self, small_trace, monkeypatch):
-        from repro.pipeline import parallel as parallel_module
-
-        monkeypatch.setattr(
-            parallel_module, "probe_shared_memory", lambda: "no /dev/shm in sandbox"
-        )
+    def test_auto_falls_back_to_serial_without_shm(self, small_trace, monkeypatch):
+        _no_shm(monkeypatch)
+        serial = _sweep_pipeline(small_trace).plan().execute(backend="serial")
         plan = _sweep_pipeline(small_trace).plan()
-        transport, reason = plan.resolve_transport("auto")
-        assert transport == "replay"
-        assert "fell back to replay: no /dev/shm in sandbox" in reason
+        outcome = plan.execute(jobs=2)
+        assert plan.transport_used is None
+        assert "fell back to serial" in plan.fallback_reason
+        assert "no /dev/shm in sandbox" in plan.fallback_reason
+        _assert_outcome_matches(serial, outcome)
+
+    def test_fallback_is_exported_as_a_telemetry_gauge(self, small_trace, monkeypatch):
+        from repro import telemetry
+
+        _no_shm(monkeypatch)
+        with telemetry.use_telemetry():
+            _sweep_pipeline(small_trace).run(jobs=2)
+            gauges = telemetry.snapshot()["gauges"]
+        assert gauges["parallel.backend"] == "serial"
+        assert "no /dev/shm in sandbox" in gauges["parallel.fallback"]
+        assert "parallel.transport" not in gauges
+
+    def test_fallback_reason_resets_on_the_next_execution(self, small_trace, monkeypatch):
+        plan = _sweep_pipeline(small_trace).plan()
+        with monkeypatch.context() as patch:
+            _no_shm(patch)
+            plan.execute(jobs=2)
+        assert plan.fallback_reason is not None
+        plan.execute(backend="serial")
+        assert plan.fallback_reason is None
 
     @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
     def test_auto_streams_unbounded_chunks_over_shm(self, small_trace):
         serial = _sweep_pipeline(small_trace).materialised().plan().execute(backend="serial")
         plan = _sweep_pipeline(small_trace).materialised().plan()
-        assert plan.resolve_transport("auto") == ("shm", None)
-        outcome = plan.execute(backend="process", jobs=2, transport="auto")
+        outcome = plan.execute(backend="auto", jobs=2)
         assert plan.transport_used == "shm" and plan.fallback_reason is None
-        np.testing.assert_array_equal(serial.ranking_values, outcome.ranking_values)
-        np.testing.assert_array_equal(serial.detection_values, outcome.detection_values)
-        assert serial.total_packets == outcome.total_packets
+        _assert_outcome_matches(serial, outcome)
 
     @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
     def test_shm_carries_chunks_larger_than_a_slot(self, small_trace):
@@ -330,31 +391,124 @@ class TestBatchTransports:
         largest = max(len(chunk) for chunk in plan.source.iter_chunks(rng, chunk_packets))
         assert largest > 2 * chunk_packets
         serial = _sweep_pipeline(small_trace).streaming(chunk_packets).plan().execute("serial")
-        outcome = plan.execute(backend="process", jobs=2, transport="shm")
-        np.testing.assert_array_equal(serial.ranking_values, outcome.ranking_values)
-        np.testing.assert_array_equal(serial.detection_values, outcome.detection_values)
-        np.testing.assert_array_equal(serial.bin_start_times, outcome.bin_start_times)
-        assert serial.total_packets == outcome.total_packets
+        outcome = plan.execute(backend="process", jobs=2)
+        _assert_outcome_matches(serial, outcome)
 
     def test_serial_backend_records_no_transport(self, small_trace):
         plan = _sweep_pipeline(small_trace).plan()
         plan.execute(backend="serial")
         assert plan.transport_used is None
 
-    def test_unknown_transport_rejected(self, small_trace):
+    def test_explicit_process_raises_when_shm_unusable(self, small_trace, monkeypatch):
+        _no_shm(monkeypatch)
         plan = _sweep_pipeline(small_trace).plan()
-        with pytest.raises(ValueError, match="unknown transport"):
-            plan.execute(backend="process", jobs=2, transport="carrier-pigeon")
-
-    def test_explicit_shm_raises_when_unusable(self, small_trace, monkeypatch):
-        from repro.pipeline import parallel as parallel_module
-
-        monkeypatch.setattr(
-            parallel_module, "probe_shared_memory", lambda: "no /dev/shm in sandbox"
-        )
-        plan = _sweep_pipeline(small_trace).plan()
+        with pytest.raises(ValueError, match="shared memory is unusable.*no /dev/shm in sandbox"):
+            plan.execute(backend="process", jobs=2)
         with pytest.raises(ValueError, match="no /dev/shm in sandbox"):
-            plan.execute(backend="process", jobs=2, transport="shm")
+            _sweep_pipeline(small_trace).run(parallel="process", jobs=2)
+
+
+class _FailingSampler(BernoulliSampler):
+    """Raises on its first batch, in whichever process evaluates it."""
+
+    def sample_mask(self, batch):
+        raise RuntimeError("sampler failed on purpose")
+
+
+class _ExitingSampler(BernoulliSampler):
+    """Kills its worker process outright (the parent samples normally)."""
+
+    def sample_mask(self, batch):
+        if multiprocessing.parent_process() is not None:
+            os._exit(3)
+        return super().sample_mask(batch)
+
+
+@pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
+class TestWorkerFailures:
+    """A worker that exits early is reported at once, not after the transport timeout."""
+
+    @staticmethod
+    def _pipeline(trace, sampler) -> Pipeline:
+        # Many small chunks: the failed worker's ring fills while the
+        # parent is still sending, so the failure surfaces from send().
+        return (
+            Pipeline()
+            .with_trace(trace)
+            .with_sampler("bernoulli", rate=0.1)
+            .with_sampler(sampler)
+            .with_runs(2)
+            .with_seed(2)
+            .streaming(256)
+        )
+
+    def test_failing_sampler_reports_its_own_error(self, small_trace):
+        with pytest.raises(RuntimeError, match="sampler failed on purpose"):
+            self._pipeline(small_trace, _FailingSampler(0.5)).run(parallel="serial")
+        before = set(glob.glob("/dev/shm/psm_*"))
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="worker failed: .*sampler failed on purpose"):
+            self._pipeline(small_trace, _FailingSampler(0.5)).run(parallel="process", jobs=2)
+        assert time.monotonic() - start < 10.0
+        assert set(glob.glob("/dev/shm/psm_*")) <= before
+
+    @pytest.mark.parametrize(
+        "sampler, message",
+        [(_FailingSampler, "sampler failed on purpose"), (_ExitingSampler, "exited with code 3")],
+    )
+    def test_failure_after_the_stream_is_sent_is_reported(self, small_trace, sampler, message):
+        # One large chunk: the parent finishes sending before the worker
+        # fails, so the failure surfaces while it waits for results.
+        pipeline = self._pipeline(small_trace, sampler(0.5)).materialised()
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match=message):
+            pipeline.run(parallel="process", jobs=2)
+        assert time.monotonic() - start < 10.0
+
+    def test_worker_that_exits_without_a_word_is_reported(self, small_trace):
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="exited with code 3"):
+            self._pipeline(small_trace, _ExitingSampler(0.5)).run(parallel="process", jobs=2)
+        assert time.monotonic() - start < 10.0
+
+
+_START_METHOD_SCRIPT = """
+import glob, multiprocessing, sys
+sys.path.insert(0, {src!r})
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method({method!r})
+    from repro.pipeline import Pipeline
+
+    pipeline = (
+        Pipeline()
+        .with_trace("sprint", scale=0.001, duration=120.0)
+        .with_sampler("bernoulli", rate=0.5)
+        .with_runs(2)
+        .with_seed(0)
+    )
+    before = set(glob.glob("/dev/shm/psm_*"))
+    process = pipeline.run(parallel="process", jobs=2)
+    assert process.to_dict() == pipeline.run(parallel="serial").to_dict()
+    print(sorted(set(glob.glob("/dev/shm/psm_*")) - before))
+"""
+
+
+@pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
+@pytest.mark.parametrize(
+    "method",
+    [m for m in ("fork", "spawn", "forkserver") if m in multiprocessing.get_all_start_methods()],
+)
+def test_start_methods_run_clean(method, tmp_path):
+    """No resource-tracker tracebacks and no leftover segments, whatever the start method."""
+    script = tmp_path / "run.py"
+    script.write_text(_START_METHOD_SCRIPT.format(src=str(REPO_SRC), method=method))
+    child = subprocess.run(
+        [sys.executable, str(script)], capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
+    assert "resource_tracker" not in child.stderr and "Traceback" not in child.stderr, child.stderr
 
 
 @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")

@@ -205,9 +205,10 @@ class TestPlanReplay:
         _assert_outcomes_equal(first, second)
 
     @pytest.mark.parametrize("name", sorted(SCENARIOS.names()))
-    def test_serial_then_replay_process_is_identical(self, name):
+    def test_serial_then_process_is_identical(self, name):
+        """Re-executing a plan on the process backend ships the same stream over shm."""
         plan = self._plan(name)
         serial = plan.execute(backend="serial")
-        replayed = plan.execute(backend="process", jobs=2, transport="replay")
-        assert plan.transport_used == "replay"
+        replayed = plan.execute(backend="process", jobs=2)
+        assert plan.transport_used == "shm"
         _assert_outcomes_equal(serial, replayed)
