@@ -22,7 +22,8 @@ reporting the speedup, so a regression in determinism fails the harness
 rather than polluting the baseline.  The ratio gates time the library
 against the reference implementations kept as test oracles in
 ``tests/oracles`` (chunk assembly, sort-based group-by, the per-packet
-object-level monitor), after the same bit-identity check.
+object-level monitor, the ``np.unique`` stream fold), after the same
+bit-identity check.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ import numpy as np  # noqa: E402
 from oracles.assembly import reference_chunks  # noqa: E402
 from oracles.groupby import sort_engine  # noqa: E402
 from oracles.objectpath import ObjectFlowTable  # noqa: E402
+from oracles.stream import reference_run_stream  # noqa: E402
 
 from repro.flows.accounting import FlowAccountingEngine  # noqa: E402
 from repro.flows.keys import FiveTupleKeyPolicy  # noqa: E402
@@ -361,13 +363,14 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
 
 
 def _outcomes_identical(left, right) -> bool:
-    """Whether two stream/monitor outcomes are bit-for-bit equal."""
+    """Whether two stream outcomes are bit-for-bit equal."""
     return (
         np.array_equal(left.bin_start_times, right.bin_start_times)
         and left.flows_per_bin == right.flows_per_bin
         and left.total_packets == right.total_packets
         and np.array_equal(left.ranking_values, right.ranking_values)
         and np.array_equal(left.detection_values, right.detection_values)
+        and np.array_equal(left.evictions, right.evictions)
     )
 
 
@@ -425,20 +428,18 @@ def bench_batch_transport(args: argparse.Namespace) -> dict:
     return section
 
 
-def bench_monitor(args: argparse.Namespace) -> dict:
-    """Unbounded monitor pass vs the stream accumulator, bit-checked.
+def bench_accumulator(args: argparse.Namespace) -> dict:
+    """The stream fold vs its reference oracle, bit-checked.
 
     Streams the flow-accounting workload with the paper sweep's streams
-    (one Bernoulli sampler per rate and run) through
-    ``run_monitor_stream`` with ``max_flows=None`` and through
-    ``run_stream`` — two independent accumulators of the same per-bin
-    counts (one accounting engine per stream vs one sorted-union table
-    for all streams) — asserts their outcomes are bit-identical, and
-    records both times.  The monitor's cost grows with the number of
-    streams; at the sweep's 40 streams it is the slower one, which is
-    why ``run_stream`` stays the accumulator of unbounded runs.
+    (one Bernoulli sampler per rate and run) through the library's
+    ``run_stream`` — per-stream count columns in the truth engine — and
+    through ``reference_run_stream`` from ``tests/oracles/stream.py`` —
+    the per-chunk ``np.unique`` fold with sorted-union bin merges it
+    replaced.  Exits FATAL unless the two outcomes are bit-identical,
+    then records both times and ``speedup`` (reference over library).
     """
-    from repro.pipeline.executor import run_monitor_stream, run_stream
+    from repro.pipeline.executor import run_stream
     from repro.sampling import BernoulliSampler
 
     scale = args.scale if args.quick else max(args.scale, 0.06)
@@ -472,27 +473,23 @@ def bench_monitor(args: argparse.Namespace) -> dict:
         ]
         return accumulate(iter(chunks), groups, samplers, 60.0, 10)
 
-    # Best of two passes each: the gap is a per-chunk constant, easily
-    # drowned by one cold-cache pass on a single run.
+    # Best of two passes each, alternating: the gap is a per-chunk
+    # constant, easily drowned by one cold-cache pass on a single run.
     stream_seconds, stream = _timed(lambda: run(run_stream))
-    monitor_seconds, monitor = _timed(lambda: run(run_monitor_stream))
+    reference_seconds, reference = _timed(lambda: run(reference_run_stream))
     stream_seconds = min(stream_seconds, _timed(lambda: run(run_stream))[0])
-    monitor_seconds = min(monitor_seconds, _timed(lambda: run(run_monitor_stream))[0])
-    identical = _outcomes_identical(monitor, stream) and not monitor.evictions.any()
+    reference_seconds = min(reference_seconds, _timed(lambda: run(reference_run_stream))[0])
+    identical = _outcomes_identical(stream, reference)
     if not identical:
         raise SystemExit(
-            "FATAL: unbounded monitor pass diverges from run_stream — accounting regression"
+            "FATAL: run_stream diverges from the reference stream fold — accounting regression"
         )
-    total_packets = sum(len(chunk) for chunk in chunks)
     return {
-        "packets": total_packets,
+        "packets": sum(len(chunk) for chunk in chunks),
         "streams": len(rates),
-        "max_flows": None,
         "stream_seconds": round(stream_seconds, 4),
-        "monitor_seconds": round(monitor_seconds, 4),
-        "monitor_over_stream": round(monitor_seconds / stream_seconds, 3)
-        if stream_seconds
-        else None,
+        "reference_seconds": round(reference_seconds, 4),
+        "speedup": round(reference_seconds / stream_seconds, 3) if stream_seconds else None,
         "bit_identical": identical,
     }
 
@@ -502,13 +499,13 @@ def bench_end_to_end(args: argparse.Namespace) -> dict:
 
     Streams a live expanded sprint trace (generation inside the timed
     loop — no pre-materialised chunk list) through two Bernoulli
-    samplers and the fused monitor accounting pass, and records one
-    honest pkt/s number for the whole data path.  This is the number
+    samplers and the stream fold, and records one honest pkt/s number
+    for the whole data path.  This is the number
     the ROADMAP's "native-speed hot path" item is measured against: it
     includes packet generation, so it is bounded by the slower of the
     source layer and the accounting engine.
     """
-    from repro.pipeline.executor import run_monitor_stream
+    from repro.pipeline.executor import run_stream
     from repro.sampling import BernoulliSampler
     from repro.traces.source import FlowTraceSource
 
@@ -534,7 +531,7 @@ def bench_end_to_end(args: argparse.Namespace) -> dict:
             BernoulliSampler(rate, rng=np.random.default_rng(args.seed + index))
             for index, rate in enumerate((0.01, 0.1))
         ]
-        return run_monitor_stream(stream(), groups, samplers, 60.0, 10)
+        return run_stream(stream(), groups, samplers, 60.0, 10)
 
     seconds, _ = _timed(run)
     return {
@@ -773,7 +770,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--only", type=str, default=None,
-        help="comma-separated section names to run (e.g. flow_accounting,monitor); "
+        help="comma-separated section names to run (e.g. flow_accounting,accumulator); "
         "the others are skipped — used by the CI perf-smoke step",
     )
     args = parser.parse_args(argv)
@@ -832,13 +829,13 @@ def main(argv: list[str] | None = None) -> int:
             f"{accounting['hash_seconds']}s -> {accounting['hash_speedup']}x (bit-identical)"
         )
 
-    if wanted("monitor"):
-        print(f"monitor     ... ", end="", flush=True)
-        report["results"]["monitor"] = monitor = bench_monitor(args)
+    if wanted("accumulator"):
+        print(f"accumulator ... ", end="", flush=True)
+        report["results"]["accumulator"] = accumulator = bench_accumulator(args)
         print(
-            f"{monitor['packets']:,} packets: run_stream {monitor['stream_seconds']}s vs "
-            f"unbounded monitor {monitor['monitor_seconds']}s -> "
-            f"{monitor['monitor_over_stream']}x (bit-identical)"
+            f"{accumulator['packets']:,} packets x {accumulator['streams']} streams: "
+            f"run_stream {accumulator['stream_seconds']}s vs reference fold "
+            f"{accumulator['reference_seconds']}s -> {accumulator['speedup']}x (bit-identical)"
         )
 
     if wanted("end_to_end"):

@@ -12,7 +12,9 @@ the flow table is full.  This module is that monitor over
 * per-flow packet/byte counts and first/last timestamps of an
   unbounded bin accumulate in the hash-accumulator kernel of
   :mod:`repro.flows.groupby`, which folds each segment into an
-  open-addressing table in one pass;
+  open-addressing table in one pass — and, given per-stream keep masks,
+  counts every sampled stream's packets per flow alongside
+  (:attr:`BinAccount.sampled`);
 * measurement bins are closed with a linear boundary pass over the
   chunk's non-decreasing bin indices (:func:`bin_segments`), or — for
   time-sorted chunks of an unbounded engine — a ``searchsorted``
@@ -114,6 +116,10 @@ class BinAccount:
     bytes: np.ndarray
     first_seen: np.ndarray
     last_seen: np.ndarray
+    #: ``(streams, flows)`` packet counts of each sampled stream, aligned
+    #: with ``codes``, when the bin was observed with ``keep_masks``
+    #: (see :meth:`FlowAccountingEngine.observe_sorted_chunk`).
+    sampled: np.ndarray | None = None
 
     @property
     def num_flows(self) -> int:
@@ -182,6 +188,7 @@ class _HashBin:
         time_sorted: bool = False,
         in_bounds: bool = False,
         const_size: int | None = None,
+        keep_masks: np.ndarray | None = None,
     ) -> None:
         self._accumulator.ingest(
             timestamps,
@@ -190,10 +197,11 @@ class _HashBin:
             time_sorted=time_sorted,
             in_bounds=in_bounds,
             const_size=const_size,
+            keep_masks=keep_masks,
         )
 
     def account(self, index: int, bin_duration: float) -> BinAccount:
-        codes, packets, byte_sums, first, last = self._accumulator.extract()
+        codes, packets, byte_sums, first, last, sampled = self._accumulator.extract()
         return BinAccount(
             index=index,
             start_time=index * bin_duration,
@@ -203,6 +211,7 @@ class _HashBin:
             bytes=byte_sums,
             first_seen=first,
             last_seen=last,
+            sampled=sampled,
         )
 
 
@@ -479,12 +488,24 @@ class FlowAccountingEngine:
             Packet sizes; defaults to the paper's constant
             ``DEFAULT_PACKET_SIZE_BYTES``.
         """
+        self._observe_checked(timestamps, codes, sizes_bytes)
+
+    def _observe_checked(
+        self,
+        timestamps: np.ndarray,
+        codes: np.ndarray,
+        sizes_bytes: np.ndarray | None,
+        keep_masks: np.ndarray | None = None,
+    ) -> None:
+        """:meth:`observe_chunk`, with the keep masks of :meth:`observe_sorted_chunk`."""
         ts = np.asarray(timestamps, dtype=np.float64)
         code_arr = np.asarray(codes, dtype=np.int64)
         if ts.ndim != 1 or code_arr.shape != ts.shape:
             raise ValueError("timestamps and codes must be 1-D arrays of equal length")
         if ts.size == 0:
             return
+        if not np.isfinite(ts).all():
+            raise ValueError("timestamps must be finite")
         if np.any(ts < 0):
             raise ValueError("timestamps must be non-negative")
         if sizes_bytes is None:
@@ -495,13 +516,16 @@ class FlowAccountingEngine:
                 raise ValueError("sizes_bytes must match the number of packets")
             if np.any(sizes <= 0):
                 raise ValueError("packet sizes must be positive")
-        if isinstance(self._open, _HashBin) and self._observe_fast(ts, code_arr, sizes):
+        open_bin = self._open
+        if isinstance(open_bin, _HashBin) and self._observe_fast(
+            ts, code_arr, sizes, keep_masks=keep_masks
+        ):
             self._packets_seen += int(ts.size)
             return
         bin_indices = np.floor_divide(ts, self.bin_duration).astype(np.int64)
         if int(bin_indices[0]) < self._current_bin or np.any(np.diff(bin_indices) < 0):
             raise ValueError("packets must be observed in non-decreasing time order")
-        if isinstance(self._open, _HashBin):
+        if isinstance(open_bin, _HashBin):
             self._stream_max_ts = max(self._stream_max_ts, float(ts.max()))
         bins, bounds = bin_segments(bin_indices)
         for segment in range(bins.size):
@@ -510,7 +534,13 @@ class FlowAccountingEngine:
                 self._close_open()
                 self._current_bin = bin_index
             lo, hi = int(bounds[segment]), int(bounds[segment + 1])
-            self._open.apply(ts[lo:hi], code_arr[lo:hi], sizes[lo:hi])
+            if keep_masks is None:
+                open_bin.apply(ts[lo:hi], code_arr[lo:hi], sizes[lo:hi])
+            else:
+                assert isinstance(open_bin, _HashBin)
+                open_bin.apply(
+                    ts[lo:hi], code_arr[lo:hi], sizes[lo:hi], keep_masks=keep_masks[:, lo:hi]
+                )
         self._packets_seen += int(ts.size)
 
     def _observe_fast(
@@ -521,6 +551,7 @@ class FlowAccountingEngine:
         chunk_sorted: bool = False,
         in_bounds: bool = False,
         const_size: int | None = None,
+        keep_masks: np.ndarray | None = None,
     ) -> bool:
         """Unbounded chunk observation without per-packet bin indices.
 
@@ -586,6 +617,7 @@ class FlowAccountingEngine:
                 time_sorted=True,
                 in_bounds=in_bounds,
                 const_size=const_size,
+                keep_masks=None if keep_masks is None else keep_masks[:, lo:hi],
             )
         return True
 
@@ -611,6 +643,7 @@ class FlowAccountingEngine:
         *,
         in_bounds: bool = False,
         const_size: int | None = None,
+        keep_masks: np.ndarray | None = None,
     ) -> None:
         """Trusted columnar observation for pre-validated columns.
 
@@ -633,7 +666,18 @@ class FlowAccountingEngine:
         const_size:
             Guarantee that every size equals this value (``None`` =
             unknown).
+        keep_masks:
+            Optional ``(streams, packets)`` boolean array, one row per
+            sampled stream flagging the packets it keeps.  Each closed
+            bin then reports every stream's packet count per flow in
+            :attr:`BinAccount.sampled`.  Unbounded engines only: a
+            bounded engine raises ``ValueError``.
         """
+        if keep_masks is not None:
+            if not isinstance(self._open, _HashBin):
+                raise ValueError("keep_masks needs an unbounded engine (max_flows=None)")
+            if keep_masks.ndim != 2 or keep_masks.shape[1] != timestamps.size:
+                raise ValueError("keep_masks must hold one flag per packet for every stream")
         if timestamps.size == 0:
             return
         if isinstance(self._open, _HashBin) and self._observe_fast(
@@ -643,10 +687,11 @@ class FlowAccountingEngine:
             chunk_sorted=True,
             in_bounds=in_bounds,
             const_size=const_size,
+            keep_masks=keep_masks,
         ):
             self._packets_seen += int(timestamps.size)
             return
-        self.observe_chunk(timestamps, codes, sizes_bytes)
+        self._observe_checked(timestamps, codes, sizes_bytes, keep_masks)
 
     def observe_batch(self, batch: PacketBatch, code_of_flow: np.ndarray) -> None:
         """Account a :class:`PacketBatch` chunk through a flow-id -> code map.

@@ -11,7 +11,9 @@ key codes.  This module holds the kernels that perform that reduction:
   contiguous universe (the common case: interned five-tuple codes,
   group ids) use *identity addressing* — the degenerate perfect hash —
   while arbitrary codes fall back to Fibonacci hashing with linear
-  probing.
+  probing.  Given per-stream keep masks it also counts each sampled
+  stream's packets per flow, in compact columns that share the table's
+  code→slot map.
 * :func:`aggregate_codes` / :func:`sort_group_index` — a stable
   ``argsort`` + ``reduceat`` group-by of one segment.  The bounded
   engine's eviction replay needs the per-code packet positions this
@@ -32,7 +34,7 @@ adversarial codes that collide modulo the table size.
 >>> acc = HashAccumulator()
 >>> acc.ingest(np.array([0.0, 1.0, 2.0]), np.array([7, 9, 7]),
 ...            np.array([500, 500, 500]), time_sorted=True)
->>> codes, packets, _, first, last = acc.extract()
+>>> codes, packets, _, first, last, _ = acc.extract()
 >>> codes.tolist(), packets.tolist(), first.tolist(), last.tolist()
 ([7, 9], [2, 1], [0.0, 1.0], [2.0, 1.0])
 """
@@ -177,6 +179,13 @@ class HashAccumulator:
     universes never probe at all while arbitrary ``int64`` codes stay
     correct.
 
+    Per-stream sampled counts ride along when :meth:`ingest` is given
+    ``keep_masks``: every flow the open bin sees gets the next free
+    *column* (columns are compact — one per flow of the bin, not one per
+    slot of the code span), packets reach their column through one
+    gather per segment, and each stream adds one ``bincount`` of its
+    kept packets.  :meth:`extract` returns the columns in code order.
+
     Parameters
     ----------
     dense_bounds:
@@ -202,6 +211,10 @@ class HashAccumulator:
         "_minmax_primed",
         "_const_size",
         "_bytes_live",
+        "_column",
+        "_columns",
+        "_sampled",
+        "_streams",
     )
 
     def __init__(self, dense_bounds: tuple[int, int] | None = None) -> None:
@@ -216,6 +229,12 @@ class HashAccumulator:
         self._bytes_live = False
         #: [packets, bytes, first, last] for a key equal to EMPTY_SLOT.
         self._sentinel: list | None = None
+        #: Sampled counts, one row per stream and one column per flow of
+        #: the open bin (``_columns`` in use); ``_streams`` is the number
+        #: of keep masks the bin was ingested with, ``None`` for none.
+        self._columns = 0
+        self._sampled: np.ndarray | None = None
+        self._streams: int | None = None
         if dense_bounds is not None:
             low, high = int(dense_bounds[0]), int(dense_bounds[1])
             span = high - low + 1
@@ -240,6 +259,10 @@ class HashAccumulator:
         self._minmax_primed = False
         self._const_size = None
         self._bytes_live = False
+        if self._sampled is not None:
+            self._sampled[:, : self._columns] = 0
+        self._columns = 0
+        self._streams = None
         if self._slots:
             self._packets.fill(0)
             if not self._dense:
@@ -272,14 +295,16 @@ class HashAccumulator:
             else np.full(slots, EMPTY_SLOT, dtype=np.int64)
         )
         self._packets = np.zeros(slots, dtype=np.int64)
-        # bytes/first/last stay garbage for dead slots: byte sums are
-        # deferred while packet sizes are uniform (_materialise_bytes
-        # overwrites every slot when they stop being), and first/last are
-        # primed lazily only when a reduction-based ingest needs them.
+        # bytes/first/last/column stay garbage for dead slots: byte sums
+        # are deferred while packet sizes are uniform (_materialise_bytes
+        # overwrites every slot when they stop being), first/last are
+        # primed lazily only when a reduction-based ingest needs them, and
+        # a slot gets its column when it goes live under keep masks.
         self._bytes = np.empty(slots, dtype=np.int64)
         self._first = np.empty(slots)
         self._last = np.empty(slots)
         self._scratch = np.empty(slots)
+        self._column = np.empty(slots, dtype=np.int64)
         self._empty = True
         self._minmax_primed = False
         self._const_size = None
@@ -314,6 +339,7 @@ class HashAccumulator:
                 byte_sums = packets * (self._const_size or 0)
             first = self._first[live]
             last = self._last[live]
+            columns = self._column[live]
         self._allocate(dense, base, slots)
         if live.size:
             if dense:
@@ -326,6 +352,7 @@ class HashAccumulator:
             self._bytes_live = True
             self._first[target] = first
             self._last[target] = last
+            self._column[target] = columns
             self._used = int(live.size)
             self._empty = False
 
@@ -367,6 +394,7 @@ class HashAccumulator:
         time_sorted: bool,
         in_bounds: bool = False,
         const_size: int | None = None,
+        keep_masks: np.ndarray | None = None,
     ) -> None:
         """Accumulate one segment of packets.
 
@@ -389,6 +417,12 @@ class HashAccumulator:
         const_size:
             Caller guarantee that every entry of ``sizes`` equals this
             value; ``None`` means unknown and ingest checks itself.
+        keep_masks:
+            Optional ``(streams, packets)`` boolean array: row ``s``
+            flags the packets sampled stream ``s`` keeps.  Their counts
+            per flow accumulate in the bin's stream columns.  Every
+            segment of one bin must carry masks for the same number of
+            streams, or none.
 
         Out-of-range codes smuggled past ``in_bounds`` fail loudly: the
         slot bincount rejects negative slots and over-long counts break
@@ -396,11 +430,18 @@ class HashAccumulator:
         """
         if codes.size == 0:
             return
+        streams = None if keep_masks is None else len(keep_masks)
+        if self._empty:
+            self._streams = streams
+        elif streams != self._streams:
+            raise ValueError("every segment of a bin must carry keep masks for the same streams")
         dense = self._slots != 0 and self._dense
         if not (in_bounds and dense):
             low = int(codes.min())
             high = int(codes.max())
             if low == int(EMPTY_SLOT):
+                if keep_masks is not None:
+                    raise ValueError("keep masks cannot accompany the EMPTY_SLOT code")
                 timestamps, codes, sizes, low = self._ingest_sentinel(
                     timestamps, codes, sizes
                 )
@@ -413,6 +454,8 @@ class HashAccumulator:
         else:
             slots = _probe_slots(self._keys, codes, self._shift)
         counts = np.bincount(slots, minlength=self._slots)
+        if keep_masks is not None:
+            self._count_sampled(slots, counts, keep_masks)
         if const_size is None:
             first_size = int(sizes[0])
             if bool((sizes == first_size).all()):
@@ -469,6 +512,26 @@ class HashAccumulator:
             self._used = int(np.count_nonzero(self._packets))
         self._empty = False
 
+    def _count_sampled(
+        self, slots: np.ndarray, counts: np.ndarray, keep_masks: np.ndarray
+    ) -> None:
+        """Give the segment's new flows columns, then count each stream's kept packets."""
+        new = np.flatnonzero((self._packets == 0) & (counts != 0))
+        start = self._columns
+        columns = self._columns = start + int(new.size)
+        self._column[new] = np.arange(start, columns)
+        sampled = self._sampled
+        if sampled is None or sampled.shape[0] != len(keep_masks) or sampled.shape[1] < columns:
+            grown = np.zeros((len(keep_masks), _next_pow2(columns)), dtype=np.int64)
+            if sampled is not None and start:
+                grown[:, :start] = sampled[:, :start]
+            self._sampled = sampled = grown
+        column_of_packet = self._column[slots]
+        for row, mask in enumerate(keep_masks):
+            # flatnonzero + take gathers ~2x faster than a boolean index.
+            kept = column_of_packet.take(np.flatnonzero(mask))
+            sampled[row, :columns] += np.bincount(kept, minlength=columns)
+
     def _ingest_sentinel(
         self, timestamps: np.ndarray, codes: np.ndarray, sizes: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
@@ -489,8 +552,13 @@ class HashAccumulator:
     # ------------------------------------------------------------------
     def extract(
         self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Return ``(codes, packets, bytes, first, last)`` sorted by code."""
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
+        """Return ``(codes, packets, bytes, first, last, sampled)`` sorted by code.
+
+        ``sampled`` is the ``(streams, flows)`` array of per-stream
+        packet counts, aligned with ``codes``, when the bin was ingested
+        with ``keep_masks``; ``None`` otherwise.
+        """
         if self._slots == 0:
             live = np.empty(0, dtype=np.int64)
         else:
@@ -512,6 +580,11 @@ class HashAccumulator:
             byte_sums = packets * (self._const_size or 0)
         first = self._first[selected]
         last = self._last[selected]
+        sampled = None
+        if self._streams is not None and self._sampled is not None:
+            # take() keeps each stream's row contiguous for scoring;
+            # indexing with [:, positions] strides rows by the stream count.
+            sampled = self._sampled[:, : self._columns].take(self._column[selected], axis=1)
         if self._sentinel is not None:
             record = self._sentinel
             codes = np.concatenate(([EMPTY_SLOT], codes))
@@ -519,7 +592,7 @@ class HashAccumulator:
             byte_sums = np.concatenate(([record[1]], byte_sums))
             first = np.concatenate(([record[2]], first))
             last = np.concatenate(([record[3]], last))
-        return codes, packets, byte_sums, first, last
+        return codes, packets, byte_sums, first, last, sampled
 
 
 __all__ = [

@@ -75,6 +75,8 @@ class PacketBatch:
         ids = np.asarray(flow_ids, dtype=np.int64)
         if ts.ndim != 1 or ids.ndim != 1 or ts.shape != ids.shape:
             raise ValueError("timestamps and flow_ids must be 1-D arrays of equal length")
+        if not np.isfinite(ts).all():
+            raise ValueError("timestamps must be finite")
         if ts.size and np.any(np.diff(ts) < 0):
             raise ValueError("timestamps must be sorted in non-decreasing order")
         if np.any(ts < 0):
@@ -102,8 +104,8 @@ class PacketBatch:
 
         For transport endpoints rebuilding a batch that was validated
         once on the producer side (``float64``/``int64``/``int32``
-        dtypes, sorted non-negative timestamps, positive sizes): the
-        constructor's O(n) checks are skipped, nothing is copied.
+        dtypes, sorted finite non-negative timestamps, positive sizes):
+        the constructor's O(n) checks are skipped, nothing is copied.
         Feeding unchecked data through this bypass voids the engine
         fast paths' assumptions — use the constructor instead.
         """

@@ -10,7 +10,7 @@ engine, and :mod:`repro.pipeline.parallel` for the multi-process
 dispatch of the independent (sampler, run) cells.
 """
 
-from .executor import MonitorOutcome, run_monitor_stream, run_stream
+from .executor import StreamOutcome, run_monitor_stream, run_stream
 from .parallel import BACKENDS, Cell, ExecutionPlan
 from .pipeline import Pipeline, SamplerSpec
 from .result import PipelineResult, SamplerSummary
@@ -22,7 +22,7 @@ __all__ = [
     "SamplerSummary",
     "run_stream",
     "run_monitor_stream",
-    "MonitorOutcome",
+    "StreamOutcome",
     "BACKENDS",
     "Cell",
     "ExecutionPlan",

@@ -783,11 +783,12 @@ def merge_outcomes(
     Returns
     -------
     StreamOutcome
-        One outcome whose metric rows sit at their stream index,
-        regardless of batch completion order.  The shared fields
-        (bin start times, flows per bin, total packets) are checked for
-        equality across batches — a mismatch would mean the workers saw
-        different packet streams, which breaks the determinism contract.
+        One outcome whose metric rows and eviction counts sit at their
+        stream index, regardless of batch completion order.  The shared
+        fields (bin start times, flows per bin, total packets) are
+        checked for equality across batches — a mismatch would mean the
+        workers saw different packet streams, which breaks the
+        determinism contract.
     """
     if not parts:
         raise ValueError("no outcomes to merge")
@@ -795,6 +796,7 @@ def merge_outcomes(
     num_bins = reference.bin_start_times.size
     ranking = np.empty((num_streams, num_bins), dtype=float)
     detection = np.empty((num_streams, num_bins), dtype=float)
+    evictions = np.empty(num_streams, dtype=np.int64)
     seen = np.zeros(num_streams, dtype=bool)
     for indices, outcome in parts:
         if (
@@ -812,6 +814,7 @@ def merge_outcomes(
         seen[rows] = True
         ranking[rows] = outcome.ranking_values
         detection[rows] = outcome.detection_values
+        evictions[rows] = outcome.evictions
     if not seen.all():
         missing = np.flatnonzero(~seen).tolist()
         raise ValueError(f"streams {missing} were not evaluated by any batch")
@@ -821,6 +824,7 @@ def merge_outcomes(
         total_packets=reference.total_packets,
         ranking_values=ranking,
         detection_values=detection,
+        evictions=evictions,
     )
 
 

@@ -70,7 +70,7 @@ from ..scenarios import SCENARIOS
 from ..traces.flow_trace import FlowLevelTrace
 from ..traces.source import DEFAULT_CHUNK_PACKETS, FlowTraceSource, PacketSource
 from ..traces.synthetic import SyntheticTraceGenerator
-from .executor import MonitorOutcome, metric_series_for_stream, run_monitor_stream
+from .executor import StreamOutcome, metric_series_for_stream, run_monitor_stream
 from .parallel import Cell, ExecutionPlan, _build_samplers
 from .result import PipelineResult, SamplerSummary
 
@@ -745,8 +745,8 @@ class Pipeline:
                 ]
         return result
 
-    def _execute_monitor(self, plan: ExecutionPlan) -> MonitorOutcome:
-        """Run the plan's cells through the monitor-in-the-loop executor.
+    def _execute_monitor(self, plan: ExecutionPlan) -> StreamOutcome:
+        """Run the plan's cells serially with the monitor's ``max_flows`` bound.
 
         Samplers are built from the same per-cell seeds the parallel
         backends use, and the source replays from the same entropy — so

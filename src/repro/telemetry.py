@@ -33,7 +33,7 @@ harness (``BENCH_pipeline.json``, ``telemetry`` section).
 Two invariants, both enforced by tests:
 
 * telemetry never perturbs results — pipeline output is bit-identical
-  with telemetry enabled vs disabled on the serial, process and fused
+  with telemetry enabled vs disabled on the serial, process and bounded
   monitor paths;
 * telemetry never enters a :class:`~repro.store.RunSpec` or a store
   cache key (the REP202 cache-key purity contract).

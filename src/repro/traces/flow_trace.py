@@ -64,6 +64,9 @@ class FlowLevelTrace:
         for name in ("durations", "sizes_packets", "src_ips", "dst_ips", "src_ports", "dst_ports", "protocols"):
             if getattr(self, name).size != n:
                 raise ValueError(f"{name} must have one entry per flow")
+        for name in ("start_times", "durations"):
+            if not np.isfinite(getattr(self, name)).all():
+                raise ValueError(f"{name} must be finite")
         if np.any(self.start_times < 0):
             raise ValueError("start times must be non-negative")
         if np.any(self.durations < 0):

@@ -13,5 +13,8 @@ speed-ratio gates.
   accumulator);
 * :mod:`oracles.objectpath` — per-packet flow classification and the
   binned flow table over :class:`~repro.flows.packets.Packet` objects
-  (the library accounts columnar chunks).
+  (the library accounts columnar chunks);
+* :mod:`oracles.stream` — the stream fold with a per-chunk ``np.unique``
+  over ``bin x group`` codes and sorted-union bin merges (the library
+  counts every stream in the truth engine's per-stream columns).
 """

@@ -213,6 +213,46 @@ class TestFlowAccountingEngine:
         with pytest.raises(ValueError):
             engine.observe_chunk([25.0, 12.0], [1, 1], [500, 500])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_observe_chunk_rejects_non_finite_timestamps(self, bad):
+        engine = FlowAccountingEngine(10.0)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            engine.observe_chunk([0.0, bad], [1, 2], [500, 500])
+        bounded = FlowAccountingEngine(10.0, max_flows=4)
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            bounded.observe_chunk([bad], [1], [500])
+
+    def test_keep_masks_count_each_stream_per_flow(self):
+        engine = FlowAccountingEngine(10.0)
+        timestamps = np.array([0.0, 1.0, 2.0, 12.0, 13.0])
+        codes = np.array([9, 4, 9, 4, 4], dtype=np.int64)
+        keep = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0]], dtype=bool)
+        engine.observe_sorted_chunk(timestamps, codes, np.full(5, 500), keep_masks=keep)
+        first, second = engine.flush()
+        assert first.codes.tolist() == [4, 9]
+        assert first.sampled.tolist() == [[1, 1], [0, 0]]
+        assert second.codes.tolist() == [4]
+        assert second.sampled.tolist() == [[1], [0]]
+
+    def test_keep_masks_need_an_unbounded_engine(self):
+        keep = np.ones((1, 2), dtype=bool)
+        bounded = FlowAccountingEngine(10.0, max_flows=4)
+        with pytest.raises(ValueError, match="unbounded"):
+            bounded.observe_sorted_chunk(
+                np.array([0.0, 1.0]), np.array([1, 2]), np.full(2, 500), keep_masks=keep
+            )
+        engine = FlowAccountingEngine(10.0)
+        with pytest.raises(ValueError, match="one flag per packet"):
+            engine.observe_sorted_chunk(
+                np.array([0.0, 1.0, 2.0]), np.array([1, 2, 3]), np.full(3, 500), keep_masks=keep
+            )
+
+    def test_observe_chunk_reports_no_sampled_counts(self):
+        engine = FlowAccountingEngine(10.0)
+        engine.observe_chunk([0.0, 1.0], [1, 2], [500, 500])
+        (account,) = engine.flush()
+        assert account.sampled is None
+
     def test_empty_bins_are_skipped(self):
         engine = FlowAccountingEngine(1.0)
         engine.observe_chunk([0.5, 5.5], [1, 2], [500, 500])

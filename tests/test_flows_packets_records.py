@@ -44,6 +44,11 @@ class TestPacketBatch:
         with pytest.raises(ValueError):
             PacketBatch(np.array([0.0, 1.0]), np.array([0]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_timestamps(self, bad):
+        with pytest.raises(ValueError, match="timestamps must be finite"):
+            PacketBatch(np.array([0.0, 1.0, bad]), np.array([0, 1, 0]))
+
     def test_select_and_time_slice(self):
         batch = PacketBatch(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 0, 1]))
         kept = batch.select(np.array([True, False, True, False]))

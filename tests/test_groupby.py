@@ -15,6 +15,7 @@ engine-level streams may not reach every run.
 from __future__ import annotations
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.groupby import sort_engine
@@ -249,7 +250,7 @@ class TestHashAccumulator:
             np.array([5.0]), np.array([3], dtype=np.int64),
             np.array([100], dtype=np.int64), time_sorted=True,
         )
-        _, packets, byte_sums, _, _ = acc.extract()
+        _, packets, byte_sums, _, _, _ = acc.extract()
         assert packets.tolist() == [1]
         assert byte_sums.tolist() == [100]
 
@@ -276,3 +277,105 @@ class TestHashAccumulator:
                     timestamps[low:high], codes[low:high], sizes[low:high], time_sorted=True
                 )
         self.assert_matches_reference(acc, timestamps, codes, sizes)
+
+
+# ----------------------------------------------------------------------
+# Per-stream sampled columns
+# ----------------------------------------------------------------------
+class TestSampledColumns:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 2**16),
+        # Below 2048: the colliding map's 2^52 stride stays inside int64.
+        num_codes=st.integers(1, 2047),
+        streams=st.integers(0, 4),
+        segments=st.integers(1, 6),
+        style=st.sampled_from(["dense", "offset", "sparse", "colliding"]),
+        time_sorted=st.booleans(),
+    )
+    def test_columns_count_each_stream_per_code(
+        self, seed, num_codes, streams, segments, style, time_sorted
+    ):
+        # Thousands of codes over segments of up to 6000 packets: dense
+        # tables widen and probing tables grow mid-bin, and every live
+        # slot's column must survive each rebuild.
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(1, 6000))
+        mapping = make_mapping(style, num_codes)
+        codes = mapping[rng.integers(0, num_codes, n)]
+        timestamps = rng.uniform(0.0, 9.0, n)
+        if time_sorted:
+            timestamps.sort()
+        sizes = np.full(n, 500, dtype=np.int64)
+        keep = rng.random((streams, n)) < rng.random((streams, 1))
+        acc = HashAccumulator()
+        bounds = np.sort(rng.integers(0, n + 1, segments - 1))
+        edges = np.concatenate(([0], bounds, [n])).astype(np.int64)
+        for low, high in zip(edges[:-1], edges[1:]):
+            acc.ingest(
+                timestamps[low:high],
+                codes[low:high],
+                sizes[low:high],
+                time_sorted=time_sorted,
+                keep_masks=keep[:, low:high],
+            )
+        got_codes, packets, _, _, _, sampled = acc.extract()
+        unique, expected_packets, _, _, _ = reference_extract(timestamps, codes, sizes)
+        np.testing.assert_array_equal(got_codes, unique)
+        np.testing.assert_array_equal(packets, expected_packets)
+        assert sampled.shape == (streams, unique.size)
+        for row in range(streams):
+            expected = np.bincount(
+                np.searchsorted(unique, codes[keep[row]]), minlength=unique.size
+            )
+            np.testing.assert_array_equal(sampled[row], expected)
+
+    def test_columns_survive_probing_growth(self):
+        # A small first segment sizes a small probing table; the large
+        # second one forces it to grow while the bin holds columns.
+        rng = np.random.default_rng(4)
+        codes = rng.integers(0, 2**40, 3000)
+        keep = rng.random((2, 3000)) < 0.5
+        acc = HashAccumulator()
+        acc.ingest(np.zeros(10), codes[:10], np.full(10, 500), time_sorted=True,
+                   keep_masks=keep[:, :10])
+        slots = acc._slots
+        acc.ingest(np.ones(2990), codes[10:], np.full(2990, 500), time_sorted=True,
+                   keep_masks=keep[:, 10:])
+        assert not acc._dense and acc._slots > slots
+        unique, _, _, _, _, sampled = acc.extract()
+        for row in range(2):
+            expected = np.bincount(np.searchsorted(unique, codes[keep[row]]), minlength=unique.size)
+            np.testing.assert_array_equal(sampled[row], expected)
+
+    def test_clear_starts_columns_afresh(self):
+        acc = HashAccumulator()
+        keep = np.array([[True, True, False]])
+        acc.ingest(np.arange(3.0), np.array([5, 6, 5]), np.full(3, 500), time_sorted=True,
+                   keep_masks=keep)
+        assert acc.extract()[5].tolist() == [[1, 1]]
+        acc.clear()
+        acc.ingest(np.arange(2.0), np.array([6, 7]), np.full(2, 500), time_sorted=True,
+                   keep_masks=np.array([[False, True], [True, True]]))
+        assert acc.extract()[5].tolist() == [[0, 1], [1, 1]]
+
+    def test_no_masks_no_columns(self):
+        acc = HashAccumulator()
+        acc.ingest(np.arange(2.0), np.array([1, 2]), np.full(2, 500), time_sorted=True)
+        assert acc.extract()[5] is None
+
+    def test_masks_must_cover_every_segment_of_a_bin(self):
+        acc = HashAccumulator()
+        acc.ingest(np.array([0.0]), np.array([1]), np.array([500]), time_sorted=True,
+                   keep_masks=np.ones((2, 1), dtype=bool))
+        with pytest.raises(ValueError, match="same streams"):
+            acc.ingest(np.array([1.0]), np.array([1]), np.array([500]), time_sorted=True)
+        with pytest.raises(ValueError, match="same streams"):
+            acc.ingest(np.array([1.0]), np.array([1]), np.array([500]), time_sorted=True,
+                       keep_masks=np.ones((3, 1), dtype=bool))
+
+    def test_masks_reject_the_sentinel_code(self):
+        acc = HashAccumulator()
+        with pytest.raises(ValueError, match="EMPTY_SLOT"):
+            acc.ingest(np.array([0.0, 1.0]), np.array([EMPTY_SLOT, 3]), np.full(2, 500),
+                       time_sorted=True, keep_masks=np.ones((1, 2), dtype=bool))

@@ -228,6 +228,7 @@ def _outcome(indices: list[int], bins: int = 4, offset: float = 0.0) -> StreamOu
         total_packets=1000,
         ranking_values=values,
         detection_values=values + 0.5,
+        evictions=10 * np.asarray(indices, dtype=np.int64),
     )
 
 
@@ -237,6 +238,7 @@ class TestMergeOutcomes:
         merged = merge_outcomes(parts, 4)
         np.testing.assert_array_equal(merged.ranking_values[0], _outcome([0]).ranking_values[0])
         np.testing.assert_array_equal(merged.ranking_values[2], _outcome([2]).ranking_values[0])
+        assert merged.evictions.tolist() == [0, 10, 20, 30]
         assert merged.total_packets == 1000
 
     def test_missing_stream_rejected(self):

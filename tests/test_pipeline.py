@@ -185,6 +185,36 @@ class TestStreamingEquivalence:
         with pytest.raises(ValueError, match="time order"):
             run_stream([late, early], np.arange(1), [BernoulliSampler(0.5, rng=0)], 60.0, 1)
 
+    @pytest.mark.parametrize("monitor", [False, True], ids=["plain", "monitor"])
+    def test_bin_index_overflow_names_bin_duration(self, monitor):
+        # Bin indices up to 3e20 do not fit int64: the run must refuse
+        # before any cast wraps them into negative bin start times.
+        from repro.traces.source import PacketTableSource
+
+        source = PacketTableSource(np.array([0.0, 1e7, 2e7, 3e7]), np.array([0, 1, 0, 1]))
+        pipeline = (
+            Pipeline()
+            .with_source(source)
+            .with_sampler("bernoulli", rate=0.5)
+            .with_bin_duration(1e-13)
+            .with_seed(0)
+        )
+        if monitor:
+            pipeline.with_monitor()
+        with pytest.raises(OverflowError, match="bin_duration"):
+            pipeline.run(parallel="serial")
+
+    def test_run_stream_rejects_a_mask_of_the_wrong_length(self):
+        from repro.pipeline.executor import run_stream
+
+        class _Short(BernoulliSampler):
+            def sample_mask(self, batch):
+                return super().sample_mask(batch)[:-1]
+
+        chunk = PacketBatch(np.array([0.0, 1.0, 2.0]), np.array([0, 0, 0]))
+        with pytest.raises(ValueError, match="one flag per packet"):
+            run_stream([chunk], np.arange(1), [_Short(0.5, rng=0)], 60.0, 1)
+
 
 class _CountingSampler(PacketSampler):
     """Stateful sampler that keeps the first packets of the stream only.
@@ -412,7 +442,7 @@ class TestMonitorMode:
 
 
 class TestFusedMonitorPass:
-    """The fused sample+account monitor pass, driven directly."""
+    """The stream fold with bounded per-stream monitors, driven directly."""
 
     def _workload(self, trace, chunk_packets=2048, seed=3):
         from repro.flows.keys import FiveTupleKeyPolicy

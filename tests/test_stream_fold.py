@@ -1,0 +1,172 @@
+"""The stream fold against its reference oracle.
+
+:func:`repro.pipeline.executor.run_stream` counts every stream's sampled
+packets in the truth engine's per-stream columns.  These tests check it
+equals :func:`oracles.stream.reference_run_stream` — the per-chunk
+``np.unique`` fold with sorted-union bin merges it replaced — bit for
+bit across chunk sizes, key spaces (dense, prefix, and a probing table
+that rebuilds), the engine's generic segment path, every sampler kind,
+1 and 40 streams, and the serial and process backends.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+import pytest
+from oracles.stream import reference_run_stream
+
+from repro.flows.accounting import FlowAccountingEngine
+from repro.flows.groupby import DENSE_SPAN_LIMIT, HashAccumulator
+from repro.pipeline import Pipeline
+from repro.pipeline.executor import StreamOutcome, run_stream
+from repro.pipeline.parallel import ExecutionPlan, _build_samplers, probe_shared_memory
+from repro.sampling.base import PacketSampler
+from repro.traces.source import DEFAULT_CHUNK_PACKETS, PacketTableSource
+
+
+class _KeepNothing(PacketSampler):
+    """A sampler that misses every packet."""
+
+    name = "keep-nothing"
+
+    def sample_packet(self, packet) -> bool:
+        return False
+
+    def sample_mask(self, batch) -> np.ndarray:
+        return np.zeros(len(batch), dtype=bool)
+
+    @property
+    def effective_rate(self) -> float:
+        return 0.0
+
+
+#: One of each sampler kind: random, counter-stateful, table-stateful,
+#: one that keeps nothing and one that keeps everything.
+SAMPLERS = {
+    "bernoulli": "bernoulli:rate=0.2",
+    "periodic": "periodic:period=7",
+    "sample-and-hold": "sample-and-hold:rate=0.05",
+    "nothing": _KeepNothing(),
+    "everything": "periodic:period=1",
+}
+CHUNKS = {"materialised": None, "256": 256, "default": DEFAULT_CHUNK_PACKETS}
+KEYS = ("five-tuple", "prefix", "spread")
+
+
+def _plan(source, key: str, samplers: list, runs: int, chunk, bin_duration: float):
+    pipeline = Pipeline().with_bin_duration(bin_duration).with_top(5).with_runs(runs).with_seed(3)
+    if isinstance(source, PacketTableSource):
+        pipeline.with_source(source)
+    else:
+        pipeline.with_trace(source)
+        pipeline.with_key_policy("five-tuple" if key == "spread" else key)
+    for sampler in samplers:
+        pipeline.with_sampler(sampler)
+    if chunk is None:
+        pipeline.materialised()
+    else:
+        pipeline.streaming(chunk)
+    plan = pipeline.plan()
+    if key == "spread":
+        # Group ids spread over 2^40: far beyond the dense table's span,
+        # so the accumulator probes and grows.
+        spread = np.random.default_rng(5).integers(0, 2**40, int(plan.groups.max()) + 1)
+        plan.groups = spread[plan.groups]
+    return plan
+
+
+def _oracle(plan: ExecutionPlan) -> StreamOutcome:
+    samplers = _build_samplers(plan.sampler_specs, plan.cells)
+    return reference_run_stream(
+        plan._chunks(), plan.groups, samplers, plan.bin_duration, plan.top_t
+    )
+
+
+def _assert_identical(outcome: StreamOutcome, expected: StreamOutcome) -> None:
+    np.testing.assert_array_equal(outcome.ranking_values, expected.ranking_values)
+    np.testing.assert_array_equal(outcome.detection_values, expected.detection_values)
+    np.testing.assert_array_equal(outcome.bin_start_times, expected.bin_start_times)
+    assert outcome.flows_per_bin == expected.flows_per_bin
+    assert outcome.total_packets == expected.total_packets
+    assert outcome.evictions.tolist() == [0] * expected.ranking_values.shape[0]
+
+
+def _forty_streams() -> list:
+    return list(SAMPLERS.values())  # x 8 runs = 40 streams
+
+
+@pytest.fixture
+def rebuilds(monkeypatch) -> list[bool]:
+    """The ``dense`` flag of every accumulator table rebuild."""
+    seen: list[bool] = []
+    original = HashAccumulator._rebuild
+
+    def spy(self, dense, base, slots):
+        seen.append(bool(dense))
+        return original(self, dense, base, slots)
+
+    monkeypatch.setattr(HashAccumulator, "_rebuild", spy)
+    return seen
+
+
+@pytest.fixture
+def fast_path(monkeypatch) -> list[bool]:
+    """Whether each unbounded chunk observation took the engine's fast path."""
+    taken: list[bool] = []
+    original = FlowAccountingEngine._observe_fast
+
+    def spy(self, *args, **kwargs):
+        result = original(self, *args, **kwargs)
+        taken.append(result)
+        return result
+
+    monkeypatch.setattr(FlowAccountingEngine, "_observe_fast", spy)
+    return taken
+
+
+class TestFoldMatchesOracle:
+    @pytest.mark.parametrize("key", KEYS)
+    @pytest.mark.parametrize("chunk", list(CHUNKS), ids=list(CHUNKS))
+    def test_forty_streams(self, small_trace, key, chunk, rebuilds):
+        plan = _plan(small_trace, key, _forty_streams(), 8, CHUNKS[chunk], 150.0)
+        assert plan.num_cells == 40
+        _assert_identical(plan.execute(backend="serial"), _oracle(plan))
+        if key == "spread":
+            assert int(plan.groups.max()) - int(plan.groups.min()) >= DENSE_SPAN_LIMIT
+            if chunk == "256":
+                # Small segments start a small probing table that must grow.
+                assert False in rebuilds
+
+    @pytest.mark.parametrize("sampler", list(SAMPLERS))
+    def test_one_stream(self, small_trace, sampler):
+        plan = _plan(small_trace, "five-tuple", [SAMPLERS[sampler]], 1, 256, 60.0)
+        assert plan.num_cells == 1
+        _assert_identical(plan.execute(backend="serial"), _oracle(plan))
+
+    @pytest.mark.parametrize("streams", [1, 40])
+    def test_generic_segment_path(self, streams, fast_path):
+        # A sparse packet table: each 256-packet chunk spans ~1000 bins of
+        # 0.25 s, more bins than packets, so the engine segments it with
+        # per-packet bin indices instead of the bin-edge search.
+        rng = np.random.default_rng(2)
+        timestamps = np.sort(rng.uniform(0.0, 1000.0, 1000))
+        source = PacketTableSource(timestamps, rng.integers(0, 60, 1000))
+        samplers = _forty_streams() if streams == 40 else [SAMPLERS["bernoulli"]]
+        plan = _plan(source, "five-tuple", samplers, streams // len(samplers), 256, 0.25)
+        outcome = plan.execute(backend="serial")
+        assert False in fast_path
+        _assert_identical(outcome, _oracle(plan))
+
+    @pytest.mark.skipif(probe_shared_memory() is not None, reason="shared memory unusable")
+    @pytest.mark.parametrize("key", KEYS)
+    def test_process_backend(self, small_trace, key):
+        plan = _plan(small_trace, key, _forty_streams(), 8, 256, 150.0)
+        outcome = plan.execute(backend="process", jobs=2)
+        assert plan.transport_used == "shm"
+        _assert_identical(outcome, _oracle(plan))
+
+    def test_direct_call_equals_oracle(self, small_trace):
+        plan = _plan(small_trace, "prefix", _forty_streams(), 8, 4096, 60.0)
+        samplers = _build_samplers(plan.sampler_specs, plan.cells)
+        outcome = run_stream(plan._chunks(), plan.groups, samplers, 60.0, plan.top_t)
+        _assert_identical(outcome, _oracle(plan))

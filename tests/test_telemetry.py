@@ -4,7 +4,7 @@ The two load-bearing contracts (docs/observability.md):
 
 * **telemetry never perturbs results** — pipeline output is
   bit-identical with telemetry enabled vs disabled on the serial,
-  process-parallel and fused monitor paths;
+  process-parallel and bounded monitor paths;
 * **merging is deterministic** — worker snapshots fold into the same
   registry whatever order the workers finished in, including the
   non-commutative float ``total`` sums.
@@ -257,6 +257,9 @@ class TestBitIdentityOnVsOff:
         assert snap["counters"]["stream.chunks"] > 0
         assert snap["counters"]["stream.packets"] > 0
         assert "pipeline.execute" in snap["spans"]
+        # Scoring is timed too, and unbounded runs record no evictions.
+        assert {"stream.sample", "stream.account", "stream.score"} <= set(snap["spans"])
+        assert "stream.evictions" not in snap["counters"]
 
     def test_process_path_merges_worker_snapshots(self, small_trace):
         baseline = _pipeline(small_trace).run(parallel="process", jobs=2).to_dict()
@@ -290,8 +293,11 @@ class TestBitIdentityOnVsOff:
             instrumented = build().run(parallel="serial").to_dict()
             snap = telemetry.snapshot()
         assert instrumented == baseline
-        assert snap["counters"]["monitor.chunks"] > 0
-        assert "monitor.account" in snap["spans"]
+        # Monitor runs share the plain fold's telemetry names.
+        assert snap["counters"]["stream.chunks"] > 0
+        assert "stream.evictions" in snap["counters"]
+        assert {"stream.sample", "stream.account", "stream.score"} <= set(snap["spans"])
+        assert not any(name.startswith("monitor.") for name in snap["counters"])
 
     def test_snapshot_never_reaches_the_store_key(self, tmp_path):
         """REP202: instrumenting a run cannot change where it is cached."""

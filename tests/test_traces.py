@@ -54,6 +54,22 @@ class TestFlowLevelTrace:
                 protocols=[6],
             )
 
+    @pytest.mark.parametrize("column", ["start_times", "durations"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_times(self, column, bad):
+        times = {"start_times": [0.0, 1.0], "durations": [1.0, 2.0]}
+        times[column][1] = bad
+        with pytest.raises(ValueError, match=f"{column} must be finite"):
+            FlowLevelTrace(
+                **times,
+                sizes_packets=[1, 2],
+                src_ips=[1, 2],
+                dst_ips=[1, 2],
+                src_ports=[1, 2],
+                dst_ports=[1, 2],
+                protocols=[6, 6],
+            )
+
     def test_rejects_zero_size_flows(self):
         with pytest.raises(ValueError):
             FlowLevelTrace(
