@@ -9,7 +9,7 @@ verifies the trend on the synthetic Sprint-like trace.
 from __future__ import annotations
 
 from repro.experiments.figures import figure_12_trace_ranking_five_tuple
-from repro.experiments.report import render_simulation_result
+from repro.experiments.report import render_pipeline_result
 
 
 def test_ablation_bin_duration(run_once):
@@ -30,7 +30,7 @@ def test_ablation_bin_duration(run_once):
     print()
     for bin_duration, sim in results.items():
         print(f"--- bin duration {bin_duration:.0f} s ---")
-        print(render_simulation_result(sim))
+        print(render_pipeline_result(sim))
 
     # Longer bins hold more flows ...
     assert results[300.0].flows_per_bin > results[60.0].flows_per_bin

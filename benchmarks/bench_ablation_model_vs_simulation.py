@@ -9,13 +9,12 @@ small factor, and must agree on which sampling rates are acceptable.
 
 from __future__ import annotations
 
-
 from repro.core.flow_size_model import FlowPopulation
 from repro.core.ranking import RankingModel
 from repro.distributions import EmpiricalFlowSizes
+from repro.flows.accounting import FlowAccountingEngine
 from repro.flows.keys import FiveTupleKeyPolicy
 from repro.pipeline import Pipeline
-from repro.simulation.binning import build_bin_layouts
 from repro.traces import SyntheticTraceGenerator, expand_to_packets, sprint_like_config
 
 TOP_T = 5
@@ -28,13 +27,16 @@ def test_ablation_model_vs_simulation(run_once):
 
     def evaluate():
         batch = expand_to_packets(trace, rng=122, clip_to_duration=trace.duration)
-        layouts = build_bin_layouts(batch, trace.group_ids(FiveTupleKeyPolicy()), 300.0)
+        engine = FlowAccountingEngine(300.0)
+        engine.observe_chunk(
+            batch.timestamps, trace.group_ids(FiveTupleKeyPolicy())[batch.flow_ids]
+        )
+        first_bin = engine.flush()[0].packets
 
         # Analytical prediction from the empirical distribution of the first bin.
-        layout = layouts[0]
         population = FlowPopulation.from_grid(
-            EmpiricalFlowSizes(layout.original_counts).discretize(),
-            total_flows=layout.num_flows,
+            EmpiricalFlowSizes(first_bin).discretize(),
+            total_flows=first_bin.size,
         )
         model = RankingModel(population, top_t=TOP_T)
         predicted = {rate: model.swapped_pairs(rate) for rate in RATES}
@@ -49,7 +51,6 @@ def test_ablation_model_vs_simulation(run_once):
             .with_seed(123)
             .streaming()
             .run()
-            .to_simulation_result()
         )
         simulated = {
             rate: float(simulated_result.series("ranking", rate).mean[0]) for rate in RATES

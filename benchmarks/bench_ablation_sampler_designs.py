@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.sampling import BernoulliSampler, HashFlowSampler, PeriodicSampler
-from repro.simulation.binning import build_bin_layouts
-from repro.simulation.evaluation import swapped_pair_counts
-from repro.traces import SyntheticTraceGenerator, expand_to_packets, sprint_like_config
 from repro.flows.keys import FiveTupleKeyPolicy
+from repro.pipeline import run_stream
+from repro.sampling import BernoulliSampler, HashFlowSampler, PeriodicSampler
+from repro.traces import SyntheticTraceGenerator, expand_to_packets, sprint_like_config
 
 RATE = 0.1
 TOP_T = 10
@@ -23,19 +22,9 @@ RUNS = 5
 
 
 def _mean_ranking_metric(batch, groups, sampler_factory) -> float:
-    layouts = build_bin_layouts(batch, groups, bin_duration=60.0)
-    totals = []
-    for run in range(RUNS):
-        sampler = sampler_factory(run)
-        mask = sampler.sample_mask(batch)
-        for layout in layouts:
-            counts = swapped_pair_counts(
-                layout.original_counts,
-                layout.sampled_counts(mask[layout.packet_slice]),
-                TOP_T,
-            )
-            totals.append(counts.ranking)
-    return float(np.mean(totals))
+    samplers = [sampler_factory(run) for run in range(RUNS)]
+    outcome = run_stream([batch], groups, samplers, bin_duration=60.0, top_t=TOP_T)
+    return float(np.mean(outcome.ranking_values))
 
 
 def test_ablation_sampler_designs(run_once):

@@ -11,7 +11,7 @@ than at backbone scale.
 from __future__ import annotations
 
 from repro.experiments.figures import figure_12_trace_ranking_five_tuple
-from repro.experiments.report import render_simulation_result
+from repro.experiments.report import render_pipeline_result
 
 
 def test_fig12_trace_ranking_five_tuple(run_once, trace_settings):
@@ -21,7 +21,7 @@ def test_fig12_trace_ranking_five_tuple(run_once, trace_settings):
         **trace_settings,
     )
     print()
-    print(render_simulation_result(result))
+    print(render_pipeline_result(result))
 
     means = {rate: result.series("ranking", rate).overall_mean for rate in result.sampling_rates}
     # Strict ordering of the sampling rates, exactly as in the paper's figure.

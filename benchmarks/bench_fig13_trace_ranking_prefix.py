@@ -10,7 +10,7 @@ from repro.experiments.figures import (
     figure_12_trace_ranking_five_tuple,
     figure_13_trace_ranking_prefix,
 )
-from repro.experiments.report import render_simulation_result
+from repro.experiments.report import render_pipeline_result
 
 
 def test_fig13_trace_ranking_prefix(run_once, trace_settings):
@@ -20,7 +20,7 @@ def test_fig13_trace_ranking_prefix(run_once, trace_settings):
         **trace_settings,
     )
     print()
-    print(render_simulation_result(result))
+    print(render_pipeline_result(result))
 
     means = {rate: result.series("ranking", rate).overall_mean for rate in result.sampling_rates}
     assert means[0.5] < means[0.1] < means[0.01] < means[0.001]

@@ -7,7 +7,7 @@ sampling rate (roughly an order of magnitude in the metric).
 from __future__ import annotations
 
 from repro.experiments.figures import figure_14_trace_detection_five_tuple
-from repro.experiments.report import render_simulation_result
+from repro.experiments.report import render_pipeline_result
 
 
 def test_fig14_trace_detection_five_tuple(run_once, trace_settings):
@@ -17,7 +17,7 @@ def test_fig14_trace_detection_five_tuple(run_once, trace_settings):
         **trace_settings,
     )
     print()
-    print(render_simulation_result(result))
+    print(render_pipeline_result(result))
 
     for rate in result.sampling_rates:
         ranking = result.series("ranking", rate).overall_mean

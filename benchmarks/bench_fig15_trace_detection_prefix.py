@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from repro.experiments.figures import figure_15_trace_detection_prefix
-from repro.experiments.report import render_simulation_result
+from repro.experiments.report import render_pipeline_result
 
 
 def test_fig15_trace_detection_prefix(run_once, trace_settings):
@@ -13,7 +13,7 @@ def test_fig15_trace_detection_prefix(run_once, trace_settings):
         **trace_settings,
     )
     print()
-    print(render_simulation_result(result))
+    print(render_pipeline_result(result))
 
     means = {rate: result.series("detection", rate).overall_mean for rate in result.sampling_rates}
     assert means[0.5] < means[0.1] < means[0.01] < means[0.001]

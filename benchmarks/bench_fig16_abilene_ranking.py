@@ -12,7 +12,7 @@ from repro.experiments.figures import (
     figure_12_trace_ranking_five_tuple,
     figure_16_trace_ranking_abilene,
 )
-from repro.experiments.report import render_simulation_result
+from repro.experiments.report import render_pipeline_result
 
 
 def test_fig16_trace_ranking_abilene(run_once, trace_settings):
@@ -22,7 +22,7 @@ def test_fig16_trace_ranking_abilene(run_once, trace_settings):
         **trace_settings,
     )
     print()
-    print(render_simulation_result(result))
+    print(render_pipeline_result(result))
 
     means = {rate: result.series("ranking", rate).overall_mean for rate in result.sampling_rates}
     # Ordering of sampling rates still holds (0.8 replaces 0.5 as in the paper).

@@ -7,7 +7,8 @@ models and experiments of Barakat, Iannaccone and Diot (2004/2005).
 Subpackages
 -----------
 ``repro.core``
-    Analytical misranking / ranking / detection models and metrics.
+    Analytical misranking / ranking / detection models and the
+    empirical swapped-pair metrics (one scorer, ``swapped_pair_counts``).
 ``repro.distributions``
     Flow size distributions (Pareto, lognormal, empirical, ...).
 ``repro.flows``
@@ -21,15 +22,14 @@ Subpackages
 ``repro.scenarios``
     Named workload scenarios (steady, diurnal, burst, churn,
     multilink) composed from packet sources.
-``repro.simulation``
-    Trace-driven sampling simulations (Section 8 of the paper).
 ``repro.inversion``
     Aggregate inversion estimators from prior work.
 ``repro.experiments``
     Drivers that regenerate each figure of the paper.
 ``repro.pipeline``
     The composable, streaming experiment pipeline — the one public way
-    to run any experiment.
+    to run any experiment, including the trace-driven simulations of
+    Section 8 — and its one result model, ``PipelineResult``.
 ``repro.registry``
     String-keyed registries of samplers, key policies, distributions and
     trace generators.

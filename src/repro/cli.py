@@ -67,7 +67,6 @@ from .experiments.figures import ANALYTICAL_FIGURES, TRACE_FIGURES
 from .experiments.report import (
     render_figure_result,
     render_pipeline_result,
-    render_simulation_result,
     render_sweep_comparison,
     render_sweep_leaderboard,
     render_sweep_status,
@@ -664,7 +663,7 @@ def _run_figure(name: str, jobs: int | None = None) -> str:
     if name in ANALYTICAL_FIGURES:
         return render_figure_result(ANALYTICAL_FIGURES[name]())
     driver = TRACE_FIGURES[name]
-    return render_simulation_result(driver(jobs=jobs))
+    return render_pipeline_result(driver(jobs=jobs))
 
 
 def _run_plan(args: argparse.Namespace) -> str:
@@ -696,7 +695,7 @@ def _run_simulate(args: argparse.Namespace) -> str:
         .with_seed(args.seed)
         .streaming()
     )
-    return render_simulation_result(pipeline.run(jobs=args.jobs).to_simulation_result())
+    return render_pipeline_result(pipeline.run(jobs=args.jobs))
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -3,9 +3,10 @@
 Every figure of the paper's evaluation has a driver function here that
 recomputes the data behind the figure and returns it as a
 :class:`FigureResult` (analytical figures) or a
-:class:`~repro.simulation.results.SimulationResult` (trace-driven
-figures).  The benchmark harness in ``benchmarks/`` wraps these drivers
-and prints the same series the paper plots.
+:class:`~repro.pipeline.result.PipelineResult` (trace-driven figures,
+one Bernoulli sampler per rate).  The benchmark harness in
+``benchmarks/`` wraps these drivers and prints the same series the paper
+plots.
 
 The trace-driven drivers accept a ``scale`` parameter because the paper
 works at backbone scale (tens of millions of packets per trace); the
@@ -38,8 +39,7 @@ from ..core.flow_size_model import FlowPopulation
 from ..core.gaussian import gaussian_error_surface
 from ..core.optimal_rate import optimal_rate_surface
 from ..core.ranking import RankingModel
-from ..pipeline import Pipeline
-from ..simulation.results import SimulationResult
+from ..pipeline import Pipeline, PipelineResult
 from .config import (
     BETA_SWEEP,
     DEFAULT_PARETO_SHAPE,
@@ -352,7 +352,7 @@ def _trace_simulation(
     rates: tuple[float, ...] = (0.001, 0.01, 0.1, 0.5),
     top_t: int = 10,
     jobs: int | None = None,
-) -> SimulationResult:
+) -> PipelineResult:
     pipeline = (
         Pipeline()
         .with_trace("abilene" if abilene else "sprint", scale=scale, duration=trace_duration)
@@ -364,7 +364,7 @@ def _trace_simulation(
         .with_seed(seed)
         .streaming()
     )
-    return pipeline.run(jobs=jobs).to_simulation_result()
+    return pipeline.run(jobs=jobs)
 
 
 def figure_12_trace_ranking_five_tuple(
@@ -374,7 +374,7 @@ def figure_12_trace_ranking_five_tuple(
     seed: int = 12,
     trace_duration: float = 1800.0,
     jobs: int | None = None,
-) -> SimulationResult:
+) -> PipelineResult:
     """Fig. 12 — trace-driven ranking of the top 10 flows (5-tuple)."""
     return _trace_simulation(False, bin_duration, scale, num_runs, seed, trace_duration, jobs=jobs)
 
@@ -386,7 +386,7 @@ def figure_13_trace_ranking_prefix(
     seed: int = 13,
     trace_duration: float = 1800.0,
     jobs: int | None = None,
-) -> SimulationResult:
+) -> PipelineResult:
     """Fig. 13 — trace-driven ranking of the top 10 flows (/24 prefix)."""
     return _trace_simulation(True, bin_duration, scale, num_runs, seed, trace_duration, jobs=jobs)
 
@@ -398,7 +398,7 @@ def figure_14_trace_detection_five_tuple(
     seed: int = 14,
     trace_duration: float = 1800.0,
     jobs: int | None = None,
-) -> SimulationResult:
+) -> PipelineResult:
     """Fig. 14 — trace-driven detection of the top 10 flows (5-tuple)."""
     return _trace_simulation(False, bin_duration, scale, num_runs, seed, trace_duration, jobs=jobs)
 
@@ -410,7 +410,7 @@ def figure_15_trace_detection_prefix(
     seed: int = 15,
     trace_duration: float = 1800.0,
     jobs: int | None = None,
-) -> SimulationResult:
+) -> PipelineResult:
     """Fig. 15 — trace-driven detection of the top 10 flows (/24 prefix)."""
     return _trace_simulation(True, bin_duration, scale, num_runs, seed, trace_duration, jobs=jobs)
 
@@ -422,7 +422,7 @@ def figure_16_trace_ranking_abilene(
     seed: int = 16,
     trace_duration: float = 1800.0,
     jobs: int | None = None,
-) -> SimulationResult:
+) -> PipelineResult:
     """Fig. 16 — trace-driven ranking on an Abilene-like short-tailed trace."""
     return _trace_simulation(
         False,

@@ -23,7 +23,6 @@ from collections.abc import Sequence
 import numpy as np
 
 from ..pipeline.result import PipelineResult
-from ..simulation.results import SimulationResult
 from .figures import FigureResult
 
 
@@ -53,35 +52,6 @@ def render_figure_result(result: FigureResult, max_points: int = 8) -> str:
     for label, values in result.series.items():
         row = [label] + [f"{values[i]:.3g}" for i in indices]
         lines.append(_format_row(row, widths))
-    return "\n".join(lines)
-
-
-def render_simulation_result(result: SimulationResult) -> str:
-    """Render a trace-driven simulation result as an aligned text table."""
-    lines = [
-        (
-            f"trace simulation: {result.flow_definition}, bin = {result.bin_duration:.0f}s, "
-            f"top {result.top_t} flows, {result.num_runs} runs, "
-            f"{result.flows_per_bin:.0f} flows/bin"
-        )
-    ]
-    header = ["problem", "rate", "mean swapped pairs", "mean+std < 1 (bins %)"]
-    widths = [10, 8, 20, 22]
-    lines.append(_format_row(header, widths))
-    for problem, store in (("ranking", result.ranking), ("detection", result.detection)):
-        for rate in sorted(store):
-            series = store[rate]
-            lines.append(
-                _format_row(
-                    [
-                        problem,
-                        f"{rate * 100:.3g}%",
-                        f"{series.overall_mean:.3g}",
-                        f"{series.fraction_of_bins_acceptable() * 100:.0f}%",
-                    ],
-                    widths,
-                )
-            )
     return "\n".join(lines)
 
 
@@ -298,7 +268,6 @@ def acceptable_rate_threshold(result: FigureResult, series_label: str) -> float 
 
 __all__ = [
     "render_figure_result",
-    "render_simulation_result",
     "render_pipeline_result",
     "render_sweep_status",
     "render_sweep_watch",

@@ -13,13 +13,14 @@ dispatch of the independent (sampler, run) cells.
 from .executor import StreamOutcome, run_monitor_stream, run_stream
 from .parallel import BACKENDS, Cell, ExecutionPlan
 from .pipeline import Pipeline, SamplerSpec
-from .result import PipelineResult, SamplerSummary
+from .result import MetricSeries, PipelineResult, SamplerSummary
 
 __all__ = [
     "Pipeline",
     "SamplerSpec",
     "PipelineResult",
     "SamplerSummary",
+    "MetricSeries",
     "run_stream",
     "run_monitor_stream",
     "StreamOutcome",

@@ -63,11 +63,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import telemetry
+from ..core.metrics import swapped_pair_counts
 from ..flows.accounting import BinAccount, FlowAccountingEngine
 from ..flows.packets import PacketBatch
 from ..sampling.base import PacketSampler
-from ..simulation.evaluation import swapped_pair_counts
-from ..simulation.results import MetricSeries
+from .result import MetricSeries
 
 #: Bin indices are ``int64``: the last timestamp's index must stay below.
 _MAX_BIN_INDEX = 2.0**63
@@ -130,7 +130,8 @@ def run_stream(
     bin_duration:
         Measurement interval length in seconds.
     top_t:
-        Number of top flows to rank/detect.
+        Number of top flows to rank/detect, at least 1 (a bin with
+        fewer flows ranks all of them).
     max_flows:
         Flow-memory bound of each stream's monitor (``None`` =
         unbounded).
@@ -144,12 +145,17 @@ def run_stream(
 
     Raises
     ------
+    ValueError
+        When ``bin_duration`` is not positive or ``top_t < 1`` (checked
+        before any chunk is read), or on malformed chunks.
     OverflowError
         When a timestamp's bin index does not fit ``int64`` (a
         ``bin_duration`` far too small for the trace).
     """
     if bin_duration <= 0:
         raise ValueError("bin_duration must be positive")
+    if top_t < 1:
+        raise ValueError(f"top_t must be at least 1, got {top_t}")
     groups = np.asarray(group_of_flow, dtype=np.int64)
     if groups.ndim != 1:
         raise ValueError("group_of_flow must be a 1-D array")

@@ -1,12 +1,14 @@
-"""Unified result container for pipeline runs.
+"""The one result model of pipeline runs.
 
-:class:`PipelineResult` subsumes the legacy
-:class:`~repro.simulation.results.SimulationResult`: series are keyed by
-*sampler label* (so several samplers with the same effective rate can be
-compared in one run), export helpers (:meth:`~PipelineResult.to_dict`,
-:meth:`~PipelineResult.to_csv`) cover the figure/report workflows, and
-:meth:`~PipelineResult.to_simulation_result` converts back to the legacy
-rate-keyed container for existing call sites.
+:class:`PipelineResult` holds one :class:`MetricSeries` per (problem,
+sampler): series are keyed by *sampler label* (so several samplers with
+the same effective rate can be compared in one run) and can be fetched
+by label or by effective rate through :meth:`~PipelineResult.series`;
+:attr:`~PipelineResult.sampling_rates` and
+:meth:`~PipelineResult.summary_rows` answer the per-rate questions of
+the paper's figures, and the export helpers
+(:meth:`~PipelineResult.to_dict`, :meth:`~PipelineResult.to_csv`) cover
+the figure, report and store workflows.
 """
 
 from __future__ import annotations
@@ -18,7 +20,67 @@ from pathlib import Path
 
 import numpy as np
 
-from ..simulation.results import MetricSeries, SimulationResult
+
+@dataclass(frozen=True)
+class MetricSeries:
+    """Per-bin metric values of one sampler's runs for one problem.
+
+    Attributes
+    ----------
+    problem:
+        ``"ranking"`` or ``"detection"``.
+    sampling_rate:
+        Packet sampling probability.
+    bin_start_times:
+        Start time of each measurement interval, in seconds.
+    values:
+        Array of shape ``(num_runs, num_bins)`` with the swapped-pair
+        counts of every run.
+    """
+
+    problem: str
+    sampling_rate: float
+    bin_start_times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self) -> None:
+        values = np.asarray(self.values, dtype=float)
+        times = np.asarray(self.bin_start_times, dtype=float)
+        if values.ndim != 2:
+            raise ValueError("values must have shape (num_runs, num_bins)")
+        if times.ndim != 1 or times.size != values.shape[1]:
+            raise ValueError("bin_start_times must have one entry per bin")
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "bin_start_times", times)
+
+    @property
+    def num_runs(self) -> int:
+        """Number of independent sampling runs."""
+        return int(self.values.shape[0])
+
+    @property
+    def num_bins(self) -> int:
+        """Number of measurement intervals."""
+        return int(self.values.shape[1])
+
+    @property
+    def mean(self) -> np.ndarray:
+        """Per-bin mean of the swapped-pair count over runs."""
+        return self.values.mean(axis=0)
+
+    @property
+    def std(self) -> np.ndarray:
+        """Per-bin standard deviation over runs."""
+        return self.values.std(axis=0, ddof=1) if self.num_runs > 1 else np.zeros(self.num_bins)
+
+    @property
+    def overall_mean(self) -> float:
+        """Mean of the metric over all bins and runs."""
+        return float(self.values.mean())
+
+    def fraction_of_bins_acceptable(self) -> float:
+        """Fraction of bins where mean + std stays below 1 (paper's criterion)."""
+        return float(np.mean((self.mean + self.std) < 1.0))
 
 
 @dataclass
@@ -307,30 +369,5 @@ class PipelineResult:
             Path(path).write_text(text)
         return text
 
-    def to_simulation_result(self) -> SimulationResult:
-        """Convert to the legacy rate-keyed :class:`SimulationResult`.
 
-        When several samplers share an effective rate the last one wins,
-        matching the legacy container's one-series-per-rate shape.
-
-        Returns
-        -------
-        SimulationResult
-            The same series keyed by effective sampling rate.
-        """
-        result = SimulationResult(
-            flow_definition=self.flow_definition,
-            bin_duration=self.bin_duration,
-            top_t=self.top_t,
-            num_runs=self.num_runs,
-            flows_per_bin=self.flows_per_bin,
-        )
-        for summary in self.samplers:
-            if summary.label in self.ranking:
-                result.ranking[summary.effective_rate] = self.ranking[summary.label]
-            if summary.label in self.detection:
-                result.detection[summary.effective_rate] = self.detection[summary.label]
-        return result
-
-
-__all__ = ["PipelineResult", "SamplerSummary"]
+__all__ = ["MetricSeries", "PipelineResult", "SamplerSummary"]

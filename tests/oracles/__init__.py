@@ -17,4 +17,6 @@ speed-ratio gates.
 * :mod:`oracles.stream` — the stream fold with a per-chunk ``np.unique``
   over ``bin x group`` codes and sorted-union bin merges (the library
   counts every stream in the truth engine's per-stream columns).
+* :mod:`oracles.metrics` — the swapped-pair metrics as double loops over
+  flow pairs (the library loops only over the top flows).
 """

@@ -17,11 +17,11 @@ from collections.abc import Iterable
 
 import numpy as np
 
+from repro.core.metrics import swapped_pair_counts
 from repro.flows.accounting import bin_segments
 from repro.flows.packets import PacketBatch
 from repro.pipeline.executor import StreamOutcome
 from repro.sampling.base import PacketSampler
-from repro.simulation.evaluation import swapped_pair_counts
 
 
 class BinState:

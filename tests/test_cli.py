@@ -435,7 +435,7 @@ class TestSimulateCommand:
         )
         assert code == 0
         output = capsys.readouterr().out
-        assert "trace simulation" in output
+        assert "pipeline run (streamed)" in output
         assert "ranking" in output and "detection" in output
 
     def test_prefix_flag(self, capsys):

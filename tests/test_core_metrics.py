@@ -1,6 +1,8 @@
-"""Tests for the empirical swapped-pair metrics (reference implementation)."""
+"""Tests for the empirical swapped-pair metrics and their one scorer."""
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 import pytest
@@ -9,9 +11,19 @@ from repro.core.metrics import (
     detection_swapped_pairs,
     rank_quality_report,
     ranking_swapped_pairs,
+    swapped_pair_counts,
     top_set_overlap,
     true_top_indices,
 )
+
+#: Every public entry point that takes (original, sampled, top_t).
+METRIC_ENTRY_POINTS = [
+    swapped_pair_counts,
+    ranking_swapped_pairs,
+    detection_swapped_pairs,
+    rank_quality_report,
+    top_set_overlap,
+]
 
 
 class TestTrueTopIndices:
@@ -131,3 +143,44 @@ class TestAuxiliaryMetrics:
         assert not report.exact_order_match
         assert report.ranking_swapped_pairs > 0
         assert report.mean_rank_displacement > 0
+
+
+class TestHostileInput:
+    """Hostile sizes and top-t values fail at the metric boundary, naming the argument."""
+
+    @pytest.mark.parametrize("entry_point", METRIC_ENTRY_POINTS, ids=lambda f: f.__name__)
+    @pytest.mark.parametrize(
+        ("original", "sampled", "argument"),
+        [
+            ([5.0, math.nan, 3.0], [1.0, 2.0, 0.0], "original"),
+            ([5.0, math.inf, 3.0], [1.0, 2.0, 0.0], "original"),
+            ([5.0, 4.0, 3.0], [1.0, math.nan, 0.0], "sampled"),
+            ([5, 4, 3], [1, math.inf, 0], "sampled"),
+            ([5, 4, 3], [1, -math.inf, 0], "sampled"),
+            ([5, 4, 3], [-1, 0, 0], "sampled"),
+            ([5, 0, 3], [1, 0, 0], "original"),
+        ],
+        ids=[
+            "nan-original",
+            "inf-original",
+            "nan-sampled",
+            "inf-sampled",
+            "neg-inf-sampled",
+            "negative-sampled",
+            "zero-original",
+        ],
+    )
+    def test_hostile_sizes_raise(self, entry_point, original, sampled, argument):
+        with pytest.raises(ValueError, match=argument):
+            entry_point(original, sampled, 1)
+
+    @pytest.mark.parametrize("top_t", [0, -5])
+    def test_scorer_rejects_top_t_below_one(self, top_t):
+        with pytest.raises(ValueError, match="top_t"):
+            swapped_pair_counts(np.array([5, 4, 3]), np.array([1, 1, 1]), top_t)
+
+    def test_non_integer_sizes_are_not_truncated(self):
+        """2.5 and 2.7 stay distinct: the top flow 2.7 ties 2.5 when sampled, a swap."""
+        counts = swapped_pair_counts([2.5, 2.7, 1.0], [1.0, 1.0, 0.0], 1)
+        assert counts.ranking == 1
+        assert ranking_swapped_pairs([2.5, 2.7, 1.0], [1.0, 1.0, 0.0], 1) == 1

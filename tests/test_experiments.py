@@ -11,7 +11,7 @@ from repro.experiments import (
     PREFIX_24,
     acceptable_rate_threshold,
     render_figure_result,
-    render_simulation_result,
+    render_pipeline_result,
 )
 from repro.experiments.figures import (
     figure_01_optimal_rate_log,
@@ -102,11 +102,11 @@ class TestReportRendering:
         assert "fig04" in text
         assert "t = 1" in text and "t = 5" in text
 
-    def test_render_simulation_result_mentions_rates(self):
+    def test_render_trace_figure_mentions_rates(self):
         result = figure_12_trace_ranking_five_tuple(
             bin_duration=60.0, scale=0.002, num_runs=2, trace_duration=120.0
         )
-        text = render_simulation_result(result)
+        text = render_pipeline_result(result)
         assert "ranking" in text and "50%" in text
 
     def test_acceptable_rate_threshold(self):

@@ -13,6 +13,7 @@ from repro.core.flow_size_model import FlowPopulation
 from repro.core.metrics import ranking_swapped_pairs
 from repro.core.ranking import RankingModel
 from repro.distributions import EmpiricalFlowSizes, ParetoFlowSizes
+from repro.flows.accounting import FlowAccountingEngine
 from repro.flows.keys import FiveTupleKeyPolicy
 from repro.flows.packets import Packet
 from repro.flows.table import BinnedFlowTable
@@ -66,15 +67,15 @@ class TestObjectAndVectorPathsAgree:
             table.observe(Packet(float(timestamp), trace.five_tuple(int(flow_id))))
         bins = table.flush()
 
-        from repro.simulation.binning import build_bin_layouts
-
-        layouts = build_bin_layouts(batch, trace.group_ids(FiveTupleKeyPolicy()), 60.0)
-        assert len(bins) == len(layouts)
-        for flow_bin, layout in zip(bins, layouts):
-            assert flow_bin.total_packets == layout.num_packets
-            assert flow_bin.num_flows == layout.num_flows
+        engine = FlowAccountingEngine(60.0)
+        engine.observe_batch(batch, trace.group_ids(FiveTupleKeyPolicy()))
+        accounts = engine.flush()
+        assert len(bins) == len(accounts)
+        for flow_bin, account in zip(bins, accounts):
+            assert flow_bin.total_packets == account.total_packets
+            assert flow_bin.num_flows == account.num_flows
             object_sizes = sorted(flow.packets for flow in flow_bin.flows)
-            vector_sizes = sorted(layout.original_counts.tolist())
+            vector_sizes = sorted(account.packets.tolist())
             assert object_sizes == vector_sizes
 
     def test_sampled_classification_matches_model_inputs(self, rng):

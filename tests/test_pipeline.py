@@ -215,6 +215,17 @@ class TestStreamingEquivalence:
         with pytest.raises(ValueError, match="one flag per packet"):
             run_stream([chunk], np.arange(1), [_Short(0.5, rng=0)], 60.0, 1)
 
+    @pytest.mark.parametrize("top_t", [0, -5])
+    def test_run_stream_rejects_top_t_below_one_before_reading(self, top_t):
+        from repro.pipeline.executor import run_stream
+
+        def chunks():
+            raise AssertionError("run_stream read a chunk before validating top_t")
+            yield  # pragma: no cover - makes this a generator
+
+        with pytest.raises(ValueError, match="top_t"):
+            run_stream(chunks(), np.arange(1), [BernoulliSampler(0.5, rng=0)], 60.0, top_t)
+
 
 class _CountingSampler(PacketSampler):
     """Stateful sampler that keeps the first packets of the stream only.
@@ -347,15 +358,6 @@ class TestPipelineResult:
         assert header[:3] == ["problem", "sampler", "sampling_rate"]
         num_bins = result.series("ranking", result.labels[0]).num_bins
         assert len(lines) == 1 + 4 * num_bins
-
-    def test_to_simulation_result(self, result):
-        legacy = result.to_simulation_result()
-        assert legacy.flow_definition == result.flow_definition
-        assert legacy.sampling_rates == result.sampling_rates
-        np.testing.assert_array_equal(
-            legacy.series("ranking", 0.5).values,
-            result.series("ranking", 0.5).values,
-        )
 
     def test_higher_rate_gives_lower_metric(self, result):
         assert (

@@ -5,18 +5,14 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles.metrics import reference_detection_swapped_pairs, reference_ranking_swapped_pairs
 
 from repro.core.gaussian import misranking_probability_gaussian
-from repro.core.metrics import detection_swapped_pairs, ranking_swapped_pairs
+from repro.core.metrics import swapped_pair_counts
 from repro.core.misranking import misranking_probability_exact
 from repro.core.optimal_rate import optimal_rate_gaussian
 from repro.distributions import DiscreteFlowSizes, ParetoFlowSizes
 from repro.flows.keys import int_to_ip, ip_to_int, prefix_of
-from repro.simulation.evaluation import (
-    detection_pair_budget,
-    ranking_pair_budget,
-    swapped_pair_counts,
-)
 
 sizes = st.integers(min_value=1, max_value=300)
 rates = st.floats(min_value=0.01, max_value=1.0)
@@ -78,8 +74,8 @@ class TestMetricProperties:
         sampled = rng.binomial(original_arr, rate)
         t = min(top_t, len(original))
         counts = swapped_pair_counts(original_arr, sampled, t)
-        assert counts.ranking == ranking_swapped_pairs(original_arr, sampled, t)
-        assert counts.detection == detection_swapped_pairs(original_arr, sampled, t)
+        assert counts.ranking == reference_ranking_swapped_pairs(original_arr, sampled, t)
+        assert counts.detection == reference_detection_swapped_pairs(original_arr, sampled, t)
 
     @given(
         original=st.lists(st.integers(min_value=1, max_value=200), min_size=2, max_size=25),
@@ -93,8 +89,9 @@ class TestMetricProperties:
         sampled = rng.binomial(original_arr, 0.2)
         t = min(top_t, len(original))
         counts = swapped_pair_counts(original_arr, sampled, t)
-        assert 0 <= counts.ranking <= ranking_pair_budget(len(original), t)
-        assert 0 <= counts.detection <= detection_pair_budget(len(original), t)
+        n = len(original)
+        assert 0 <= counts.ranking <= (2 * n - t - 1) * t / 2
+        assert 0 <= counts.detection <= t * (n - t)
         assert counts.detection <= counts.ranking
 
     @given(
@@ -108,6 +105,44 @@ class TestMetricProperties:
         counts = swapped_pair_counts(original_arr, original_arr, t)
         assert counts.ranking == 0
         assert counts.detection == 0
+
+
+@st.composite
+def tied_bins(draw, sizes):
+    """A bin of 2-30 flows whose original and sampled sizes take at most 5 values each."""
+    n = draw(st.integers(min_value=2, max_value=30))
+    palette = draw(st.lists(sizes, min_size=1, max_size=5, unique=True))
+    sampled_palette = [0] + draw(st.lists(sizes, min_size=0, max_size=4, unique=True))
+    original = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    sampled = draw(st.lists(st.sampled_from(sampled_palette), min_size=n, max_size=n))
+    top_t = draw(st.integers(min_value=1, max_value=n))
+    return original, sampled, top_t
+
+
+integer_sizes = st.integers(min_value=1, max_value=40)
+fractional_sizes = st.integers(min_value=1, max_value=160).map(lambda k: k / 4 + 0.125)
+
+
+class TestScorerMatchesOracle:
+    """The one scorer equals the double-loop oracle, ties and non-integer sizes included."""
+
+    @given(bin_=tied_bins(integer_sizes))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_sizes(self, bin_):
+        original, sampled, top_t = bin_
+        counts = swapped_pair_counts(np.array(original), np.array(sampled), top_t)
+        assert counts.ranking == reference_ranking_swapped_pairs(original, sampled, top_t)
+        assert counts.detection == reference_detection_swapped_pairs(original, sampled, top_t)
+
+    @given(bin_=tied_bins(fractional_sizes))
+    @settings(max_examples=150, deadline=None)
+    def test_non_integer_float_sizes(self, bin_):
+        original, sampled, top_t = bin_
+        counts = swapped_pair_counts(
+            np.array(original, dtype=float), np.array(sampled, dtype=float), top_t
+        )
+        assert counts.ranking == reference_ranking_swapped_pairs(original, sampled, top_t)
+        assert counts.detection == reference_detection_swapped_pairs(original, sampled, top_t)
 
 
 class TestDistributionProperties:

@@ -1,21 +1,14 @@
-"""Tests for binning, vectorised metrics and trace-driven simulation results."""
+"""Tests for the swapped-pair scorer, metric series and trace-driven simulation results."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.metrics import reference_detection_swapped_pairs, reference_ranking_swapped_pairs
 
-from repro.core.metrics import detection_swapped_pairs, ranking_swapped_pairs
+from repro.core.metrics import swapped_pair_counts
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
-from repro.flows.packets import PacketBatch
-from repro.pipeline import Pipeline
-from repro.simulation import (
-    MetricSeries,
-    build_bin_layouts,
-    detection_pair_budget,
-    ranking_pair_budget,
-    swapped_pair_counts,
-)
+from repro.pipeline import MetricSeries, Pipeline
 from repro.traces import SyntheticTraceGenerator, sprint_like_config
 
 
@@ -32,57 +25,20 @@ def _simulate(trace, rates, runs, seed, top_t, bin_duration=60.0, key_policy=Non
     )
     if key_policy is not None:
         pipeline.with_key_policy(key_policy)
-    return pipeline.run().to_simulation_result()
-
-
-class TestBinLayouts:
-    def test_bins_cover_all_packets(self):
-        timestamps = np.array([0.1, 0.2, 59.0, 61.0, 125.0])
-        flow_ids = np.array([0, 1, 0, 2, 1])
-        batch = PacketBatch(timestamps, flow_ids)
-        layouts = build_bin_layouts(batch, np.arange(3), bin_duration=60.0)
-        assert [layout.index for layout in layouts] == [0, 1, 2]
-        assert sum(layout.num_packets for layout in layouts) == 5
-
-    def test_original_counts_per_group(self):
-        timestamps = np.array([0.0, 1.0, 2.0, 3.0])
-        flow_ids = np.array([0, 0, 1, 1])
-        groups = np.array([7, 9])  # flow 0 -> group 7, flow 1 -> group 9
-        layouts = build_bin_layouts(PacketBatch(timestamps, flow_ids), groups, 60.0)
-        layout = layouts[0]
-        assert dict(zip(layout.group_keys, layout.original_counts)) == {7: 2, 9: 2}
-
-    def test_sampled_counts_from_mask(self):
-        timestamps = np.array([0.0, 1.0, 2.0, 3.0])
-        flow_ids = np.array([0, 0, 1, 1])
-        layouts = build_bin_layouts(PacketBatch(timestamps, flow_ids), np.arange(2), 60.0)
-        layout = layouts[0]
-        counts = layout.sampled_counts(np.array([True, False, False, True]))
-        assert counts.tolist() == [1, 1]
-
-    def test_rejects_bad_inputs(self):
-        batch = PacketBatch(np.array([0.0]), np.array([5]))
-        with pytest.raises(ValueError):
-            build_bin_layouts(batch, np.arange(2), bin_duration=0.0)
-        with pytest.raises(ValueError):
-            build_bin_layouts(batch, np.arange(2), bin_duration=60.0)  # flow id 5 out of range
-
-    def test_empty_batch_gives_no_bins(self):
-        batch = PacketBatch(np.empty(0), np.empty(0, dtype=np.int64))
-        assert build_bin_layouts(batch, np.arange(1), 60.0) == []
+    return pipeline.run()
 
 
 class TestVectorisedMetrics:
     def test_matches_reference_implementation(self, rng):
-        """The fast metric must agree with repro.core.metrics on random inputs."""
+        """The scorer must agree with the double-loop oracle on random inputs."""
         for _ in range(25):
             n = int(rng.integers(5, 40))
             original = rng.integers(1, 500, size=n)
             sampled = rng.binomial(original, rng.uniform(0.05, 0.8))
             t = int(rng.integers(1, min(10, n) + 1))
             counts = swapped_pair_counts(original, sampled, t)
-            assert counts.ranking == ranking_swapped_pairs(original, sampled, t)
-            assert counts.detection == detection_swapped_pairs(original, sampled, t)
+            assert counts.ranking == reference_ranking_swapped_pairs(original, sampled, t)
+            assert counts.detection == reference_detection_swapped_pairs(original, sampled, t)
 
     def test_handles_fewer_flows_than_top_t(self):
         counts = swapped_pair_counts(np.array([5, 3]), np.array([0, 1]), top_t=10)
@@ -95,12 +51,6 @@ class TestVectorisedMetrics:
     def test_rejects_invalid_original_counts(self):
         with pytest.raises(ValueError):
             swapped_pair_counts(np.array([0, 2]), np.array([0, 1]), 1)
-
-    def test_pair_budgets(self):
-        assert ranking_pair_budget(100, 10) == (2 * 100 - 10 - 1) * 10 / 2
-        assert detection_pair_budget(100, 10) == 10 * 90
-        with pytest.raises(ValueError):
-            ranking_pair_budget(0, 1)
 
     def test_perfect_sampling_counts_zero(self):
         original = np.array([50, 40, 30, 20, 10])
@@ -145,8 +95,8 @@ class TestSimulationRunner:
             Pipeline().with_problems(ranking=False, detection=False)
 
     def test_result_structure(self, simulation_result):
-        assert set(simulation_result.ranking) == {0.01, 0.5}
-        assert set(simulation_result.detection) == {0.01, 0.5}
+        assert simulation_result.sampling_rates == [0.01, 0.5]
+        assert len(simulation_result.ranking) == len(simulation_result.detection) == 2
         series = simulation_result.series("ranking", 0.5)
         assert series.num_runs == 4
         assert series.num_bins >= 4

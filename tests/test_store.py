@@ -25,8 +25,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.pipeline.result import PipelineResult, SamplerSummary
-from repro.simulation.results import MetricSeries
+from repro.pipeline.result import MetricSeries, PipelineResult, SamplerSummary
 from repro.store import STORE_SALT, RunSpec, RunStore, store_key
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
