@@ -22,8 +22,8 @@ reporting the speedup, so a regression in determinism fails the harness
 rather than polluting the baseline.  The ratio gates time the library
 against the reference implementations kept as test oracles in
 ``tests/oracles`` (chunk assembly, sort-based group-by, the per-packet
-object-level monitor, the ``np.unique`` stream fold), after the same
-bit-identity check.
+object-level monitor, the ``np.unique`` stream fold, the per-stream
+scoring loop), after the same bit-identity check.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ for _path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
 import numpy as np  # noqa: E402
 from oracles.assembly import reference_chunks  # noqa: E402
 from oracles.groupby import sort_engine  # noqa: E402
+from oracles.metrics import reference_swapped_pair_counts  # noqa: E402
 from oracles.objectpath import ObjectFlowTable  # noqa: E402
 from oracles.stream import reference_run_stream  # noqa: E402
 
+from repro.core.metrics import swapped_pair_counts  # noqa: E402
 from repro.flows.accounting import FlowAccountingEngine  # noqa: E402
 from repro.flows.keys import FiveTupleKeyPolicy  # noqa: E402
 from repro.flows.packets import Packet  # noqa: E402
@@ -428,18 +430,14 @@ def bench_batch_transport(args: argparse.Namespace) -> dict:
     return section
 
 
-def bench_accumulator(args: argparse.Namespace) -> dict:
-    """The stream fold vs its reference oracle, bit-checked.
+def _accumulator_workload(args: argparse.Namespace):
+    """Chunks, flow groups and stream samplers of the accumulator workload.
 
-    Streams the flow-accounting workload with the paper sweep's streams
-    (one Bernoulli sampler per rate and run) through the library's
-    ``run_stream`` — per-stream count columns in the truth engine — and
-    through ``reference_run_stream`` from ``tests/oracles/stream.py`` —
-    the per-chunk ``np.unique`` fold with sorted-union bin merges it
-    replaced.  Exits FATAL unless the two outcomes are bit-identical,
-    then records both times and ``speedup`` (reference over library).
+    A sprint trace (scale at least 0.06 outside ``--quick``) in default
+    chunks under the five-tuple key, streamed by the paper sweep's
+    streams: one Bernoulli sampler per rate and run.  Returns the chunks,
+    the group of each flow, and a factory of fresh samplers.
     """
-    from repro.pipeline.executor import run_stream
     from repro.sampling import BernoulliSampler
 
     scale = args.scale if args.quick else max(args.scale, 0.06)
@@ -463,15 +461,38 @@ def bench_accumulator(args: argparse.Namespace) -> dict:
         trace.protocols,
         encoder=encoder,
     )
-
     rates = [rate for rate in SWEEP_RATES for _ in range(args.runs)]
 
-    def run(accumulate):
-        samplers = [
+    def samplers():
+        return [
             BernoulliSampler(rate, rng=np.random.default_rng(args.seed + index))
             for index, rate in enumerate(rates)
         ]
-        return accumulate(iter(chunks), groups, samplers, 60.0, 10)
+
+    return chunks, groups, samplers
+
+
+def bench_accumulator(args: argparse.Namespace) -> dict:
+    """The stream fold vs its reference oracle, bit-checked.
+
+    Streams the flow-accounting workload with the paper sweep's streams
+    (one Bernoulli sampler per rate and run) through the library's
+    ``run_stream`` — per-stream count columns in the truth engine, one
+    scorer call per bin — and through ``reference_run_stream`` from
+    ``tests/oracles/stream.py`` — the per-chunk ``np.unique`` fold with
+    sorted-union bin merges it replaced, which scores each stream with
+    the per-stream loop oracle.  Exits FATAL unless the two outcomes are
+    bit-identical, then records both times and ``speedup`` (reference
+    over library).  The ratio covers scoring as well as accounting, so
+    it reads well above the ~1.0 it read while both sides shared the
+    library scorer; the ``scoring`` section isolates the scorer.
+    """
+    from repro.pipeline.executor import run_stream
+
+    chunks, groups, samplers = _accumulator_workload(args)
+
+    def run(accumulate):
+        return accumulate(iter(chunks), groups, samplers(), 60.0, 10)
 
     # Best of two passes each, alternating: the gap is a per-chunk
     # constant, easily drowned by one cold-cache pass on a single run.
@@ -486,10 +507,67 @@ def bench_accumulator(args: argparse.Namespace) -> dict:
         )
     return {
         "packets": sum(len(chunk) for chunk in chunks),
-        "streams": len(rates),
+        "streams": stream.ranking_values.shape[0],
         "stream_seconds": round(stream_seconds, 4),
         "reference_seconds": round(reference_seconds, 4),
         "speedup": round(reference_seconds / stream_seconds, 3) if stream_seconds else None,
+        "bit_identical": identical,
+    }
+
+
+def bench_scoring(args: argparse.Namespace) -> dict:
+    """Bin scoring: one batched call per bin vs the per-stream loop oracle.
+
+    Collects the closed bins of the accumulator workload (the truth
+    engine with the keep masks of its Bernoulli streams) and scores each
+    with ``swapped_pair_counts`` on the bin's ``(streams, flows)``
+    matrix, and with ``reference_swapped_pair_counts`` from
+    ``tests/oracles/metrics.py`` one stream at a time.  Exits FATAL
+    unless every count is identical, then records both times and
+    ``speedup`` (reference over library).
+    """
+    chunks, groups, samplers = _accumulator_workload(args)
+    streams = samplers()
+    engine = FlowAccountingEngine(60.0)
+    accounts = []
+    for chunk in chunks:
+        keep = np.stack([sampler.sample_mask(chunk) for sampler in streams])
+        engine.observe_sorted_chunk(
+            chunk.timestamps, groups.take(chunk.flow_ids), chunk.sizes_bytes, keep_masks=keep
+        )
+        accounts.extend(engine.drain_completed())
+    accounts.extend(engine.flush())
+    bins = [(account.packets, account.sampled) for account in accounts]
+
+    def batched():
+        return [swapped_pair_counts(packets, sampled, 10) for packets, sampled in bins]
+
+    def per_stream():
+        return [
+            [reference_swapped_pair_counts(packets, row, 10) for row in sampled]
+            for packets, sampled in bins
+        ]
+
+    batched_seconds, fast = _timed(batched)
+    reference_seconds, reference = _timed(per_stream)
+    batched_seconds = min(batched_seconds, _timed(batched)[0])
+    identical = all(
+        counts.ranking.tolist() == [row.ranking for row in rows]
+        and counts.detection.tolist() == [row.detection for row in rows]
+        for counts, rows in zip(fast, reference)
+    )
+    if not identical:
+        raise SystemExit(
+            "FATAL: the batched scorer diverges from the per-stream loop oracle — "
+            "scoring regression"
+        )
+    return {
+        "bins": len(bins),
+        "streams": len(streams),
+        "flows_per_bin": round(float(np.mean([packets.size for packets, _ in bins])), 1),
+        "batched_seconds": round(batched_seconds, 4),
+        "reference_seconds": round(reference_seconds, 4),
+        "speedup": round(reference_seconds / batched_seconds, 2) if batched_seconds else None,
         "bit_identical": identical,
     }
 
@@ -836,6 +914,16 @@ def main(argv: list[str] | None = None) -> int:
             f"{accumulator['packets']:,} packets x {accumulator['streams']} streams: "
             f"run_stream {accumulator['stream_seconds']}s vs reference fold "
             f"{accumulator['reference_seconds']}s -> {accumulator['speedup']}x (bit-identical)"
+        )
+
+    if wanted("scoring"):
+        print(f"scoring     ... ", end="", flush=True)
+        report["results"]["scoring"] = scoring = bench_scoring(args)
+        print(
+            f"{scoring['bins']} bins x {scoring['streams']} streams x "
+            f"{scoring['flows_per_bin']:,} flows: batched {scoring['batched_seconds']}s vs "
+            f"per-stream loop {scoring['reference_seconds']}s -> {scoring['speedup']}x "
+            "(bit-identical)"
         )
 
     if wanted("end_to_end"):

@@ -8,11 +8,14 @@ metrics that are useful in practice even though they do not appear in
 the paper (top-t set overlap, rank displacement).
 
 One scorer, :func:`swapped_pair_counts`, counts both metrics at once
-with NumPy, looping only over the ``t`` top flows; the pipeline executor
-scores every (bin, stream) through it, and :func:`ranking_swapped_pairs`,
-:func:`detection_swapped_pairs` and :func:`rank_quality_report` are thin
-wrappers around it.  The explicit pair-by-pair double loops survive as
-the test oracle ``tests/oracles/metrics.py``.
+with NumPy, for one sampled size list or for every row of a
+``(streams, flows)`` matrix, without temporaries larger than that input
+(its notes give the method).  The pipeline executor scores each closed
+bin, all streams at once, with one call, and
+:func:`ranking_swapped_pairs`, :func:`detection_swapped_pairs` and
+:func:`rank_quality_report` are thin wrappers around it.  The explicit
+pair-by-pair double loops and the earlier per-stream loop over top flows
+survive as the test oracles in ``tests/oracles/metrics.py``.
 
 Conventions (matching the analytical model):
 
@@ -25,13 +28,15 @@ Conventions (matching the analytical model):
 * a pair of flows with equal original sizes is swapped when their
   sampled sizes differ, or when both are zero.
 
-Hostile sizes fail here, at the metric boundary: NaN or infinite sizes,
+Hostile input fails here, at the metric boundary: NaN or infinite sizes,
 non-positive original sizes and negative sampled sizes raise
-:class:`ValueError`.
+:class:`ValueError`, as does a ``top_t`` below 1; a ``top_t`` that is not
+an integer raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -61,23 +66,40 @@ def _as_aligned_arrays(
     return original, sampled
 
 
+def _checked_top_t(top_t: int) -> int:
+    """``top_t`` as an ``int`` of at least 1.
+
+    A non-integer ``top_t`` (``2.5``) raises :class:`TypeError` instead of
+    being rounded down, and ``top_t < 1`` raises :class:`ValueError`.
+    """
+    t = operator.index(top_t)
+    if t < 1:
+        raise ValueError(f"top_t must be at least 1, got {top_t!r}")
+    return t
+
+
 def _validate(original: np.ndarray, top_t: int) -> int:
     if original.ndim != 1:
         raise ValueError("flow sizes must form a 1-D array")
     if original.size < 2:
         raise ValueError("at least two flows are required")
-    t = int(top_t)
-    if t < 1 or t > original.size:
+    t = _checked_top_t(top_t)
+    if t > original.size:
         raise ValueError(f"top_t must be between 1 and the number of flows, got {top_t}")
     return t
 
 
 @dataclass(frozen=True)
 class SwappedPairCounts:
-    """Ranking and detection swapped-pair counts for one bin and one run."""
+    """Ranking and detection swapped-pair counts of one bin.
 
-    ranking: int
-    detection: int
+    ``ranking`` and ``detection`` are ``int`` for one sampled size list
+    and ``int64`` arrays with one entry per stream for a ``(streams,
+    flows)`` matrix.
+    """
+
+    ranking: int | np.ndarray
+    detection: int | np.ndarray
     top_t: int
     num_flows: int
 
@@ -100,23 +122,40 @@ def _sizes(values: object, role: str) -> np.ndarray:
 def _checked_sizes(
     original_counts: object, sampled_counts: object
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Both size lists as aligned 1-D arrays, hostile values rejected."""
+    """Original sizes (1-D) and sampled sizes (1-D or one row per stream).
+
+    Hostile values are rejected in every row.
+    """
     original = _sizes(original_counts, "original")
     sampled = _sizes(sampled_counts, "sampled")
-    if original.shape != sampled.shape or original.ndim != 1:
-        raise ValueError("original and sampled counts must be 1-D arrays of equal length")
-    if original.size:
-        if not original.min() > 0:
-            raise ValueError("original sizes must be positive")
-        if sampled.min() < 0:
-            raise ValueError("sampled sizes must be non-negative")
+    if original.ndim != 1 or sampled.ndim not in (1, 2) or sampled.shape[-1] != original.size:
+        raise ValueError(
+            "original counts must be a 1-D array and sampled counts a 1-D or "
+            "(streams, flows) array with one column per original count"
+        )
+    if original.size and not original.min() > 0:
+        raise ValueError("original sizes must be positive")
+    if sampled.size and sampled.min() < 0:
+        raise ValueError("sampled sizes must be non-negative")
     return original, sampled
 
 
 def true_top_indices(original_sizes: np.ndarray, top_t: int) -> np.ndarray:
     """Indices of the true top-t flows (ties broken by index for determinism)."""
+    t = _checked_top_t(top_t)
     order = np.lexsort((np.arange(original_sizes.size), -original_sizes))
-    return order[:top_t]
+    return order[:t]
+
+
+def _far_swapped(far_rows: np.ndarray, top_rows: np.ndarray) -> np.ndarray:
+    """Per row, the (top flow, far flow) pairs whose far sampled size is >= the top one's.
+
+    Sorts ``far_rows`` in place, then counts the far sizes below every
+    top size with one ``searchsorted`` per row.
+    """
+    far_rows.sort(axis=1)
+    below = [np.searchsorted(row, tops).sum() for row, tops in zip(far_rows, top_rows)]
+    return far_rows.shape[1] * top_rows.shape[1] - np.array(below, dtype=np.int64)
 
 
 def swapped_pair_counts(
@@ -133,55 +172,89 @@ def swapped_pair_counts(
         input is scored as ``int64`` (without a copy when it already
         is), anything else as ``float64``.
     sampled_counts:
-        Sampled sizes of the same flows (0 when the flow was missed).
+        Sampled sizes of the same flows (0 when the flow was missed):
+        one list, or a ``(streams, flows)`` matrix holding one sampled
+        stream per row, each scored against the same original sizes.
     top_t:
-        Number of top flows of interest, at least 1.  When the bin holds
-        fewer than ``top_t`` flows, all of them are treated as top flows.
+        Number of top flows of interest, an integer of at least 1.  When
+        the bin holds fewer than ``top_t`` flows, all of them are
+        treated as top flows.
 
     Returns
     -------
     SwappedPairCounts
         ``ranking`` counts pairs (true top flow, any other flow);
         ``detection`` counts pairs (true top flow, flow outside the true
-        top list).  An empty bin counts zero of both.
+        top list).  Both are ``int`` for 1-D ``sampled_counts`` and
+        ``int64`` arrays with one entry per row for a matrix.  An empty
+        bin counts zero of both.
 
     Raises
     ------
+    TypeError
+        When ``top_t`` is not an integer.
     ValueError
-        When ``top_t < 1``, the arrays are not 1-D of equal length, a
-        size is NaN or infinite, an original size is not positive or a
-        sampled size is negative.
+        When ``top_t < 1``, the arrays are not aligned, a size is NaN or
+        infinite, an original size is not positive or a sampled size is
+        negative (in any row).
+
+    Notes
+    -----
+    The top list is sorted once per bin.  Flows strictly smaller than
+    the smallest top flow ("far" flows, nearly all of them) are swapped
+    with top flow ``i`` exactly when their sampled size is at least
+    ``i``'s, so each stream's far row is sorted once and
+    ``searchsorted`` counts them for all top flows together.  Pairs of a
+    top flow with a later top flow or with a flow tied with the smallest
+    top size keep the exact pair rule; that block is evaluated a few top
+    flows at a time, so no temporary holds more elements than
+    ``sampled_counts``.
     """
-    if top_t < 1:
-        raise ValueError(f"top_t must be at least 1, got {top_t}")
+    t = _checked_top_t(top_t)
     original, sampled = _checked_sizes(original_counts, sampled_counts)
-    if original.size == 0:
-        return SwappedPairCounts(ranking=0, detection=0, top_t=0, num_flows=0)
-    t = min(int(top_t), original.size)
+    rows = sampled if sampled.ndim == 2 else sampled[np.newaxis]
+    num_flows = original.size
+    if num_flows == 0:
+        empty = np.zeros(rows.shape[0], dtype=np.int64)
+        return _packaged(sampled, empty, empty, 0, 0)
+    t = min(t, num_flows)
 
     top = true_top_indices(original, t)
-    top_mask = np.zeros(original.size, dtype=bool)
-    top_mask[top] = True
+    far = original < original[top[-1]]
+    near = ~far
+    near[top] = False
+    # The block: the top flows, then the near flows (tied with the
+    # smallest top size).  Sizes never increase along it.
+    block = np.concatenate([top, np.flatnonzero(near)])
+    block_rows = rows.take(block, axis=1)
+    block_sizes = original[block]
+    # A far flow is smaller than every top flow: swapped with top flow i
+    # exactly when its sampled size is >= s_i.
+    detection = _far_swapped(rows.compress(far, axis=1), block_rows[:, :t])
 
-    total_swapped = 0  # pairs (top flow, any flow), ordered
-    top_top_swapped = 0  # pairs (top flow, top flow), ordered (counted twice)
-    for i in top:
-        o_i = original[i]
-        s_i = sampled[i]
-        different = original != o_i
-        swapped_diff = np.where(original < o_i, sampled >= s_i, s_i >= sampled)
-        swapped_equal = (sampled != s_i) | ((sampled == 0) & (s_i == 0))
-        swapped = np.where(different, swapped_diff, swapped_equal)
-        swapped[i] = False
-        total_swapped += int(swapped.sum())
-        top_top_swapped += int(swapped[top_mask].sum())
+    # The exact pair rule on (top flow, later block flow) pairs.
+    top_top = np.zeros(rows.shape[0], dtype=np.int64)
+    # ``step`` top flows at a time: no temporary outgrows the input.
+    step = max(1, num_flows // block.size)
+    for first in range(0, t, step):
+        stop = min(first + step, t)
+        mine = block_rows[:, first:stop, np.newaxis]
+        theirs = block_rows[:, np.newaxis, first:]
+        tied = block_sizes[np.newaxis, first:] == block_sizes[first:stop, np.newaxis]
+        swapped = np.where(tied, (theirs != mine) | (mine == 0), theirs >= mine)
+        swapped &= np.arange(first, block.size) > np.arange(first, stop)[:, np.newaxis]
+        top_top += np.count_nonzero(swapped[:, :, : t - first], axis=(1, 2))
+        detection += np.count_nonzero(swapped[:, :, t - first :], axis=(1, 2))
+    return _packaged(sampled, detection + top_top, detection, t, num_flows)
 
-    return SwappedPairCounts(
-        ranking=total_swapped - top_top_swapped // 2,
-        detection=total_swapped - top_top_swapped,
-        top_t=t,
-        num_flows=int(original.size),
-    )
+
+def _packaged(
+    sampled: np.ndarray, ranking: np.ndarray, detection: np.ndarray, top_t: int, num_flows: int
+) -> SwappedPairCounts:
+    """Per-row counts as :class:`SwappedPairCounts`: scalars for 1-D ``sampled``."""
+    if sampled.ndim == 1:
+        return SwappedPairCounts(int(ranking[0]), int(detection[0]), top_t, num_flows)
+    return SwappedPairCounts(ranking, detection, top_t, num_flows)
 
 
 def ranking_swapped_pairs(
@@ -197,7 +270,7 @@ def ranking_swapped_pairs(
     as in :func:`swapped_pair_counts`.
     """
     original, sampled = _as_aligned_arrays(original_sizes, sampled_sizes)
-    return swapped_pair_counts(original, sampled, _validate(original, top_t)).ranking
+    return int(swapped_pair_counts(original, sampled, _validate(original, top_t)).ranking)
 
 
 def detection_swapped_pairs(
@@ -211,7 +284,7 @@ def detection_swapped_pairs(
     checked as in :func:`swapped_pair_counts`.
     """
     original, sampled = _as_aligned_arrays(original_sizes, sampled_sizes)
-    return swapped_pair_counts(original, sampled, _validate(original, top_t)).detection
+    return int(swapped_pair_counts(original, sampled, _validate(original, top_t)).detection)
 
 
 @dataclass(frozen=True)
@@ -258,8 +331,8 @@ def rank_quality_report(
     exact = bool(all(sampled_rank_of[int(idx)] == rank for rank, idx in enumerate(true_top)))
     return RankQualityReport(
         top_t=t,
-        ranking_swapped_pairs=counts.ranking,
-        detection_swapped_pairs=counts.detection,
+        ranking_swapped_pairs=int(counts.ranking),
+        detection_swapped_pairs=int(counts.detection),
         top_set_overlap=overlap,
         exact_order_match=exact,
         mean_rank_displacement=float(np.mean(displacements)),

@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import telemetry
-from ..core.metrics import swapped_pair_counts
+from ..core.metrics import SwappedPairCounts, _checked_top_t, swapped_pair_counts
 from ..flows.accounting import BinAccount, FlowAccountingEngine
 from ..flows.packets import PacketBatch
 from ..sampling.base import PacketSampler
@@ -113,8 +113,9 @@ def run_stream(
       memory, not just by sampling.
 
     Bins are scored and discarded incrementally: once the stream head
-    moves past a bin, the truth engine closes it and every stream is
-    scored against it, so memory never scales with the number of bins.
+    moves past a bin, the truth engine closes it and one
+    :func:`~repro.core.metrics.swapped_pair_counts` call scores every
+    stream against it, so memory never scales with the number of bins.
 
     Parameters
     ----------
@@ -130,8 +131,8 @@ def run_stream(
     bin_duration:
         Measurement interval length in seconds.
     top_t:
-        Number of top flows to rank/detect, at least 1 (a bin with
-        fewer flows ranks all of them).
+        Number of top flows to rank/detect, an integer of at least 1 (a
+        bin with fewer flows ranks all of them).
     max_flows:
         Flow-memory bound of each stream's monitor (``None`` =
         unbounded).
@@ -145,6 +146,9 @@ def run_stream(
 
     Raises
     ------
+    TypeError
+        When ``top_t`` is not an integer (checked before any chunk is
+        read).
     ValueError
         When ``bin_duration`` is not positive or ``top_t < 1`` (checked
         before any chunk is read), or on malformed chunks.
@@ -154,8 +158,7 @@ def run_stream(
     """
     if bin_duration <= 0:
         raise ValueError("bin_duration must be positive")
-    if top_t < 1:
-        raise ValueError(f"top_t must be at least 1, got {top_t}")
+    top_t = _checked_top_t(top_t)
     groups = np.asarray(group_of_flow, dtype=np.int64)
     if groups.ndim != 1:
         raise ValueError("group_of_flow must be a 1-D array")
@@ -171,7 +174,7 @@ def run_stream(
         ]
     #: Monitor bins closed but not yet matched with a truth bin, per stream.
     pending: list[dict[int, BinAccount]] = [{} for _ in monitors]
-    completed: list[tuple[int, int, np.ndarray, np.ndarray]] = []
+    completed: list[tuple[int, int, SwappedPairCounts]] = []
 
     def _monitor_counts(account: BinAccount) -> np.ndarray:
         sampled = np.zeros((num_streams, account.codes.size), dtype=np.int64)
@@ -192,14 +195,10 @@ def run_stream(
             else:
                 assert account.sampled is not None
                 sampled = account.sampled
-            ranking_row = np.empty(num_streams, dtype=float)
-            detection_row = np.empty(num_streams, dtype=float)
+            # One call scores every stream of the bin (one row each).
             with telemetry.span("stream.score"):
-                for stream in range(num_streams):
-                    counts = swapped_pair_counts(account.packets, sampled[stream], top_t)
-                    ranking_row[stream] = counts.ranking
-                    detection_row[stream] = counts.detection
-            completed.append((account.index, account.num_flows, ranking_row, detection_row))
+                counts = swapped_pair_counts(account.packets, sampled, top_t)
+            completed.append((account.index, account.num_flows, counts))
 
     group_low = int(groups.min()) if groups.size else 0
     group_high = int(groups.max()) if groups.size else 0
@@ -265,6 +264,8 @@ def run_stream(
         raise ValueError("the packet stream produced no measurement bins")
 
     completed.sort(key=lambda entry: entry[0])
+    ranking = np.stack([counts.ranking for _, _, counts in completed], axis=1)
+    detection = np.stack([counts.detection for _, _, counts in completed], axis=1)
     if monitors:
         evictions = np.array([monitor.evictions for monitor in monitors], dtype=np.int64)
         if telemetry.enabled:
@@ -272,11 +273,11 @@ def run_stream(
     else:
         evictions = np.zeros(num_streams, dtype=np.int64)
     return StreamOutcome(
-        bin_start_times=np.array([index * bin_duration for index, _, _, _ in completed]),
-        flows_per_bin=float(np.mean([flows for _, flows, _, _ in completed])),
+        bin_start_times=np.array([index * bin_duration for index, _, _ in completed]),
+        flows_per_bin=float(np.mean([flows for _, flows, _ in completed])),
         total_packets=truth.packets_seen,
-        ranking_values=np.stack([row for _, _, row, _ in completed], axis=1),
-        detection_values=np.stack([row for _, _, _, row in completed], axis=1),
+        ranking_values=ranking.astype(float),
+        detection_values=detection.astype(float),
         evictions=evictions,
     )
 

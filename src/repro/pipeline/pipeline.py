@@ -57,6 +57,7 @@ see :mod:`repro.pipeline.parallel`.
 
 from __future__ import annotations
 
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass, field
 
@@ -356,14 +357,15 @@ class Pipeline:
         Parameters
         ----------
         top_t:
-            The ``t`` of the paper's top-*t* problems (at least 1).
+            The ``t`` of the paper's top-*t* problems: an integer (a
+            non-integer raises :class:`TypeError`), at least 1.
 
         Returns
         -------
         Pipeline
             ``self``, for chaining.
         """
-        self._top_t = int(top_t)
+        self._top_t = operator.index(top_t)
         return self
 
     def with_runs(self, num_runs: int) -> "Pipeline":

@@ -44,6 +44,8 @@ class MetricSeries:
     values: np.ndarray
 
     def __post_init__(self) -> None:
+        if self.problem not in ("ranking", "detection"):
+            raise ValueError(f"problem must be 'ranking' or 'detection', got {self.problem!r}")
         values = np.asarray(self.values, dtype=float)
         times = np.asarray(self.bin_start_times, dtype=float)
         if values.ndim != 2:

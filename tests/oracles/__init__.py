@@ -15,8 +15,11 @@ speed-ratio gates.
   binned flow table over :class:`~repro.flows.packets.Packet` objects
   (the library accounts columnar chunks);
 * :mod:`oracles.stream` — the stream fold with a per-chunk ``np.unique``
-  over ``bin x group`` codes and sorted-union bin merges (the library
-  counts every stream in the truth engine's per-stream columns).
+  over ``bin x group`` codes and sorted-union bin merges, scoring each
+  stream with the loop oracle below (the library counts every stream in
+  the truth engine's per-stream columns).
 * :mod:`oracles.metrics` — the swapped-pair metrics as double loops over
-  flow pairs (the library loops only over the top flows).
+  flow pairs, and ``reference_swapped_pair_counts``, the per-stream loop
+  over top flows (the library scores every stream of a bin in one call,
+  sorting and ``searchsorted`` for flows below the top list).
 """

@@ -1,16 +1,22 @@
-"""Reference swapped-pair metrics: explicit double loops over flow pairs.
+"""Reference swapped-pair metrics: double loops, and a loop over top flows.
 
 :func:`reference_ranking_swapped_pairs` and
 :func:`reference_detection_swapped_pairs` state the paper's metrics pair
-by pair, in plain Python.  The library counts both with one scorer that
-loops only over the top flows (:func:`repro.core.metrics.swapped_pair_counts`);
-the test suite checks the two agree on integer, non-integer and
-tie-heavy sizes.
+by pair, in plain Python.  :func:`reference_swapped_pair_counts` is the
+library's earlier scorer: one stream at a time, a loop over the top
+flows with full-length NumPy comparisons for each.  The library scores
+every stream of a bin in one call
+(:func:`repro.core.metrics.swapped_pair_counts`); the test suite checks
+it row by row against both, on integer, non-integer and tie-heavy sizes.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
+
+import numpy as np
+
+from repro.core.metrics import SwappedPairCounts
 
 
 def pair_swapped(original_a: float, original_b: float, sampled_a: float, sampled_b: float) -> bool:
@@ -57,3 +63,42 @@ def reference_detection_swapped_pairs(
                 continue
             swapped += pair_swapped(original[i], original[j], sampled[i], sampled[j])
     return swapped
+
+
+def reference_swapped_pair_counts(
+    original: Sequence[float] | np.ndarray, sampled: Sequence[float] | np.ndarray, top_t: int
+) -> SwappedPairCounts:
+    """Both counts of one stream, looping over the top flows.
+
+    Takes 1-D sizes; like the library, a bin with fewer than ``top_t``
+    flows ranks all of them and an empty bin counts zero.  Sizes are not
+    validated.
+    """
+    original = np.asarray(original)
+    sampled = np.asarray(sampled)
+    if original.size == 0:
+        return SwappedPairCounts(ranking=0, detection=0, top_t=0, num_flows=0)
+    t = min(top_t, original.size)
+    top = np.lexsort((np.arange(original.size), -original))[:t]
+    top_mask = np.zeros(original.size, dtype=bool)
+    top_mask[top] = True
+
+    total_swapped = 0  # pairs (top flow, any flow), ordered
+    top_top_swapped = 0  # pairs (top flow, top flow), ordered (counted twice)
+    for i in top:
+        o_i = original[i]
+        s_i = sampled[i]
+        different = original != o_i
+        swapped_diff = np.where(original < o_i, sampled >= s_i, s_i >= sampled)
+        swapped_equal = (sampled != s_i) | ((sampled == 0) & (s_i == 0))
+        swapped = np.where(different, swapped_diff, swapped_equal)
+        swapped[i] = False
+        total_swapped += int(swapped.sum())
+        top_top_swapped += int(swapped[top_mask].sum())
+
+    return SwappedPairCounts(
+        ranking=total_swapped - top_top_swapped // 2,
+        detection=total_swapped - top_top_swapped,
+        top_t=t,
+        num_flows=int(original.size),
+    )

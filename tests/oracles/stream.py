@@ -5,9 +5,12 @@ runs.  Each chunk is grouped by one ``np.unique`` over combined
 ``bin x group`` codes, every (sampler, run) stream's kept packets are
 counted with one ``bincount`` over the unique-code inverse, and each
 bin's counts are merged into a :class:`BinState` by a sorted union.
-The library computes the same per-bin counts in the truth engine's
-per-stream columns (:func:`repro.pipeline.executor.run_stream`); the
-test suite and ``benchmarks/harness.py`` check the two agree bit for
+Each stream of a finished bin is scored on its own by the loop oracle
+:func:`oracles.metrics.reference_swapped_pair_counts`, so the fold
+shares no scoring code with the library.  The library computes the same
+per-bin counts in the truth engine's per-stream columns and scores each
+bin's streams in one call (:func:`repro.pipeline.executor.run_stream`);
+the test suite and ``benchmarks/harness.py`` check the two agree bit for
 bit.
 """
 
@@ -17,11 +20,12 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from repro.core.metrics import swapped_pair_counts
 from repro.flows.accounting import bin_segments
 from repro.flows.packets import PacketBatch
 from repro.pipeline.executor import StreamOutcome
 from repro.sampling.base import PacketSampler
+
+from .metrics import reference_swapped_pair_counts
 
 
 class BinState:
@@ -91,7 +95,7 @@ def reference_run_stream(
         ranking_row = np.empty(num_streams, dtype=float)
         detection_row = np.empty(num_streams, dtype=float)
         for stream in range(num_streams):
-            counts = swapped_pair_counts(state.original, state.sampled[stream], top_t)
+            counts = reference_swapped_pair_counts(state.original, state.sampled[stream], top_t)
             ranking_row[stream] = counts.ranking
             detection_row[stream] = counts.detection
         completed.append((index, state.keys.size, ranking_row, detection_row))

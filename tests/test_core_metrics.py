@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import functools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from oracles.metrics import reference_swapped_pair_counts
 
 from repro.core.metrics import (
     detection_swapped_pairs,
@@ -15,6 +18,8 @@ from repro.core.metrics import (
     top_set_overlap,
     true_top_indices,
 )
+from repro.pipeline import Pipeline
+from repro.pipeline.executor import run_stream
 
 #: Every public entry point that takes (original, sampled, top_t).
 METRIC_ENTRY_POINTS = [
@@ -184,3 +189,94 @@ class TestHostileInput:
         counts = swapped_pair_counts([2.5, 2.7, 1.0], [1.0, 1.0, 0.0], 1)
         assert counts.ranking == 1
         assert ranking_swapped_pairs([2.5, 2.7, 1.0], [1.0, 1.0, 0.0], 1) == 1
+
+
+#: Every entry point that takes ``top_t``, as a call of ``top_t`` alone.
+TOP_T_ENTRY_POINTS = {
+    "true_top_indices": lambda top_t: true_top_indices(np.array([5, 4, 3, 2]), top_t),
+    "swapped_pair_counts": lambda top_t: swapped_pair_counts(
+        np.array([5, 4, 3]), np.array([[1, 1, 1]]), top_t
+    ),
+    **{
+        entry_point.__name__: functools.partial(entry_point, [5, 4, 3], [1, 1, 0])
+        for entry_point in METRIC_ENTRY_POINTS[1:]
+    },
+    "run_stream": lambda top_t: run_stream(iter([]), np.zeros(1, dtype=np.int64), [], 60.0, top_t),
+    "Pipeline.with_top": lambda top_t: Pipeline()
+    .with_trace("sprint", scale=0.001, duration=60.0)
+    .with_sampling_rates([0.5])
+    .with_top(top_t)
+    .plan(),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(TOP_T_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    ("top_t", "error"),
+    [(-1, ValueError), (0, ValueError), (2.5, TypeError), (np.float64(2.0), TypeError)],
+    ids=["negative", "zero", "fraction", "float-integral"],
+)
+def test_top_t_must_be_a_positive_integer(entry_point, top_t, error):
+    """A negative top_t no longer slices from the end, and 2.5 is no longer scored as 2."""
+    with pytest.raises(error, match="top_t" if error is ValueError else "integer"):
+        TOP_T_ENTRY_POINTS[entry_point](top_t)
+
+
+def _traced(call):
+    """``call()``'s result and the peak bytes traced while it ran, above what was live before."""
+    tracemalloc.start()
+    try:
+        before, _ = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        value = call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return value, peak - before
+
+
+class TestBatchedScorer:
+    """One call scores a (streams, flows) matrix; every check holds per row."""
+
+    def test_empty_bin(self):
+        counts = swapped_pair_counts(np.array([], dtype=np.int64), np.zeros((3, 0), np.int64), 5)
+        assert counts.ranking.tolist() == [0, 0, 0]
+        assert counts.detection.tolist() == [0, 0, 0]
+        assert (counts.top_t, counts.num_flows) == (0, 0)
+
+    def test_zero_streams(self):
+        counts = swapped_pair_counts(np.array([5, 4, 3]), np.zeros((0, 3), np.int64), 2)
+        assert counts.ranking.shape == counts.detection.shape == (0,)
+        assert (counts.top_t, counts.num_flows) == (2, 3)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1], ids=["nan", "inf", "negative"])
+    def test_hostile_value_in_row_17_of_40_raises(self, bad):
+        original = np.arange(50, 0, -1)
+        sampled = np.ones((40, 50), dtype=np.int64 if bad == -1 else float)
+        sampled[17, 23] = bad
+        with pytest.raises(ValueError, match="sampled"):
+            swapped_pair_counts(original, sampled, 3)
+
+    def test_rejects_misaligned_matrix(self):
+        with pytest.raises(ValueError, match="column"):
+            swapped_pair_counts(np.array([5, 4, 3]), np.ones((2, 4), dtype=np.int64), 1)
+        with pytest.raises(ValueError, match="column"):
+            swapped_pair_counts(np.array([5, 4, 3]), np.ones((2, 1, 3), dtype=np.int64), 1)
+
+    def test_int64_input_is_not_copied(self, rng):
+        """Beyond the sorted far rows (about the input's size), nothing input-sized is made."""
+        original = rng.integers(1, 10**6, size=3000)
+        sampled = rng.integers(0, 100, size=(40, 3000))
+        assert sampled.dtype == np.int64
+        _, peak = _traced(lambda: swapped_pair_counts(original, sampled, 10))
+        assert peak <= 1.5 * sampled.nbytes
+
+    def test_memory_stays_bounded_when_every_flow_is_a_top_flow(self, rng):
+        """t = N = 3000 over 40 streams: a (streams, t, t) broadcast would take ~1145x."""
+        original = rng.integers(1, 10**6, size=3000)
+        sampled = rng.integers(0, 100, size=(40, 3000))
+        counts, peak = _traced(lambda: swapped_pair_counts(original, sampled, 3000))
+        assert peak <= 4 * sampled.nbytes
+        assert counts.detection.tolist() == [0] * 40
+        expected = reference_swapped_pair_counts(original, sampled[7], 3000)
+        assert counts.ranking[7] == expected.ranking

@@ -5,10 +5,14 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles.metrics import reference_detection_swapped_pairs, reference_ranking_swapped_pairs
+from oracles.metrics import (
+    reference_detection_swapped_pairs,
+    reference_ranking_swapped_pairs,
+    reference_swapped_pair_counts,
+)
 
 from repro.core.gaussian import misranking_probability_gaussian
-from repro.core.metrics import swapped_pair_counts
+from repro.core.metrics import SwappedPairCounts, swapped_pair_counts
 from repro.core.misranking import misranking_probability_exact
 from repro.core.optimal_rate import optimal_rate_gaussian
 from repro.distributions import DiscreteFlowSizes, ParetoFlowSizes
@@ -143,6 +147,64 @@ class TestScorerMatchesOracle:
         )
         assert counts.ranking == reference_ranking_swapped_pairs(original, sampled, top_t)
         assert counts.detection == reference_detection_swapped_pairs(original, sampled, top_t)
+
+
+@st.composite
+def stream_bins(draw, sizes):
+    """A bin of 0-30 flows scored by 0-40 streams; sizes take at most 5 values each."""
+    n = draw(st.integers(min_value=0, max_value=30))
+    streams = draw(st.sampled_from((0, 1, 2, 7, 40)))
+    palette = draw(st.lists(sizes, min_size=1, max_size=5, unique=True))
+    sampled_palette = [0] + draw(st.lists(sizes, min_size=0, max_size=4, unique=True))
+    original = draw(st.lists(st.sampled_from(palette), min_size=n, max_size=n))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    sampled = np.random.default_rng(seed).choice(np.array(sampled_palette), size=(streams, n))
+    top_t = draw(st.integers(min_value=1, max_value=n + 3))
+    return np.array(original), sampled, top_t
+
+
+class TestBatchedScorerMatchesOracles:
+    """Every row of a (streams, flows) call equals the per-stream oracles.
+
+    Each row is checked against the loop oracle; the first three rows of
+    bins with N >= 2 and t <= N also against the double loops (which
+    are too slow for all 40).
+    """
+
+    @given(bin_=stream_bins(integer_sizes))
+    @settings(max_examples=150, deadline=None)
+    def test_integer_sizes(self, bin_):
+        self._check(*bin_)
+
+    @given(bin_=stream_bins(fractional_sizes))
+    @settings(max_examples=150, deadline=None)
+    def test_non_integer_float_sizes(self, bin_):
+        self._check(*bin_)
+
+    @staticmethod
+    def _check(original, sampled, top_t):
+        counts = swapped_pair_counts(original, sampled, top_t)
+        assert counts.ranking.shape == counts.detection.shape == (sampled.shape[0],)
+        assert counts.ranking.dtype == counts.detection.dtype == np.int64
+        for index, row in enumerate(sampled):
+            expected = reference_swapped_pair_counts(original, row, top_t)
+            assert counts.ranking[index] == expected.ranking
+            assert counts.detection[index] == expected.detection
+            assert (counts.top_t, counts.num_flows) == (expected.top_t, expected.num_flows)
+            if index < 3 and 2 <= original.size and top_t <= original.size:
+                assert counts.ranking[index] == reference_ranking_swapped_pairs(
+                    original, row, top_t
+                )
+                assert counts.detection[index] == reference_detection_swapped_pairs(
+                    original, row, top_t
+                )
+        if sampled.shape[0]:
+            single = swapped_pair_counts(original, sampled[0], top_t)
+            one_row = swapped_pair_counts(original, sampled[:1], top_t)
+            assert single == SwappedPairCounts(
+                int(one_row.ranking[0]), int(one_row.detection[0]), one_row.top_t, one_row.num_flows
+            )
+            assert single == reference_swapped_pair_counts(original, sampled[0], top_t)
 
 
 class TestDistributionProperties:

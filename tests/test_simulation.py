@@ -9,6 +9,7 @@ from oracles.metrics import reference_detection_swapped_pairs, reference_ranking
 from repro.core.metrics import swapped_pair_counts
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.pipeline import MetricSeries, Pipeline
+from repro.pipeline.executor import StreamOutcome, metric_series_for_stream
 from repro.traces import SyntheticTraceGenerator, sprint_like_config
 
 
@@ -75,6 +76,25 @@ class TestMetricSeries:
     def test_rejects_bad_shapes(self):
         with pytest.raises(ValueError):
             MetricSeries("ranking", 0.1, np.array([0.0]), np.array([1.0, 2.0]))
+
+    def test_rejects_unknown_problem(self):
+        with pytest.raises(ValueError, match="problem"):
+            MetricSeries("bogus", 0.1, np.array([0.0]), np.array([[1.0]]))
+
+    def test_executor_packaging_rejects_misspelt_problem(self):
+        """A misspelt "ranking" used to return the detection values under that label."""
+        outcome = StreamOutcome(
+            bin_start_times=np.array([0.0]),
+            flows_per_bin=3.0,
+            total_packets=9,
+            ranking_values=np.array([[1.0]]),
+            detection_values=np.array([[0.0]]),
+            evictions=np.zeros(1, dtype=np.int64),
+        )
+        with pytest.raises(ValueError, match="problem"):
+            metric_series_for_stream(outcome, "rankng", 0.1, slice(0, 1))
+        series = metric_series_for_stream(outcome, "ranking", 0.1, slice(0, 1))
+        assert series.values.tolist() == [[1.0]]
 
 
 class TestSimulationRunner:

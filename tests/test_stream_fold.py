@@ -3,10 +3,11 @@
 :func:`repro.pipeline.executor.run_stream` counts every stream's sampled
 packets in the truth engine's per-stream columns.  These tests check it
 equals :func:`oracles.stream.reference_run_stream` — the per-chunk
-``np.unique`` fold with sorted-union bin merges it replaced — bit for
+``np.unique`` fold with sorted-union bin merges it replaced, scoring each
+stream with the loop oracle, so the two share no scoring code — bit for
 bit across chunk sizes, key spaces (dense, prefix, and a probing table
 that rebuilds), the engine's generic segment path, every sampler kind,
-1 and 40 streams, and the serial and process backends.
+0, 1 and 40 streams, and the serial and process backends.
 """
 
 from __future__ import annotations
@@ -170,3 +171,12 @@ class TestFoldMatchesOracle:
         samplers = _build_samplers(plan.sampler_specs, plan.cells)
         outcome = run_stream(plan._chunks(), plan.groups, samplers, 60.0, plan.top_t)
         _assert_identical(outcome, _oracle(plan))
+
+    def test_zero_streams(self, small_trace):
+        """No streams still yields every bin, with (0, bins) metric arrays."""
+        plan = _plan(small_trace, "five-tuple", [SAMPLERS["bernoulli"]], 1, 4096, 60.0)
+        outcome = run_stream(plan._chunks(), plan.groups, [], 60.0, 2)
+        expected = reference_run_stream(plan._chunks(), plan.groups, [], 60.0, 2)
+        assert outcome.ranking_values.shape == (0, expected.bin_start_times.size)
+        assert expected.bin_start_times.size > 1
+        _assert_identical(outcome, expected)
