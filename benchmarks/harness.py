@@ -22,8 +22,9 @@ reporting the speedup, so a regression in determinism fails the harness
 rather than polluting the baseline.  The ratio gates time the library
 against the reference implementations kept as test oracles in
 ``tests/oracles`` (chunk assembly, sort-based group-by, the per-packet
-object-level monitor, the ``np.unique`` stream fold, the per-stream
-scoring loop), after the same bit-identity check.
+object-level monitor, unbounded and under heavy eviction, the
+``np.unique`` stream fold, the per-stream scoring loop), after the same
+bit-identity check.
 """
 
 from __future__ import annotations
@@ -252,6 +253,81 @@ def _accounts_identical(left, right) -> bool:
     return True
 
 
+def _sprint_workload(args: argparse.Namespace, quick_scale: float = 0.0):
+    """The sprint trace the accounting sections share, in default chunks.
+
+    The scale is at least 0.06 outside ``--quick``, so a full run
+    accounts over a million packets, and at least ``quick_scale`` with
+    it.  Returns the trace, its chunks, the five-tuple encoder and the
+    key code of every flow.
+    """
+    scale = max(args.scale, quick_scale if args.quick else 0.06)
+    generator = TRACES.create("sprint", scale=scale, duration=args.duration)
+    trace = generator.generate(rng=np.random.default_rng(args.seed))
+    chunks = list(
+        iter_expanded_chunks(
+            trace,
+            np.random.default_rng(args.seed),
+            chunk_packets=DEFAULT_CHUNK_PACKETS,
+            clip_to_duration=trace.duration,
+        )
+    )
+    policy = FiveTupleKeyPolicy()
+    encoder = policy.make_encoder()
+    codes = policy.keys_of_batch(
+        trace.src_ips,
+        trace.dst_ips,
+        trace.src_ports,
+        trace.dst_ports,
+        trace.protocols,
+        encoder=encoder,
+    )
+    return trace, chunks, encoder, codes
+
+
+def _flow_bins(accounts, encoder) -> list[FlowBin]:
+    """Engine accounts as the object-level table reports them."""
+    bins = []
+    for account in accounts:
+        flows = sorted(
+            (
+                FlowSummary(encoder.decode(int(c)), int(p), int(b), float(f), float(l))
+                for c, p, b, f, l in zip(
+                    account.codes,
+                    account.packets,
+                    account.bytes,
+                    account.first_seen,
+                    account.last_seen,
+                )
+            ),
+            key=ranking_sort_key,
+        )
+        bins.append(FlowBin(account.index, account.start_time, account.end_time, tuple(flows)))
+    return bins
+
+
+def _timed_object_table(trace, chunks, table: ObjectFlowTable):
+    """Feed ``chunks`` to ``table`` one Packet at a time; return (seconds, bins).
+
+    Packet construction happens outside the timer, so the time is the
+    table's accounting work alone.
+    """
+    five_tuples = [trace.five_tuple(index) for index in range(trace.num_flows)]
+    seconds = 0.0
+    for chunk in chunks:
+        packets = [
+            Packet(float(ts), five_tuples[int(fid)], int(size))
+            for ts, fid, size in zip(chunk.timestamps, chunk.flow_ids, chunk.sizes_bytes)
+        ]
+        start = time.perf_counter()
+        for packet in packets:
+            table.observe(packet)
+        seconds += time.perf_counter() - start
+    start = time.perf_counter()
+    bins = table.flush()
+    return seconds + time.perf_counter() - start, bins
+
+
 def bench_flow_accounting(args: argparse.Namespace) -> dict:
     """Monitor flow accounting: object-level oracle vs columnar engine.
 
@@ -264,28 +340,8 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
     the workload is at least a million packets so the speedup is
     measured where it matters.
     """
-    scale = args.scale if args.quick else max(args.scale, 0.06)
-    generator = TRACES.create("sprint", scale=scale, duration=args.duration)
-    trace = generator.generate(rng=np.random.default_rng(args.seed))
-    chunks = list(
-        iter_expanded_chunks(
-            trace,
-            np.random.default_rng(args.seed),
-            chunk_packets=DEFAULT_CHUNK_PACKETS,
-            clip_to_duration=trace.duration,
-        )
-    )
+    trace, chunks, encoder, codes = _sprint_workload(args)
     total_packets = sum(len(chunk) for chunk in chunks)
-    policy = FiveTupleKeyPolicy()
-    encoder = policy.make_encoder()
-    codes = policy.keys_of_batch(
-        trace.src_ips,
-        trace.dst_ips,
-        trace.src_ports,
-        trace.dst_ports,
-        trace.protocols,
-        encoder=encoder,
-    )
 
     def columnar(make_engine):
         engine = make_engine(60.0, order_key=encoder.order_key)
@@ -301,42 +357,9 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
             "FATAL: hash group-by diverges from the sort-based oracle — kernel regression"
         )
 
-    # Object path: the same stream, one Packet at a time.  Object
-    # construction happens outside the timer so both paths are timed on
-    # accounting work alone.
-    five_tuples = [trace.five_tuple(index) for index in range(trace.num_flows)]
-    table = ObjectFlowTable(60.0)
-    object_seconds = 0.0
-    for chunk in chunks:
-        packets = [
-            Packet(float(ts), five_tuples[int(fid)], int(size))
-            for ts, fid, size in zip(chunk.timestamps, chunk.flow_ids, chunk.sizes_bytes)
-        ]
-        start = time.perf_counter()
-        for packet in packets:
-            table.observe(packet)
-        object_seconds += time.perf_counter() - start
-    start = time.perf_counter()
-    bins = table.flush()
-    object_seconds += time.perf_counter() - start
-
-    def to_flow_bin(account) -> FlowBin:
-        flows = sorted(
-            (
-                FlowSummary(encoder.decode(int(c)), int(p), int(b), float(f), float(l))
-                for c, p, b, f, l in zip(
-                    account.codes,
-                    account.packets,
-                    account.bytes,
-                    account.first_seen,
-                    account.last_seen,
-                )
-            ),
-            key=ranking_sort_key,
-        )
-        return FlowBin(account.index, account.start_time, account.end_time, tuple(flows))
-
-    identical = [to_flow_bin(account) for account in accounts] == bins
+    # Object path: the same stream, one Packet at a time.
+    object_seconds, bins = _timed_object_table(trace, chunks, ObjectFlowTable(60.0))
+    identical = _flow_bins(accounts, encoder) == bins
     if not identical:
         raise SystemExit(
             "FATAL: columnar accounting diverges from the object path — equivalence regression"
@@ -433,34 +456,14 @@ def bench_batch_transport(args: argparse.Namespace) -> dict:
 def _accumulator_workload(args: argparse.Namespace):
     """Chunks, flow groups and stream samplers of the accumulator workload.
 
-    A sprint trace (scale at least 0.06 outside ``--quick``) in default
-    chunks under the five-tuple key, streamed by the paper sweep's
-    streams: one Bernoulli sampler per rate and run.  Returns the chunks,
-    the group of each flow, and a factory of fresh samplers.
+    The shared sprint workload under the five-tuple key, streamed by the
+    paper sweep's streams: one Bernoulli sampler per rate and run.
+    Returns the chunks, the group of each flow, and a factory of fresh
+    samplers.
     """
     from repro.sampling import BernoulliSampler
 
-    scale = args.scale if args.quick else max(args.scale, 0.06)
-    generator = TRACES.create("sprint", scale=scale, duration=args.duration)
-    trace = generator.generate(rng=np.random.default_rng(args.seed))
-    chunks = list(
-        iter_expanded_chunks(
-            trace,
-            np.random.default_rng(args.seed),
-            chunk_packets=DEFAULT_CHUNK_PACKETS,
-            clip_to_duration=trace.duration,
-        )
-    )
-    policy = FiveTupleKeyPolicy()
-    encoder = policy.make_encoder()
-    groups = policy.keys_of_batch(
-        trace.src_ips,
-        trace.dst_ips,
-        trace.src_ports,
-        trace.dst_ports,
-        trace.protocols,
-        encoder=encoder,
-    )
+    _, chunks, _, groups = _sprint_workload(args)
     rates = [rate for rate in SWEEP_RATES for _ in range(args.runs)]
 
     def samplers():
@@ -568,6 +571,72 @@ def bench_scoring(args: argparse.Namespace) -> dict:
         "batched_seconds": round(batched_seconds, 4),
         "reference_seconds": round(reference_seconds, 4),
         "speedup": round(reference_seconds / batched_seconds, 2) if batched_seconds else None,
+        "bit_identical": identical,
+    }
+
+
+#: Sampling rate and flow-table bound of the ``bounded_monitor`` section.
+BOUNDED_RATE = 0.1
+BOUNDED_MAX_FLOWS = 200
+
+
+def bench_bounded_monitor(args: argparse.Namespace) -> dict:
+    """The bounded monitor under heavy eviction: engine vs the object-level oracle.
+
+    Samples the shared sprint workload at p = 0.1 and feeds the kept
+    packets, keyed by five-tuple, to a ``max_flows=200``
+    ``FlowAccountingEngine`` and to the per-packet ``ObjectFlowTable`` of
+    ``tests/oracles/objectpath.py``.  Most admitted flows are evicted
+    again, so nearly every segment takes the engine's per-packet replay.
+    Exits FATAL unless the bins and eviction counts are identical, then
+    records both times and ``speedup`` (oracle over engine).
+    """
+    from repro.flows.packets import PacketBatch
+    from repro.sampling import BernoulliSampler
+
+    # Quick runs too must overflow the table: 0.02 of the backbone flow
+    # rate fills it many times over in every bin.
+    trace, chunks, encoder, codes = _sprint_workload(args, quick_scale=0.02)
+    sampler = BernoulliSampler(BOUNDED_RATE, rng=np.random.default_rng(args.seed))
+    sampled = []
+    for chunk in chunks:
+        kept = np.flatnonzero(sampler.sample_mask(chunk))
+        sampled.append(
+            PacketBatch(
+                chunk.timestamps[kept], chunk.flow_ids[kept], chunk.sizes_bytes[kept]
+            )
+        )
+    packets = sum(len(batch) for batch in sampled)
+
+    def engine_pass():
+        engine = FlowAccountingEngine(
+            60.0, max_flows=BOUNDED_MAX_FLOWS, order_key=encoder.order_key
+        )
+        for batch in sampled:
+            engine.observe_batch(batch, codes)
+        return engine.flush(), engine.evictions
+
+    engine_seconds, (accounts, evictions) = _timed(engine_pass)
+    engine_seconds = min(engine_seconds, _timed(engine_pass)[0])
+    table = ObjectFlowTable(60.0, max_flows=BOUNDED_MAX_FLOWS)
+    object_seconds, bins = _timed_object_table(trace, sampled, table)
+    identical = _flow_bins(accounts, encoder) == bins and evictions == table.evictions
+    if not identical:
+        raise SystemExit(
+            "FATAL: the bounded engine diverges from the object-level monitor — "
+            "eviction regression"
+        )
+    admitted = evictions + sum(len(flow_bin.flows) for flow_bin in bins)
+    return {
+        "packets": packets,
+        "sampling_rate": BOUNDED_RATE,
+        "max_flows": BOUNDED_MAX_FLOWS,
+        "bins": len(bins),
+        "evictions": evictions,
+        "evict_ratio": round(evictions / admitted, 4) if admitted else None,
+        "engine_seconds": round(engine_seconds, 4),
+        "object_seconds": round(object_seconds, 4),
+        "speedup": round(object_seconds / engine_seconds, 2) if engine_seconds else None,
         "bit_identical": identical,
     }
 
@@ -924,6 +993,16 @@ def main(argv: list[str] | None = None) -> int:
             f"{scoring['flows_per_bin']:,} flows: batched {scoring['batched_seconds']}s vs "
             f"per-stream loop {scoring['reference_seconds']}s -> {scoring['speedup']}x "
             "(bit-identical)"
+        )
+
+    if wanted("bounded_monitor"):
+        print(f"bounded     ... ", end="", flush=True)
+        report["results"]["bounded_monitor"] = bounded = bench_bounded_monitor(args)
+        print(
+            f"{bounded['packets']:,} sampled packets, max_flows {bounded['max_flows']}, "
+            f"{bounded['evictions']:,} evictions (ratio {bounded['evict_ratio']}): engine "
+            f"{bounded['engine_seconds']}s vs object table {bounded['object_seconds']}s -> "
+            f"{bounded['speedup']}x (bit-identical)"
         )
 
     if wanted("end_to_end"):

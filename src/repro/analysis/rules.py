@@ -610,9 +610,8 @@ class NonAtomicWriteRule(Rule):
 _HOT_PATH_MODULES = frozenset({"repro.flows.accounting", "repro.flows.groupby"})
 
 #: The sort-based group-by functions — exempt from REP205 by design:
-#: the bounded table's eviction replay needs the per-code packet
-#: positions only a stable sort yields, so their sorts are the point,
-#: not a regression.
+#: the bounded table folds a segment that cannot overflow it through
+#: them, so their sorts are the point, not a regression.
 _SORT_GROUPBY_FUNCTIONS = frozenset({"sort_group_index", "aggregate_codes"})
 
 #: Call leaf names that perform an O(N log N) sort-based group-by.

@@ -21,10 +21,10 @@ the flow table is full.  This module is that monitor over
   against the bin edges that avoids materialising per-packet bin
   indices;
 * the ``max_flows`` bound is honoured *exactly*: a chunk segment that
-  cannot overflow the table is folded in vectorised, and only when the
-  bound may bind does the engine fall back to an event-driven replay
-  that batch-applies the increments between consecutive new-flow
-  arrivals — reproducing the per-packet eviction sequence bit for bit.
+  cannot overflow the table is folded in vectorised, and a segment
+  where the bound may bind is replayed packet by packet over its
+  ``tolist()`` columns, evicting through a lazy min-heap with one entry
+  per tracked flow — the per-packet eviction sequence, bit for bit.
 
 The engine is chunk-size invariant: feeding a packet stream in one
 chunk or a thousand produces identical bins, rankings and eviction
@@ -44,24 +44,36 @@ all three).
 from __future__ import annotations
 
 import heapq
+import operator
 from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import count
 
 import numpy as np
 
-from .groupby import HashAccumulator, aggregate_codes, sort_group_index
+from .groupby import HashAccumulator, aggregate_codes
 from .packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
-
-#: Rebuild a bounded table's lazy eviction heap when it holds more than
-#: ``_HEAP_SLACK + _HEAP_GROWTH x`` live records (stale-entry cleanup).
-_HEAP_SLACK = 64
-_HEAP_GROWTH = 8
 
 #: Timestamps at or above 2^52 lose the integer resolution the
 #: searchsorted bin-edge fast path relies on; such chunks (never seen
 #: in practice) take the generic per-packet bin-index path instead.
 _FAST_PATH_MAX_TIMESTAMP = float(1 << 52)
+
+
+def _checked_max_flows(max_flows: int | None) -> int | None:
+    """``max_flows`` as an ``int`` of at least 1, or ``None`` (unbounded).
+
+    A non-integer bound (``2.5``) raises :class:`TypeError` instead of
+    being rounded down, and a bound below 1 raises :class:`ValueError`.
+    """
+    if max_flows is None:
+        return None
+    try:
+        bound = operator.index(max_flows)
+    except TypeError:
+        raise TypeError(f"max_flows must be an integer, got {max_flows!r}") from None
+    if bound < 1:
+        raise ValueError(f"max_flows must be at least 1 when given, got {max_flows!r}")
+    return bound
 
 
 def bin_segments(bin_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -219,22 +231,23 @@ class _BoundedBin:
     """Open-bin accumulator with a ``max_flows`` bound and smallest-flow eviction.
 
     Per-flow state is a ``code -> [packets, bytes, first, last]`` dict
-    plus a lazy min-heap of ``(packets, order_key(code), seq, code)``
-    entries: every count change pushes a fresh entry, eviction pops
-    until it finds an entry matching the live record (stale entries are
-    discarded), so each eviction costs O(log n) amortised instead of
-    an O(n) min-scan.
+    plus a lazy min-heap holding exactly one ``(packets, order_key(code),
+    code)`` entry per tracked flow, pushed when the flow is inserted.
+    Counts only grow while a flow is tracked, so an entry's count is at
+    most its flow's live count.  Eviction pops the smallest entry: one
+    whose count is out of date goes back with the live count, one that
+    is up to date is the smallest flow — O(log n) amortised, with no
+    stale entries to clean up.
     """
 
-    __slots__ = ("max_flows", "order_key", "table", "heap", "evictions", "_seq")
+    __slots__ = ("max_flows", "order_key", "table", "heap", "evictions")
 
     def __init__(self, max_flows: int, order_key: Callable[[int], object]) -> None:
-        self.max_flows = int(max_flows)
+        self.max_flows = max_flows
         self.order_key = order_key
         self.table: dict[int, list] = {}
         self.heap: list = []
         self.evictions = 0
-        self._seq = count()
 
     def clear(self) -> None:
         self.table.clear()
@@ -244,9 +257,6 @@ class _BoundedBin:
     def num_flows(self) -> int:
         return len(self.table)
 
-    def _push(self, code: int, record: list) -> None:
-        heapq.heappush(self.heap, (record[0], self.order_key(code), next(self._seq), code))
-
     def evict_smallest(self) -> int:
         """Remove the smallest tracked flow and return its code.
 
@@ -254,127 +264,70 @@ class _BoundedBin:
         broken by the key order (for object keys,
         :func:`repro.flows.keys.flow_key_order`).
         """
-        while self.heap:
-            packets, _, _, code = heapq.heappop(self.heap)
-            record = self.table.get(code)
-            if record is not None and record[0] == packets:
+        heap = self.heap
+        while heap:
+            packets, key, code = heap[0]
+            live = self.table[code][0]
+            if live == packets:
+                heapq.heappop(heap)
                 del self.table[code]
                 self.evictions += 1
                 return code
+            heapq.heapreplace(heap, (live, key, code))
         raise ValueError("cannot evict from an empty flow table")
-
-    def _compact_heap(self) -> None:
-        if len(self.heap) > _HEAP_SLACK + _HEAP_GROWTH * len(self.table):
-            self.heap = [
-                (record[0], self.order_key(code), next(self._seq), code)
-                for code, record in self.table.items()
-            ]
-            heapq.heapify(self.heap)
-
-    def _upsert(self, code: int, packets: int, size_bytes: int, first: float, last: float) -> None:
-        record = self.table.get(code)
-        if record is None:
-            record = [packets, size_bytes, first, last]
-            self.table[code] = record
-        else:
-            record[0] += packets
-            record[1] += size_bytes
-            if first < record[2]:
-                record[2] = first
-            if last > record[3]:
-                record[3] = last
-        self._push(code, record)
 
     def apply(self, timestamps: np.ndarray, codes: np.ndarray, sizes: np.ndarray) -> None:
         if codes.size == 0:
             return
+        table = self.table
         unique, packets, byte_sums, first, last = aggregate_codes(codes, timestamps, sizes)
-        new_flows = sum(1 for code in unique if int(code) not in self.table)
-        if len(self.table) + new_flows <= self.max_flows:
-            # The table cannot overflow within this segment, so the
-            # per-packet replay would evict nothing: fold the
-            # aggregates in directly.
-            for position in range(unique.size):
-                self._upsert(
-                    int(unique[position]),
-                    int(packets[position]),
-                    int(byte_sums[position]),
-                    float(first[position]),
-                    float(last[position]),
-                )
-        else:
-            self._apply_with_evictions(timestamps, codes, sizes)
-        self._compact_heap()
+        unique_codes = unique.tolist()
+        new_flows = sum(1 for code in unique_codes if code not in table)
+        if len(table) + new_flows > self.max_flows:
+            self._replay(timestamps.tolist(), codes.tolist(), sizes.tolist())
+            return
+        # The table cannot overflow within this segment, so the replay
+        # would evict nothing: fold the aggregates in directly.
+        for code, count, size_bytes, low, high in zip(
+            unique_codes, packets.tolist(), byte_sums.tolist(), first.tolist(), last.tolist()
+        ):
+            record = table.get(code)
+            if record is None:
+                table[code] = [count, size_bytes, low, high]
+                heapq.heappush(self.heap, (count, self.order_key(code), code))
+            else:
+                record[0] += count
+                record[1] += size_bytes
+                if low < record[2]:
+                    record[2] = low
+                if high > record[3]:
+                    record[3] = high
 
-    def _apply_with_evictions(
-        self, timestamps: np.ndarray, codes: np.ndarray, sizes: np.ndarray
-    ) -> None:
-        """Exact replay of the per-packet semantics for one segment.
+    def _replay(self, timestamps: list, codes: list, sizes: list) -> None:
+        """Account one segment packet by packet, the monitor's own semantics.
 
-        Only two kinds of packet can change *which* flows are tracked:
-        the first packet of a currently-untracked flow (an *arrival*,
-        which may evict) and packets of flows evicted later in the
-        segment (which become arrivals again).  Everything between two
-        consecutive arrivals is increments to tracked flows and is
-        applied in one vectorised batch, so the Python-level work is
-        proportional to the number of arrivals, not packets.
+        A packet of a tracked flow updates its record; a packet of an
+        untracked flow first evicts the smallest flow when the table is
+        full, then starts a fresh record.
         """
-        order, sorted_codes, run_starts = sort_group_index(codes)
-        starts = np.append(run_starts, codes.size)
-        positions: dict[int, np.ndarray] = {}
-        pointer: dict[int, int] = {}
-        arrivals: list[tuple[int, int]] = []
-        for segment in range(starts.size - 1):
-            code = int(sorted_codes[starts[segment]])
-            code_positions = order[starts[segment] : starts[segment + 1]]
-            positions[code] = code_positions
-            pointer[code] = 0
-            if code not in self.table:
-                arrivals.append((int(code_positions[0]), code))
-        heapq.heapify(arrivals)
-
-        def apply_increments(lo: int, hi: int) -> None:
-            if lo >= hi:
-                return
-            for code in np.unique(codes[lo:hi]):
-                code = int(code)
-                code_positions = positions[code]
-                begin = pointer[code]
-                end = int(np.searchsorted(code_positions, hi, side="left"))
-                if end <= begin:
-                    continue
-                span = code_positions[begin:end]
-                record = self.table[code]
-                record[0] += end - begin
-                record[1] += int(sizes[span].sum())
-                first = float(timestamps[span].min())
-                last = float(timestamps[span].max())
-                if first < record[2]:
-                    record[2] = first
-                if last > record[3]:
-                    record[3] = last
-                pointer[code] = end
-                self._push(code, record)
-
-        cursor = 0
-        while arrivals:
-            event, code = heapq.heappop(arrivals)
-            apply_increments(cursor, event)
-            if len(self.table) >= self.max_flows:
-                evicted = self.evict_smallest()
-                evicted_positions = positions.get(evicted)
-                if evicted_positions is not None:
-                    resume = int(np.searchsorted(evicted_positions, event, side="right"))
-                    pointer[evicted] = resume
-                    if resume < evicted_positions.size:
-                        # The evicted flow re-arrives at its next packet.
-                        heapq.heappush(arrivals, (int(evicted_positions[resume]), evicted))
-            record = [1, int(sizes[event]), float(timestamps[event]), float(timestamps[event])]
-            self.table[code] = record
-            self._push(code, record)
-            pointer[code] = int(np.searchsorted(positions[code], event, side="right"))
-            cursor = event + 1
-        apply_increments(cursor, codes.size)
+        table = self.table
+        heap = self.heap
+        order_key = self.order_key
+        max_flows = self.max_flows
+        for code, size, timestamp in zip(codes, sizes, timestamps):
+            record = table.get(code)
+            if record is None:
+                if len(table) >= max_flows:
+                    self.evict_smallest()
+                table[code] = [1, size, timestamp, timestamp]
+                heapq.heappush(heap, (1, order_key(code), code))
+            else:
+                record[0] += 1
+                record[1] += size
+                if timestamp < record[2]:
+                    record[2] = timestamp
+                if timestamp > record[3]:
+                    record[3] = timestamp
 
     def account(self, index: int, bin_duration: float) -> BinAccount:
         sorted_codes = np.sort(np.fromiter(self.table.keys(), dtype=np.int64, count=len(self.table)))
@@ -399,9 +352,10 @@ class FlowAccountingEngine:
     bin_duration:
         Measurement interval length in seconds.
     max_flows:
-        Optional bound on simultaneously tracked flows; when a new flow
-        arrives at a full table the smallest tracked flow is evicted
-        (fewest packets, ties by ``order_key``).  ``None`` means
+        Optional bound on simultaneously tracked flows, an integer of at
+        least 1 (a non-integer raises :class:`TypeError`); when a new
+        flow arrives at a full table the smallest tracked flow is
+        evicted (fewest packets, ties by ``order_key``).  ``None`` means
         unbounded, which is the fully vectorised fast path.
     order_key:
         Maps a key code to a comparable used for eviction tie-breaks.
@@ -431,8 +385,7 @@ class FlowAccountingEngine:
     ) -> None:
         if bin_duration <= 0:
             raise ValueError(f"bin_duration must be positive, got {bin_duration}")
-        if max_flows is not None and max_flows < 1:
-            raise ValueError("max_flows must be at least 1 when given")
+        max_flows = _checked_max_flows(max_flows)
         self.bin_duration = float(bin_duration)
         self.max_flows = max_flows
         order = order_key if order_key is not None else (lambda code: code)

@@ -16,10 +16,9 @@ key codes.  This module holds the kernels that perform that reduction:
   code→slot map.
 * :func:`aggregate_codes` / :func:`sort_group_index` — a stable
   ``argsort`` + ``reduceat`` group-by of one segment.  The bounded
-  engine's eviction replay needs the per-code packet positions this
-  sort yields, so these two functions are the designated home of the
-  sorts that reprolint rule ``REP205`` bans elsewhere on the
-  accounting path.
+  engine folds a segment that cannot overflow its table through it, so
+  these two functions are the designated home of the sorts that
+  reprolint rule ``REP205`` bans elsewhere on the accounting path.
 
 The kernels are pure NumPy.  The hash accumulator is bit-identical to
 a sort-based group-by by construction: packet counts and byte sums are

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .accounting import BinAccount, FlowAccountingEngine
+from .accounting import BinAccount, FlowAccountingEngine, _checked_max_flows
 from .keys import FiveTupleKeyPolicy, FlowKeyPolicy
 from .packets import Packet
 from .records import FlowSummary, ranking_sort_key
@@ -80,7 +80,8 @@ class BinnedFlowTable:
     key_policy:
         Flow definition.
     max_flows:
-        Optional bound on the number of simultaneously tracked flows.
+        Optional bound on the number of simultaneously tracked flows, an
+        integer of at least 1 (a non-integer raises :class:`TypeError`).
         When the table is full and a new flow arrives, the currently
         smallest tracked flow is evicted (the strategy the paper's
         related work uses to bound memory).  ``None`` means unbounded.
@@ -94,8 +95,7 @@ class BinnedFlowTable:
     ) -> None:
         if bin_duration <= 0:
             raise ValueError(f"bin_duration must be positive, got {bin_duration}")
-        if max_flows is not None and max_flows < 1:
-            raise ValueError("max_flows must be at least 1 when given")
+        max_flows = _checked_max_flows(max_flows)
         self.bin_duration = float(bin_duration)
         self.max_flows = max_flows
         self.key_policy = key_policy if key_policy is not None else FiveTupleKeyPolicy()

@@ -1,10 +1,10 @@
 """Chunked streaming execution of sampling experiments.
 
-The legacy runner materialises the whole expanded packet trace (tens of
-millions of packets at backbone scale) before evaluating anything.  The
-executor in this module instead iterates the expansion **chunk by
-chunk**, in global *time order*, and finalises every measurement bin as
-soon as the stream has moved past it — so peak memory scales with the
+Materialising the expanded packet trace holds every packet in memory
+at once — tens of millions at backbone scale.  The executor in this
+module instead iterates the expansion **chunk by chunk**, in global
+*time order*, and finalises every measurement bin as soon as the
+stream has moved past it — so peak memory scales with the
 packets in flight (the current chunk plus the tails of still-active
 flows) and the flow counts of still-open bins, never with the total
 packet count or the number of bins in the trace.
@@ -64,7 +64,7 @@ import numpy as np
 
 from .. import telemetry
 from ..core.metrics import SwappedPairCounts, _checked_top_t, swapped_pair_counts
-from ..flows.accounting import BinAccount, FlowAccountingEngine
+from ..flows.accounting import BinAccount, FlowAccountingEngine, _checked_max_flows
 from ..flows.packets import PacketBatch
 from ..sampling.base import PacketSampler
 from .result import MetricSeries
@@ -134,8 +134,8 @@ def run_stream(
         Number of top flows to rank/detect, an integer of at least 1 (a
         bin with fewer flows ranks all of them).
     max_flows:
-        Flow-memory bound of each stream's monitor (``None`` =
-        unbounded).
+        Flow-memory bound of each stream's monitor, an integer of at
+        least 1 (``None`` = unbounded).
 
     Returns
     -------
@@ -147,11 +147,12 @@ def run_stream(
     Raises
     ------
     TypeError
-        When ``top_t`` is not an integer (checked before any chunk is
-        read).
+        When ``top_t`` or ``max_flows`` is not an integer (checked
+        before any chunk is read).
     ValueError
-        When ``bin_duration`` is not positive or ``top_t < 1`` (checked
-        before any chunk is read), or on malformed chunks.
+        When ``bin_duration`` is not positive, ``top_t < 1`` or
+        ``max_flows < 1`` (checked before any chunk is read), or on
+        malformed chunks.
     OverflowError
         When a timestamp's bin index does not fit ``int64`` (a
         ``bin_duration`` far too small for the trace).
@@ -159,6 +160,7 @@ def run_stream(
     if bin_duration <= 0:
         raise ValueError("bin_duration must be positive")
     top_t = _checked_top_t(top_t)
+    max_flows = _checked_max_flows(max_flows)
     groups = np.asarray(group_of_flow, dtype=np.int64)
     if groups.ndim != 1:
         raise ValueError("group_of_flow must be a 1-D array")
@@ -240,11 +242,14 @@ def run_stream(
         with telemetry.span("stream.account"):
             codes = groups.take(chunk.flow_ids)
             const_size = int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
+            dense = truth.reserve_codes(group_low, group_high)
+            if telemetry.enabled:
+                telemetry.gauge("stream.addressing", "dense" if dense else "probing")
             truth.observe_sorted_chunk(
                 timestamps,
                 codes,
                 sizes,
-                in_bounds=truth.reserve_codes(group_low, group_high),
+                in_bounds=dense,
                 const_size=const_size,
                 keep_masks=None if monitors else keep,
             )

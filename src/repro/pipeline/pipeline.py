@@ -64,6 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry
+from ..flows.accounting import _checked_max_flows
 from ..flows.keys import FlowKeyPolicy
 from ..registry import KEY_POLICIES, SAMPLERS, TRACES, accepts_rng, parse_spec
 from ..sampling.base import PacketSampler
@@ -473,8 +474,9 @@ class Pipeline:
         Parameters
         ----------
         max_flows:
-            Flow-memory bound of each stream's monitor; ``None`` means
-            unbounded.
+            Flow-memory bound of each stream's monitor, an integer of at
+            least 1 (a non-integer raises :class:`TypeError`); ``None``
+            means unbounded.
         enabled:
             Pass ``False`` to switch monitor mode back off.
 
@@ -483,10 +485,8 @@ class Pipeline:
         Pipeline
             ``self``, for chaining.
         """
-        if max_flows is not None and int(max_flows) < 1:
-            raise ValueError("max_flows must be at least 1 when given")
+        self._monitor_max_flows = _checked_max_flows(max_flows)
         self._monitor = bool(enabled)
-        self._monitor_max_flows = None if max_flows is None else int(max_flows)
         return self
 
     # ------------------------------------------------------------------
@@ -623,6 +623,12 @@ class Pipeline:
         result packaging; call this directly to inspect or dispatch the
         cells yourself.
 
+        Sparse flow-group ids (a span of at least the number of flows,
+        as /24 prefix codes have) are replaced by their order-preserving
+        ranks, so the truth engine and every monitor address a dense
+        table.  Ranks keep the ids' order, so every tie breaks as it
+        would on the raw ids and results do not change.
+
         Returns
         -------
         ExecutionPlan
@@ -633,7 +639,7 @@ class Pipeline:
         num_specs = len(self._samplers)
         children = seed_sequence.spawn(2 + num_specs * self._num_runs)
         source = self._resolve_source(np.random.default_rng(children[0]))
-        groups = source.group_ids(self._resolve_key_policy())
+        groups = _dense_groups(source.group_ids(self._resolve_key_policy()))
 
         cells: list[Cell] = []
         for spec_index in range(num_specs):
@@ -764,6 +770,13 @@ class Pipeline:
             plan.top_t,
             max_flows=self._monitor_max_flows,
         )
+
+
+def _dense_groups(groups: np.ndarray) -> np.ndarray:
+    """``groups``, or their order-preserving ranks when the ids are sparse."""
+    if groups.size and int(groups.max()) - int(groups.min()) >= groups.size:
+        return np.unique(groups, return_inverse=True)[1].astype(np.int64, copy=False)
+    return groups
 
 
 def _normalise_parallel(

@@ -78,6 +78,7 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 import numpy as np
 
 from . import __version__, telemetry
+from .flows.accounting import _checked_max_flows
 from .pipeline.pipeline import Pipeline
 from .pipeline.result import PipelineResult
 from .spec import canonical_spec
@@ -105,6 +106,10 @@ class RunSpec:
     size, execution backend, worker count) are intentionally absent:
     the executor guarantees bit-identical results across them, so they
     must not fragment the cache.
+
+    ``max_flows``, when given, must be an integer of at least 1: a
+    non-integer raises :class:`TypeError` rather than keying a run whose
+    monitor would silently round it down.
     """
 
     samplers: tuple[str, ...]
@@ -132,6 +137,7 @@ class RunSpec:
                 "a stored run must be seeded: seed=None draws fresh entropy and "
                 "could never be reproduced from its cache key"
             )
+        _checked_max_flows(self.max_flows)
 
     # ------------------------------------------------------------------
     def canonical(self) -> "RunSpec":

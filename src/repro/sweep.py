@@ -55,6 +55,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import telemetry
+from .flows.accounting import _checked_max_flows
 from .pipeline.parallel import probe_process_spawn
 from .spec import format_spec, parse_spec
 from .store import Lease, RunSpec, RunStore, StoredRun, _atomic_write_text
@@ -86,7 +87,8 @@ class SweepGrid:
 
     The remaining fields (``key``, ``bin_duration``, ``top_t``,
     ``num_runs``, ``monitor``, ``max_flows``) are fixed across the grid
-    and map straight onto :class:`~repro.store.RunSpec`.
+    and map straight onto :class:`~repro.store.RunSpec`; ``max_flows``,
+    when given, must be an integer of at least 1.
     """
 
     scenarios: tuple[str, ...] = ()
@@ -113,6 +115,7 @@ class SweepGrid:
             raise ValueError("a sweep grid needs at least one sampler spec")
         if not self.seeds:
             raise ValueError("a sweep grid needs at least one seed")
+        _checked_max_flows(self.max_flows)
 
     # ------------------------------------------------------------------
     @property

@@ -7,6 +7,11 @@ at a time.  This is the object-level monitor the columnar
 :class:`~repro.flows.accounting.FlowAccountingEngine` and
 :class:`~repro.flows.table.BinnedFlowTable` must match bit for bit:
 same bins, rankings and eviction counts.
+
+The oracle shares no eviction code with the library: its heap takes a
+fresh entry on every record update and is rebuilt from the live records
+when it outgrows them (:data:`HEAP_SLACK`, :data:`HEAP_GROWTH`), where
+the library keeps exactly one entry per tracked flow.
 """
 
 from __future__ import annotations
@@ -15,12 +20,16 @@ import heapq
 from collections.abc import Iterable, Sequence
 from itertools import count
 
-from repro.flows.accounting import _HEAP_GROWTH, _HEAP_SLACK
 from repro.flows.groupby import aggregate_codes
 from repro.flows.keys import FiveTuple, FiveTupleKeyPolicy, FlowKeyPolicy, flow_key_order
 from repro.flows.packets import Packet, PacketBatch
 from repro.flows.records import FlowRecord, FlowSummary, ranking_sort_key
 from repro.flows.table import FlowBin
+
+#: Rebuild the lazy eviction heap when it holds more than
+#: ``HEAP_SLACK + HEAP_GROWTH x`` live records (stale-entry cleanup).
+HEAP_SLACK = 64
+HEAP_GROWTH = 8
 
 
 class FlowClassifier:
@@ -132,7 +141,7 @@ class FlowClassifier:
             if record is not None and record.packets == packets:
                 summary = record.freeze()
                 del self._records[key]
-                if len(self._heap) > _HEAP_SLACK + _HEAP_GROWTH * len(self._records):
+                if len(self._heap) > HEAP_SLACK + HEAP_GROWTH * len(self._records):
                     self._heap = []
                     for live_key, live_record in self._records.items():
                         self._heap_push(live_key, live_record)

@@ -7,7 +7,9 @@ same rankings, same eviction counts — for any packet stream, any
 chunking, with and without a ``max_flows`` bound.  The
 property-based tests here generate adversarial streams (tiny key
 spaces, colliding counts, binding memory bounds) and assert exactly
-that.
+that.  The file also checks the bounded table's one-entry-per-flow
+eviction heap, and that ``max_flows`` is an integer of at least 1 at
+every entry point.
 """
 
 from __future__ import annotations
@@ -18,9 +20,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.objectpath import FlowClassifier, ObjectFlowTable
 
+from repro.cli import main
 from repro.flows.accounting import (
     BinAccount,
     FlowAccountingEngine,
+    _BoundedBin,
     aggregate_codes,
     bin_segments,
 )
@@ -33,6 +37,10 @@ from repro.flows.keys import (
 from repro.flows.packets import Packet, PacketBatch
 from repro.flows.records import FlowSummary, ranking_sort_key
 from repro.flows.table import BinnedFlowTable
+from repro.pipeline import Pipeline
+from repro.pipeline.executor import run_stream
+from repro.store import RunSpec, store_key
+from repro.sweep import SweepGrid
 
 
 # ----------------------------------------------------------------------
@@ -170,6 +178,69 @@ class TestObjectColumnarEquivalence:
                 assert tables["columnar"].evictions == tables["object"].evictions
         assert tables["columnar"].flush() == tables["object"].flush()
         assert tables["columnar"].evictions == tables["object"].evictions
+
+    @given(
+        seed=st.integers(0, 10_000),
+        num_packets=st.integers(1_500, 2_500),
+        num_flows=st.integers(9, 60),
+        max_flows=st.integers(1, 8),
+        chunk=st.integers(1, 800),
+        prefix=st.booleans(),
+    )
+    @settings(max_examples=30, deadline=None)
+    def test_heavy_eviction_with_unsorted_bins_matches_object_table(
+        self, seed, num_packets, num_flows, max_flows, chunk, prefix
+    ):
+        """Tables far too small for their flows, counts that tie all the
+        time, and timestamps shuffled within each bin, fed through
+        ``observe_chunk``: identical bins and eviction counts."""
+        policy = DestinationPrefixKeyPolicy(12) if prefix else FiveTupleKeyPolicy()
+        five_tuples = _flow_universe(num_flows, seed)
+        timestamps, flow_ids, _ = _stream(num_packets, num_flows, 45.0, seed + 1)
+        rng = np.random.default_rng(seed + 2)
+        # Bin indices stay non-decreasing; the order inside a bin is random.
+        timestamps = timestamps[np.lexsort((rng.random(num_packets), timestamps // 10.0))]
+        sizes = rng.choice(np.array([40, 1500]), num_packets)
+
+        reference_bins, reference_evictions = _run_object_table(
+            timestamps, flow_ids, sizes, five_tuples, policy, max_flows
+        )
+
+        encoder = policy.make_encoder()
+        codes = policy.keys_of_batch(*_columns(five_tuples), encoder=encoder)[flow_ids]
+        engine = FlowAccountingEngine(10.0, max_flows=max_flows, order_key=encoder.order_key)
+        for lo in range(0, num_packets, chunk):
+            engine.observe_chunk(
+                timestamps[lo : lo + chunk], codes[lo : lo + chunk], sizes[lo : lo + chunk]
+            )
+        accounts = engine.flush()
+
+        assert reference_evictions > 0
+        assert _accounts_to_bins(accounts, encoder) == reference_bins
+        assert engine.evictions == reference_evictions
+
+    @given(
+        seed=st.integers(0, 10_000),
+        max_flows=st.integers(1, 8),
+        segments=st.lists(st.integers(1, 60), min_size=1, max_size=12),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_bounded_heap_holds_one_entry_per_tracked_flow(self, seed, max_flows, segments):
+        """After any ``apply`` (fold or replay) the eviction heap holds exactly
+        one entry per tracked flow, never above its live count, and
+        evicts the true smallest flow."""
+        rng = np.random.default_rng(seed)
+        table = _BoundedBin(max_flows, lambda code: code)
+        for size in segments:
+            codes = rng.integers(0, 2 * max_flows, size)
+            table.apply(rng.uniform(0.0, 10.0, size), codes, np.full(size, 500))
+            entries = {code: count for count, _, code in table.heap}
+            assert len(table.heap) == len(table.table) == len(entries)
+            assert entries.keys() == table.table.keys()
+            assert all(count <= table.table[code][0] for code, count in entries.items())
+            if table.table and rng.random() < 0.3:
+                expected = min(table.table, key=lambda code: (table.table[code][0], code))
+                assert table.evict_smallest() == expected
 
     def test_engine_is_chunk_size_invariant(self):
         timestamps, flow_ids, sizes = _stream(500, 12, 40.0, 7)
@@ -416,3 +487,50 @@ class TestClassifierObserveBatch:
         batched.observe_batch(PacketBatch(timestamps, flow_ids, sizes), five_tuples)
         assert batched.export_sorted() == one_by_one.export_sorted()
         assert batched.packets_seen == one_by_one.packets_seen
+
+
+# ----------------------------------------------------------------------
+# max_flows is an integer of at least 1 at every entry point
+# ----------------------------------------------------------------------
+#: Every entry point that takes ``max_flows``, as a call of ``max_flows``
+#: alone; ``repro run --monitor`` is checked through its exit status.
+MAX_FLOWS_ENTRY_POINTS = {
+    "FlowAccountingEngine": lambda bound: FlowAccountingEngine(10.0, max_flows=bound),
+    "BinnedFlowTable": lambda bound: BinnedFlowTable(10.0, max_flows=bound),
+    "run_stream": lambda bound: run_stream(
+        iter([]), np.zeros(1, dtype=np.int64), [], 60.0, 5, max_flows=bound
+    ),
+    "Pipeline.with_monitor": lambda bound: Pipeline().with_monitor(bound),
+    "Pipeline.from_spec": lambda bound: Pipeline.from_spec(max_flows=bound),
+    "RunSpec": lambda bound: RunSpec(samplers=("bernoulli:rate=0.1",), max_flows=bound),
+    "SweepGrid": lambda bound: SweepGrid(max_flows=bound),
+    "repro run --monitor": None,
+}
+FAST_RUN = ["run", "--trace", "sprint", "--duration", "5", "--scale", "0.001"]
+
+
+@pytest.mark.parametrize("entry_point", list(MAX_FLOWS_ENTRY_POINTS))
+@pytest.mark.parametrize(
+    ("max_flows", "error"),
+    [(0, ValueError), (-1, ValueError), (2.5, TypeError), (np.float64(3.0), TypeError)],
+    ids=["zero", "negative", "fraction", "float-integral"],
+)
+def test_max_flows_must_be_a_positive_integer(entry_point, max_flows, error, capsys):
+    """2.5 no longer runs a 2-flow table, and 0 or -1 never runs at all."""
+    message = "max_flows must be " + ("at least 1" if error is ValueError else "an integer")
+    if entry_point == "repro run --monitor":
+        assert main(FAST_RUN + ["--monitor", f"max_flows={max_flows}"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: " + message)
+        assert "Traceback" not in err
+    else:
+        with pytest.raises(error, match=message):
+            MAX_FLOWS_ENTRY_POINTS[entry_point](max_flows)
+
+
+def test_integer_max_flows_keep_their_store_key():
+    """A NumPy integer bound is accepted and keys the run like a plain int."""
+    spec = RunSpec(samplers=("bernoulli:rate=0.1",), max_flows=np.int64(200))
+    assert spec.canonical().max_flows == 200
+    assert store_key(spec) == store_key(RunSpec(samplers=("bernoulli:rate=0.1",), max_flows=200))
+    assert Pipeline().with_monitor(np.int64(7))._monitor_max_flows == 7

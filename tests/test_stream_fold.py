@@ -7,7 +7,9 @@ equals :func:`oracles.stream.reference_run_stream` — the per-chunk
 stream with the loop oracle, so the two share no scoring code — bit for
 bit across chunk sizes, key spaces (dense, prefix, and a probing table
 that rebuilds), the engine's generic segment path, every sampler kind,
-0, 1 and 40 streams, and the serial and process backends.
+0, 1 and 40 streams, and the serial and process backends.  They also
+check that ranking sparse group ids in ``Pipeline.plan()`` changes no
+outcome, and what the ``stream.addressing`` gauge reports.
 """
 
 from __future__ import annotations
@@ -16,10 +18,12 @@ import numpy as np
 import pytest
 from oracles.stream import reference_run_stream
 
+from repro import telemetry
 from repro.flows.accounting import FlowAccountingEngine
 from repro.flows.groupby import DENSE_SPAN_LIMIT, HashAccumulator
 from repro.pipeline import Pipeline
 from repro.pipeline.executor import StreamOutcome, run_stream
+from repro.pipeline.pipeline import _dense_groups
 from repro.pipeline.parallel import ExecutionPlan, _build_samplers, probe_shared_memory
 from repro.sampling.base import PacketSampler
 from repro.traces.source import DEFAULT_CHUNK_PACKETS, PacketTableSource
@@ -180,3 +184,82 @@ class TestFoldMatchesOracle:
         assert outcome.ranking_values.shape == (0, expected.bin_start_times.size)
         assert expected.bin_start_times.size > 1
         _assert_identical(outcome, expected)
+
+
+def _multilink_prefix() -> Pipeline:
+    """A tiny prefix-keyed multilink run: /24 ids spread over ~1.3M values."""
+    return (
+        Pipeline()
+        .with_scenario("multilink", scale=0.002, duration=120.0)
+        .with_key_policy("prefix", prefix_length=24)
+        .with_sampler("bernoulli", rate=0.5)
+        .with_bin_duration(30.0)
+        .with_top(5)
+        .with_runs(2)
+        .with_seed(3)
+    )
+
+
+class TestGroupCompaction:
+    """``plan()`` ranks sparse group ids; nothing a run reports moves."""
+
+    def test_plan_groups_are_dense_and_in_order(self):
+        pipeline = _multilink_prefix()
+        plan = pipeline.plan()
+        raw = plan.source.group_ids(pipeline._resolve_key_policy())
+        assert int(raw.max()) - int(raw.min()) >= DENSE_SPAN_LIMIT
+        distinct = np.unique(raw)
+        assert plan.groups.dtype == np.int64
+        assert int(plan.groups.min()) == 0
+        assert int(plan.groups.max()) == distinct.size - 1
+        np.testing.assert_array_equal(distinct[plan.groups], raw)
+
+    def test_only_sparse_ids_are_ranked(self):
+        """Sparse means a span of at least the number of flows."""
+        sparse = np.array([900, 7, 7, 40], dtype=np.int64)
+        assert _dense_groups(sparse).tolist() == [2, 0, 0, 1]
+        for dense in ([5, 7, 6, 5], [3], []):
+            ids = np.array(dense, dtype=np.int64)
+            assert _dense_groups(ids) is ids
+
+    @pytest.mark.parametrize("max_flows", [None, 3], ids=["unbounded", "bounded"])
+    def test_raw_sparse_ids_give_the_same_outcome(self, max_flows):
+        pipeline = _multilink_prefix()
+        if max_flows is not None:
+            pipeline.with_monitor(max_flows)
+        plan = pipeline.plan()
+        raw = plan.source.group_ids(pipeline._resolve_key_policy())
+        samplers = _build_samplers(plan.sampler_specs, plan.cells)
+        expected = run_stream(
+            plan._chunks(), raw, samplers, plan.bin_duration, plan.top_t, max_flows=max_flows
+        )
+        result = pipeline.run()
+        ((label, ranking),) = result.ranking.items()
+        np.testing.assert_array_equal(ranking.values, expected.ranking_values)
+        np.testing.assert_array_equal(result.detection[label].values, expected.detection_values)
+        np.testing.assert_array_equal(ranking.bin_start_times, expected.bin_start_times)
+        assert result.flows_per_bin == expected.flows_per_bin
+        assert result.total_packets == expected.total_packets
+        if max_flows is None:
+            assert result.evictions == {}
+        else:
+            assert expected.evictions.min() > 0
+            assert result.evictions[label] == expected.evictions.tolist()
+
+
+class TestAddressingGauge:
+    """``stream.addressing`` says how the truth engine addressed its table."""
+
+    def test_prefix_pipeline_run_is_dense(self):
+        with telemetry.use_telemetry():
+            _multilink_prefix().run(parallel="serial")
+            gauges = telemetry.snapshot()["gauges"]
+        assert gauges["stream.addressing"] == "dense"
+
+    def test_spread_ids_probe(self, small_trace):
+        plan = _plan(small_trace, "spread", [SAMPLERS["bernoulli"]], 1, 4096, 60.0)
+        samplers = _build_samplers(plan.sampler_specs, plan.cells)
+        with telemetry.use_telemetry():
+            run_stream(plan._chunks(), plan.groups, samplers, 60.0, plan.top_t)
+            gauges = telemetry.snapshot()["gauges"]
+        assert gauges["stream.addressing"] == "probing"
