@@ -211,7 +211,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes per cell (default: auto)",
+        help="worker processes per source pass, or per cell with --workers "
+        "(default: auto)",
     )
     sweep_run.add_argument(
         "--max-cells", type=int, default=None, metavar="K",
@@ -463,6 +464,7 @@ def _run_sweep_cli(args: argparse.Namespace) -> str:
             f"executed {len(report.executed)} cell(s), reused {len(report.cached)} "
             f"cached cell(s)"
         )
+        lines.append(f"{report.passes} source pass(es)")
         if report.interrupted:
             remaining = report.total - len(report.executed) - len(report.cached)
             lines.append(

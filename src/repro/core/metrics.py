@@ -72,7 +72,10 @@ def _checked_top_t(top_t: int) -> int:
     A non-integer ``top_t`` (``2.5``) raises :class:`TypeError` instead of
     being rounded down, and ``top_t < 1`` raises :class:`ValueError`.
     """
-    t = operator.index(top_t)
+    try:
+        t = operator.index(top_t)
+    except TypeError:
+        raise TypeError(f"top_t must be an integer, got {top_t!r}") from None
     if t < 1:
         raise ValueError(f"top_t must be at least 1, got {top_t!r}")
     return t

@@ -58,7 +58,7 @@ see :mod:`repro.pipeline.parallel`.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -635,34 +635,47 @@ class Pipeline:
             A fully resolved, backend-agnostic description of the work.
         """
         self._validate()
-        seed_sequence = np.random.SeedSequence(self._seed)
-        num_specs = len(self._samplers)
-        children = seed_sequence.spawn(2 + num_specs * self._num_runs)
+        children = self._seed_children()
         source = self._resolve_source(np.random.default_rng(children[0]))
         groups = _dense_groups(source.group_ids(self._resolve_key_policy()))
-
-        cells: list[Cell] = []
-        for spec_index in range(num_specs):
-            for run in range(self._num_runs):
-                stream = spec_index * self._num_runs + run
-                cells.append(
-                    Cell(
-                        stream_index=stream,
-                        spec_index=spec_index,
-                        run_index=run,
-                        seed=children[2 + stream],
-                    )
-                )
         return ExecutionPlan(
             source=source,
             groups=groups,
             expand_entropy=children[1],
             sampler_specs=list(self._samplers),
-            cells=cells,
+            cells=self._cells(children, spec_offset=0, stream_offset=0),
             bin_duration=self._bin_duration,
             top_t=self._top_t,
             chunk_packets=self._chunk_packets,
         )
+
+    def _seed_children(self) -> list[np.random.SeedSequence]:
+        """The seed tree: source, expansion, then one child per (sampler, run) stream."""
+        num_streams = len(self._samplers) * self._num_runs
+        return np.random.SeedSequence(self._seed).spawn(2 + num_streams)
+
+    def _cells(
+        self, children: list[np.random.SeedSequence], spec_offset: int, stream_offset: int
+    ) -> list[Cell]:
+        """One cell per (sampler spec, run), placed after ``stream_offset`` streams.
+
+        Stream ``l`` of this pipeline is seeded by ``children[2 + l]``
+        wherever it sits in a plan, so sharing a pass with other
+        pipelines changes none of its sampling decisions.
+        """
+        cells: list[Cell] = []
+        for spec_index in range(len(self._samplers)):
+            for run in range(self._num_runs):
+                stream = spec_index * self._num_runs + run
+                cells.append(
+                    Cell(
+                        stream_index=stream_offset + stream,
+                        spec_index=spec_offset + spec_index,
+                        run_index=run,
+                        seed=children[2 + stream],
+                    )
+                )
+        return cells
 
     def run(
         self,
@@ -689,24 +702,12 @@ class Pipeline:
             Per-sampler ranking/detection series.  Bit-identical for
             the same seed whatever ``parallel`` and ``jobs`` are.
         """
-        backend, jobs = _normalise_parallel(parallel, jobs)
-        with telemetry.span("pipeline.plan"):
-            plan = self.plan()
-        if self._monitor:
-            if backend == "process":
-                raise ValueError(
-                    "monitor-in-the-loop mode keeps a stateful flow table per stream "
-                    "and runs serially; use parallel='serial' or 'auto'"
-                )
-            with telemetry.span("pipeline.execute"):
-                outcome = self._execute_monitor(plan)
-        else:
-            with telemetry.span("pipeline.execute"):
-                outcome = plan.execute(backend=backend, jobs=jobs)
-        if telemetry.enabled:
-            telemetry.count("pipeline.runs")
-            telemetry.count("pipeline.cells", plan.num_cells)
+        return _run_pipelines([self], parallel, jobs)[0]
 
+    def _package(
+        self, plan: ExecutionPlan, outcome: StreamOutcome, stream_offset: int
+    ) -> PipelineResult:
+        """This pipeline's result: its streams start at ``stream_offset`` of the pass."""
         result = PipelineResult(
             flow_definition=self._resolve_key_policy().name,
             bin_duration=self._bin_duration,
@@ -722,10 +723,10 @@ class Pipeline:
         )
         used_labels: set[str] = set()
         for spec_index, spec in enumerate(self._samplers):
+            first_stream = stream_offset + spec_index * self._num_runs
             # Rebuild the first run's sampler for its label and rate; the
             # cell seed makes it identical to the one the backend used.
-            first_cell = plan.cells[spec_index * self._num_runs]
-            first = spec.build(np.random.default_rng(first_cell.seed))
+            first = spec.build(np.random.default_rng(plan.cells[first_stream].seed))
             label = spec.label or first.name
             if label in used_labels:
                 suffix = 2
@@ -733,9 +734,7 @@ class Pipeline:
                     suffix += 1
                 label = f"{label} #{suffix}"
             used_labels.add(label)
-            stream_slice = slice(
-                spec_index * self._num_runs, (spec_index + 1) * self._num_runs
-            )
+            stream_slice = slice(first_stream, first_stream + self._num_runs)
             result.samplers.append(
                 SamplerSummary(label=label, effective_rate=first.effective_rate)
             )
@@ -770,6 +769,70 @@ class Pipeline:
             plan.top_t,
             max_flows=self._monitor_max_flows,
         )
+
+
+def _run_pipelines(
+    pipelines: Sequence[Pipeline],
+    parallel: str | bool | int | None = "auto",
+    jobs: int | None = None,
+) -> list[PipelineResult]:
+    """Run pipelines that differ only in their samplers over one source pass.
+
+    The first pipeline's source, key policy, bins, ``top_t``, runs,
+    seed, chunking and monitor settings stand for all of them (callers
+    pass pipelines that agree on everything but their samplers).  The
+    source is resolved and planned once, and one pass of its packet
+    stream feeds every (sampler, run) stream of every pipeline.  Each
+    stream keeps the seed its own pipeline's plan gives it (see
+    :meth:`Pipeline._cells`), and each result is packaged as that
+    pipeline's :meth:`Pipeline.run` packages it, with labels, ``#2``
+    suffixes and evictions scoped to the pipeline.  So every result is
+    bit-identical to running its pipeline alone; :meth:`Pipeline.run`
+    is this function with one pipeline.
+
+    Parameters
+    ----------
+    pipelines:
+        One or more pipelines, each with at least one sampler.
+    parallel, jobs:
+        As in :meth:`Pipeline.run`; the backend is chosen once, for the
+        whole pass.
+
+    Returns
+    -------
+    list[PipelineResult]
+        One result per pipeline, in order.
+    """
+    base = pipelines[0]
+    backend, jobs = _normalise_parallel(parallel, jobs)
+    with telemetry.span("pipeline.plan"):
+        plan = base.plan()
+        for pipeline in pipelines[1:]:
+            pipeline._validate()
+            plan.cells += pipeline._cells(
+                pipeline._seed_children(), len(plan.sampler_specs), plan.num_cells
+            )
+            plan.sampler_specs += pipeline._samplers
+    if base._monitor:
+        if backend == "process":
+            raise ValueError(
+                "monitor-in-the-loop mode keeps a stateful flow table per stream "
+                "and runs serially; use parallel='serial' or 'auto'"
+            )
+        with telemetry.span("pipeline.execute"):
+            outcome = base._execute_monitor(plan)
+    else:
+        with telemetry.span("pipeline.execute"):
+            outcome = plan.execute(backend=backend, jobs=jobs)
+    if telemetry.enabled:
+        telemetry.count("pipeline.runs", len(pipelines))
+        telemetry.count("pipeline.cells", plan.num_cells)
+    results: list[PipelineResult] = []
+    stream_offset = 0
+    for pipeline in pipelines:
+        results.append(pipeline._package(plan, outcome, stream_offset))
+        stream_offset += len(pipeline._samplers) * pipeline._num_runs
+    return results
 
 
 def _dense_groups(groups: np.ndarray) -> np.ndarray:

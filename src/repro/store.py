@@ -64,9 +64,10 @@ import contextlib
 import hashlib
 import io
 import json
+import operator
 import os
 import time
-from collections.abc import Callable, Iterator, Mapping
+from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -78,8 +79,9 @@ except ImportError:  # pragma: no cover - non-POSIX platforms
 import numpy as np
 
 from . import __version__, telemetry
+from .core.metrics import _checked_top_t
 from .flows.accounting import _checked_max_flows
-from .pipeline.pipeline import Pipeline
+from .pipeline.pipeline import Pipeline, _run_pipelines
 from .pipeline.result import PipelineResult
 from .spec import canonical_spec
 
@@ -107,9 +109,11 @@ class RunSpec:
     the executor guarantees bit-identical results across them, so they
     must not fragment the cache.
 
-    ``max_flows``, when given, must be an integer of at least 1: a
-    non-integer raises :class:`TypeError` rather than keying a run whose
-    monitor would silently round it down.
+    ``top_t``, ``num_runs`` and ``seed`` must be integers, ``top_t`` and
+    ``num_runs`` at least 1, and ``max_flows``, when given, an integer
+    of at least 1: a non-integer (``2.5``, or a float such as ``2.0``)
+    raises :class:`TypeError` rather than keying a run under the integer
+    it would be rounded to.
     """
 
     samplers: tuple[str, ...]
@@ -137,7 +141,19 @@ class RunSpec:
                 "a stored run must be seeded: seed=None draws fresh entropy and "
                 "could never be reproduced from its cache key"
             )
-        _checked_max_flows(self.max_flows)
+        try:
+            num_runs, seed = operator.index(self.num_runs), operator.index(self.seed)
+        except TypeError:
+            raise TypeError(
+                "num_runs and seed must be integers, got "
+                f"num_runs={self.num_runs!r}, seed={self.seed!r}"
+            ) from None
+        if num_runs < 1:
+            raise ValueError(f"num_runs must be at least 1, got {num_runs}")
+        object.__setattr__(self, "top_t", _checked_top_t(self.top_t))
+        object.__setattr__(self, "num_runs", num_runs)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "max_flows", _checked_max_flows(self.max_flows))
 
     # ------------------------------------------------------------------
     def canonical(self) -> "RunSpec":
@@ -145,8 +161,9 @@ class RunSpec:
 
         Every component spec string is normalised with
         :func:`repro.spec.canonical_spec` (kwargs sorted by name) and
-        the numeric fields are coerced to plain Python types, so two
-        specs describing the same run compare — and hash — equal.
+        the remaining float and bool fields are coerced to plain Python
+        types (the integer fields already are), so two specs describing
+        the same run compare — and hash — equal.
         """
         return replace(
             self,
@@ -155,11 +172,7 @@ class RunSpec:
             scenario=None if self.scenario is None else canonical_spec(self.scenario),
             key=canonical_spec(self.key),
             bin_duration=float(self.bin_duration),
-            top_t=int(self.top_t),
-            num_runs=int(self.num_runs),
-            seed=int(self.seed),
             monitor=bool(self.monitor),
-            max_flows=None if self.max_flows is None else int(self.max_flows),
         )
 
     def to_dict(self) -> dict:
@@ -170,28 +183,32 @@ class RunSpec:
             "scenario": self.scenario,
             "key": self.key,
             "bin_duration": float(self.bin_duration),
-            "top_t": int(self.top_t),
-            "num_runs": int(self.num_runs),
-            "seed": int(self.seed),
+            "top_t": self.top_t,
+            "num_runs": self.num_runs,
+            "seed": self.seed,
             "monitor": bool(self.monitor),
-            "max_flows": None if self.max_flows is None else int(self.max_flows),
+            "max_flows": self.max_flows,
         }
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunSpec":
-        """Rebuild a spec from its :meth:`to_dict` representation."""
-        max_flows = data.get("max_flows")
+        """Rebuild a spec from its :meth:`to_dict` representation.
+
+        The integer fields go through the same checks as the
+        constructor's, so a stored ``top_t`` of ``2.5`` raises instead
+        of loading as ``2``.
+        """
         return cls(
             samplers=tuple(data["samplers"]),
             trace=data.get("trace"),
             scenario=data.get("scenario"),
             key=data.get("key", "five-tuple"),
             bin_duration=float(data.get("bin_duration", 60.0)),
-            top_t=int(data.get("top_t", 10)),
-            num_runs=int(data.get("num_runs", 5)),
-            seed=int(data["seed"]),
+            top_t=data.get("top_t", 10),
+            num_runs=data.get("num_runs", 5),
+            seed=data["seed"],
             monitor=bool(data.get("monitor", False)),
-            max_flows=None if max_flows is None else int(max_flows),
+            max_flows=data.get("max_flows"),
         )
 
     # ------------------------------------------------------------------
@@ -223,14 +240,27 @@ class RunSpec:
         Parameters
         ----------
         parallel, jobs:
-            Forwarded to :meth:`Pipeline.run
+            As in :meth:`Pipeline.run
             <repro.pipeline.pipeline.Pipeline.run>` — the result is
-            bit-identical whatever backend executes the cells.
+            bit-identical whatever backend executes the cells.  A
+            monitor spec runs serially whatever they ask.
         """
-        if self.monitor or self.max_flows is not None:
-            # Monitor runs are serial by contract; "auto" honours that.
-            return self.build_pipeline().run(parallel="serial")
-        return self.build_pipeline().run(parallel=parallel, jobs=jobs)
+        return _execute_specs([self], parallel, jobs)[0]
+
+
+def _execute_specs(
+    specs: Sequence[RunSpec], parallel: str | bool | int | None, jobs: int | None
+) -> list[PipelineResult]:
+    """Execute specs that differ only in their samplers in one source pass.
+
+    The source is synthesised, expanded and accounted once for all of
+    them (see :func:`repro.pipeline.pipeline._run_pipelines`), and each
+    result is bit-identical to executing its spec alone.
+    """
+    if specs[0].monitor or specs[0].max_flows is not None:
+        # Monitor runs are serial by contract; "auto" honours that.
+        parallel, jobs = "serial", None
+    return _run_pipelines([spec.build_pipeline() for spec in specs], parallel, jobs)
 
 
 def store_key(spec: RunSpec, *, salt: str = STORE_SALT) -> str:

@@ -9,23 +9,25 @@ through the existing pipeline backends
 (:class:`~repro.pipeline.parallel.ExecutionPlan` serial/process) —
 so a sweep is **resumable by construction**: kill it after *k* cells,
 re-run the same command, and only the remaining cells execute; the
-final aggregates are bit-identical to an uninterrupted sweep.
+final aggregates are bit-identical to an uninterrupted sweep.  Misses
+that differ only in their sampler (the rate axis, typically) stream the
+same packets, so each such group runs as one pass of its source.
 
 >>> import tempfile
 >>> from repro.store import RunStore
 >>> grid = SweepGrid(
 ...     scenarios=("steady:duration=120,scale=0.002",),
-...     samplers=("bernoulli",), rates=(0.5,), seeds=(0, 1), num_runs=2,
+...     samplers=("bernoulli",), rates=(0.1, 0.5), seeds=(0, 1), num_runs=2,
 ... )
 >>> len(grid.cells())
-2
+4
 >>> store = RunStore(tempfile.mkdtemp())
->>> report = run_sweep(grid, store)
->>> (len(report.executed), len(report.cached))
-(2, 0)
+>>> report = run_sweep(grid, store)  # both rates of a seed share a pass
+>>> (len(report.executed), len(report.cached), report.passes)
+(4, 0, 2)
 >>> report = run_sweep(grid, store)  # warm: every cell is a store hit
->>> (len(report.executed), len(report.cached))
-(0, 2)
+>>> (len(report.executed), len(report.cached), report.passes)
+(0, 4, 0)
 
 On top of the raw cells, :func:`leaderboard_rows` ranks samplers per
 scenario by mean swapped pairs and :func:`comparison_rows` reports
@@ -51,14 +53,14 @@ import os
 import threading
 import time
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import telemetry
 from .flows.accounting import _checked_max_flows
 from .pipeline.parallel import probe_process_spawn
 from .spec import format_spec, parse_spec
-from .store import Lease, RunSpec, RunStore, StoredRun, _atomic_write_text
+from .store import Lease, RunSpec, RunStore, StoredRun, _atomic_write_text, _execute_specs
 
 #: Schema tag of the per-worker heartbeat telemetry files under
 #: ``<store>/telemetry/<owner>.json`` (see :meth:`SweepWorker` and
@@ -160,7 +162,7 @@ class SweepGrid:
                             bin_duration=self.bin_duration,
                             top_t=self.top_t,
                             num_runs=self.num_runs,
-                            seed=int(seed),
+                            seed=seed,
                             monitor=self.monitor,
                             max_flows=self.max_flows,
                         ).canonical()
@@ -174,13 +176,16 @@ class SweepReport:
 
     ``executed`` and ``cached`` hold store keys in grid order;
     ``interrupted`` is True when a ``max_cells`` budget stopped the
-    sweep before every miss was computed (the resume case).
+    sweep before every miss was computed (the resume case); ``passes``
+    counts the source passes that computed the executed cells, one per
+    group of cells that differ only in their sampler.
     """
 
     total: int = 0
     executed: list[str] = field(default_factory=list)
     cached: list[str] = field(default_factory=list)
     interrupted: bool = False
+    passes: int = 0
 
     @property
     def complete(self) -> bool:
@@ -202,18 +207,29 @@ def run_sweep(
     """Execute every missing cell of the grid and persist it in the store.
 
     Cells already in the store are skipped (a warm re-run touches no
-    pipeline code at all); each miss is executed through
-    :meth:`RunSpec.execute <repro.store.RunSpec.execute>` — i.e. the
-    standard :class:`~repro.pipeline.parallel.ExecutionPlan` backends —
-    and written back before the next cell starts, so an interrupted
-    sweep loses at most the cell in flight.
+    pipeline code at all).  The misses are grouped by every
+    :class:`~repro.store.RunSpec` field except ``samplers``: cells of one
+    group share their source, key, bins, ``top_t``, runs, seed and
+    monitor settings, so they stream the same packets.  Each group runs
+    as one pass of its source through the standard
+    :class:`~repro.pipeline.parallel.ExecutionPlan` backends, and every
+    result is bit-identical to :meth:`RunSpec.execute
+    <repro.store.RunSpec.execute>` of its cell.  A group's results are
+    written back as soon as its pass ends, so an interrupted sweep
+    loses at most the group in flight.
+
+    Which cells execute, and what the report and ``progress`` see, are
+    those of a cell-by-cell walk of the grid: a cell is a hit when it
+    was stored before the sweep or repeats an earlier cell, the first
+    ``max_cells`` misses in grid order execute, and events arrive in
+    grid order.
 
     Parameters
     ----------
     grid, store:
         The declarative grid and the store that caches its cells.
     parallel, jobs:
-        Backend selection per cell, as in :meth:`Pipeline.run
+        Backend selection per source pass, as in :meth:`Pipeline.run
         <repro.pipeline.pipeline.Pipeline.run>`.
     max_cells:
         Execute at most this many misses, then stop and mark the report
@@ -221,34 +237,61 @@ def run_sweep(
         use to interrupt a sweep deterministically.
     progress:
         Optional callback ``(event, index, total, spec)`` with event
-        ``"hit"`` or ``"run"``, called before each cell is handled.
+        ``"hit"`` or ``"run"``, called once per cell in grid order; the
+        ``"run"`` event of a group's first cell comes before the
+        group's pass.
 
     Returns
     -------
     SweepReport
-        Keys of the executed and cache-hit cells, in grid order.
+        Keys of the executed and cache-hit cells, in grid order, and
+        the number of source passes.
     """
     cells = grid.cells()
     report = SweepReport(total=len(cells))
+    # Decide every cell first, as a cell-by-cell walk would: by the time
+    # it reaches a repeat of an earlier miss, that miss is stored.  A
+    # miss carries its group, a hit None.
+    decided: list[tuple[int, RunSpec, str, list[RunSpec] | None]] = []
+    groups: dict[tuple, list[RunSpec]] = {}
+    misses: set[str] = set()
     for index, spec in enumerate(cells):
-        if spec in store:
-            if progress is not None:
-                progress("hit", index, len(cells), spec)
+        key = store.key_of(spec)
+        group: list[RunSpec] | None = None
+        if key not in misses and key not in store:
+            if max_cells is not None and len(misses) >= max_cells:
+                report.interrupted = True
+                break
+            misses.add(key)
+            group = groups.setdefault(_group_of(spec), [])
+            group.append(spec)
+        decided.append((index, spec, key, group))
+
+    for index, spec, key, group in decided:
+        if progress is not None:
+            progress("hit" if group is None else "run", index, len(cells), spec)
+        if group is None:
             if telemetry.enabled:
                 telemetry.count("sweep.cells.hit")
-            report.cached.append(store.key_of(spec))
+            report.cached.append(key)
             continue
-        if max_cells is not None and len(report.executed) >= max_cells:
-            report.interrupted = True
-            break
-        if progress is not None:
-            progress("run", index, len(cells), spec)
-        with telemetry.span("sweep.cell"):
-            result = spec.execute(parallel=parallel, jobs=jobs)
+        if spec is group[0]:
+            with telemetry.span("sweep.pass"):
+                results = _execute_specs(group, parallel, jobs)
+            for member, result in zip(group, results):
+                store.put(member, result)
+            report.passes += 1
+            if telemetry.enabled:
+                telemetry.count("sweep.passes")
         if telemetry.enabled:
             telemetry.count("sweep.cells.executed")
-        report.executed.append(store.put(spec, result))
+        report.executed.append(key)
     return report
+
+
+def _group_of(spec: RunSpec) -> tuple:
+    """Every field of ``spec`` but its samplers: the cells of one source pass."""
+    return tuple(getattr(spec, item.name) for item in fields(spec) if item.name != "samplers")
 
 
 def sweep_status(grid: SweepGrid, store: RunStore) -> dict:

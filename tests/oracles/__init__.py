@@ -21,5 +21,8 @@ speed-ratio gates.
 * :mod:`oracles.metrics` — the swapped-pair metrics as double loops over
   flow pairs, and ``reference_swapped_pair_counts``, the per-stream loop
   over top flows (the library scores every stream of a bin in one call,
-  sorting and ``searchsorted`` for flows below the top list).
+  sorting and ``searchsorted`` for flows below the top list);
+* :mod:`oracles.sweep` — the cell-by-cell sweep loop, one pipeline run
+  per grid cell (the library runs the cells that differ only in their
+  sampler in one pass of their source).
 """

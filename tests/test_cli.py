@@ -313,10 +313,14 @@ class TestSweepCommand:
         assert main(["sweep", "run"] + store + self.GRID_ARGS) == 0
         output = capsys.readouterr().out
         assert "executed 2 cell(s), reused 0 cached cell(s)" in output
+        # Both rates of the one (scenario, seed) share a source pass.
+        assert "\n1 source pass(es)\n" in output
         assert "sweep complete" in output
 
         assert main(["sweep", "run"] + store + self.GRID_ARGS) == 0
-        assert "executed 0 cell(s), reused 2 cached cell(s)" in capsys.readouterr().out
+        output = capsys.readouterr().out
+        assert "executed 0 cell(s), reused 2 cached cell(s)" in output
+        assert "\n0 source pass(es)\n" in output
 
         assert main(["sweep", "status"] + store + self.GRID_ARGS) == 0
         assert "2/2 cells cached" in capsys.readouterr().out
@@ -336,6 +340,33 @@ class TestSweepCommand:
         output = capsys.readouterr().out
         assert "executed 1 cell(s), reused 1 cached cell(s)" in output
         assert "sweep complete" in output
+
+    def test_interleaved_grid_max_cells_then_resume(self, capsys, tmp_path):
+        grid = [
+            "--scenario", "steady",
+            "--sampler", "bernoulli",
+            "--rates", "0.1", "0.5",
+            "--seeds", "0", "1",
+            "--scale", "0.002",
+            "--duration", "120",
+            "--runs", "2",
+        ]
+        resumed = ["--store", str(tmp_path / "resumed")]
+        assert main(["sweep", "run", "--max-cells", "3"] + resumed + grid) == 0
+        output = capsys.readouterr().out
+        # Cells 1 and 3 (seed 0) share a pass; cell 2 (seed 1) runs alone.
+        assert "executed 3 cell(s), reused 0 cached cell(s)\n2 source pass(es)\n" in output
+        assert main(["sweep", "run"] + resumed + grid) == 0
+        output = capsys.readouterr().out
+        assert "executed 1 cell(s), reused 3 cached cell(s)\n1 source pass(es)\n" in output
+
+        fresh = ["--store", str(tmp_path / "fresh")]
+        assert main(["sweep", "run"] + fresh + grid) == 0
+        assert "\n2 source pass(es)\n" in capsys.readouterr().out
+        assert main(["sweep", "report"] + resumed + grid) == 0
+        resumed_report = capsys.readouterr().out
+        assert main(["sweep", "report"] + fresh + grid) == 0
+        assert capsys.readouterr().out == resumed_report
 
     def test_sweep_report_with_baseline(self, capsys, tmp_path):
         store = ["--store", str(tmp_path / "store")]

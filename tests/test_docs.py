@@ -181,6 +181,7 @@ class TestCliDocs:
             assert store_subcommand in text
         for sweep_subcommand in ("sweep run", "sweep status", "sweep watch", "sweep report"):
             assert sweep_subcommand in text, f"cli.md does not document {sweep_subcommand}"
+        assert "source pass(es)" in text, "cli.md does not document the passes line"
 
     def test_sweeps_page_covers_the_contract(self):
         """docs/sweeps.md documents the pieces the store contract names."""
@@ -194,6 +195,8 @@ class TestCliDocs:
             "resume",
             "bit-identical",
             "--max-cells",
+            "One source pass per group",
+            "SweepReport.passes",
         ):
             assert term in text, f"sweeps.md does not mention {term}"
 

@@ -14,6 +14,7 @@ Covers the three contracts the store documents:
 
 from __future__ import annotations
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -232,6 +233,106 @@ class TestStoreKeyStability:
     def test_spec_dict_round_trip(self):
         assert RunSpec.from_dict(SPEC.to_dict()) == SPEC
         assert RunSpec.from_dict(json.loads(json.dumps(SPEC.to_dict()))) == SPEC
+
+
+def _hashed(spec_dict: dict) -> str:
+    """The key derivation written out: sha256 of the salted canonical JSON."""
+    payload = json.dumps(
+        {"salt": STORE_SALT, "spec": spec_dict}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
+
+
+class TestRunSpecIntegerFields:
+    """``top_t``, ``num_runs``, ``seed`` and ``max_flows`` are never rounded."""
+
+    @pytest.mark.parametrize(
+        ("field", "value", "error"),
+        [
+            ("top_t", 2.5, TypeError),
+            ("top_t", 2.0, TypeError),
+            ("top_t", np.float64(3.0), TypeError),
+            ("top_t", 0, ValueError),
+            ("num_runs", 2.5, TypeError),
+            ("num_runs", 2.0, TypeError),
+            ("num_runs", 0, ValueError),
+            ("num_runs", -1, ValueError),
+            ("seed", 1.5, TypeError),
+            ("seed", 1.0, TypeError),
+            ("seed", "1", TypeError),
+            ("max_flows", 3.7, TypeError),
+            ("max_flows", 0, ValueError),
+        ],
+    )
+    def test_bad_values_raise(self, field, value, error):
+        with pytest.raises(error, match=field):
+            replace(SPEC, **{field: value})
+
+    @pytest.mark.parametrize(
+        ("field", "value"),
+        [("top_t", 2.5), ("num_runs", 2.5), ("seed", 1.5), ("max_flows", 3.7)],
+    )
+    def test_from_dict_does_not_truncate(self, field, value):
+        data = {**SPEC.to_dict(), field: value}
+        with pytest.raises(TypeError, match=field):
+            RunSpec.from_dict(data)
+
+    def test_fractional_values_no_longer_alias_a_stored_key(self):
+        # These used to hash as top_t=2, num_runs=2 and seed=1.
+        for field, value in (("top_t", 2.5), ("num_runs", 2.5), ("seed", 1.5)):
+            with pytest.raises(TypeError):
+                store_key(replace(SPEC, **{field: value}))
+
+    def test_numpy_integers_are_plain_ints(self):
+        spec = replace(
+            SPEC, top_t=np.int64(7), num_runs=np.int32(3), seed=np.uint8(5), max_flows=np.int64(9)
+        )
+        assert (spec.top_t, spec.num_runs, spec.seed, spec.max_flows) == (7, 3, 5, 9)
+        assert all(type(value) is int for value in (spec.top_t, spec.num_runs, spec.seed))
+        assert type(spec.max_flows) is int
+        assert spec == replace(SPEC, top_t=7, num_runs=3, seed=5, max_flows=9)
+        json.dumps(spec.to_dict())
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            SPEC,
+            replace(SPEC, top_t=np.int64(10), num_runs=np.int64(2), seed=np.int64(0)),
+            RunSpec(
+                samplers=("periodic:phase=3,period=100", "bernoulli:rate=0.1"),
+                scenario="multilink:scale=0.05,duration=900.0",
+                key="prefix:prefix_length=24",
+                bin_duration=300,
+                top_t=5,
+                num_runs=1,
+                seed=2**31,
+                monitor=True,
+                max_flows=200,
+            ),
+        ],
+    )
+    def test_keys_of_valid_specs_are_unchanged(self, spec):
+        canonical = spec.canonical()
+        assert store_key(spec) == _hashed(
+            {
+                "samplers": list(canonical.samplers),
+                "trace": canonical.trace,
+                "scenario": canonical.scenario,
+                "key": canonical.key,
+                "bin_duration": float(spec.bin_duration),
+                "top_t": int(spec.top_t),
+                "num_runs": int(spec.num_runs),
+                "seed": int(spec.seed),
+                "monitor": bool(spec.monitor),
+                "max_flows": None if spec.max_flows is None else int(spec.max_flows),
+            }
+        )
+
+    def test_grid_seeds_are_not_truncated(self):
+        from repro.sweep import SweepGrid
+
+        with pytest.raises(TypeError, match="seed"):
+            SweepGrid(samplers=("bernoulli:rate=0.1",), seeds=(1.5,)).cells()
 
 
 # ----------------------------------------------------------------------
