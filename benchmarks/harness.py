@@ -5,8 +5,10 @@ Times the representative workloads of the library — packet expansion,
 the paper's (sampler x run) sweep in serial and in parallel, the
 cold-vs-warm store-backed sweep (``repro.sweep`` over ``repro.store``),
 the leased multi-worker sweep drain against the serial orchestrator,
-the streaming executor at several chunk sizes, and the source
-throughput of every registered workload scenario — and writes the
+the streaming executor at several chunk sizes, the source
+throughput of every registered workload scenario, and what a fresh
+interpreter pays to start (``import repro``, and a process run under
+the ``spawn`` start method) — and writes the
 measurements to ``BENCH_pipeline.json`` at the repository root, so that
 every future optimisation PR has a recorded trajectory to beat.
 
@@ -33,6 +35,7 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from datetime import datetime, timezone
@@ -873,6 +876,139 @@ def bench_telemetry(args: argparse.Namespace) -> dict:
     }
 
 
+#: Fresh interpreters timed by the import-cost section (the minimum is kept).
+IMPORT_REPEATS = 5
+
+#: Worker count of the import-cost section's ``spawn`` process run.
+SPAWN_JOBS = 2
+
+#: Child prelude: the pipeline of ``_pipeline(args)``, rebuilt from the
+#: JSON config in ``sys.argv[1]``, and the digest of a result.
+_CHILD_PIPELINE = """
+import hashlib, json, sys
+config = json.loads(sys.argv[1])
+
+def make_pipeline():
+    from repro import Pipeline
+
+    return (
+        Pipeline()
+        .with_trace("sprint", scale=config["scale"], duration=config["duration"])
+        .with_sampling_rates(config["rates"])
+        .with_bin_duration(60.0)
+        .with_top(10)
+        .with_runs(config["runs"])
+        .with_seed(config["seed"])
+        .streaming()
+    )
+
+def digest(result):
+    text = json.dumps(result.to_dict(), sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+"""
+
+#: The peak RSS is VmHWM, this process's own high-water mark: ``ru_maxrss``
+#: would also count the harness's, which survives the fork and exec.
+_IMPORT_PROBE = """
+import json, sys, time
+start = time.perf_counter()
+import repro
+seconds = time.perf_counter() - start
+try:
+    with open("/proc/self/status") as status:
+        peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+    peak_rss_mb = peak_kb / 1024.0
+except OSError:
+    peak_rss_mb = None
+print(json.dumps({
+    "seconds": seconds,
+    "peak_rss_mb": peak_rss_mb,
+    "scipy_loaded": "scipy" in sys.modules,
+}))
+"""
+
+_SERIAL_PROBE = _CHILD_PIPELINE + """
+result = make_pipeline().run(parallel="serial")
+print(json.dumps({"digest": digest(result), "scipy_loaded": "scipy" in sys.modules}))
+"""
+
+_SPAWN_PROBE = _CHILD_PIPELINE + """
+import multiprocessing, time
+multiprocessing.set_start_method("spawn")
+from repro import telemetry
+pipeline = make_pipeline()
+with telemetry.use_telemetry():
+    start = time.perf_counter()
+    result = pipeline.run(parallel="process", jobs=config["jobs"])
+    seconds = time.perf_counter() - start
+    gauges = telemetry.snapshot()["gauges"]
+print(json.dumps({"seconds": seconds, "digest": digest(result), "gauges": gauges}))
+"""
+
+
+def _fresh_interpreter(code: str, config: dict | None = None) -> dict:
+    """Run ``code`` in a new interpreter on this checkout; its last line, parsed."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(REPO_ROOT / "src"), env.get("PYTHONPATH")])
+    )
+    command = [sys.executable, "-c", code, json.dumps(config or {})]
+    done = subprocess.run(
+        command, capture_output=True, text=True, env=env, cwd=REPO_ROOT, timeout=900
+    )
+    if done.returncode != 0:
+        raise SystemExit(f"FATAL: a fresh interpreter failed: {done.stderr.strip()[-800:]}")
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def bench_import_cost(args: argparse.Namespace) -> dict:
+    """What a fresh interpreter pays before the pipeline does any work.
+
+    Every process that runs the library imports it first: the CLI, a
+    script, and each worker of a process run under the ``spawn`` or
+    ``forkserver`` start method.  Records the fastest ``import repro``
+    of ``IMPORT_REPEATS`` fresh interpreters and the peak RSS after it
+    (Linux only; ``None`` elsewhere), and whether SciPy is loaded after the import and after a serial
+    run of the sweep (the pipeline path needs only NumPy; the CI import
+    smoke step asserts both flags are false).  Then times one
+    ``Pipeline.run(parallel="process", jobs=2)`` of the same plan under
+    ``spawn`` in its own interpreter, and exits FATAL unless its digest
+    equals the serial run's.
+    """
+    imports = [_fresh_interpreter(_IMPORT_PROBE) for _ in range(IMPORT_REPEATS)]
+    config = {
+        "scale": args.scale,
+        "duration": args.duration,
+        "rates": list(SWEEP_RATES),
+        "runs": args.runs,
+        "seed": args.seed,
+        "jobs": SPAWN_JOBS,
+    }
+    serial = _fresh_interpreter(_SERIAL_PROBE, config)
+    spawned = _fresh_interpreter(_SPAWN_PROBE, config)
+    if spawned["digest"] != serial["digest"]:
+        raise SystemExit(
+            "FATAL: a process run under spawn diverges from serial — determinism regression"
+        )
+    gauges = spawned["gauges"]
+    peaks = [probe["peak_rss_mb"] for probe in imports if probe["peak_rss_mb"] is not None]
+    return {
+        "repeats": IMPORT_REPEATS,
+        "import_seconds_min": round(min(probe["seconds"] for probe in imports), 4),
+        "import_peak_rss_mb": round(min(peaks), 1) if peaks else None,
+        "scipy_loaded_after_import": any(probe["scipy_loaded"] for probe in imports),
+        "scipy_loaded_after_run": serial["scipy_loaded"],
+        "spawn_process_run": {
+            "jobs": SPAWN_JOBS,
+            "seconds": round(spawned["seconds"], 4),
+            "backend": gauges.get("parallel.backend"),
+            "transport": gauges.get("parallel.transport"),
+            "fallback": gauges.get("parallel.fallback"),
+            "bit_identical": True,
+        },
+    }
+
+
 def bench_streaming(args: argparse.Namespace) -> dict:
     """Single-sampler run at several streaming chunk sizes."""
     timings: dict[str, float] = {}
@@ -1083,6 +1219,18 @@ def main(argv: list[str] | None = None) -> int:
                 f"({entry['assembly_speedup']}x)"
                 for name, entry in scenarios.items()
             )
+        )
+
+    if wanted("import_cost"):
+        print(f"import cost ... ", end="", flush=True)
+        report["results"]["import_cost"] = import_cost = bench_import_cost(args)
+        spawned = import_cost["spawn_process_run"]
+        print(
+            f"import repro {import_cost['import_seconds_min']}s "
+            f"({import_cost['import_peak_rss_mb']} MB), SciPy loaded after import "
+            f"{import_cost['scipy_loaded_after_import']}, after a serial run "
+            f"{import_cost['scipy_loaded_after_run']}; spawn {spawned['backend']} run "
+            f"jobs={spawned['jobs']} {spawned['seconds']}s (bit-identical)"
         )
 
     for name, section in report["results"].items():

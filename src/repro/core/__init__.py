@@ -8,6 +8,9 @@ This subpackage implements the paper's primary contribution:
 * the top-t detection model (Section 7);
 * empirical counterparts of the metrics for trace-driven validation;
 * required-sampling-rate planning built on top of the models.
+
+The models import SciPy where they first call it, so importing
+:mod:`repro` and running the pipeline need only NumPy.
 """
 
 from .adaptive import AdaptiveRateController, AdaptiveStep

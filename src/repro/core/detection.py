@@ -26,7 +26,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .flow_size_model import FlowPopulation
 from .gaussian import misranking_matrix_gaussian
@@ -86,6 +85,8 @@ class DetectionModel:
         flow of size ``x_j < x_i`` is not.  Independent of the sampling
         rate, so computed once per model.
         """
+        from scipy import stats
+
         n = self.population.total_flows
         t = self.top_t
         tails = self.population.tail_probabilities

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .misranking import misranking_probability_exact
 
@@ -61,6 +60,8 @@ def misranking_probability_gaussian(
         out = np.where(diff == 0.0, 0.5, 0.0)
         scalar = np.isscalar(size_a) and np.isscalar(size_b)
         return float(out) if scalar else out
+    from scipy import special
+
     denom = np.sqrt(2.0 * (1.0 / p - 1.0) * (a + b))
     out = 0.5 * special.erfc(diff / denom)
     scalar = np.isscalar(size_a) and np.isscalar(size_b)

@@ -19,7 +19,6 @@ and for two flows of identical size ``S``::
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 
 def _validate_rate(sampling_rate: float) -> float:
@@ -68,6 +67,8 @@ def misranking_probability_exact(size_a: int, size_b: int, sampling_rate: float)
     if s_small == s_large:
         return misranking_probability_equal_sizes(s_small, p)
 
+    from scipy import stats
+
     i = np.arange(0, s_small + 1)
     pmf_small = stats.binom.pmf(i, s_small, p)
     cdf_large = stats.binom.cdf(i, s_large, p)
@@ -83,6 +84,8 @@ def misranking_probability_equal_sizes(size: int, sampling_rate: float) -> float
     """
     p = _validate_rate(sampling_rate)
     s = _validate_size(size)
+    from scipy import stats
+
     i = np.arange(1, s + 1)
     pmf = stats.binom.pmf(i, s, p)
     return float(np.clip(1.0 - np.dot(pmf, pmf), 0.0, 1.0))

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 from typing import Literal
 
 import numpy as np
-from scipy import special
 
 from .gaussian import misranking_probability_gaussian
 from .misranking import misranking_probability_exact
@@ -49,6 +48,8 @@ def optimal_rate_gaussian(size_a: float, size_b: float, target: float) -> float:
     if target >= 0.5:
         # erfc(x)/2 < 0.5 for any x > 0: any rate achieves the target.
         return 0.0
+    from scipy import special
+
     c = float(special.erfcinv(2.0 * target))
     inv_p_minus_1 = diff**2 / (2.0 * (float(size_a) + float(size_b)) * c**2)
     return float(min(1.0, 1.0 / (1.0 + inv_p_minus_1)))
@@ -167,6 +168,8 @@ def optimal_rate_surface(
         raise ValueError("size axes must be 1-D arrays")
     rates = np.empty((a.size, b.size), dtype=float)
     if method == "gaussian":
+        from scipy import special
+
         c = float(special.erfcinv(2.0 * target))
         diff = np.abs(b[None, :] - a[:, None])
         total = a[:, None] + b[None, :]

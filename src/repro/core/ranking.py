@@ -30,7 +30,6 @@ from dataclasses import dataclass
 from typing import Literal, Sequence
 
 import numpy as np
-from scipy import stats
 
 from .flow_size_model import FlowPopulation
 from .gaussian import misranking_matrix_gaussian
@@ -112,6 +111,8 @@ class RankingModel:
         if method not in ("gaussian", "exact"):
             raise ValueError(f"unknown pairwise method {method!r}")
         self.method = method
+        from scipy import stats
+
         # Order-statistics terms do not depend on the sampling rate, so
         # they are precomputed once per model instance.
         n = population.total_flows

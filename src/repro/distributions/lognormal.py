@@ -10,9 +10,10 @@ modelling.
 from __future__ import annotations
 
 import math
+from functools import cached_property
+from typing import Any
 
 import numpy as np
-from scipy import stats
 
 from .base import FlowSizeDistribution
 
@@ -28,7 +29,17 @@ class LognormalFlowSizes(FlowSizeDistribution):
         self.mu = float(mu)
         self.sigma = float(sigma)
         self.min_size = float(min_size)
-        self._dist = stats.lognorm(s=self.sigma, scale=math.exp(self.mu))
+
+    @cached_property
+    def _dist(self) -> Any:
+        """The frozen ``scipy.stats.lognorm``, built on first use.
+
+        :meth:`sample` needs no SciPy, so synthesising a trace from
+        this distribution does not import it.
+        """
+        from scipy import stats
+
+        return stats.lognorm(s=self.sigma, scale=math.exp(self.mu))
 
     @classmethod
     def from_mean_sigma(cls, mean: float, sigma: float, min_size: float = 1.0) -> "LognormalFlowSizes":

@@ -14,7 +14,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
+
+
+def _normal_quantile(confidence_level: float) -> float:
+    """The two-sided Normal quantile ``z`` of a confidence level."""
+    from scipy import stats
+
+    return float(stats.norm.ppf(0.5 + confidence_level / 2.0))
 
 
 @dataclass(frozen=True)
@@ -58,7 +64,7 @@ def estimate_flow_size(
         raise ValueError("confidence_level must be in (0, 1)")
     estimate = sampled_packets / sampling_rate
     std_error = float(np.sqrt(sampled_packets * (1.0 - sampling_rate)) / sampling_rate)
-    z = float(stats.norm.ppf(0.5 + confidence_level / 2.0))
+    z = _normal_quantile(confidence_level)
     low = max(float(sampled_packets), estimate - z * std_error)
     high = estimate + z * std_error
     return FlowSizeEstimate(
@@ -89,7 +95,7 @@ def relative_error_bound(
         raise ValueError("original_size must be positive")
     if not 0.0 < sampling_rate <= 1.0:
         raise ValueError(f"sampling_rate must be in (0, 1], got {sampling_rate}")
-    z = float(stats.norm.ppf(0.5 + confidence_level / 2.0))
+    z = _normal_quantile(confidence_level)
     return float(z * np.sqrt((1.0 - sampling_rate) / (sampling_rate * original_size)))
 
 
@@ -108,7 +114,7 @@ def rate_for_relative_error(
         raise ValueError("original_size must be positive")
     if max_relative_error <= 0:
         raise ValueError("max_relative_error must be positive")
-    z = float(stats.norm.ppf(0.5 + confidence_level / 2.0))
+    z = _normal_quantile(confidence_level)
     ratio = (z / max_relative_error) ** 2 / original_size
     return float(min(1.0, ratio / (1.0 + ratio)))
 

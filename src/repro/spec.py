@@ -26,6 +26,7 @@ labels printed by ``repro run`` can be pasted straight back into a
 from __future__ import annotations
 
 import ast
+import functools
 
 
 def _parse_value(text: str) -> object:
@@ -210,6 +211,7 @@ def _canonical_value(value: object) -> object:
     return value
 
 
+@functools.lru_cache(maxsize=4096)
 def canonical_spec(spec: str) -> str:
     """Normalise a spec string into its canonical, order-independent form.
 
@@ -220,6 +222,10 @@ def canonical_spec(spec: str) -> str:
     to the same string.  This is the normalisation the experiment store
     hashes (:func:`repro.store.store_key`): cache keys must not depend
     on how a config file or CLI flag happened to spell the arguments.
+
+    The result is memoised (a bounded LRU cache): every store lookup
+    re-canonicalises its spec, and the cells of a sweep grid share
+    few distinct component strings.
 
     >>> canonical_spec("periodic:phase=3,period=100")
     'periodic:period=100,phase=3'

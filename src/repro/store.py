@@ -279,10 +279,13 @@ def store_key(spec: RunSpec, *, salt: str = STORE_SALT) -> str:
     >>> store_key(a) == store_key(replace(a, seed=2))
     False
     """
+    return _key_of_canonical(spec.canonical().to_dict(), salt)
+
+
+def _key_of_canonical(spec_dict: dict, salt: str = STORE_SALT) -> str:
+    """:func:`store_key` of a spec already in ``canonical().to_dict()`` form."""
     payload = json.dumps(
-        {"salt": salt, "spec": spec.canonical().to_dict()},
-        sort_keys=True,
-        separators=(",", ":"),
+        {"salt": salt, "spec": spec_dict}, sort_keys=True, separators=(",", ":")
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:24]
 
@@ -566,7 +569,8 @@ class RunStore:
         on the key is released last — a completed artifact always wins
         over a lease, whatever instant a worker dies at.
         """
-        key = store_key(spec)
+        spec_dict = spec.canonical().to_dict()
+        key = _key_of_canonical(spec_dict)
         self.runs_dir.mkdir(parents=True, exist_ok=True)
         result_dict = result.to_dict()
         if self.array_format == "npz":
@@ -577,7 +581,7 @@ class RunStore:
         payload = {
             "key": key,
             "salt": STORE_SALT,
-            "spec": spec.canonical().to_dict(),
+            "spec": spec_dict,
             "result": result_dict,
         }
         _atomic_write_text(
@@ -586,7 +590,7 @@ class RunStore:
         if telemetry.enabled:
             telemetry.count("store.put")
         self._fire("put.after-artifact", key)
-        self._record_in_index(key, spec.canonical().to_dict())
+        self._record_in_index(key, spec_dict)
         self.lease_path(key).unlink(missing_ok=True)
         return key
 

@@ -75,6 +75,24 @@ class TestDocsTree:
             assert f"docs/{page}" in readme, f"README does not link docs/{page}"
 
 
+class TestDependencyDocs:
+    """The docs say which paths need SciPy, and install what pyproject declares."""
+
+    def test_readme_installs_every_runtime_dependency(self):
+        pyproject = (REPO_ROOT / "pyproject.toml").read_text()
+        declared = re.search(r"^dependencies = \[(.*)\]$", pyproject, re.M).group(1)
+        readme = (REPO_ROOT / "README.md").read_text()
+        install = next(line for line in readme.splitlines() if "# runtime" in line)
+        for dependency in re.findall(r'"([^"]+)"', declared):
+            assert dependency in install.split(), f"README does not install {dependency}"
+
+    def test_architecture_states_the_import_rule(self):
+        text = (DOCS / "architecture.md").read_text()
+        assert "The pipeline path imports only NumPy" in text
+        assert "tests/test_import_cost.py" in text
+        assert "Worker start-up" in (DOCS / "pipeline.md").read_text()
+
+
 class TestRegistryCrossReference:
     @pytest.mark.parametrize("section", sorted(SECTION_REGISTRIES))
     def test_every_registered_name_is_documented(self, section):

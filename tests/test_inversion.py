@@ -31,6 +31,15 @@ class TestFlowSizeEstimate:
         width_high = high_rate.confidence_high - high_rate.confidence_low
         assert width_high < width_low
 
+    def test_interval_is_the_two_sided_normal_interval(self):
+        # A two-sided 95% interval spans z = 1.95996... (the 97.5% Normal
+        # quantile) standard errors on each side of the estimate.
+        z = 1.959963984540054
+        estimate = estimate_flow_size(sampled_packets=50, sampling_rate=0.1)
+        half_width = estimate.confidence_high - estimate.estimate
+        assert half_width == pytest.approx(z * estimate.std_error, rel=1e-12)
+        assert relative_error_bound(500, 0.1) == pytest.approx(z * np.sqrt(0.9 / 50), rel=1e-12)
+
     def test_full_capture_has_no_uncertainty(self):
         estimate = estimate_flow_size(sampled_packets=42, sampling_rate=1.0)
         assert estimate.std_error == 0.0

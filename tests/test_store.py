@@ -27,6 +27,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.pipeline.result import MetricSeries, PipelineResult, SamplerSummary
+from repro.spec import canonical_spec
 from repro.store import STORE_SALT, RunSpec, RunStore, store_key
 
 REPO_SRC = Path(__file__).resolve().parent.parent / "src"
@@ -333,6 +334,73 @@ class TestRunSpecIntegerFields:
 
         with pytest.raises(TypeError, match="seed"):
             SweepGrid(samplers=("bernoulli:rate=0.1",), seeds=(1.5,)).cells()
+
+
+class TestCanonicalSpecCache:
+    """``canonical_spec`` is memoised; keys read the same cold and warm."""
+
+    def test_cache_is_bounded(self):
+        maxsize = canonical_spec.cache_info().maxsize
+        assert isinstance(maxsize, int) and maxsize > 0
+
+    @pytest.mark.parametrize(
+        ("field", "left", "right"),
+        [
+            ("samplers", ("periodic:period=100,phase=3",), ("periodic:phase=3,period=100",)),
+            ("trace", "sprint:duration=120,scale=0.002", "sprint:scale=0.002,duration=120"),
+            ("trace", "sprint:duration=120,scale=0.002", "sprint:duration=120.0,scale=0.002"),
+        ],
+    )
+    def test_spellings_share_a_key_cold_and_warm(self, field, left, right):
+        canonical_spec.cache_clear()
+        cold = store_key(replace(SPEC, **{field: right}))
+        assert store_key(replace(SPEC, **{field: left})) == cold
+        assert store_key(replace(SPEC, **{field: right})) == cold
+
+    def test_keys_are_the_written_out_derivation_cold_and_warm(self):
+        spec = RunSpec(
+            samplers=("periodic:phase=3,period=100", "bernoulli:rate=0.1"),
+            scenario="multilink:scale=0.05,duration=900.0",
+            key="prefix:prefix_length=24",
+            bin_duration=300,
+            top_t=5,
+            num_runs=1,
+            seed=7,
+            monitor=True,
+            max_flows=200,
+        )
+        # The canonical strings are typed out, not derived through the cache.
+        expected = _hashed(
+            {
+                "samplers": ["periodic:period=100,phase=3", "bernoulli:rate=0.1"],
+                "trace": None,
+                "scenario": "multilink:duration=900,scale=0.05",
+                "key": "prefix:prefix_length=24",
+                "bin_duration": 300.0,
+                "top_t": 5,
+                "num_runs": 1,
+                "seed": 7,
+                "monitor": True,
+                "max_flows": 200,
+            }
+        )
+        canonical_spec.cache_clear()
+        assert store_key(spec) == expected
+        assert store_key(spec) == expected
+
+    def test_put_canonicalises_the_spec_once(self, tmp_path, result, monkeypatch):
+        calls = []
+        canonical = RunSpec.canonical
+
+        def counting(spec):
+            calls.append(spec)
+            return canonical(spec)
+
+        monkeypatch.setattr(RunSpec, "canonical", counting)
+        key = RunStore(tmp_path / "store").put(SPEC, result)
+        assert len(calls) == 1
+        monkeypatch.undo()
+        assert key == store_key(SPEC)
 
 
 # ----------------------------------------------------------------------
