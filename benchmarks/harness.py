@@ -4,6 +4,7 @@
 Times the representative workloads of the library — packet expansion,
 the paper's (sampler x run) sweep in serial and in parallel, the
 cold-vs-warm store-backed sweep (``repro.sweep`` over ``repro.store``),
+what a store put costs as the store grows (and a 1,500-cell cold sweep),
 the leased multi-worker sweep drain against the serial orchestrator,
 the streaming executor at several chunk sizes, the source
 throughput of every registered workload scenario, and what a fresh
@@ -744,6 +745,113 @@ def bench_sweep_store(args: argparse.Namespace) -> dict:
     }
 
 
+#: Stored runs at which ``store_index`` times puts (``--quick``: the
+#: first two), and how many puts it times at each.
+STORE_INDEX_SIZES = (100, 1_000, 4_000)
+STORE_INDEX_PUTS = 50
+
+#: The cold sweep ``store_index`` times: 10 Bernoulli rates x 150 seeds
+#: of a 60 s steady trace, 2 runs each — 1,500 cells in 150 source
+#: passes (``--quick``: 15 seeds).
+STORE_SWEEP_SCENARIO = "steady:duration=60,scale=0.002"
+STORE_SWEEP_RATES = (0.05, 0.1, 0.15, 0.2, 0.25, 0.3, 0.35, 0.4, 0.45, 0.5)
+STORE_SWEEP_SEEDS = 150
+
+
+def bench_store_index(args: argparse.Namespace) -> dict:
+    """What a put costs as the store grows, and one large cold sweep.
+
+    Fills one fresh store per size in ``STORE_INDEX_SIZES`` to that many
+    runs, one ``RunStore.put`` at a time (one small executed result,
+    stored under a new seed each time).  Then times ``list()`` on each
+    (the fastest of five, each on a fresh handle) and
+    ``STORE_INDEX_PUTS`` more puts into each, recorded as their median
+    and 80th percentile in ms (the highest with ten puts beyond it).
+    Both go round the stores in turn, so a stall of the host's disk or
+    CPU hits every size alike.  An index that every put rewrites makes
+    the put p50 grow with the store; the CI perf-smoke step asserts that
+    the p50 at 1,000 runs is at most 2x the p50 at 100.  Then times one
+    cold ``run_sweep`` of the 1,500-cell grid above into another fresh
+    store, and records the sha256 of its aggregate rows, which a change
+    to the store must leave as it is.
+    """
+    import hashlib
+    import shutil
+    import tempfile
+    from dataclasses import replace
+
+    from repro.store import RunSpec, RunStore
+    from repro.sweep import SweepGrid, aggregate_rows, collect, run_sweep
+
+    sizes = STORE_INDEX_SIZES[:2] if args.quick else STORE_INDEX_SIZES
+    spec = RunSpec(
+        samplers=("bernoulli:rate=0.1",), scenario=STORE_SWEEP_SCENARIO, num_runs=2, seed=0
+    )
+    result = spec.execute(parallel="serial")
+    root = Path(tempfile.mkdtemp(prefix="bench_store_index_"))
+    try:
+        stores = {size: RunStore(root / str(size)) for size in sizes}
+        for size, store in stores.items():
+            for seed in range(size):
+                store.put(replace(spec, seed=seed), result)
+        list_seconds: dict[int, list[float]] = {size: [] for size in sizes}
+        for _ in range(5):
+            for size in sizes:
+                # A fresh handle, as `repro store ls` lists with.
+                seconds, listed = _timed(lambda: RunStore(root / str(size)).list())
+                if len(listed) != size:
+                    raise SystemExit(f"FATAL: store lists {len(listed)} of {size} stored runs")
+                list_seconds[size].append(seconds)
+        put_seconds: dict[int, list[float]] = {size: [] for size in sizes}
+        for seed in range(STORE_INDEX_PUTS):
+            for size, store in stores.items():
+                spec_at = replace(spec, seed=size + seed)
+                put_seconds[size].append(_timed(lambda: store.put(spec_at, result))[0])
+        index_bytes = stores[sizes[-1]].index_path.stat().st_size
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+
+    grid = SweepGrid(
+        scenarios=(STORE_SWEEP_SCENARIO,),
+        samplers=("bernoulli",),
+        rates=STORE_SWEEP_RATES,
+        seeds=tuple(range(STORE_SWEEP_SEEDS // 10 if args.quick else STORE_SWEEP_SEEDS)),
+        num_runs=2,
+    )
+    root = tempfile.mkdtemp(prefix="bench_store_sweep_")
+    try:
+        store = RunStore(root)
+        sweep_seconds, report = _timed(lambda: run_sweep(grid, store))
+        if not report.complete or len(report.executed) != len(grid.cells()):
+            raise SystemExit("FATAL: cold sweep did not execute every cell")
+        rows = aggregate_rows(collect(grid, store))
+    finally:
+        shutil.rmtree(root, ignore_errors=True)
+    return {
+        "puts_per_size": STORE_INDEX_PUTS,
+        "put_ms_p50": {
+            str(size): round(1e3 * float(np.median(times)), 3)
+            for size, times in put_seconds.items()
+        },
+        "put_ms_p80": {
+            str(size): round(1e3 * float(np.percentile(times, 80)), 3)
+            for size, times in put_seconds.items()
+        },
+        "list_ms": {str(size): round(1e3 * min(times), 3) for size, times in list_seconds.items()},
+        "index_bytes": index_bytes,
+        "cold_sweep": {
+            "grid": f"{STORE_SWEEP_SCENARIO} x bernoulli x {len(grid.rates)} rates "
+            f"x {len(grid.seeds)} seeds, 2 runs",
+            "cells": len(grid.cells()),
+            "passes": report.passes,
+            "seconds": round(sweep_seconds, 3),
+            "rows_sha256": hashlib.sha256(
+                json.dumps(rows, sort_keys=True).encode("utf-8")
+            ).hexdigest(),
+        },
+    }
+
+
 def bench_sweep_workers(args: argparse.Namespace) -> dict:
     """Leased multi-worker drain vs the serial sweep orchestrator.
 
@@ -1181,6 +1289,19 @@ def main(argv: list[str] | None = None) -> int:
             f"{sweep_store['cells']} cells: cold {sweep_store['cold_seconds']}s vs "
             f"warm {sweep_store['warm_seconds']}s -> {sweep_store['warm_speedup']}x "
             "(warm pass fully cached)"
+        )
+
+    if wanted("store_index"):
+        print(f"store index ... ", end="", flush=True)
+        report["results"]["store_index"] = store_index = bench_store_index(args)
+        cold = store_index["cold_sweep"]
+        print(
+            "put p50 "
+            + ", ".join(f"{ms} ms at {size}" for size, ms in store_index["put_ms_p50"].items())
+            + " stored runs; list() "
+            + ", ".join(f"{ms} ms at {size}" for size, ms in store_index["list_ms"].items())
+            + f"; cold sweep of {cold['cells']:,} cells in {cold['passes']} passes "
+            f"{cold['seconds']}s"
         )
 
     if wanted("sweep_workers"):

@@ -16,7 +16,7 @@ Two pieces:
 * :class:`RunStore` — a directory of JSON/NPZ artifacts keyed by
   :func:`store_key`, a stable hash of the canonical spec plus a
   code-version salt.  ``get``/``put``/``list``/``verify``/``gc`` cover
-  the cache workflows; an ``index.json`` makes listing cheap.
+  the cache workflows; an ``index.jsonl`` journal makes listing cheap.
 
 The cache-key contract
 ----------------------
@@ -42,8 +42,9 @@ True
 Layout on disk::
 
     <root>/
-      index.json           # {"salt": ..., "entries": {key: spec dict}}
-      index.lock           # flock target serialising index merges
+      index.jsonl          # journal: one "\n" + {"key", "spec"} line per put
+      index.json           # pre-journal index, read as its base until gc
+      index.lock           # flock target: appends vs gc's compaction
       runs/<key>.json      # {"key", "salt", "spec", "result"}
       runs/<key>.npz       # large arrays, when array_format="npz"
       leases/<key>.json    # in-flight claim: {"key", "owner", "deadline"}
@@ -71,7 +72,7 @@ from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-try:  # POSIX-only; the index merge loop degrades gracefully without it
+try:  # POSIX-only; without it journal appends and gc are unserialised
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None  # type: ignore[assignment]
@@ -400,13 +401,12 @@ class RunStore:
     [True]
     """
 
-    INDEX_NAME = "index.json"
+    INDEX_NAME = "index.jsonl"
+    #: A pre-journal store's index: the journal's base until :meth:`gc`.
+    LEGACY_INDEX_NAME = "index.json"
     INDEX_LOCK = "index.lock"
     RUNS_DIR = "runs"
     LEASES_DIR = "leases"
-
-    #: Bounded retries for the read-merge-verify index update loop.
-    INDEX_MERGE_ATTEMPTS = 8
 
     def __init__(
         self,
@@ -427,16 +427,13 @@ class RunStore:
         #: suite, telemetry adapters and progress reporters subscribe
         #: concurrently without clobbering each other.
         self.events: telemetry.EventBus = telemetry.EventBus()
-        #: Keys this instance has put — the index merge loop re-asserts
-        #: them so a concurrent writer can never erase our entries.
-        self._written_entries: dict[str, dict] = {}
 
     # ------------------------------------------------------------------
     # Paths and index
     # ------------------------------------------------------------------
     @property
     def index_path(self) -> Path:
-        """Location of the fast-listing index."""
+        """Location of the fast-listing index journal."""
         return self.root / self.INDEX_NAME
 
     @property
@@ -463,50 +460,45 @@ class RunStore:
     def _fire(self, event: str, key: str) -> None:
         self.events.emit(event, key)
 
-    def _load_index(self) -> dict:
-        """The parsed index, cached against the file's (mtime, size, inode).
+    def _read_index(self) -> dict[str, dict]:
+        """Every indexed run as ``{key: spec dict}``: the journal, folded.
 
-        ``put`` is called once per sweep cell; caching the parse keeps a
-        long sweep from re-reading a growing index file on every cell,
-        while the stat check still picks up writes made by another
-        process.  The inode is part of the stamp because every index
-        write lands via ``os.replace`` of a fresh temp file: two writes
-        inside one mtime tick with equal sizes still get distinct
-        inodes, so a concurrent writer can never leave this cache
-        serving a stale parse (the regression
-        ``tests/test_store.py::TestConcurrentIndexWriters`` pins).
+        A pre-journal ``index.json`` is the base; journal records
+        override it, later ones winning.  A line that is no record (the
+        torn tail of an append killed mid-write) is skipped: its run is
+        still on disk, :meth:`verify` reports it and :meth:`gc`
+        reindexes it.
         """
+        entries: dict[str, dict] = {}
+        with contextlib.suppress(OSError, ValueError, KeyError, TypeError):
+            legacy = json.loads((self.root / self.LEGACY_INDEX_NAME).read_bytes())
+            entries.update(legacy["entries"])
         try:
-            stat = self.index_path.stat()
-            stamp = (stat.st_mtime_ns, stat.st_size, stat.st_ino)
-        except OSError:
-            self._index_cache = None
-            return {"format": STORE_FORMAT, "salt": STORE_SALT, "entries": {}}
-        cached = getattr(self, "_index_cache", None)
-        if cached is not None and cached[0] == stamp:
-            return cached[1]
-        index = json.loads(self.index_path.read_text())
-        self._index_cache = (stamp, index)
-        return index
-
-    def _write_index(self, index: dict) -> None:
-        entries = index["entries"]
-        index["entries"] = {key: entries[key] for key in sorted(entries)}
-        _atomic_write_text(self.index_path, json.dumps(index, indent=2, sort_keys=True) + "\n")
-        stat = self.index_path.stat()
-        self._index_cache = ((stat.st_mtime_ns, stat.st_size, stat.st_ino), index)
+            journal = self.index_path.read_bytes().decode("utf-8", "replace")
+        except FileNotFoundError:
+            return entries
+        try:  # one parse for the whole journal, unless some line is no record
+            records = json.loads("[" + journal[1:].replace("\n", ",") + "]")
+            entries.update((record["key"], record["spec"]) for record in records)
+        except (ValueError, KeyError, TypeError):
+            for line in journal.split("\n"):
+                try:
+                    record = json.loads(line)
+                    entries[record["key"]] = record["spec"]
+                except (ValueError, KeyError, TypeError):
+                    continue
+        return entries
 
     @contextlib.contextmanager
     def _index_lock(self) -> Iterator[None]:
-        """Hold an exclusive advisory lock over an index merge cycle.
+        """Hold an exclusive advisory lock on the index journal.
 
-        ``flock`` on a sibling ``index.lock`` file serialises the
-        read-merge-write cycles of concurrent writers.  Without it, a
-        writer that read the index before our merge can replace the
-        file after our verify pass returned — a lost update no
-        optimistic retry loop can see.  On platforms without ``fcntl``
-        the lock is a no-op and the merge loop below stays best-effort
-        (the artifacts remain the source of truth; ``gc`` reindexes).
+        ``flock`` on a sibling ``index.lock`` file serialises journal
+        appends with :meth:`gc`, which holds it from reading the
+        journal to replacing it compacted: an append made in between
+        would land in the replaced file and be lost.  On platforms
+        without ``fcntl`` the lock is a no-op (the artifacts remain the
+        source of truth; ``gc`` reindexes).
         """
         if fcntl is None:
             yield
@@ -517,34 +509,6 @@ class RunStore:
             yield
         finally:
             os.close(fd)  # closing the descriptor releases the lock
-
-    def _record_in_index(self, key: str, spec_dict: dict) -> None:
-        """Merge one entry into the index, surviving concurrent writers.
-
-        The index is a cache of the ``runs/`` directory, but a lost
-        update would still make ``repro store ls`` lie until the next
-        ``gc``.  Writers therefore take the index lock and loop:
-        re-read the freshest on-disk index (the inode-aware stamp
-        defeats the parse cache whenever another process replaced the
-        file), merge *every* entry this instance has ever written,
-        publish, and re-read to verify.  Under the lock one pass
-        suffices; the loop is the safety net for platforms where the
-        lock is a no-op.
-        """
-        self._written_entries[key] = spec_dict
-        with self._index_lock():
-            for _ in range(self.INDEX_MERGE_ATTEMPTS):
-                index = self._load_index()
-                missing = {
-                    entry_key: entry
-                    for entry_key, entry in self._written_entries.items()
-                    if entry_key not in index["entries"]
-                }
-                if not missing:
-                    return
-                merged = dict(index)
-                merged["entries"] = {**index["entries"], **missing}
-                self._write_index(merged)
 
     # ------------------------------------------------------------------
     # Core operations
@@ -565,9 +529,11 @@ class RunStore:
         lands via a same-directory temp file and ``os.replace``, so a
         sweep killed mid-write never leaves a truncated artifact that
         a resumed sweep would mistake for a cache hit.  The NPZ sibling
-        is replaced before the JSON that references it, and any lease
-        on the key is released last — a completed artifact always wins
-        over a lease, whatever instant a worker dies at.
+        is replaced before the JSON that references it, then one
+        ``{"key", "spec"}`` record is appended to the index journal
+        (never read back here), and any lease on the key is released
+        last — a completed artifact always wins over a lease, whatever
+        instant a worker dies at.
         """
         spec_dict = spec.canonical().to_dict()
         key = _key_of_canonical(spec_dict)
@@ -590,7 +556,10 @@ class RunStore:
         if telemetry.enabled:
             telemetry.count("store.put")
         self._fire("put.after-artifact", key)
-        self._record_in_index(key, spec_dict)
+        with self._index_lock(), open(self.index_path, "ab") as journal:  # reprolint: disable=non-atomic-write -- an append-only journal: readers skip a torn last line, and each record opens with its own newline
+            journal.write(_journal_record(key, spec_dict))
+            journal.flush()
+            os.fsync(journal.fileno())
         self.lease_path(key).unlink(missing_ok=True)
         return key
 
@@ -620,13 +589,12 @@ class RunStore:
     def list(self) -> list[tuple[str, RunSpec]]:
         """Every indexed run as ``(key, spec)``, sorted by key.
 
-        Reads only ``index.json`` — listing a store of thousands of
-        runs does not open the artifacts.
+        Folds only the index journal (over a pre-journal ``index.json``,
+        if one is left) — listing a store of thousands of runs does not
+        open the artifacts.
         """
-        index = self._load_index()
         return [
-            (key, RunSpec.from_dict(entry))
-            for key, entry in sorted(index["entries"].items())
+            (key, RunSpec.from_dict(entry)) for key, entry in sorted(self._read_index().items())
         ]
 
     # ------------------------------------------------------------------
@@ -813,13 +781,13 @@ class RunStore:
         touches a valid artifact.
         """
         report = VerifyReport()
-        index = self._load_index()
+        indexed = self._read_index()
         on_disk = (
             {path.stem for path in self.runs_dir.glob("*.json")}
             if self.runs_dir.is_dir()
             else set()
         )
-        for key in sorted(on_disk | set(index["entries"])):
+        for key in sorted(on_disk | set(indexed)):
             report.checked += 1
             if key not in on_disk:
                 report.issues.append((key, "indexed but artifact file is missing"))
@@ -845,7 +813,7 @@ class RunStore:
                 PipelineResult.from_dict(result_dict)
             except Exception as error:  # noqa: BLE001 - verify reports, never raises
                 problems.append(f"artifact does not rebuild: {error}")
-            if key not in index["entries"]:
+            if key not in indexed:
                 problems.append("artifact present but not indexed (run gc to reindex)")
             if problems:
                 report.issues.extend((key, problem) for problem in problems)
@@ -877,23 +845,24 @@ class RunStore:
         Removes artifacts whose salt no longer matches (results from an
         older code version) or that fail to parse, drops index entries
         whose artifacts are gone, and indexes orphaned artifacts that
-        are valid.  Stale leases are reaped too: expired (their worker
-        crashed), shadowed by a completed artifact, or unreadable —
-        while live leases and valid artifacts are never touched.
-        Returns a summary dictionary with the ``removed`` keys,
-        ``reindexed`` keys, ``reaped_leases`` keys and the number of
-        entries ``kept``.
+        are valid, then replaces the journal with one line per kept run
+        (under the index lock from its read on, so no put's line is
+        lost) and deletes a pre-journal ``index.json``.  Stale leases
+        are reaped too: expired (their worker crashed), shadowed by a
+        completed artifact, or unreadable; so are dead writers' temp
+        files — while live leases, live writers' temp files and valid
+        artifacts are never touched.  Returns a summary dictionary with
+        the ``removed`` keys, ``reindexed`` keys, ``reaped_leases`` keys
+        and the number of entries ``kept``.
         """
-        index = self._load_index()
         removed: list[str] = []
         reindexed: list[str] = []
         reaped_leases: list[str] = []
-        if self.runs_dir.is_dir():
-            for leftover in self.runs_dir.glob("*.tmp"):
-                leftover.unlink()  # interrupted atomic writes
+        for directory in (self.root, self.runs_dir, self.leases_dir):
+            for leftover in directory.glob("*.tmp"):
+                if not _writer_alive(leftover.name):
+                    leftover.unlink(missing_ok=True)  # interrupted write
         if self.leases_dir.is_dir():
-            for leftover in self.leases_dir.glob("*.tmp"):
-                leftover.unlink()  # interrupted lease publishes/reclaims
             now = self.clock()
             for path in sorted(self.leases_dir.glob("*.json")):
                 key = path.stem
@@ -906,40 +875,40 @@ class RunStore:
                 if stale:
                     path.unlink(missing_ok=True)
                     reaped_leases.append(key)
-        on_disk = sorted(
-            {path.stem for path in self.runs_dir.glob("*.json")}
-            if self.runs_dir.is_dir()
-            else set()
-        )
-        for key in on_disk:
-            stale = False
-            try:
-                payload = json.loads(self.run_path(key).read_text())
-                stale = payload.get("salt") != STORE_SALT or store_key(
-                    RunSpec.from_dict(payload["spec"])
-                ) != key
-            except Exception:  # noqa: BLE001 - any unreadable artifact is garbage
-                stale = True
-            if stale:
-                self.run_path(key).unlink()
-                self._npz_path(key).unlink(missing_ok=True)
-                index["entries"].pop(key, None)
-                removed.append(key)
-            elif key not in index["entries"]:
-                index["entries"][key] = payload["spec"]
-                reindexed.append(key)
-        remaining = set(on_disk) - set(removed)
-        for key in sorted(set(index["entries"]) - remaining):
-            del index["entries"][key]
-            removed.append(key)
         self.root.mkdir(parents=True, exist_ok=True)
-        self.runs_dir.mkdir(parents=True, exist_ok=True)
-        self._write_index(index)
+        with self._index_lock():
+            entries = self._read_index()
+            on_disk = sorted(path.stem for path in self.runs_dir.glob("*.json"))
+            for key in on_disk:
+                stale = False
+                try:
+                    payload = json.loads(self.run_path(key).read_text())
+                    stale = payload.get("salt") != STORE_SALT or store_key(
+                        RunSpec.from_dict(payload["spec"])
+                    ) != key
+                except Exception:  # noqa: BLE001 - any unreadable artifact is garbage
+                    stale = True
+                if stale:
+                    self.run_path(key).unlink()
+                    self._npz_path(key).unlink(missing_ok=True)
+                    entries.pop(key, None)
+                    removed.append(key)
+                elif key not in entries:
+                    entries[key] = payload["spec"]
+                    reindexed.append(key)
+            for key in sorted(set(entries) - set(on_disk)):
+                del entries[key]
+                removed.append(key)
+            _atomic_write_bytes(
+                self.index_path,
+                b"".join(_journal_record(key, entries[key]) for key in sorted(entries)),
+            )
+            (self.root / self.LEGACY_INDEX_NAME).unlink(missing_ok=True)
         return {
             "removed": removed,
             "reindexed": reindexed,
             "reaped_leases": reaped_leases,
-            "kept": len(index["entries"]),
+            "kept": len(entries),
         }
 
 
@@ -949,11 +918,10 @@ class RunStore:
 def _write_file_synced(path: Path, data: bytes) -> None:
     """Write ``data`` to ``path`` and fsync it before returning.
 
-    The fsync matters for the concurrent-writer contract: once another
-    process can observe the file (after a subsequent ``os.replace`` or
-    ``os.link``), its stat stamp — mtime, size *and* inode — reflects
-    exactly these bytes, so the inode-aware index parse cache can never
-    validate against content it has not seen.
+    Every caller then publishes the file by ``os.replace`` or
+    ``os.link``; the fsync makes sure the bytes are on disk before the
+    name is, so a crash right after publishing cannot leave a cached
+    name pointing at a truncated file.
     """
     with open(path, "wb") as handle:  # reprolint: disable=non-atomic-write -- the one raw-write primitive; every caller publishes via os.replace/os.link
         handle.write(data)
@@ -968,8 +936,9 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
     resumed sweep's hit check) only ever see the old file, the new
     file, or no file — never a truncated one.  The temp name embeds the
     writer's pid: two uncoordinated workers replacing the same path
-    (idempotent duplicate puts, index merges) never share a temp file,
-    so neither can rename the other's half-written bytes into place.
+    (idempotent duplicate puts) never share a temp file, so neither can
+    rename the other's half-written bytes into place, and ``gc`` can
+    tell a live writer's temp file from a dead one's.
     """
     temp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     _write_file_synced(temp, data)
@@ -978,6 +947,32 @@ def _atomic_write_bytes(path: Path, data: bytes) -> None:
 
 def _atomic_write_text(path: Path, text: str) -> None:
     _atomic_write_bytes(path, text.encode("utf-8"))
+
+
+def _writer_alive(temp_name: str) -> bool:
+    """Whether the writer whose pid names a temp file still runs.
+
+    Names are ``<name>.<pid>.tmp`` or ``<key>.<pid>.reclaim.tmp``; one
+    without a pid is a dead writer's leftover.
+    """
+    pid = temp_name.removesuffix(".reclaim.tmp").removesuffix(".tmp").rpartition(".")[2]
+    if not pid.isdecimal():
+        return False
+    if os.name != "posix":
+        return True  # os.kill(pid, 0) would terminate the process there
+    try:
+        os.kill(int(pid), 0)
+    except PermissionError:
+        return True  # alive, but another user's
+    except (OSError, OverflowError):
+        return False
+    return True
+
+
+def _journal_record(key: str, spec_dict: dict) -> bytes:
+    """One journal line; its leading newline ends a torn tail before it."""
+    record = {"key": key, "spec": spec_dict}
+    return b"\n" + json.dumps(record, sort_keys=True, separators=(",", ":")).encode()
 
 
 # ----------------------------------------------------------------------

@@ -9,13 +9,16 @@ Covers the three contracts the store documents:
   processes and across dict/kwargs orderings, and changing any field
   changes the key (hypothesis);
 * **Store operations** — put/get/list/verify/gc over JSON and NPZ
-  artifacts, salt invalidation, corrupt-artifact handling.
+  artifacts, salt invalidation, corrupt-artifact handling, the
+  append-only index journal (torn lines, pre-journal stores) and ``gc``
+  beside live writers.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from dataclasses import replace
@@ -736,7 +739,7 @@ class TestLeaseAuditing:
 
 
 # ----------------------------------------------------------------------
-# Index parse-cache under concurrent writers (regression tests)
+# The index journal under concurrent writers (regression tests)
 # ----------------------------------------------------------------------
 class TestConcurrentIndexWriters:
     def test_interleaved_writers_see_each_other(self, tmp_path, result):
@@ -749,27 +752,6 @@ class TestConcurrentIndexWriters:
         # invalidate it even though a never wrote again.
         assert sorted(key for key, _ in a.list()) == sorted([key_a, key_b])
         assert sorted(key for key, _ in b.list()) == sorted([key_a, key_b])
-
-    def test_stale_cache_defeated_when_mtime_and_size_collide(self, tmp_path, result):
-        import os
-
-        from repro.store import _atomic_write_text
-
-        a = RunStore(tmp_path / "store")
-        key_a = a.put(SPEC, result)
-        assert [key for key, _ in a.list()] == [key_a]  # warm a's cache
-        stat = a.index_path.stat()
-        # A second writer replaces the index with different content of
-        # the exact same byte length, then the mtime is forced back to
-        # the cached stamp — only the inode distinguishes the files.
-        fake_key = "f" * len(key_a)
-        text = a.index_path.read_text().replace(key_a, fake_key)
-        _atomic_write_text(a.index_path, text)
-        os.utime(a.index_path, ns=(stat.st_atime_ns, stat.st_mtime_ns))
-        after = a.index_path.stat()
-        assert after.st_size == stat.st_size
-        assert after.st_mtime_ns == stat.st_mtime_ns
-        assert [key for key, _ in a.list()] == [fake_key]
 
     def test_put_merges_entries_written_between_artifact_and_index(
         self, tmp_path, result
@@ -822,3 +804,143 @@ class TestConcurrentIndexWriters:
         expected = sorted(merged.key_of(spec) for spec in specs)
         assert sorted(key for key, _ in merged.list()) == expected
         assert merged.verify().clean
+
+
+# ----------------------------------------------------------------------
+# The index journal: one appended record per put
+# ----------------------------------------------------------------------
+def _journal_lines(store: RunStore) -> list[bytes]:
+    return store.index_path.read_bytes().split(b"\n")
+
+
+class TestIndexJournal:
+    def test_put_appends_one_record_to_the_same_file(self, tmp_path, result):
+        store = RunStore(tmp_path / "store")
+        store.put(SPEC, result)
+        before, lines = store.index_path.stat(), _journal_lines(store)
+        key = store.put(SPEC2, result)
+        assert store.index_path.stat().st_ino == before.st_ino
+        after = _journal_lines(store)
+        assert after[: len(lines)] == lines and len(after) == len(lines) + 1
+        assert json.loads(after[-1]) == {"key": key, "spec": SPEC2.canonical().to_dict()}
+
+    def test_torn_tail_is_skipped_and_gc_repairs_it(self, tmp_path, result):
+        store = RunStore(tmp_path / "store")
+        key_a, key_b = store.put(SPEC, result), store.put(SPEC2, result)
+        # An append killed mid-write: B's record loses its second half.
+        journal = store.index_path.read_bytes()
+        store.index_path.write_bytes(journal[: journal.rindex(b"\n") + 40])
+        assert [key for key, _ in store.list()] == [key_a]
+        # The next put's record opens with its own newline.
+        key_c = store.put(replace(SPEC, seed=2), result)
+        assert sorted(key for key, _ in store.list()) == sorted([key_a, key_c])
+        report = store.verify()
+        assert report.issues == [(key_b, "artifact present but not indexed (run gc to reindex)")]
+        summary = store.gc()
+        assert summary["reindexed"] == [key_b] and summary["kept"] == 3
+        assert sorted(key for key, _ in store.list()) == sorted([key_a, key_b, key_c])
+        assert len(_journal_lines(store)) == 4  # compacted: one record per run
+        assert store.verify().clean
+
+    def test_pre_journal_index_lists_the_same_and_gc_folds_it(self, tmp_path, result, capsys):
+        from repro.cli import main
+
+        root = tmp_path / "store"
+        store = RunStore(root)
+        store.put(SPEC, result)
+        store.put(SPEC2, result)
+        assert main(["store", "ls", "--store", str(root)]) == 0
+        listed = capsys.readouterr().out
+        # Rewrite the index in the layout stores had before the journal.
+        entries = {key: spec.to_dict() for key, spec in store.list()}
+        store.index_path.unlink()
+        legacy = root / "index.json"
+        legacy.write_text(
+            json.dumps(
+                {"format": 1, "salt": STORE_SALT, "entries": entries}, indent=2, sort_keys=True
+            )
+            + "\n"
+        )
+        assert main(["store", "ls", "--store", str(root)]) == 0
+        assert capsys.readouterr().out == listed
+        key_c = store.put(replace(SPEC, seed=2), result)
+        assert sorted(key for key, _ in store.list()) == sorted([*entries, key_c])
+        assert store.verify().clean
+        summary = store.gc()
+        assert summary["removed"] == summary["reindexed"] == [] and summary["kept"] == 3
+        assert not legacy.exists()
+        assert sorted(key for key, _ in store.list()) == sorted([*entries, key_c])
+        assert len(_journal_lines(store)) == 4
+        assert store.verify().clean
+
+
+# ----------------------------------------------------------------------
+# gc beside live writers: only dead writers' temp files are reaped
+# ----------------------------------------------------------------------
+GC_LOOP = """
+import sys
+from pathlib import Path
+
+sys.path.insert(0, sys.argv[1])
+from repro.store import RunStore
+
+store, stop = RunStore(sys.argv[2]), Path(sys.argv[3])
+runs = 0
+while not stop.exists():
+    store.gc()
+    runs += 1
+    if runs == 1:
+        print("ready", flush=True)
+print(runs, flush=True)
+"""
+
+
+class TestGcBesideLiveWriters:
+    def test_gc_reaps_only_dead_writers_temp_files(self, tmp_path, result):
+        store = RunStore(tmp_path / "store")
+        store.put(SPEC, result)
+        store.leases_dir.mkdir()
+        finished = subprocess.Popen([sys.executable, "-c", "pass"])
+        finished.wait()
+        live = [
+            store.runs_dir / f"{store.key_of(SPEC2)}.json.{os.getpid()}.tmp",
+            store.leases_dir / f"{store.key_of(SPEC2)}.{os.getpid()}.reclaim.tmp",
+        ]
+        dead = [
+            store.runs_dir / f"{store.key_of(SPEC2)}.npz.{finished.pid}.tmp",
+            store.leases_dir / f"{store.key_of(SPEC2)}.json.{finished.pid}.tmp",
+            store.root / f"index.jsonl.{finished.pid}.tmp",
+            store.runs_dir / "deadbeef.json.tmp",  # no pid at all
+        ]
+        for path in live + dead:
+            path.write_text("{half")
+        store.gc()
+        assert all(path.is_file() for path in live)
+        assert not any(path.exists() for path in dead)
+        assert store.verify().clean
+
+    def test_puts_beside_a_gc_loop_all_land(self, tmp_path, result):
+        root, stop = tmp_path / "store", tmp_path / "stop"
+        looper = subprocess.Popen(
+            [sys.executable, "-c", GC_LOOP, str(REPO_SRC), str(root), str(stop)],
+            stdout=subprocess.PIPE,
+            text=True,
+        )
+        store = RunStore(root)
+        specs = [replace(SPEC, seed=seed) for seed in range(80)]
+        errors: list[Exception] = []
+        try:
+            assert looper.stdout.readline().strip() == "ready"
+            for spec in specs:
+                try:
+                    store.put(spec, result)
+                except Exception as error:  # noqa: BLE001 - counted below
+                    errors.append(error)
+        finally:
+            stop.touch()
+            output, _ = looper.communicate(timeout=60.0)
+        assert looper.returncode == 0
+        assert int(output.split()[-1]) > 1  # gc kept running during the puts
+        assert errors == []
+        assert sorted(key for key, _ in store.list()) == sorted(map(store.key_of, specs))
+        assert store.verify().clean
