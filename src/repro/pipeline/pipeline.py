@@ -136,6 +136,9 @@ class Pipeline:
         self._evaluate_detection: bool = True
         self._monitor: bool = False
         self._monitor_max_flows: int | None = None
+        # (source, key spec, dense groups) of the last plan over a source
+        # set by with_source: a fixed source's groups are ranked once.
+        self._groups_memo: tuple[PacketSource, object, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Builder methods
@@ -182,6 +185,7 @@ class Pipeline:
         self._source = self._source_factory = self._scenario_name = None
         self._source_kwargs = {}
         self._scenario_kwargs = {}
+        self._groups_memo = None
 
     def with_source(
         self,
@@ -334,6 +338,7 @@ class Pipeline:
             if kwargs:
                 raise ValueError("keyword arguments are only valid with a policy name")
             self._key_policy = policy
+        self._groups_memo = None
         return self
 
     def with_bin_duration(self, seconds: float) -> "Pipeline":
@@ -613,6 +618,28 @@ class Pipeline:
             return self._key_policy
         return KEY_POLICIES.create(self._key_name, **self._key_kwargs)
 
+    def _dense_groups_of(self, source: PacketSource) -> np.ndarray:
+        """The plan's dense group ids of ``source`` under the key policy.
+
+        A source set by :meth:`with_source` is the same object on every
+        plan, so its groups are ranked once and reused until the source
+        or the key policy changes; a resolved trace, factory or scenario
+        source is new on each plan and is ranked each time.
+        """
+        # What the key policy resolves from: the object, or its spec.
+        key_spec = (
+            self._key_policy
+            if self._key_policy is not None
+            else (self._key_name, self._key_kwargs)
+        )
+        memo = self._groups_memo
+        if memo is not None and memo[0] is source and memo[1] == key_spec:
+            return memo[2]
+        groups = _dense_groups(source.group_ids(self._resolve_key_policy()))
+        if source is self._source:
+            self._groups_memo = (source, key_spec, groups)
+        return groups
+
     def plan(self) -> ExecutionPlan:
         """Resolve the pipeline into an :class:`ExecutionPlan` of cells.
 
@@ -627,7 +654,9 @@ class Pipeline:
         as /24 prefix codes have) are replaced by their order-preserving
         ranks, so the truth engine and every monitor address a dense
         table.  Ranks keep the ids' order, so every tie breaks as it
-        would on the raw ids and results do not change.
+        would on the raw ids and results do not change.  The plans of a
+        source set by :meth:`with_source` share one ranked array, so
+        treat ``plan.groups`` as read-only.
 
         Returns
         -------
@@ -637,7 +666,7 @@ class Pipeline:
         self._validate()
         children = self._seed_children()
         source = self._resolve_source(np.random.default_rng(children[0]))
-        groups = _dense_groups(source.group_ids(self._resolve_key_policy()))
+        groups = self._dense_groups_of(source)
         return ExecutionPlan(
             source=source,
             groups=groups,

@@ -13,8 +13,8 @@ primitives the fast assembly backend is built from:
   consume-from-the-front cursor, replacing per-chunk concatenate churn.
   The buffer is internal state that is never handed out as an emitted
   chunk, so compaction and growth can safely reuse its backing arrays.
-* :func:`stable_order` — a drop-in replacement for
-  ``np.argsort(values, kind="stable")`` built on the (~5x faster on
+* :func:`stable_sort` — ``np.argsort(values, kind="stable")``, plus
+  the values in that order, built on the (~5x faster on
   random float64 data) default introsort plus an exact tie fix-up:
   within every maximal run of equal values the permutation indices are
   sorted, which restores precisely the original-index order a stable
@@ -34,13 +34,13 @@ galloping merges make it a near-linear multi-run merge exactly when
 the input is a concatenation of sorted runs — so the concat+argsort
 shape *is* the fast path here, and the win over the reference backend
 comes from sorting only random-dominated blocks with
-:func:`stable_order`, amortising buffer growth, and emitting zero-copy
+:func:`stable_sort`, amortising buffer growth, and emitting zero-copy
 trusted chunks.  Keep the receipts in mind before "optimising" this
 back.
 
 >>> import numpy as np
 >>> ts = np.array([3.0, 1.0, 3.0, 2.0])
->>> list(stable_order(ts)) == list(np.argsort(ts, kind="stable"))
+>>> list(stable_sort(ts)[0]) == list(np.argsort(ts, kind="stable"))
 True
 >>> merged = merge_sorted_runs([
 ...     (np.array([1.0, 3.0]), np.array([10, 11]), None),
@@ -61,8 +61,8 @@ SortedRun = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
 _MIN_CAPACITY = 1024
 
 
-def stable_order(values: np.ndarray) -> np.ndarray:
-    """Exact stable argsort of a 1-D float array, without the stable-sort tax.
+def stable_sort(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exact stable argsort of a 1-D float array, and the values in that order.
 
     ``np.argsort(kind="stable")`` on ``float64`` is a comparison
     timsort — superb on run-structured data, ~5x slower than the
@@ -70,18 +70,26 @@ def stable_order(values: np.ndarray) -> np.ndarray:
     computes the unstable argsort and then repairs tie order: in the
     sorted output, every maximal run of equal values is located and the
     permutation indices inside the run are sorted ascending — which is
-    exactly the original-index order a stable sort yields.  The result
+    exactly the original-index order a stable sort yields.  The order
     is bit-identical to the stable argsort for any input without NaNs.
+
+    The tie check gathers the sorted values anyway, so they come back
+    too (reordering indices within a run of equal values leaves them
+    as they are); they are freshly allocated, safe to emit as zero-copy
+    views.
 
     >>> import numpy as np
     >>> values = np.array([2.0, 1.0, 2.0, 1.0, 2.0])
-    >>> np.array_equal(stable_order(values), np.argsort(values, kind="stable"))
+    >>> order, ordered = stable_sort(values)
+    >>> np.array_equal(order, np.argsort(values, kind="stable"))
     True
+    >>> ordered.tolist()
+    [1.0, 1.0, 2.0, 2.0, 2.0]
     """
     order = np.argsort(values)
-    if order.size < 2:
-        return order
     ordered = values[order]
+    if order.size < 2:
+        return order, ordered
     ties = np.flatnonzero(ordered[1:] == ordered[:-1])
     if ties.size:
         gaps = np.diff(ties) > 1
@@ -89,7 +97,7 @@ def stable_order(values: np.ndarray) -> np.ndarray:
         run_ends = ties[np.concatenate((gaps, [True]))] + 2
         for start, end in zip(run_starts, run_ends):
             order[start:end].sort()
-    return order
+    return order, ordered
 
 
 def merge_sorted_runs(runs: list[SortedRun]) -> SortedRun:
@@ -102,7 +110,9 @@ def merge_sorted_runs(runs: list[SortedRun]) -> SortedRun:
     measurements against explicit ``searchsorted`` splicing.  The
     returned columns are freshly allocated, so callers may emit
     zero-copy views into them; a single input run is copied for the
-    same reason.  Sizes are carried iff every run carries them.
+    same reason.  Sizes are carried iff every run carries them; when
+    every packet carries one size (as every flow-trace expansion
+    emits), the size column is filled, not gathered.
 
     >>> import numpy as np
     >>> ts, ids, _ = merge_sorted_runs([
@@ -121,10 +131,27 @@ def merge_sorted_runs(runs: list[SortedRun]) -> SortedRun:
     ts = np.concatenate([run[0] for run in runs])
     ids = np.concatenate([run[1] for run in runs])
     order = np.argsort(ts, kind="stable")
-    if with_sizes:
-        sizes = np.concatenate([np.asarray(run[2]) for run in runs])
-        return ts[order], ids[order], sizes[order]
-    return ts[order], ids[order], None
+    if not with_sizes:
+        return ts[order], ids[order], None
+    columns = [np.asarray(run[2]) for run in runs]
+    size = _single_value(columns)
+    if size is not None:
+        return ts[order], ids[order], np.full(ts.size, size, dtype=np.result_type(*columns))
+    return ts[order], ids[order], np.concatenate(columns)[order]
+
+
+def _single_value(columns: list[np.ndarray]) -> object | None:
+    """The one value every element of ``columns`` holds, or ``None``.
+
+    ``None`` also when every column is empty: there is no value to fill.
+    """
+    filled = [column for column in columns if column.size]
+    if not filled:
+        return None
+    value = filled[0][0]
+    if all((column == value).all() for column in filled):
+        return value
+    return None
 
 
 class RunQueue:
@@ -347,4 +374,4 @@ class ChunkBuffer:
         self.append(timestamps, flow_ids)
 
 
-__all__ = ["ChunkBuffer", "RunQueue", "SortedRun", "merge_sorted_runs", "stable_order"]
+__all__ = ["ChunkBuffer", "RunQueue", "SortedRun", "merge_sorted_runs", "stable_sort"]

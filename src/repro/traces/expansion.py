@@ -13,7 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
-from .buffers import stable_order
+from .buffers import stable_sort
 from .flow_trace import FlowLevelTrace
 
 
@@ -43,7 +43,7 @@ def expand_to_packets(
     -------
     PacketBatch
         Packets sorted by timestamp (ties keep flow row order, via
-        :func:`repro.traces.buffers.stable_order`); ``flow_ids`` index
+        :func:`repro.traces.buffers.stable_sort`); ``flow_ids`` index
         the rows of the input trace.
     """
     if packet_size_bytes <= 0:
@@ -68,9 +68,9 @@ def expand_to_packets(
         timestamps = timestamps[keep]
         flow_ids = flow_ids[keep]
 
-    order = stable_order(timestamps)
+    order, timestamps = stable_sort(timestamps)
     sizes_bytes = np.full(timestamps.size, packet_size_bytes, dtype=np.int32)
-    return PacketBatch.from_trusted_columns(timestamps[order], flow_ids[order], sizes_bytes)
+    return PacketBatch.from_trusted_columns(timestamps, flow_ids[order], sizes_bytes)
 
 
 def expected_link_utilisation_bps(

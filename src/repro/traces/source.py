@@ -48,22 +48,39 @@ in ``tests/oracles/assembly.py``:
 from __future__ import annotations
 
 import abc
+import os
 from collections.abc import Callable, Iterator, Sequence
 from dataclasses import dataclass
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .. import telemetry
 from ..flows.keys import FlowKeyPolicy
 from ..flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
-from .buffers import ChunkBuffer, RunQueue, SortedRun, merge_sorted_runs, stable_order
+from .buffers import ChunkBuffer, RunQueue, SortedRun, merge_sorted_runs, stable_sort
 from .flow_trace import FlowLevelTrace
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 #: Default number of packets per streaming chunk.  Large enough to keep
 #: the per-chunk NumPy work efficient, small enough that a chunk is a
 #: rounding error next to a backbone-scale packet trace.
 DEFAULT_CHUNK_PACKETS = 1 << 18
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask, where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _next_chunk(chunks: Iterator[PacketBatch]) -> PacketBatch | None:
+    """``next(chunks)``, or ``None`` once the stream is exhausted."""
+    return next(chunks, None)
 
 
 def iter_expanded_chunks(
@@ -93,9 +110,10 @@ def iter_expanded_chunks(
     (``rng.random(out=...)``, then scaled/shifted in place —
     IEEE-commutative, so the values are bitwise those of ``starts + u *
     durations``), the whole live region is ordered with
-    :func:`stable_order` (introsort + exact tie fix-up), and the sorted
-    columns are gathered once into fresh output arrays.  Clip and
-    emission are then suffix/prefix ``searchsorted`` cuts: emitted
+    :func:`~repro.traces.buffers.stable_sort` (introsort + exact tie
+    fix-up, which hands back the sorted timestamps it gathered for its
+    tie check), and the flow ids are gathered once into a fresh array.
+    Clip and emission are then suffix/prefix ``searchsorted`` cuts: emitted
     chunks are zero-copy views of the fresh arrays (never written
     again), and only the small pending tail is copied back into the
     buffer.
@@ -153,8 +171,7 @@ def iter_expanded_chunks(
             block_ids[:] = np.repeat(order[lo:hi], block_sizes)
             lo = hi
 
-        sort = stable_order(pending.timestamps)
-        merged_ts = pending.timestamps[sort]
+        sort, merged_ts = stable_sort(pending.timestamps)
         merged_ids = pending.flow_ids[sort]
         if clip_to_duration is not None:
             # Clipped packets form a suffix of the sorted round.
@@ -234,7 +251,8 @@ class PacketSource(abc.ABC):
     def expected_packets(self) -> int | None:
         """Expected total packets of the stream (``None`` when unknown).
 
-        Used by the ``"auto"`` parallel backend to size the workload; an
+        Used by the ``"auto"`` parallel backend to size the workload and
+        by :class:`MergeSource` to find the parts worth reading ahead; an
         upper bound is fine.
         """
         return None
@@ -445,7 +463,20 @@ class MergeSource(PacketSource):
     The merge is exact and chunk-size invariant: packets are emitted in
     global time order with ties broken by source position (then by
     in-source order), whatever chunk size the parts are pulled at.
-    Memory is bounded by roughly one in-flight chunk per part.
+
+    A streamed merge reads ahead: when the process may use more than one
+    CPU, each part that spans more than one chunk (its
+    ``expected_packets`` exceeds ``chunk_packets``, or is unknown) has
+    its next chunk assembled on a thread of its own while the merge and
+    its consumer work, so the parts' expansions run side by side.  Each
+    part is still advanced by one thread at a time, in order, from its
+    own generator, so the stream is the same as without threads.
+    Materialised merges, parts inside one chunk and one-CPU processes
+    start no thread (the ``source.read_ahead`` telemetry gauge counts
+    the parts read ahead).  Parts may thus run concurrently, so one
+    source object whose streams share mutable state must not be two
+    parts of a merge.  Memory is bounded by roughly one pending chunk
+    per part, two for a part that is read ahead.
     """
 
     name = "merge"
@@ -487,6 +518,9 @@ class MergeSource(PacketSource):
             flow_ids = chunk.flow_ids + offset if offset else chunk.flow_ids
             return chunk.timestamps, flow_ids, chunk.sizes_bytes
 
+        ahead = self._read_ahead_parts(chunk_packets)
+        if telemetry.enabled:
+            telemetry.gauge("source.read_ahead", len(ahead))
         if chunk_packets is None:
             # Materialised mode: one chunk holding the whole merged
             # stream, assembled from the part-ordered chunk runs.
@@ -508,13 +542,34 @@ class MergeSource(PacketSource):
         n = len(self.sources)
         queues = [RunQueue() for _ in range(n)]
         exhausted = [False] * n
+        pool = None
+        if ahead:
+            # Imported here: with the logging it loads, ~8 ms that a
+            # process which never reads ahead does not pay at start-up.
+            import concurrent.futures
+
+            pool = concurrent.futures.ThreadPoolExecutor(
+                max_workers=len(ahead), thread_name_prefix="merge-read-ahead"
+            )
+        # The one read in flight of each read-ahead part.
+        reads: dict[int, Future[PacketBatch | None]] = {}
+
+        def _next(index: int) -> PacketBatch | None:
+            """The part's next chunk, or ``None`` once it is exhausted."""
+            read = reads.pop(index, None)
+            if read is None or pool is None:
+                return _next_chunk(iterators[index])
+            chunk = read.result()
+            if chunk is not None:
+                # The merge took this chunk: start reading the next.
+                reads[index] = pool.submit(_next_chunk, iterators[index])
+            return chunk
 
         def _load(index: int) -> bool:
             """Enqueue the part's next non-empty chunk as a pending run."""
             while True:
-                try:
-                    chunk = next(iterators[index])
-                except StopIteration:
+                chunk = _next(index)
+                if chunk is None:
                     exhausted[index] = True
                     return False
                 if len(chunk) == 0:
@@ -536,24 +591,56 @@ class MergeSource(PacketSource):
                 hi = min(lo + step, ts.size)
                 yield PacketBatch.from_trusted_columns(ts[lo:hi], ids[lo:hi], sizes[lo:hi])
 
-        for index in range(n):
-            _load(index)
-        while True:
-            live = [index for index in range(n) if not exhausted[index]]
-            if not live:
-                yield from _emit(np.inf)
-                return
-            bound = min(queues[index].last_time() for index in live)
-            emitted = False
-            for batch in _emit(bound):
-                emitted = True
-                yield batch
-            if not emitted:
-                # Everything pending sits exactly at the bound; pull more
-                # data from the blocking parts so the bound can advance.
-                for index in live:
-                    if queues[index].last_time() <= bound:
-                        _load(index)
+        try:
+            if pool is not None:
+                for index in ahead:
+                    reads[index] = pool.submit(_next_chunk, iterators[index])
+            for index in range(n):
+                _load(index)
+            while True:
+                live = [index for index in range(n) if not exhausted[index]]
+                if not live:
+                    yield from _emit(np.inf)
+                    return
+                bound = min(queues[index].last_time() for index in live)
+                emitted = False
+                for batch in _emit(bound):
+                    emitted = True
+                    yield batch
+                if not emitted:
+                    # Everything pending sits exactly at the bound; pull
+                    # more data from the blocking parts so the bound can
+                    # advance.
+                    for index in live:
+                        if queues[index].last_time() <= bound:
+                            _load(index)
+        finally:
+            # However the stream ends (drained, broken off, collected, or
+            # a part raised), no read outlives it: wait for the reads in
+            # flight (their chunks are dropped), then close every part,
+            # which no thread advances any more.
+            if pool is not None:
+                pool.shutdown(wait=True, cancel_futures=True)
+            for iterator in iterators:
+                close = getattr(iterator, "close", None)
+                if close is not None:
+                    close()
+
+    def _read_ahead_parts(self, chunk_packets: int | None) -> list[int]:
+        """Indices of the parts whose next chunk is read on a thread of its own.
+
+        Only a part that spans more than one chunk (or may: its size is
+        unknown) has a next chunk to read while the merge works, and
+        only a second usable CPU can run that read alongside it.
+        """
+        if chunk_packets is None or _usable_cpus() < 2:
+            return []
+        ahead = []
+        for index, source in enumerate(self.sources):
+            expected = source.expected_packets
+            if expected is None or expected > chunk_packets:
+                ahead.append(index)
+        return ahead
 
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
         parts = []

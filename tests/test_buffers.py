@@ -2,7 +2,7 @@
 
 The fast assembly backend in :mod:`repro.traces.source` is built on
 these three pieces; each is checked against its plain-NumPy semantic
-reference — ``stable_order`` and ``merge_sorted_runs`` property-based
+reference — ``stable_sort`` and ``merge_sorted_runs`` property-based
 against the stable argsort they must reproduce bit-for-bit.
 """
 
@@ -17,7 +17,7 @@ from repro.traces.buffers import (
     ChunkBuffer,
     RunQueue,
     merge_sorted_runs,
-    stable_order,
+    stable_sort,
 )
 
 # Tie-heavy float values: a small pool guarantees equal timestamps.
@@ -44,9 +44,11 @@ class TestStableOrder:
     @settings(max_examples=200, deadline=None)
     @given(values=_values_strategy())
     def test_equals_stable_argsort(self, values):
-        np.testing.assert_array_equal(
-            stable_order(values), np.argsort(values, kind="stable")
-        )
+        order, ordered = stable_sort(values)
+        np.testing.assert_array_equal(order, np.argsort(values, kind="stable"))
+        # The values come back gathered in that order, in a fresh array.
+        np.testing.assert_array_equal(ordered, values[order])
+        assert not np.shares_memory(ordered, values)
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), size=st.integers(0, 500))
@@ -56,12 +58,12 @@ class TestStableOrder:
         if size >= 10:
             values[::7] = 0.25
         np.testing.assert_array_equal(
-            stable_order(values), np.argsort(values, kind="stable")
+            stable_sort(values)[0], np.argsort(values, kind="stable")
         )
 
     def test_all_equal_input(self):
         values = np.full(17, 3.25)
-        np.testing.assert_array_equal(stable_order(values), np.arange(17))
+        np.testing.assert_array_equal(stable_sort(values)[0], np.arange(17))
 
 
 class TestMergeSortedRuns:
@@ -98,6 +100,28 @@ class TestMergeSortedRuns:
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
             merge_sorted_runs([])
+
+    def test_one_size_is_filled_and_other_sizes_are_gathered(self):
+        ts = (np.array([0.0, 2.0]), np.array([1.0, 3.0]))
+        ids = (np.array([0, 1]), np.array([2, 3]))
+
+        def merged_sizes(*columns):
+            runs = [(t, i, np.asarray(c, dtype=np.int32)) for t, i, c in zip(ts, ids, columns)]
+            sizes = merge_sorted_runs(runs)[2]
+            assert sizes.dtype == np.int32
+            return sizes.tolist()
+
+        assert merged_sizes([500, 500], [500, 500]) == [500, 500, 500, 500]
+        assert merged_sizes([40, 40], [500, 500]) == [40, 500, 40, 500]
+        assert merged_sizes([40, 500], [500, 500]) == [40, 500, 500, 500]
+
+    def test_empty_runs_keep_their_dtypes(self):
+        empty = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
+        ts, ids, sizes = merge_sorted_runs([empty, empty])
+        assert ts.size == ids.size == sizes.size == 0
+        assert (ts.dtype, ids.dtype, sizes.dtype) == (np.float64, np.int64, np.int32)
+        filled = (np.array([1.0]), np.array([7]), np.array([64], dtype=np.int32))
+        assert merge_sorted_runs([empty, filled, empty])[2].tolist() == [64]
 
 
 class TestRunQueue:

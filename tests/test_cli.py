@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+
 import pytest
 
 from repro.cli import main
@@ -214,6 +216,27 @@ class TestRunCommand:
         output = capsys.readouterr().out
         assert "scenario: burst" in output
         assert "ranking" in output and "detection" in output
+
+    def test_telemetry_shows_the_merge_read_ahead(self, capsys, monkeypatch):
+        """Small chunks make every multilink part span several, so all
+        three are read ahead on a two-CPU host; telemetry moves no result."""
+        monkeypatch.setattr("repro.traces.source._usable_cpus", lambda: 2)
+        args = [
+            "run",
+            "--scenario", "multilink",
+            "--scale", "0.002",
+            "--duration", "120",
+            "--sampler", "bernoulli:rate=0.5",
+            "--runs", "1",
+            "--chunk-packets", "1024",
+        ]
+        assert main(args) == 0
+        plain = capsys.readouterr().out
+        assert main(args + ["--telemetry"]) == 0
+        instrumented = capsys.readouterr().out
+        table, snapshot = instrumented.split("\ntelemetry snapshot (repro-telemetry/1):\n")
+        assert json.loads(snapshot)["gauges"]["source.read_ahead"] == 3
+        assert table.rstrip("\n") == plain.rstrip("\n")
 
     def test_run_scenario_conflicts_with_trace(self, capsys):
         assert main(

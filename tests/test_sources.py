@@ -2,17 +2,19 @@
 
 Covers the adapters (flow trace, packet tables, CSV/NPZ files), the
 composition sources (merge, load scale, time warp), the packet-level IO
-round trips, and — property-based, via hypothesis — the chunk-size
-invariance contract every source must honour.
+round trips, the merge's read-ahead threads, and — property-based, via
+hypothesis — the chunk-size invariance contract every source must
+honour.
 """
 
 from __future__ import annotations
 
 import pickle
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import Phase, find, given, settings
 from hypothesis import strategies as st
 from oracles.assembly import (
     reference_chunks,
@@ -20,9 +22,11 @@ from oracles.assembly import (
     reference_expanded_chunks,
 )
 
+from repro import telemetry
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.flows.packets import PacketBatch
 from repro.pipeline import Pipeline
+from repro.traces import source as source_module
 from repro.traces.flow_trace import FlowLevelTrace
 from repro.traces.io import (
     read_packet_batch_csv,
@@ -31,11 +35,13 @@ from repro.traces.io import (
     write_packet_batch_npz,
 )
 from repro.traces.source import (
+    DEFAULT_CHUNK_PACKETS,
     CSVPacketSource,
     FlowTraceSource,
     LoadScaleSource,
     MergeSource,
     NPZPacketSource,
+    PacketSource,
     PacketTableSource,
     PiecewiseLinearWarp,
     TimeWarpSource,
@@ -587,3 +593,155 @@ class TestAssemblyBackendEquivalence:
                 _chunks(source, 0, chunk_packets),
                 _reference(source, 0, chunk_packets),
             )
+
+
+# ----------------------------------------------------------------------
+# Merge read-ahead: part threads, their gates and their lifetime
+# ----------------------------------------------------------------------
+def _read_ahead_threads() -> set[threading.Thread]:
+    return {
+        thread
+        for thread in threading.enumerate()
+        if thread.name.startswith("merge-read-ahead")
+    }
+
+
+def _long_parts_merge() -> MergeSource:
+    """Three parts of 40-60 packets: at 8 packets a chunk each spans several."""
+    rng = np.random.default_rng(3)
+    return MergeSource(
+        *(
+            _table(np.sort(rng.uniform(0.0, 10.0, size)), rng.integers(0, 5, size))
+            for size in (40, 60, 50)
+        )
+    )
+
+
+class _FailingSource(PacketSource):
+    """A packet table of unknown size that raises after ``fail_after`` chunks."""
+
+    name = "failing"
+
+    def __init__(self, table: PacketTableSource, fail_after: int) -> None:
+        self.table = table
+        self.fail_after = fail_after
+
+    def iter_chunks(self, rng, chunk_packets=DEFAULT_CHUNK_PACKETS):
+        for count, chunk in enumerate(self.table.iter_chunks(rng, chunk_packets)):
+            if count == self.fail_after:
+                raise ValueError(f"part failed after {count} chunks")
+            yield chunk
+
+    def group_ids(self, key_policy):
+        return self.table.group_ids(key_policy)
+
+    @property
+    def num_flows(self) -> int:
+        return self.table.num_flows
+
+    @property
+    def duration(self) -> float:
+        return self.table.duration
+
+
+def _read_ahead_gauge(source, chunk_packets, seed=0) -> int:
+    with telemetry.use_telemetry():
+        _chunks(source, seed, chunk_packets)
+        return telemetry.snapshot()["gauges"]["source.read_ahead"]
+
+
+class TestMergeReadAhead:
+    """A streamed merge reads each multi-chunk part ahead on its own
+    thread when a second CPU is usable; the chunks stay those of the
+    inline path and the oracle, and no thread outlives the stream."""
+
+    @pytest.fixture
+    def two_cpus(self, monkeypatch):
+        monkeypatch.setattr(source_module, "_usable_cpus", lambda: 2)
+
+    @pytest.mark.parametrize("ending", ["exhausted", "broken-off", "deleted", "consumer-raises"])
+    def test_no_thread_outlives_the_stream(self, two_cpus, ending):
+        merged = _long_parts_merge()
+        before = set(threading.enumerate())
+        running = []
+        if ending == "deleted":
+            stream = merged.iter_chunks(np.random.default_rng(0), 8)
+            next(stream)
+            running.append(len(_read_ahead_threads()))
+            del stream
+        elif ending == "consumer-raises":
+            with pytest.raises(RuntimeError, match="consumer"):
+                for _ in merged.iter_chunks(np.random.default_rng(0), 8):
+                    running.append(len(_read_ahead_threads()))
+                    raise RuntimeError("consumer")
+        else:
+            for _ in merged.iter_chunks(np.random.default_rng(0), 8):
+                running.append(len(_read_ahead_threads()))
+                if ending == "broken-off":
+                    break
+            chunks = 1 if ending == "broken-off" else len(_reference(merged, 0, 8))
+            assert len(running) == chunks
+        assert running[0] == 3
+        assert set(threading.enumerate()) == before
+
+    def test_reads_ahead_every_multi_chunk_part(self, two_cpus):
+        merged = MergeSource(_long_parts_merge().sources[0], _table([1.0, 2.0], [0, 1]))
+        assert _read_ahead_gauge(merged, 8) == 1
+        assert _read_ahead_gauge(_long_parts_merge(), 8) == 3
+
+    @pytest.mark.parametrize("chunk_packets", [1, 8, 64])
+    def test_threaded_chunks_equal_the_oracle(self, two_cpus, chunk_packets):
+        """The threaded path against the oracle on any host, one CPU included."""
+        merged = _long_parts_merge()
+        _assert_chunks_identical(
+            _chunks(merged, 4, chunk_packets), _reference(merged, 4, chunk_packets)
+        )
+
+    @pytest.mark.parametrize("fail_after", [0, 2, 5])
+    def test_a_part_error_reaches_the_consumer(self, monkeypatch, fail_after):
+        parts = list(_long_parts_merge().sources)
+        parts[1] = _FailingSource(parts[1], fail_after)
+        merged = MergeSource(*parts)
+
+        def consume(cpus):
+            monkeypatch.setattr(source_module, "_usable_cpus", lambda: cpus)
+            chunks = []
+            with pytest.raises(ValueError) as caught:
+                for chunk in merged.iter_chunks(np.random.default_rng(1), 8):
+                    chunks.append(chunk)
+            return chunks, caught.value
+
+        before = set(threading.enumerate())
+        threaded, threaded_error = consume(2)
+        assert set(threading.enumerate()) == before
+        inline, inline_error = consume(1)
+        assert type(threaded_error) is type(inline_error) is ValueError
+        assert str(threaded_error) == str(inline_error) == f"part failed after {fail_after} chunks"
+        _assert_chunks_identical(threaded, inline)
+
+    @pytest.mark.parametrize("case", ["one-cpu", "one-chunk-parts", "materialised"])
+    def test_no_thread_starts_without_a_gate_open(self, monkeypatch, case):
+        merged = _long_parts_merge()
+        cpus, chunk_packets = {
+            "one-cpu": (1, 8),
+            "one-chunk-parts": (2, 64),
+            "materialised": (2, None),
+        }[case]
+        monkeypatch.setattr(source_module, "_usable_cpus", lambda: cpus)
+        seen = set()
+        chunks = []
+        for chunk in merged.iter_chunks(np.random.default_rng(4), chunk_packets):
+            seen |= _read_ahead_threads()
+            chunks.append(chunk)
+        assert not seen
+        assert _read_ahead_gauge(merged, chunk_packets, seed=4) == 0
+        _assert_chunks_identical(chunks, _reference(merged, 4, chunk_packets))
+
+    def test_oracle_stack_test_runs_the_threaded_path(self, two_cpus):
+        """``test_merge_and_transform_stack_bit_identical`` reads ahead:
+        its chunks of 1-9 packets make its small parts span many chunks."""
+        find(
+            st.tuples(_merged_and_transformed(), st.one_of(st.none(), st.integers(1, 9))),
+            lambda case: _read_ahead_gauge(*case) > 0,
+            settings=settings(max_examples=60, database=None, phases=[Phase.generate]),
+        )

@@ -14,6 +14,8 @@ outcome, and what the ``stream.addressing`` gauge reports.
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 from oracles.stream import reference_run_stream
@@ -21,7 +23,9 @@ from oracles.stream import reference_run_stream
 from repro import telemetry
 from repro.flows.accounting import FlowAccountingEngine
 from repro.flows.groupby import DENSE_SPAN_LIMIT, HashAccumulator
+from repro.flows.keys import DestinationPrefixKeyPolicy
 from repro.pipeline import Pipeline
+from repro.pipeline import pipeline as pipeline_module
 from repro.pipeline.executor import StreamOutcome, run_stream
 from repro.pipeline.pipeline import _dense_groups
 from repro.pipeline.parallel import ExecutionPlan, _build_samplers, probe_shared_memory
@@ -221,6 +225,51 @@ class TestGroupCompaction:
         for dense in ([5, 7, 6, 5], [3], []):
             ids = np.array(dense, dtype=np.int64)
             assert _dense_groups(ids) is ids
+
+    def test_a_fixed_source_is_ranked_once(self, monkeypatch):
+        pipeline = _multilink_prefix()
+        pipeline.with_source(pipeline.plan().source)
+        ranked = []
+        monkeypatch.setattr(
+            pipeline_module,
+            "_dense_groups",
+            lambda ids: ranked.append(ids) or _dense_groups(ids),
+        )
+        first = pipeline.run(parallel="serial")
+        second = pipeline.run(parallel="serial")
+        assert len(ranked) == 1
+        assert second.to_dict() == first.to_dict()
+        assert pipeline.plan().groups is pipeline.plan().groups
+
+    def test_a_new_source_or_key_policy_re_ranks(self):
+        pipeline = _multilink_prefix()
+        source = pipeline.plan().source
+        pipeline.with_source(source)
+        ranked = pipeline.plan().groups
+        # An equal source in a new object: ranked again, to the same ids.
+        pipeline.with_source(pickle.loads(pickle.dumps(source)))
+        again = pipeline.plan().groups
+        assert again is not ranked
+        np.testing.assert_array_equal(again, ranked)
+        # Another source: its own groups, not the first source's.
+        other = _multilink_prefix().with_seed(4).plan().source
+        pipeline.with_source(other)
+        np.testing.assert_array_equal(
+            pipeline.plan().groups,
+            _dense_groups(other.group_ids(pipeline._resolve_key_policy())),
+        )
+        # Another key policy over the same source.
+        pipeline.with_source(source)
+        pipeline.plan()
+        pipeline.with_key_policy("five-tuple")
+        np.testing.assert_array_equal(pipeline.plan().groups, np.arange(source.num_flows))
+        pipeline.with_key_policy(DestinationPrefixKeyPolicy(24))
+        assert pipeline.plan().groups is not ranked
+        np.testing.assert_array_equal(pipeline.plan().groups, ranked)
+
+    def test_a_source_resolved_per_plan_is_ranked_per_plan(self):
+        pipeline = _multilink_prefix()
+        assert pipeline.plan().groups is not pipeline.plan().groups
 
     @pytest.mark.parametrize("max_flows", [None, 3], ids=["unbounded", "bounded"])
     def test_raw_sparse_ids_give_the_same_outcome(self, max_flows):
