@@ -651,8 +651,8 @@ def bench_end_to_end(args: argparse.Namespace) -> dict:
     Streams a live expanded sprint trace (generation inside the timed
     loop — no pre-materialised chunk list) through two Bernoulli
     samplers and the stream fold, and records one honest pkt/s number
-    for the whole data path.  This is the number
-    the ROADMAP's "native-speed hot path" item is measured against: it
+    for the whole data path.  Its gate is the CI assembly perf smoke,
+    which requires a positive ``packets_per_second``.  The number
     includes packet generation, so it is bounded by the slower of the
     source layer and the accounting engine.
     """

@@ -42,7 +42,8 @@ Subpackages
 ``repro.analysis``
     The ``reprolint`` AST contract linter: static rules enforcing the
     determinism, picklability and cache-key invariants the other
-    subsystems rely on (``repro lint``).
+    subsystems rely on (``repro lint``).  ``import repro`` does not load
+    it; import ``repro.analysis`` by name.
 ``repro.telemetry``
     Process-local observability: counters, gauges, histograms and
     timing spans with a zero-overhead off-switch, deterministic
@@ -65,7 +66,7 @@ Quickstart
 
 __version__ = "2.0.0"
 
-from . import analysis, telemetry
+from . import telemetry
 from .core import (
     DetectionModel,
     FlowPopulation,
@@ -84,7 +85,6 @@ from .sweep import SweepGrid, run_sweep
 
 __all__ = [
     "__version__",
-    "analysis",
     "telemetry",
     "misranking_probability_exact",
     "misranking_probability_gaussian",

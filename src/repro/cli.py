@@ -78,7 +78,6 @@ from .registry import (
     KEY_POLICIES,
     SAMPLERS,
     TRACES,
-    UnknownComponentError,
     format_spec,
     parse_kwargs,
     parse_spec,
@@ -701,38 +700,35 @@ def _run_simulate(args: argparse.Namespace) -> str:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    """Entry point for ``python -m repro`` and the ``repro`` console script."""
+    """Entry point for ``python -m repro`` and the ``repro`` console script.
+
+    A user error in any subcommand but ``lint`` (which reports its own
+    exit status) prints one ``error: ...`` line to stderr and exits 2.
+    """
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        try:
-            output = _run_pipeline(args)
-        except (UnknownComponentError, ValueError, TypeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.command == "sweep":
-        try:
-            output = _run_sweep_cli(args)
-        except (UnknownComponentError, ValueError, TypeError, KeyError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.command == "store":
-        try:
-            output = _run_store_cli(args)
-        except (UnknownComponentError, ValueError, TypeError, OSError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-    elif args.command == "scenarios":
-        output = _list_scenarios()
-    elif args.command == "lint":
+    if args.command == "lint":
         return analysis_cli.run(args)
-    elif args.command == "figure":
-        output = _run_figure(args.name, jobs=args.jobs)
-    elif args.command == "plan":
-        output = _run_plan(args)
-    elif args.command == "simulate":
-        output = _run_simulate(args)
-    else:  # pragma: no cover - argparse enforces the choices
-        raise ValueError(f"unknown command {args.command!r}")
+    try:
+        if args.command == "run":
+            output = _run_pipeline(args)
+        elif args.command == "sweep":
+            output = _run_sweep_cli(args)
+        elif args.command == "store":
+            output = _run_store_cli(args)
+        elif args.command == "scenarios":
+            output = _list_scenarios()
+        elif args.command == "figure":
+            output = _run_figure(args.name, jobs=args.jobs)
+        elif args.command == "plan":
+            output = _run_plan(args)
+        elif args.command == "simulate":
+            output = _run_simulate(args)
+        else:  # pragma: no cover - argparse enforces the choices
+            raise ValueError(f"unknown command {args.command!r}")
+    # KeyError covers the registries' UnknownComponentError.
+    except (KeyError, ValueError, TypeError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(output)
     return 0
 

@@ -144,6 +144,11 @@ class ExecutionPlan:
         Evaluation parameters, as in :func:`run_stream` and
         :meth:`PacketSource.iter_chunks
         <repro.traces.source.PacketSource.iter_chunks>`.
+    max_flows:
+        Flow-memory bound of every stream's monitor, as in
+        :func:`run_stream`; ``None`` (unbounded) for plain runs.  Both
+        backends hand it to :func:`run_stream`, so a bounded monitor
+        run dispatches like any other.
     """
 
     source: PacketSource
@@ -154,6 +159,7 @@ class ExecutionPlan:
     bin_duration: float
     top_t: int
     chunk_packets: int | None
+    max_flows: int | None = None
     #: Set by :meth:`execute` when the ``"auto"`` backend ran serially
     #: because the process backend cannot run here (unpicklable sampler
     #: specs, unusable shared memory) — the downgrade is observable
@@ -319,7 +325,12 @@ class ExecutionPlan:
         if choice == "serial":
             samplers = _build_samplers(self.sampler_specs, self.cells)
             outcome = run_stream(
-                self._chunks(), self.groups, samplers, self.bin_duration, self.top_t
+                self._chunks(),
+                self.groups,
+                samplers,
+                self.bin_duration,
+                self.top_t,
+                max_flows=self.max_flows,
             )
             parts = [([cell.stream_index for cell in self.cells], outcome)]
         else:
@@ -359,6 +370,7 @@ class ExecutionPlan:
                         self.groups,
                         self.bin_duration,
                         self.top_t,
+                        self.max_flows,
                         telemetry.enabled,
                     ),
                     daemon=True,
@@ -744,6 +756,7 @@ def _stream_worker(
     groups: np.ndarray,
     bin_duration: float,
     top_t: int,
+    max_flows: int | None,
     telemetry_enabled: bool = False,
 ) -> None:
     """Worker entry point of the process backend.
@@ -760,7 +773,9 @@ def _stream_worker(
         if telemetry_enabled:
             telemetry.enable()
         samplers = _build_samplers(sampler_specs, cells)
-        outcome = run_stream(channel.receive(), groups, samplers, bin_duration, top_t)
+        outcome = run_stream(
+            channel.receive(), groups, samplers, bin_duration, top_t, max_flows=max_flows
+        )
         snapshot = telemetry.snapshot() if telemetry_enabled else None
         channel.post_result(("ok", outcome, snapshot))
     except BaseException as error:  # noqa: BLE001 - marshalled to the parent

@@ -72,8 +72,9 @@ from ..scenarios import SCENARIOS
 from ..traces.flow_trace import FlowLevelTrace
 from ..traces.source import DEFAULT_CHUNK_PACKETS, FlowTraceSource, PacketSource
 from ..traces.synthetic import SyntheticTraceGenerator
-from .executor import StreamOutcome, metric_series_for_stream, run_monitor_stream
-from .parallel import Cell, ExecutionPlan, _build_samplers
+from .executor import StreamOutcome, metric_series_for_stream
+from .executor import run_monitor_stream  # noqa: F401 - perfbench/tracer.py wraps this name
+from .parallel import Cell, ExecutionPlan
 from .result import PipelineResult, SamplerSummary
 
 
@@ -473,8 +474,10 @@ class Pipeline:
         ``max_flows=None`` the metrics are bit-identical to the default
         (idealised) evaluation; the mode then serves as a cross-check.
 
-        Monitor runs execute serially (the per-stream flow tables are
-        stateful); ``run(parallel="process")`` is rejected.
+        Monitor runs dispatch like plain ones: each stream's flow table
+        lives with its sampler, so every backend of :meth:`run` (and
+        :meth:`plan` ``.execute()``) gives bit-identical metrics and
+        evictions.
 
         Parameters
         ----------
@@ -646,9 +649,10 @@ class Pipeline:
         The plan enumerates one :class:`~repro.pipeline.parallel.Cell`
         per independent (sampler spec, run) stream, each with its own
         ``SeedSequence`` child, over the resolved packet source and
-        flow-group mapping.  :meth:`run` is ``plan().execute()`` plus
-        result packaging; call this directly to inspect or dispatch the
-        cells yourself.
+        flow-group mapping; a monitor pipeline's flow-memory bound rides
+        along as ``plan.max_flows``.  :meth:`run` is ``plan().execute()``
+        plus result packaging; call this directly to inspect or dispatch
+        the cells yourself.
 
         Sparse flow-group ids (a span of at least the number of flows,
         as /24 prefix codes have) are replaced by their order-preserving
@@ -676,6 +680,7 @@ class Pipeline:
             bin_duration=self._bin_duration,
             top_t=self._top_t,
             chunk_packets=self._chunk_packets,
+            max_flows=self._monitor_max_flows if self._monitor else None,
         )
 
     def _seed_children(self) -> list[np.random.SeedSequence]:
@@ -781,24 +786,6 @@ class Pipeline:
                 ]
         return result
 
-    def _execute_monitor(self, plan: ExecutionPlan) -> StreamOutcome:
-        """Run the plan's cells serially with the monitor's ``max_flows`` bound.
-
-        Samplers are built from the same per-cell seeds the parallel
-        backends use, and the source replays from the same entropy — so
-        with ``max_flows=None`` the outcome matches
-        :meth:`ExecutionPlan.execute` bit for bit.
-        """
-        samplers = _build_samplers(plan.sampler_specs, plan.cells)
-        return run_monitor_stream(
-            plan._chunks(),
-            plan.groups,
-            samplers,
-            plan.bin_duration,
-            plan.top_t,
-            max_flows=self._monitor_max_flows,
-        )
-
 
 def _run_pipelines(
     pipelines: Sequence[Pipeline],
@@ -842,17 +829,8 @@ def _run_pipelines(
                 pipeline._seed_children(), len(plan.sampler_specs), plan.num_cells
             )
             plan.sampler_specs += pipeline._samplers
-    if base._monitor:
-        if backend == "process":
-            raise ValueError(
-                "monitor-in-the-loop mode keeps a stateful flow table per stream "
-                "and runs serially; use parallel='serial' or 'auto'"
-            )
-        with telemetry.span("pipeline.execute"):
-            outcome = base._execute_monitor(plan)
-    else:
-        with telemetry.span("pipeline.execute"):
-            outcome = plan.execute(backend=backend, jobs=jobs)
+    with telemetry.span("pipeline.execute"):
+        outcome = plan.execute(backend=backend, jobs=jobs)
     if telemetry.enabled:
         telemetry.count("pipeline.runs", len(pipelines))
         telemetry.count("pipeline.cells", plan.num_cells)

@@ -6,12 +6,13 @@ assumes independent random sampling with a constant probability; other
 strategies (periodic, hash-based flow sampling) are provided for the
 comparisons the paper discusses in its introduction and related work.
 
-Samplers expose two entry points:
-
-* :meth:`PacketSampler.sample_packet` for object-level streams;
-* :meth:`PacketSampler.sample_mask` for the vectorised simulation path,
-  which returns a boolean keep/drop mask for a whole
-  :class:`~repro.flows.packets.PacketBatch` at once.
+A sampler decides in one place, :meth:`PacketSampler.sample_mask`: a
+boolean keep/drop mask for a whole
+:class:`~repro.flows.packets.PacketBatch` of the stream at once, with
+any state (counters, held flows) carried from one batch to the next.
+:meth:`PacketSampler.sample_batch` is that mask applied as a select.
+A subclass defines :meth:`~PacketSampler.sample_mask` and
+:attr:`~PacketSampler.effective_rate`; everything else has a default.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import copy
 
 import numpy as np
 
-from ..flows.packets import Packet, PacketBatch
+from ..flows.packets import PacketBatch
 
 
 class PacketSampler(abc.ABC):
@@ -37,10 +38,6 @@ class PacketSampler(abc.ABC):
     #: built-in samplers the round-trip ``spec -> sampler -> spec`` is
     #: exact: ``SAMPLERS.create(*parse) .spec == spec``.
     spec: str | None = None
-
-    @abc.abstractmethod
-    def sample_packet(self, packet: Packet) -> bool:
-        """Return True when the packet must be kept."""
 
     @abc.abstractmethod
     def sample_mask(self, batch: PacketBatch) -> np.ndarray:

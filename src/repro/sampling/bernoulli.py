@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..flows.packets import Packet, PacketBatch
+from ..flows.packets import PacketBatch
 from ..spec import format_spec
 from .base import PacketSampler
 
@@ -40,22 +40,6 @@ class BernoulliSampler(PacketSampler):
     def effective_rate(self) -> float:
         """Long-run fraction of packets kept; equals ``rate``."""
         return self.rate
-
-    def sample_packet(self, packet: Packet) -> bool:
-        """One independent keep/drop decision (packet content is ignored).
-
-        Parameters
-        ----------
-        packet:
-            The packet under consideration (unused).
-
-        Returns
-        -------
-        bool
-            True when the packet is kept.
-        """
-        del packet  # Decision is independent of packet content.
-        return bool(self._rng.random() < self.rate)
 
     def sample_mask(self, batch: PacketBatch) -> np.ndarray:
         """Independent keep/drop decisions for a whole batch.

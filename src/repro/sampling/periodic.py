@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..flows.packets import Packet, PacketBatch
+from ..flows.packets import PacketBatch
 from ..spec import format_spec
 from .base import PacketSampler
 
@@ -56,26 +56,6 @@ class PeriodicSampler(PacketSampler):
     def effective_rate(self) -> float:
         """Long-run fraction of packets kept: ``1 / period``."""
         return 1.0 / self.period
-
-    def sample_packet(self, packet: Packet) -> bool:
-        """Advance the period counter by one packet and report its decision.
-
-        Parameters
-        ----------
-        packet:
-            The packet under consideration (unused; only its position in
-            the stream matters).
-
-        Returns
-        -------
-        bool
-            True when the packet's stream index falls on the sampled
-            phase of the period.
-        """
-        del packet
-        keep = self._counter % self.period == self.phase
-        self._counter += 1
-        return bool(keep)
 
     def sample_mask(self, batch: PacketBatch) -> np.ndarray:
         """Keep-mask for a batch, continuing the period across batches.

@@ -211,10 +211,8 @@ class SampleAndHoldSampler(PacketSampler):
     -----
     :attr:`effective_rate` reports the admission probability ``rate``;
     the long-run fraction of packets *kept* is higher, because every
-    post-admission packet of a tracked flow is counted.  The vectorised
-    entry point identifies flows by the batch's integer flow ids, the
-    object-level entry point by the 5-tuple hash; do not mix the two on
-    one instance.
+    post-admission packet of a tracked flow is counted.  Flows are
+    identified by the batch's integer flow ids.
     """
 
     def __init__(self, rate: float, rng: np.random.Generator | int | None = None) -> None:
@@ -236,30 +234,6 @@ class SampleAndHoldSampler(PacketSampler):
         """Number of flows currently held."""
         return len(self._tracked)
 
-    def sample_packet(self, packet: Packet) -> bool:
-        """Process one packet: keep it when its flow is (or becomes) tracked.
-
-        Parameters
-        ----------
-        packet:
-            The packet under consideration; its 5-tuple hash identifies
-            the flow.
-
-        Returns
-        -------
-        bool
-            True when the flow was already tracked or is admitted by
-            this packet's draw.
-        """
-        draw = self._rng.random()  # Always one draw per packet (chunk invariance).
-        key = hash(packet.five_tuple)
-        if key in self._tracked:
-            return True
-        if draw < self.rate:
-            self._tracked.add(key)
-            return True
-        return False
-
     def sample_mask(self, batch: PacketBatch) -> np.ndarray:
         """Keep-mask for a batch, carrying the tracked-flow set across batches.
 
@@ -271,11 +245,11 @@ class SampleAndHoldSampler(PacketSampler):
         Returns
         -------
         numpy.ndarray
-            Boolean keep-mask equal, element for element, to feeding the
-            packets one at a time through :meth:`sample_packet` keyed by
-            flow id: packets of already-tracked flows are kept, and
-            within the batch every flow's first admission draw turns the
-            rest of that flow's packets on.
+            Boolean keep-mask: packets of already-tracked flows are
+            kept, and within the batch every flow's first admission
+            candidate (one uniform draw per packet, in stream order)
+            turns the rest of that flow's packets on — so the mask
+            sequence does not depend on how the stream is batched.
         """
         ids = np.asarray(batch.flow_ids, dtype=np.int64)
         draws = self._rng.random(ids.size)

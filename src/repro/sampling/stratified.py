@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..flows.packets import Packet, PacketBatch
+from ..flows.packets import PacketBatch
 from ..spec import format_spec
 from .base import PacketSampler
 
@@ -44,12 +44,6 @@ class HashFlowSampler(PacketSampler):
         Fraction of flows to keep.
     seed:
         Seed of the flow hash; changing it selects a different subset.
-
-    Notes
-    -----
-    The object-level entry point identifies the flow by the packet's
-    5-tuple hash; the vectorised entry point uses the integer flow ids
-    of the batch.  Both are deterministic for a given seed.
     """
 
     def __init__(self, rate: float, seed: int = 0) -> None:
@@ -67,22 +61,6 @@ class HashFlowSampler(PacketSampler):
     def effective_rate(self) -> float:
         """Expected fraction of flows (and, on average, packets) kept."""
         return self.rate
-
-    def sample_packet(self, packet: Packet) -> bool:
-        """Keep/drop decision based on the packet's 5-tuple hash.
-
-        Parameters
-        ----------
-        packet:
-            The packet under consideration; only its 5-tuple matters.
-
-        Returns
-        -------
-        bool
-            True when the packet's flow hashes below the keep threshold.
-        """
-        flow_hash = np.asarray([hash(packet.five_tuple) & 0x7FFFFFFFFFFFFFFF], dtype=np.int64)
-        return bool(_hash_ids(flow_hash, self.seed)[0] < self.rate)
 
     def sample_mask(self, batch: PacketBatch) -> np.ndarray:
         """Keep-mask for a batch, keyed on the batch's integer flow ids.

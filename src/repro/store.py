@@ -243,8 +243,8 @@ class RunSpec:
         parallel, jobs:
             As in :meth:`Pipeline.run
             <repro.pipeline.pipeline.Pipeline.run>` — the result is
-            bit-identical whatever backend executes the cells.  A
-            monitor spec runs serially whatever they ask.
+            bit-identical whatever backend executes the cells, monitor
+            specs (bounded or not) included.
         """
         return _execute_specs([self], parallel, jobs)[0]
 
@@ -258,9 +258,6 @@ def _execute_specs(
     them (see :func:`repro.pipeline.pipeline._run_pipelines`), and each
     result is bit-identical to executing its spec alone.
     """
-    if specs[0].monitor or specs[0].max_flows is not None:
-        # Monitor runs are serial by contract; "auto" honours that.
-        parallel, jobs = "serial", None
     return _run_pipelines([spec.build_pipeline() for spec in specs], parallel, jobs)
 
 

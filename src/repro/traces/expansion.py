@@ -13,8 +13,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
-from .buffers import stable_sort
 from .flow_trace import FlowLevelTrace
+from .source import iter_expanded_chunks
 
 
 def expand_to_packets(
@@ -25,13 +25,19 @@ def expand_to_packets(
 ) -> PacketBatch:
     """Expand a flow-level trace into a packet-level batch.
 
+    The one chunk of the materialised
+    :func:`~repro.traces.source.iter_expanded_chunks` expansion: flows
+    are admitted in start-time order and each one's placements are
+    drawn at admission, so the batch is the very packet stream a
+    pipeline over the same trace and generator sees.
+
     Parameters
     ----------
     trace:
         Flow-level trace to expand.
     rng:
         Random generator (or seed) used to place packets uniformly
-        within each flow's lifetime.
+        within each flow's lifetime, consumed in flow start-time order.
     packet_size_bytes:
         Constant packet size (paper: 500 bytes).
     clip_to_duration:
@@ -42,35 +48,23 @@ def expand_to_packets(
     Returns
     -------
     PacketBatch
-        Packets sorted by timestamp (ties keep flow row order, via
-        :func:`repro.traces.buffers.stable_sort`); ``flow_ids`` index
-        the rows of the input trace.
+        Packets sorted by timestamp (ties keep flow admission order);
+        ``flow_ids`` index the rows of the input trace.
     """
     if packet_size_bytes <= 0:
         raise ValueError("packet_size_bytes must be positive")
+    if clip_to_duration is not None and clip_to_duration <= 0:
+        raise ValueError("clip_to_duration must be positive")
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-
-    sizes = trace.sizes_packets
-    total_packets = int(sizes.sum())
-    if total_packets == 0:
-        return PacketBatch(np.empty(0), np.empty(0, dtype=np.int64))
-
-    flow_ids = np.repeat(np.arange(trace.num_flows, dtype=np.int64), sizes)
-    starts = np.repeat(trace.start_times, sizes)
-    durations = np.repeat(trace.durations, sizes)
-    offsets = generator.random(total_packets) * durations
-    timestamps = starts + offsets
-
-    if clip_to_duration is not None:
-        if clip_to_duration <= 0:
-            raise ValueError("clip_to_duration must be positive")
-        keep = timestamps < clip_to_duration
-        timestamps = timestamps[keep]
-        flow_ids = flow_ids[keep]
-
-    order, timestamps = stable_sort(timestamps)
-    sizes_bytes = np.full(timestamps.size, packet_size_bytes, dtype=np.int32)
-    return PacketBatch.from_trusted_columns(timestamps, flow_ids[order], sizes_bytes)
+    for chunk in iter_expanded_chunks(
+        trace,
+        generator,
+        chunk_packets=None,
+        clip_to_duration=clip_to_duration,
+        packet_size_bytes=packet_size_bytes,
+    ):
+        return chunk
+    return PacketBatch(np.empty(0), np.empty(0, dtype=np.int64))
 
 
 def expected_link_utilisation_bps(

@@ -93,9 +93,10 @@ def iter_expanded_chunks(
     """Expand a flow-level trace into time-ordered packet chunks.
 
     Flows are admitted in start-time order; each flow's packets are
-    placed uniformly over its lifetime exactly as
-    :func:`repro.traces.expansion.expand_to_packets` does, at the moment
-    the flow is admitted.  Packets that fall beyond the start of the
+    placed uniformly over its lifetime (the paper's Section 8.1
+    expansion) at the moment the flow is admitted.
+    :func:`repro.traces.expansion.expand_to_packets` is the one chunk of
+    ``chunk_packets=None``.  Packets that fall beyond the start of the
     next unadmitted flow are buffered (no earlier packet can still
     arrive), and each emitted chunk is sorted by timestamp — so the
     concatenation of all chunks is the globally time-sorted packet

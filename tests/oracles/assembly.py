@@ -122,15 +122,20 @@ def reference_expand_to_packets(
     packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
     clip_to_duration: float | None = None,
 ) -> PacketBatch:
-    """Whole-trace expansion ordered by one stable argsort."""
+    """Whole-trace expansion ordered by one stable argsort.
+
+    Flows draw their placements in start-time order (ties in row
+    order), as every flow-trace expansion does.
+    """
     generator = rng if isinstance(rng, np.random.Generator) else np.random.default_rng(rng)
-    sizes = trace.sizes_packets
+    admission = np.argsort(trace.start_times, kind="stable").astype(np.int64)
+    sizes = trace.sizes_packets[admission]
     total_packets = int(sizes.sum())
     if total_packets == 0:
         return PacketBatch(np.empty(0), np.empty(0, dtype=np.int64))
-    flow_ids = np.repeat(np.arange(trace.num_flows, dtype=np.int64), sizes)
-    starts = np.repeat(trace.start_times, sizes)
-    durations = np.repeat(trace.durations, sizes)
+    flow_ids = np.repeat(admission, sizes)
+    starts = np.repeat(trace.start_times[admission], sizes)
+    durations = np.repeat(trace.durations[admission], sizes)
     timestamps = starts + generator.random(total_packets) * durations
     if clip_to_duration is not None:
         keep = timestamps < clip_to_duration

@@ -71,6 +71,28 @@ class TestStoreAndSweepErrorPaths:
         assert capsys.readouterr().err.startswith("error:")
 
 
+class TestEverySubcommandReportsErrors:
+    """One handler covers every subcommand but ``lint``."""
+
+    FAST_SIMULATE = ["simulate", "--scale", "0.001", "--duration", "60"]
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (FAST_SIMULATE + ["--rates", "2.0"], "rate must be in (0, 1]"),
+            (FAST_SIMULATE + ["--runs", "0"], "num_runs must be at least 1"),
+            (["plan", "--flows", "0"], "total_flows must be at least 2"),
+        ],
+        ids=["simulate-rate", "simulate-runs", "plan-flows"],
+    )
+    def test_bad_value_exits_2_without_traceback(self, argv, message, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:")
+        assert message in err
+        assert "Traceback" not in err
+
+
 class TestErrorPathsLeaveNoPartialState:
     def test_failed_store_run_creates_nothing(self, tmp_path):
         occupied = tmp_path / "occupied"

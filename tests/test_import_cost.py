@@ -6,7 +6,8 @@ has SciPy loaded.  With SciPy made unimportable (``sys.modules["scipy"]
 sweep and ``python -m repro run`` must all succeed and leave no
 ``scipy`` module loaded.  With SciPy importable, the analytical models
 must return the same bits on their first call in a fresh interpreter as
-they do here.
+they do here.  Neither ``import repro`` nor a serial run loads the
+reprolint linter, ``repro.analysis``.
 """
 
 from __future__ import annotations
@@ -69,6 +70,16 @@ PIPELINE_PATHS = {
     "abilene": SERIAL_RUN.format(trace="abilene"),
     "sweep": SWEEP_AND_GET,
 }
+
+#: Whether ``repro.analysis`` is loaded after ``import repro``, then
+#: after a serial run.
+LINTER_LOADED = (
+    "import repro\n"
+    "loaded = ['repro.analysis' in sys.modules]\n"
+    + SERIAL_RUN.format(trace="sprint")
+    + "loaded.append('repro.analysis' in sys.modules)\n"
+    "print(json.dumps(loaded))\n"
+)
 
 #: ``python -m repro ARGS``: ``runpy`` is what ``-m`` runs.
 CLI_RUN = """\
@@ -144,6 +155,11 @@ def _run_fresh(
 def test_pipeline_paths_need_no_scipy(path, tmp_path):
     _, loaded = _run_fresh(PIPELINE_PATHS[path], block_scipy=True, cwd=tmp_path)
     assert loaded == []
+
+
+def test_import_and_serial_run_leave_the_linter_unloaded(tmp_path):
+    output, _ = _run_fresh(LINTER_LOADED, block_scipy=True, cwd=tmp_path)
+    assert json.loads(output[-1]) == [False, False]
 
 
 def test_cli_run_needs_no_scipy(tmp_path):

@@ -152,9 +152,6 @@ class TestStreamingEquivalence:
             seen: list[np.ndarray] = []  # class-level: shared with spawned clones
             name = "recorder"
 
-            def sample_packet(self, packet) -> bool:
-                return True
-
             def sample_mask(self, batch) -> np.ndarray:
                 type(self).seen.append(batch.timestamps.copy())
                 return np.ones(len(batch), dtype=bool)
@@ -240,11 +237,6 @@ class _CountingSampler(PacketSampler):
         self.budget = budget
         self.consumed = 0
         self.resets = 0
-
-    def sample_packet(self, packet) -> bool:
-        keep = self.consumed < self.budget
-        self.consumed += 1
-        return keep
 
     def sample_mask(self, batch) -> np.ndarray:
         indices = self.consumed + np.arange(len(batch))
@@ -397,10 +389,55 @@ class TestMonitorMode:
         assert round_trip["max_flows"] == 3
         assert round_trip["evictions"] == result.evictions
 
-    def test_monitor_rejects_process_backend(self, small_trace):
-        pipeline = _base_pipeline(small_trace, rates=(0.5,), runs=1).with_monitor()
-        with pytest.raises(ValueError):
-            pipeline.run(parallel="process")
+    def test_monitor_process_backend_matches_serial(self, small_trace):
+        def build(sampler, max_flows):
+            return (
+                _base_pipeline(small_trace, rates=(), runs=2)
+                .with_sampler(sampler)
+                .with_monitor(max_flows)
+            )
+
+        evictions = []
+        for sampler, max_flows in [
+            ("bernoulli:rate=0.5", 3),
+            ("bernoulli:rate=0.5", None),
+            ("sample-and-hold:rate=0.05", 5),
+        ]:
+            serial = build(sampler, max_flows).run(parallel="serial")
+            process = build(sampler, max_flows).run(parallel="process", jobs=2)
+            assert process.to_dict() == serial.to_dict(), (sampler, max_flows)
+            evictions.append(sum(sum(runs) for runs in serial.evictions.values()))
+        assert evictions[0] > 0 and evictions[1] == 0
+
+    def test_plan_execute_keeps_the_bound(self, small_trace):
+        pipeline = _base_pipeline(small_trace, rates=(0.5,), runs=2).with_monitor(max_flows=3)
+        result = pipeline.run(parallel="serial")
+        outcome = pipeline.plan().execute(backend="serial")
+        (label,) = result.labels
+        np.testing.assert_array_equal(outcome.ranking_values, result.ranking[label].values)
+        np.testing.assert_array_equal(outcome.detection_values, result.detection[label].values)
+        assert outcome.evictions.tolist() == result.evictions[label]
+        assert sum(result.evictions[label]) > 0
+
+    def test_bounded_run_spec_process_matches_serial(self):
+        from repro import telemetry
+        from repro.store import RunSpec
+
+        spec = RunSpec(
+            samplers=("bernoulli:rate=0.5", "sample-and-hold:rate=0.05"),
+            trace="sprint:scale=0.002,duration=120",
+            num_runs=2,
+            seed=4,
+            monitor=True,
+            max_flows=20,
+        )
+        serial = spec.execute(parallel="serial")
+        assert sum(sum(runs) for runs in serial.evictions.values()) > 0
+        with telemetry.use_telemetry():
+            process = spec.execute(parallel="process", jobs=2)
+            gauges = telemetry.snapshot()["gauges"]
+        assert gauges["parallel.backend"] == "process"
+        assert process.to_dict() == serial.to_dict()
 
     def test_monitor_is_chunk_size_invariant(self, small_trace):
         coarse = (

@@ -5,9 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.flows.keys import FiveTuple
-from repro.flows.packets import Packet, PacketBatch
+from repro.flows.packets import PacketBatch
+from repro.pipeline import Pipeline
 from repro.sampling import BernoulliSampler, HashFlowSampler, PeriodicSampler
+from repro.sampling.base import PacketSampler
 
 
 def make_batch(num_packets: int = 10_000, num_flows: int = 50) -> PacketBatch:
@@ -17,8 +18,28 @@ def make_batch(num_packets: int = 10_000, num_flows: int = 50) -> PacketBatch:
     return PacketBatch(timestamps, flow_ids)
 
 
-def make_packet(sport: int = 1234) -> Packet:
-    return Packet(0.0, FiveTuple.from_strings("1.1.1.1", "2.2.2.2", sport, 80))
+class TestSamplerInterface:
+    def test_a_mask_and_a_rate_make_a_sampler(self, small_trace):
+        class _EveryOther(PacketSampler):
+            name = "every-other"
+
+            def sample_mask(self, batch) -> np.ndarray:
+                return np.arange(len(batch)) % 2 == 0
+
+            @property
+            def effective_rate(self) -> float:
+                return 0.5
+
+        result = (
+            Pipeline()
+            .with_trace(small_trace)
+            .with_sampler(_EveryOther())
+            .with_runs(2)
+            .with_seed(0)
+            .run(parallel="serial")
+        )
+        assert result.labels == ["every-other"]
+        assert result.samplers[0].effective_rate == 0.5  # reprolint: disable=float-eq -- returned literal
 
 
 class TestBernoulliSampler:
@@ -47,11 +68,6 @@ class TestBernoulliSampler:
         mask_a = BernoulliSampler(0.2, rng=42).sample_mask(batch)
         mask_b = BernoulliSampler(0.2, rng=42).sample_mask(batch)
         np.testing.assert_array_equal(mask_a, mask_b)
-
-    def test_object_level_sampling(self):
-        sampler = BernoulliSampler(0.5, rng=0)
-        decisions = [sampler.sample_packet(make_packet()) for _ in range(2_000)]
-        assert 0.4 < np.mean(decisions) < 0.6
 
     def test_sample_batch_returns_subset(self):
         sampler = BernoulliSampler(0.3, rng=1)
@@ -92,10 +108,12 @@ class TestPeriodicSampler:
         mask = sampler.sample_mask(make_batch(5))
         assert mask[0]
 
-    def test_object_level_matches_period(self):
+    def test_phase_carries_across_batches(self):
         sampler = PeriodicSampler(period=4, phase=1)
-        decisions = [sampler.sample_packet(make_packet()) for _ in range(8)]
-        assert decisions == [False, True, False, False, False, True, False, False]
+        decisions = np.concatenate(
+            [sampler.sample_mask(make_batch(3)), sampler.sample_mask(make_batch(5))]
+        )
+        assert decisions.tolist() == [False, True, False, False, False, True, False, False]
 
 
 class TestHashFlowSampler:

@@ -748,8 +748,8 @@ class TestConcurrentIndexWriters:
         key_a = a.put(SPEC, result)
         assert [key for key, _ in b.list()] == [key_a]  # b reads a's write
         key_b = b.put(SPEC2, result)
-        # a's parse cache was warmed by its own put; b's replace must
-        # invalidate it even though a never wrote again.
+        # a's list() folds the journal afresh, so it sees b's appended
+        # line even though a never wrote again.
         assert sorted(key for key, _ in a.list()) == sorted([key_a, key_b])
         assert sorted(key for key, _ in b.list()) == sorted([key_a, key_b])
 
@@ -757,8 +757,8 @@ class TestConcurrentIndexWriters:
         self, tmp_path, result
     ):
         # Writer B lands a full put in A's window between artifact write
-        # and index update; A's read-merge-verify loop must keep B's
-        # entry rather than resurrecting its own stale snapshot.
+        # and journal append; A appends its own line after B's and never
+        # rewrites the journal, so both entries survive.
         a = RunStore(tmp_path / "store")
         b = RunStore(tmp_path / "store")
 
@@ -775,11 +775,9 @@ class TestConcurrentIndexWriters:
         assert sorted(key for key, _ in RunStore(tmp_path / "store").list()) == expected
 
     def test_threaded_writers_lose_no_index_entries(self, tmp_path, result):
-        # Two writer threads race read-merge-write cycles on the same
-        # index.  Without the flock-serialised merge, a writer that read
-        # the index before a sibling's merge can replace the file after
-        # that sibling's verify pass returned — a lost update neither
-        # retry loop can see.  Every put must survive in the index.
+        # Two writer threads race puts on the same journal.  Each put
+        # appends one line under the index flock, so no append can tear
+        # or overwrite a sibling's.  Every put must survive in the index.
         import threading
 
         specs = [replace(SPEC, seed=seed) for seed in range(10)]

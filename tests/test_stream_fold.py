@@ -38,9 +38,6 @@ class _KeepNothing(PacketSampler):
 
     name = "keep-nothing"
 
-    def sample_packet(self, packet) -> bool:
-        return False
-
     def sample_mask(self, batch) -> np.ndarray:
         return np.zeros(len(batch), dtype=bool)
 

@@ -12,6 +12,7 @@ from repro.traces import (
     abilene_like_config,
     expand_to_packets,
     expected_link_utilisation_bps,
+    iter_expanded_chunks,
     read_flow_trace_csv,
     sprint_like_config,
     summarize_trace,
@@ -170,6 +171,33 @@ class TestExpansion:
         batch = expand_to_packets(trace, rng=rng, clip_to_duration=1.5)
         assert batch.timestamps.max() < 1.5
         assert len(batch) < trace.total_packets
+
+    @pytest.mark.parametrize("clip", [None, 4.0])
+    def test_rows_out_of_start_order_draw_in_start_order(self, clip):
+        # Placements are drawn in flow start order, as every pipeline
+        # draws them: reversing the rows renames the flow ids and moves
+        # no packet.
+        forward = tiny_trace()
+        rows = np.arange(forward.num_flows)[::-1]
+        backward = FlowLevelTrace(
+            start_times=forward.start_times[rows],
+            durations=forward.durations[rows],
+            sizes_packets=forward.sizes_packets[rows],
+            src_ips=forward.src_ips[rows],
+            dst_ips=forward.dst_ips[rows],
+            src_ports=forward.src_ports[rows],
+            dst_ports=forward.dst_ports[rows],
+            protocols=forward.protocols[rows],
+        )
+        a = expand_to_packets(forward, rng=3, clip_to_duration=clip)
+        b = expand_to_packets(backward, rng=3, clip_to_duration=clip)
+        np.testing.assert_array_equal(a.timestamps, b.timestamps)
+        np.testing.assert_array_equal(rows[a.flow_ids], b.flow_ids)
+        (streamed,) = iter_expanded_chunks(
+            backward, np.random.default_rng(3), chunk_packets=None, clip_to_duration=clip
+        )
+        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+            np.testing.assert_array_equal(getattr(b, column), getattr(streamed, column))
 
     def test_utilisation_estimate_positive(self):
         assert expected_link_utilisation_bps(tiny_trace()) > 0
