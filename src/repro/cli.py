@@ -210,8 +210,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sweep_run.add_argument(
         "--jobs", type=int, default=None, metavar="N",
-        help="worker processes per source pass, or per cell with --workers "
-        "(default: auto)",
+        help="worker processes per source pass, with or without --workers "
+        "(default: auto; serial passes with --workers)",
     )
     sweep_run.add_argument(
         "--max-cells", type=int, default=None, metavar="K",

@@ -619,7 +619,9 @@ class RunStore:
         temp name, fsynced, then *hard-linked* into place — ``os.link``
         fails with ``FileExistsError`` when the lease path already
         exists, so exactly one of any number of racing workers wins,
-        and a reader can never observe a partially written lease.
+        and a reader can never observe a partially written lease.  A
+        lease over an artifact that landed (and released its holder's
+        lease) after the caller checked is withdrawn, as contended.
         """
         self.leases_dir.mkdir(parents=True, exist_ok=True)
         path = self.lease_path(lease.key)
@@ -631,6 +633,9 @@ class RunStore:
             return False
         finally:
             temp.unlink(missing_ok=True)
+        if self.run_path(lease.key).is_file():
+            path.unlink(missing_ok=True)
+            return False
         return True
 
     def claim(self, spec: RunSpec | str, owner: str, ttl: float) -> Lease | None:

@@ -35,13 +35,13 @@ metric deltas against a named baseline sweep (another store); the CLI
 surfaces both as ``repro sweep report``.
 
 Because cells are content-addressed and idempotent, a sweep also
-distributes: :class:`SweepWorker` drains the grid cooperatively with
-any number of other workers sharing the store directory (cells are
-leased via :meth:`RunStore.claim <repro.store.RunStore.claim>`, crashed
-workers' leases expire and are reclaimed), and
-:func:`run_sweep_workers` spawns N such workers as processes —
-``repro sweep run --workers N`` on the CLI, with ``repro sweep watch``
-showing live pending/leased/done/orphaned counts via
+distributes: :class:`SweepWorker` runs the same walk and source passes
+cooperatively with any number of other workers sharing the store
+directory (cells are leased via :meth:`RunStore.claim
+<repro.store.RunStore.claim>`, crashed workers' leases expire and are
+reclaimed), and :func:`run_sweep_workers` spawns N such workers as
+processes — ``repro sweep run --workers N`` on the CLI, with ``repro
+sweep watch`` showing live pending/leased/done/orphaned counts via
 :func:`worker_status`.
 """
 
@@ -52,7 +52,8 @@ import multiprocessing
 import os
 import threading
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Iterator
+from contextlib import AbstractContextManager, contextmanager, nullcontext
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -208,21 +209,20 @@ def run_sweep(
 
     Cells already in the store are skipped (a warm re-run touches no
     pipeline code at all).  The misses are grouped by every
-    :class:`~repro.store.RunSpec` field except ``samplers``: cells of one
-    group share their source, key, bins, ``top_t``, runs, seed and
-    monitor settings, so they stream the same packets.  Each group runs
-    as one pass of its source through the standard
-    :class:`~repro.pipeline.parallel.ExecutionPlan` backends, and every
+    :class:`~repro.store.RunSpec` field except ``samplers``, so the
+    cells of a group stream the same packets, and each group runs as
+    one pass of its source through the standard
+    :class:`~repro.pipeline.parallel.ExecutionPlan` backends; every
     result is bit-identical to :meth:`RunSpec.execute
     <repro.store.RunSpec.execute>` of its cell.  A group's results are
-    written back as soon as its pass ends, so an interrupted sweep
-    loses at most the group in flight.
-
-    Which cells execute, and what the report and ``progress`` see, are
-    those of a cell-by-cell walk of the grid: a cell is a hit when it
-    was stored before the sweep or repeats an earlier cell, the first
-    ``max_cells`` misses in grid order execute, and events arrive in
-    grid order.
+    stored as soon as its pass ends, so an interrupted sweep loses at
+    most the group in flight.  Which cells execute, and what the report
+    and ``progress`` see, are those of a cell-by-cell walk of the grid:
+    a cell is a hit when it was stored before the sweep or repeats an
+    earlier cell, the first ``max_cells`` misses in grid order execute,
+    and events arrive in grid order.  A :class:`SweepWorker` runs the
+    same walk but leases each group's cells first; this one takes no
+    lease, as one process alone on a store needs none.
 
     Parameters
     ----------
@@ -247,7 +247,25 @@ def run_sweep(
         Keys of the executed and cache-hit cells, in grid order, and
         the number of source passes.
     """
-    cells = grid.cells()
+    return _walk(grid.cells(), store, parallel, jobs, max_cells=max_cells, progress=progress)
+
+
+def _walk(
+    cells: list[RunSpec],
+    store: RunStore,
+    parallel: str | bool | int | None,
+    jobs: int | None,
+    *,
+    max_cells: int | None = None,
+    progress: Callable[[str, int, int, RunSpec], None] | None = None,
+    lease: Callable[[list[RunSpec]], AbstractContextManager[list[RunSpec]]] = nullcontext,
+) -> SweepReport:
+    """The one sweep walk of :func:`run_sweep` and :class:`SweepWorker`.
+
+    At the first cell of each group of misses, ``lease(group)`` yields
+    the cells one source pass computes and puts: all of them, or those
+    a worker could claim.
+    """
     report = SweepReport(total=len(cells))
     # Decide every cell first, as a cell-by-cell walk would: by the time
     # it reaches a repeat of an earlier miss, that miss is stored.  A
@@ -267,6 +285,7 @@ def run_sweep(
             group.append(spec)
         decided.append((index, spec, key, group))
 
+    stored: set[str] = set()
     for index, spec, key, group in decided:
         if progress is not None:
             progress("hit" if group is None else "run", index, len(cells), spec)
@@ -276,13 +295,17 @@ def run_sweep(
             report.cached.append(key)
             continue
         if spec is group[0]:
-            with telemetry.span("sweep.pass"):
-                results = _execute_specs(group, parallel, jobs)
-            for member, result in zip(group, results):
-                store.put(member, result)
-            report.passes += 1
-            if telemetry.enabled:
-                telemetry.count("sweep.passes")
+            with lease(group) as claimed:
+                if claimed:
+                    with telemetry.span("sweep.pass"):
+                        results = _execute_specs(claimed, parallel, jobs)
+                    for member, result in zip(claimed, results):
+                        stored.add(store.put(member, result))
+                    report.passes += 1
+                    if telemetry.enabled:
+                        telemetry.count("sweep.passes")
+        if key not in stored:
+            continue  # a live peer holds it
         if telemetry.enabled:
             telemetry.count("sweep.cells.executed")
         report.executed.append(key)
@@ -339,16 +362,20 @@ def collect(grid: SweepGrid, store: RunStore, *, strict: bool = True) -> list[St
 # Distributed execution: leased, crash-safe workers
 # ----------------------------------------------------------------------
 
-#: Default lease TTL in seconds.  Generous against multi-second cells
+#: Default lease TTL in seconds.  Generous against multi-second passes
 #: (the heartbeat renews at a third of this), short enough that a
 #: crashed worker's cells are reclaimed promptly by its survivors.
 DEFAULT_LEASE_TTL = 30.0
 
-#: Fault-injection points, in cell-lifecycle order.  ``claim.before``
-#: and ``claim.after`` bracket the lease acquisition, ``execute.mid``
-#: fires once the cell is leased but before its result exists, and
-#: ``put.after-artifact`` fires between the artifact write and the
-#: index update / lease release (the nastiest crash window).
+#: Seconds a worker sleeps before it walks again, when live peers held all its cells.
+_POLL_SECONDS = 0.05
+
+#: Fault-injection points, in lifecycle order.  ``claim.before`` and
+#: ``claim.after`` bracket each cell's lease acquisition, ``execute.mid``
+#: fires once per source pass, once its cells are leased and before any
+#: result exists, and ``put.after-artifact`` fires between a cell's
+#: artifact write and its index update / lease release (the nastiest
+#: crash window).
 FAULT_EVENTS = (
     "claim.before",
     "claim.after",
@@ -422,10 +449,11 @@ class WorkerReport:
     """What one :meth:`SweepWorker.run` drain did (readable mid-crash).
 
     ``executed`` holds the keys this worker completed (artifact written
-    *and* indexed); ``skipped`` counts claim attempts lost to a live
-    lease held by someone else; ``passes`` counts full scans over the
-    grid.  The report object is created up front and mutated in place,
-    so a crashed worker's partial report is still inspectable.
+    *and* indexed) as each source pass ends; ``skipped`` counts claim
+    attempts lost to a live lease held by someone else; ``passes``
+    counts source passes, as in :class:`SweepReport`.  The report is
+    mutated in place, so a crashed worker's partial report is still
+    inspectable.
     """
 
     owner: str
@@ -436,30 +464,28 @@ class WorkerReport:
 
 
 class _LeaseHeartbeat(threading.Thread):
-    """Background renewal of one lease at ttl/3 while its cell executes.
+    """Background renewal of one pass's leases at ttl/3 while it executes.
 
-    Keeps a slow cell's lease alive indefinitely; stops renewing (and
-    records :attr:`lost`) the moment the lease is observed reclaimed,
-    so a worker wrongly presumed dead does not fight its reclaimer.
+    Stops renewing a lease (and records :attr:`lost`) the moment it is
+    seen reclaimed, so a worker wrongly presumed dead does not fight its
+    reclaimer.
     """
 
-    def __init__(self, store: RunStore, lease: Lease, ttl: float) -> None:
-        super().__init__(daemon=True, name=f"lease-heartbeat-{lease.key}")
+    def __init__(self, store: RunStore, leases: list[Lease], ttl: float) -> None:
+        super().__init__(daemon=True, name=f"lease-heartbeat-{leases[0].owner}")
         self._store = store
-        self._lease = lease
+        self._leases = leases
         self._ttl = ttl
         self._stopped = threading.Event()
         self.lost = False
 
     def run(self) -> None:
         interval = max(self._ttl / 3.0, 0.01)
-        lease = self._lease
-        while not self._stopped.wait(interval):
-            renewed = self._store.renew(lease, self._ttl)
-            if renewed is None:
-                self.lost = True
-                return
-            lease = renewed
+        leases: list[Lease] = self._leases
+        while leases and not self._stopped.wait(interval):
+            renewed = [self._store.renew(lease, self._ttl) for lease in leases]
+            leases = [lease for lease in renewed if lease is not None]
+            self.lost = self.lost or len(leases) < len(renewed)
 
     def stop(self) -> None:
         self._stopped.set()
@@ -470,13 +496,15 @@ class SweepWorker:
     """One cooperative drain loop over a grid, leasing cells as it goes.
 
     N workers pointed at the same grid and store directory need no
-    other coordination channel: each scans the grid in order, skips
-    cells whose artifact exists, and tries to :meth:`~repro.store.RunStore.claim`
-    the rest.  A claimed cell is executed and :meth:`~repro.store.RunStore.put`;
-    a cell leased by a *live* peer is skipped; a lease whose deadline
-    passed (its owner crashed) is reclaimed by whoever scans it next.
-    When every remaining cell is held by live peers the worker sleeps
-    ``poll_seconds`` and rescans, until the grid is fully done.
+    other coordination channel.  Each runs the walk of :func:`run_sweep`
+    and, before a group's source pass, tries to
+    :meth:`~repro.store.RunStore.claim` each of its cells; the pass
+    computes and stores the claimed ones while one heartbeat thread
+    renews their leases.  A cell leased by a *live* peer is skipped; a
+    lease whose deadline passed (its owner crashed) is reclaimed by
+    whoever reaches it next.  The worker walks the skipped cells again,
+    after a short sleep when live peers held them all, until the grid
+    is fully done.
 
     Duplicate execution (a slow-but-alive worker losing its lease to an
     over-eager reclaimer) is *safe*, merely wasteful: cells are
@@ -485,21 +513,20 @@ class SweepWorker:
 
     ``sleep`` and the store's ``clock`` are injectable, so the fault
     suite can simulate whole multi-worker schedules deterministically
-    in one process; ``heartbeat=False`` disables the background renewal
-    thread for those tests.
+    in one process.
 
     >>> import tempfile
     >>> from repro.store import RunStore
     >>> grid = SweepGrid(
     ...     scenarios=("steady:duration=60,scale=0.002",),
-    ...     samplers=("bernoulli",), rates=(0.5,), seeds=(0,), num_runs=1,
+    ...     samplers=("bernoulli",), rates=(0.1, 0.5), seeds=(0,), num_runs=1,
     ... )
     >>> store = RunStore(tempfile.mkdtemp())
-    >>> report = SweepWorker(grid, store, "w0", heartbeat=False).run()
-    >>> (report.total, len(report.executed), report.skipped)
-    (1, 1, 0)
+    >>> report = SweepWorker(grid, store, "w0").run()  # both rates in one pass
+    >>> (report.total, len(report.executed), report.skipped, report.passes)
+    (2, 2, 0, 1)
     >>> worker_status(grid, store)["done"]
-    1
+    2
     """
 
     def __init__(
@@ -512,8 +539,6 @@ class SweepWorker:
         parallel: str | bool | int | None = "serial",
         jobs: int | None = None,
         fault_plan: FaultPlan | None = None,
-        heartbeat: bool = True,
-        poll_seconds: float = 0.05,
         sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         self.grid = grid
@@ -523,21 +548,15 @@ class SweepWorker:
         self.parallel = parallel
         self.jobs = jobs
         self.fault_plan = fault_plan
-        self.heartbeat = heartbeat
-        self.poll_seconds = float(poll_seconds)
         self.sleep = sleep
         self.report = WorkerReport(owner=owner)
         self._started: float = 0.0
-        self._seen_cached: set[str] = set()
+        self._cache_hits = 0
 
     # ------------------------------------------------------------------
     def _fire(self, event: str) -> None:
         if self.fault_plan is not None:
             self.fault_plan.fire(self.owner, event)
-
-    def _store_event(self, event: str, key: str) -> None:
-        del key
-        self._fire(event)
 
     def telemetry_path(self) -> Path:
         """Heartbeat telemetry file this worker publishes for ``sweep watch``."""
@@ -558,7 +577,7 @@ class SweepWorker:
             "schema": WORKER_TELEMETRY_SCHEMA,
             "owner": self.owner,
             "cells_done": done,
-            "cache_hits": len(self._seen_cached),
+            "cache_hits": self._cache_hits,
             "skipped": self.report.skipped,
             "passes": self.report.passes,
             "elapsed_s": round(elapsed, 6),
@@ -571,22 +590,34 @@ class SweepWorker:
         except OSError:
             pass  # heartbeat only; the artifacts remain the source of truth
 
-    def _execute_cell(self, spec: RunSpec, lease: Lease) -> None:
-        beat = _LeaseHeartbeat(self.store, lease, self.ttl) if self.heartbeat else None
-        if beat is not None:
-            beat.start()
+    @contextmanager
+    def _leased(self, group: list[RunSpec]) -> Iterator[list[RunSpec]]:
+        """Yield the cells of ``group`` this worker could claim, for one pass.
+
+        One heartbeat renews their leases until the pass's puts, which
+        release them, are done or the worker dies.
+        """
+        held: dict[RunSpec, Lease] = {}
+        for spec in group:
+            self._fire("claim.before")
+            lease = self.store.claim(spec, self.owner, self.ttl)
+            if lease is None:
+                self.report.skipped += 1
+                continue
+            self._fire("claim.after")
+            held[spec] = lease
+        if not held:
+            yield []
+            return
+        beat = _LeaseHeartbeat(self.store, list(held.values()), self.ttl)
+        beat.start()
         try:
             self._fire("execute.mid")
-            with telemetry.span("sweep.cell"):
-                result = spec.execute(parallel=self.parallel, jobs=self.jobs)
+            yield list(held)
         finally:
-            if beat is not None:
-                beat.stop()
-        self.store.put(spec, result)
-        self.store.release(lease)
-        if telemetry.enabled:
-            telemetry.count("sweep.cells.executed")
-        self.report.executed.append(self.store.key_of(spec))
+            beat.stop()
+        self.report.executed.extend(lease.key for lease in held.values())
+        self.report.passes += 1
         self._write_heartbeat()
 
     def run(self) -> WorkerReport:
@@ -600,43 +631,24 @@ class SweepWorker:
         self.report.total = len(cells)
         self._started = self.store.clock()
         self._write_heartbeat()
-        subscribed: Callable[[str, str], None] | None = None
-        if self.fault_plan is not None:
-            subscribed = self.store.events.subscribe(self._store_event)
+        subscribed = self.store.events.subscribe(lambda event, key: self._fire(event))
         try:
-            while True:
-                self.report.passes += 1
-                pending = False
-                progressed = False
-                for spec in cells:
-                    if spec in self.store:
-                        key = self.store.key_of(spec)
-                        # A cell this worker just executed re-appears as
-                        # stored on the final rescan; only cells finished
-                        # by someone else count as cache hits.
-                        if key not in self.report.executed:
-                            self._seen_cached.add(key)
-                        continue
-                    pending = True
-                    self._fire("claim.before")
-                    lease = self.store.claim(spec, self.owner, self.ttl)
-                    if lease is None:
-                        self.report.skipped += 1
-                        continue
-                    self._fire("claim.after")
-                    self._seen_cached.discard(self.store.key_of(spec))
-                    self._execute_cell(spec, lease)
-                    progressed = True
+            # A repeated cell is one unit of work, and a walk after the
+            # first covers only cells live peers held: one hit per cell.
+            pending = list(dict.fromkeys(cells))
+            while pending:
+                scan = _walk(pending, self.store, self.parallel, self.jobs, lease=self._leased)
+                self._cache_hits += len(scan.cached)
                 self._write_heartbeat()
-                if not pending:
-                    return self.report
-                if not progressed:
+                finished = {*scan.executed, *scan.cached}
+                pending = [spec for spec in pending if self.store.key_of(spec) not in finished]
+                if pending and not scan.passes:
                     # Every remaining cell is held by a live peer: wait
                     # for it to finish or for its lease to expire.
-                    self.sleep(self.poll_seconds)
+                    self.sleep(_POLL_SECONDS)
+            return self.report
         finally:
-            if subscribed is not None:
-                self.store.events.unsubscribe(subscribed)
+            self.store.events.unsubscribe(subscribed)
 
 
 def _worker_entry(
@@ -658,7 +670,6 @@ class WorkerPool:
     """Handle on the worker processes started by :func:`start_sweep_workers`."""
 
     processes: list
-    owners: list[str]
 
     @property
     def pids(self) -> list[int | None]:
@@ -675,13 +686,6 @@ class WorkerPool:
         ``None`` = still running."""
         return [process.exitcode for process in self.processes]
 
-    def terminate(self) -> None:
-        """SIGTERM every still-running worker (cells in flight are lost
-        to their leases, which expire and are reclaimed on the next run)."""
-        for process in self.processes:
-            if process.is_alive():
-                process.terminate()
-
 
 def start_sweep_workers(
     grid: SweepGrid,
@@ -691,7 +695,6 @@ def start_sweep_workers(
     ttl: float = DEFAULT_LEASE_TTL,
     parallel: str | bool | int | None = "serial",
     jobs: int | None = None,
-    owner_prefix: str = "worker",
 ) -> WorkerPool:
     """Spawn ``workers`` uncoordinated drain processes over one grid.
 
@@ -709,10 +712,9 @@ def start_sweep_workers(
         raise ValueError(f"workers must be at least 1, got {workers}")
     context = multiprocessing.get_context()
     processes: list = []
-    owners: list[str] = []
     try:
         for index in range(workers):
-            owner = f"{owner_prefix}-{os.getpid()}-{index}"
+            owner = f"worker-{os.getpid()}-{index}"
             process = context.Process(
                 target=_worker_entry,
                 args=(grid, str(store.root), store.array_format, owner, ttl, parallel, jobs),
@@ -720,14 +722,13 @@ def start_sweep_workers(
             )
             process.start()
             processes.append(process)
-            owners.append(owner)
     except (OSError, PermissionError, RuntimeError):
         for process in processes:
             if process.is_alive():
                 process.terminate()
             process.join(5.0)
         raise
-    return WorkerPool(processes=processes, owners=owners)
+    return WorkerPool(processes=processes)
 
 
 @dataclass
@@ -768,9 +769,9 @@ def run_sweep_workers(
     (:func:`~repro.pipeline.parallel.probe_process_spawn`); when
     processes cannot be spawned — sandboxes, resource exhaustion — the
     drain falls back to a serial in-process worker and records why in
-    ``degraded``.  Workers default to ``parallel="serial"`` per cell:
-    with N workers running cells concurrently, nested process pools
-    would oversubscribe the machine.
+    ``degraded``.  Workers default to ``parallel="serial"`` per source
+    pass: with N workers running passes concurrently, nested process
+    pools would oversubscribe the machine.
 
     A non-zero exit code (e.g. a SIGKILLed worker) does **not** imply
     an incomplete sweep: surviving workers reclaim the dead worker's
@@ -786,9 +787,7 @@ def run_sweep_workers(
     spawn_problem = probe_process_spawn() if workers > 1 else None
     if workers > 1 and spawn_problem is None:
         try:
-            pool = start_sweep_workers(
-                grid, store, workers, ttl=ttl, parallel=parallel, jobs=jobs
-            )
+            pool = start_sweep_workers(grid, store, workers, ttl=ttl, parallel=parallel, jobs=jobs)
         except (OSError, PermissionError, RuntimeError) as error:
             spawn_problem = f"{type(error).__name__}: {error}"
         else:
@@ -797,14 +796,8 @@ def run_sweep_workers(
     if workers == 1 or spawn_problem is not None:
         if spawn_problem is not None:
             degraded = f"worker processes unavailable ({spawn_problem}); ran serially"
-        SweepWorker(
-            grid,
-            store,
-            f"worker-{os.getpid()}-serial",
-            ttl=ttl,
-            parallel=parallel,
-            jobs=jobs,
-        ).run()
+        owner = f"worker-{os.getpid()}-serial"
+        SweepWorker(grid, store, owner, ttl=ttl, parallel=parallel, jobs=jobs).run()
     completed = sum(1 for spec in cells if spec in store)
     return DistributedSweepReport(
         total=len(cells),

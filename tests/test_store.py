@@ -652,6 +652,22 @@ class TestLeases:
         assert store.cell_state(SPEC) == "done"
         assert store.list_leases() == []
 
+    def test_claim_loses_to_a_put_that_lands_while_it_publishes(self, tmp_path, result):
+        """The holder may store the cell and release its lease between a
+        claimer's artifact check and its lease publish; the claim must
+        still see the cell done, or the cell would be computed twice."""
+        store = RunStore(tmp_path / "store", clock=FakeClock())
+        assert store.claim(SPEC, "w0", ttl=10.0) is not None
+        publish = store._publish_lease
+
+        def publish_after_the_holder_finishes(lease):
+            store.put(SPEC, result)  # artifact, journal line, then the lease goes
+            return publish(lease)
+
+        store._publish_lease = publish_after_the_holder_finishes
+        assert store.claim(SPEC, "w1", ttl=10.0) is None
+        assert store.list_leases() == []
+
     def test_claim_leaves_no_temp_files(self, tmp_path):
         store = RunStore(tmp_path / "store", clock=FakeClock())
         store.claim(SPEC, "w0", ttl=10.0)

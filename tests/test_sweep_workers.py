@@ -22,11 +22,13 @@ from __future__ import annotations
 import json
 import os
 import signal
+import threading
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro import telemetry
 from repro.store import RunStore
 from repro.sweep import (
     FAULT_EVENTS,
@@ -122,7 +124,6 @@ def run_schedule(store: RunStore, clock: FakeClock, workers: int, plan: FaultPla
             store,
             owner,
             ttl=TTL,
-            heartbeat=False,
             fault_plan=plan if owner != "rerun" else None,
             sleep=lambda seconds: clock.tick(TTL + 1.0),
         )
@@ -194,7 +195,7 @@ class TestFaultInjection:
         store = RunStore(tmp_path / "store", clock=clock)
         plan = FaultPlan(kills=(Kill("w0", "put.after-artifact"),))
         worker = SweepWorker(
-            GRID, store, "w0", ttl=TTL, heartbeat=False, fault_plan=plan,
+            GRID, store, "w0", ttl=TTL, fault_plan=plan,
             sleep=lambda seconds: clock.tick(TTL + 1.0),
         )
         with pytest.raises(WorkerCrash):
@@ -222,12 +223,45 @@ class TestFaultInjection:
         store = RunStore(tmp_path / "store", clock=clock)
         plan = FaultPlan(kills=(Kill("w0", "execute.mid", occurrence=2),))
         worker = SweepWorker(
-            GRID, store, "w0", ttl=TTL, heartbeat=False, fault_plan=plan,
+            GRID, store, "w0", ttl=TTL, fault_plan=plan,
         )
         with pytest.raises(WorkerCrash):
             worker.run()
-        assert len(worker.report.executed) == 1
+        assert len(worker.report.executed) == 2
         assert worker.report.total == len(GRID.cells())
+
+
+class TestOneWalk:
+    """Workers and ``run_sweep`` share one walk; only workers lease."""
+
+    def test_worker_runs_one_source_pass_per_group(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        with telemetry.use_telemetry():
+            report = SweepWorker(GRID, store, "w0").run()
+            counters = telemetry.snapshot()["counters"]
+        # Two (source, seed) groups of two rates each.
+        assert (counters["sweep.passes"], counters["sweep.cells.executed"]) == (2, 4)
+        assert (report.passes, len(report.executed)) == (2, 4)
+        for spec in GRID.cells():
+            assert store.get(spec).result.to_dict() == spec.execute().to_dict()
+        assert store.list_leases() == []  # each put released its lease
+
+    @pytest.mark.parametrize("event", FAULT_EVENTS)
+    def test_no_heartbeat_outlives_a_crash(self, tmp_path, event):
+        store = RunStore(tmp_path / "store", clock=FakeClock())
+        plan = FaultPlan(kills=(Kill("w0", event),))
+        with pytest.raises(WorkerCrash):
+            SweepWorker(GRID, store, "w0", ttl=TTL, fault_plan=plan).run()
+        beats = [t for t in threading.enumerate() if t.name.startswith("lease-heartbeat")]
+        assert beats == []
+
+    def test_run_sweep_takes_no_lease(self, tmp_path):
+        store = RunStore(tmp_path / "store")
+        events: list[str] = []
+        store.events.subscribe(lambda event, key: events.append(event))
+        assert run_sweep(GRID, store).passes == 2
+        assert not store.leases_dir.exists()
+        assert not [event for event in events if event.startswith("lease.")]
 
 
 # ----------------------------------------------------------------------
@@ -264,7 +298,7 @@ class TestLiveReloadedMultiWorkerIdentity:
         # Multi-worker: two in-process workers draining a second store.
         multi = RunStore(tmp_path_factory.mktemp("multi"), clock=FakeClock())
         for owner in ("w0", "w1"):
-            SweepWorker(grid, multi, owner, ttl=TTL, heartbeat=False).run()
+            SweepWorker(grid, multi, owner, ttl=TTL).run()
 
         reference = sweep_status(grid, live)
         assert sweep_status(grid, reloaded) == reference
@@ -331,17 +365,19 @@ class TestWorkerProcesses:
         from repro.sweep import _LeaseHeartbeat
 
         store = RunStore(tmp_path / "store")  # real monotonic clock
-        lease = store.claim(GRID.cells()[0], "w0", ttl=0.3)
-        beat = _LeaseHeartbeat(store, lease, ttl=0.3)
+        cells = GRID.cells()[:2]
+        leases = [store.claim(spec, "w0", ttl=0.3) for spec in cells]
+        beat = _LeaseHeartbeat(store, leases, ttl=0.3)  # one thread, both leases
         beat.start()
-        deadline = lease.deadline + 0.6
+        deadline = max(lease.deadline for lease in leases) + 0.6
         while store.clock() < deadline:
-            pass  # outlive the original deadline by 2x
-        current = store.get_lease(lease.key)
+            pass  # outlive the original deadlines by 2x
+        current = [store.get_lease(lease.key) for lease in leases]
         beat.stop()
         assert not beat.lost
-        assert current is not None and current.deadline > lease.deadline
-        assert store.cell_state(GRID.cells()[0]) == "leased"
+        for lease, renewed, spec in zip(leases, current, cells):
+            assert renewed is not None and renewed.deadline > lease.deadline
+            assert store.cell_state(spec) == "leased"
 
 
 class TestWorkerStatus:
@@ -355,7 +391,7 @@ class TestWorkerStatus:
                 scenarios=GRID.scenarios, samplers=GRID.samplers,
                 rates=(GRID.rates[0],), seeds=(GRID.seeds[0],), num_runs=1,
             ),
-            store, "w0", ttl=TTL, heartbeat=False,
+            store, "w0", ttl=TTL,
         ).run()
         store.claim(cells[1], "w1", ttl=TTL)
         store.claim(cells[2], "w2", ttl=TTL)

@@ -415,7 +415,7 @@ GRID = SweepGrid(
 class TestWorkerHeartbeats:
     def test_worker_writes_schema_stable_heartbeat(self, tmp_path):
         store = RunStore(tmp_path)
-        worker = SweepWorker(GRID, store, "w0", heartbeat=False)
+        worker = SweepWorker(GRID, store, "w0")
         report = worker.run()
         assert len(report.executed) == report.total
         payload = json.loads(worker.telemetry_path().read_text())
@@ -427,7 +427,7 @@ class TestWorkerHeartbeats:
     def test_read_worker_telemetry_sorts_and_filters(self, tmp_path):
         store = RunStore(tmp_path)
         for owner in ("w1", "w0"):
-            SweepWorker(GRID, store, owner, heartbeat=False).run()
+            SweepWorker(GRID, store, owner).run()
         (store.root / "telemetry" / "junk.json").write_text("not json")
         (store.root / "telemetry" / "other.json").write_text('{"schema": "other"}')
         rows = read_worker_telemetry(store)
@@ -435,9 +435,9 @@ class TestWorkerHeartbeats:
 
     def test_worker_status_exposes_workers_and_cache_hits(self, tmp_path):
         store = RunStore(tmp_path)
-        SweepWorker(GRID, store, "w0", heartbeat=False).run()
+        SweepWorker(GRID, store, "w0").run()
         # A second worker over the full grid sees every cell cached.
-        SweepWorker(GRID, store, "w1", heartbeat=False).run()
+        SweepWorker(GRID, store, "w1").run()
         status = worker_status(GRID, store)
         workers = status["workers"]
         assert [row["owner"] for row in workers] == ["w0", "w1"]
