@@ -404,7 +404,7 @@ def _outcomes_identical(left, right) -> bool:
 
 
 def bench_batch_transport(args: argparse.Namespace) -> dict:
-    """Serial vs the shared-memory process transport, bit-checked.
+    """Serial vs the shared-memory process transport, and lanes, bit-checked.
 
     Runs the same two-sampler plan serially and through the process
     backend over shared memory at one and two workers, asserts every
@@ -413,45 +413,80 @@ def bench_batch_transport(args: argparse.Namespace) -> dict:
     the transport's single-core cost per packet.  On single-core
     machines the two-worker timing measures transport overhead, not
     parallelism — the section says so explicitly.
+
+    The ``lanes`` row runs the sweep plan (every rate x ``--runs``, 40
+    streams at full size) four ways: one inline ``run_stream`` over
+    every cell, ``execute("serial")`` (as stream lanes, ``lanes`` of
+    them), and shm at one and two workers; all four must agree bit for
+    bit.
     """
+    from repro import telemetry
     from repro.pipeline.parallel import probe_shared_memory
 
-    def best_of_three(backend: str, jobs: int):
+    def best_of_three(execute, **shape):
         # On few-core machines the producer/consumer scheduling jitter
         # dwarfs the transport cost on any single run.
         runs = []
         for _ in range(3):
-            plan = _pipeline(args, rates=(0.1, 0.5), runs=2).plan()
-            seconds, outcome = _timed(lambda: plan.execute(backend=backend, jobs=jobs))
+            plan = _pipeline(args, **shape).plan()
+            seconds, outcome = _timed(lambda: execute(plan))
             runs.append((seconds, outcome, plan))
         return min(runs, key=lambda run: run[0])
 
-    serial_seconds, serial, _ = best_of_three("serial", 1)
+    def on(backend: str, jobs: int | None = None):
+        return lambda plan: plan.execute(backend=backend, jobs=jobs)
+
+    def inline(plan):
+        return plan._fold(range(plan.num_cells), plan._chunks())[1]
+
+    def check(outcome, reference, label: str) -> None:
+        if not _outcomes_identical(outcome, reference):
+            raise SystemExit(f"FATAL: {label} diverges from serial — transport regression")
+
+    pair = {"rates": (0.1, 0.5), "runs": 2}
+    serial_seconds, serial, _ = best_of_three(on("serial", 1), **pair)
     section: dict = {
         "packets": serial.total_packets,
         "serial_seconds": round(serial_seconds, 4),
     }
+    sweep_shm = {}
     shm_error = probe_shared_memory()
     if shm_error is not None:
         section["shm"] = {"unavailable": shm_error}
-        return section
-    shm_seconds = {}
-    for jobs in (1, 2):
-        shm_seconds[jobs], outcome, plan = best_of_three("process", jobs)
-        if not _outcomes_identical(outcome, serial):
-            raise SystemExit(
-                f"FATAL: shm transport at jobs={jobs} diverges from serial — "
-                "transport regression"
-            )
-        section[f"shm_jobs{jobs}"] = {
-            "seconds": round(shm_seconds[jobs], 4),
-            "transport_used": plan.transport_used,
-            "fallback_reason": plan.fallback_reason,
-            "bit_identical": True,
-        }
-    section["shm_overhead_ns_per_pkt"] = round(
-        (shm_seconds[1] - serial_seconds) / serial.total_packets * 1e9, 1
-    )
+    else:
+        shm_seconds = {}
+        for jobs in (1, 2):
+            shm_seconds[jobs], outcome, plan = best_of_three(on("process", jobs), **pair)
+            check(outcome, serial, f"shm transport at jobs={jobs}")
+            section[f"shm_jobs{jobs}"] = {
+                "seconds": round(shm_seconds[jobs], 4),
+                "transport_used": plan.transport_used,
+                "fallback_reason": plan.fallback_reason,
+                "bit_identical": True,
+            }
+            sweep_shm[jobs] = best_of_three(on("process", jobs))
+        section["shm_overhead_ns_per_pkt"] = round(
+            (shm_seconds[1] - serial_seconds) / serial.total_packets * 1e9, 1
+        )
+    # The in-process runs come last: on some VMs the threads of a young
+    # process share one CPU for its first seconds, which would time the
+    # host's scheduler, not the lanes.
+    inline_seconds, reference, plan = best_of_three(inline)
+    lanes_seconds, outcome, _ = best_of_three(on("serial"))
+    check(outcome, reference, "stream lanes")
+    with telemetry.use_telemetry():
+        plan.execute(backend="serial")
+        lanes = telemetry.snapshot()["gauges"]["parallel.lanes"]
+    section["lanes"] = lanes_row = {
+        "streams": plan.num_cells,
+        "lanes": lanes,
+        "inline_seconds": round(inline_seconds, 4),
+        "lanes_seconds": round(lanes_seconds, 4),
+    }
+    for jobs, (seconds, outcome, _) in sweep_shm.items():
+        check(outcome, reference, f"the sweep plan over shm at jobs={jobs}")
+        lanes_row[f"shm_jobs{jobs}_seconds"] = round(seconds, 4)
+    lanes_row["bit_identical"] = True
     if _single_core():
         section["note"] = SINGLE_CORE_NOTE
     return section
@@ -852,15 +887,34 @@ def bench_store_index(args: argparse.Namespace) -> dict:
     }
 
 
+#: Timed calls a side in ``sweep_workers``; the sides alternate.
+SWEEP_WORKERS_CALLS = 5
+
+
+def _spread(samples: list[float]) -> dict:
+    """Median and quartiles of timed calls, in seconds."""
+    q1, median, q3 = np.percentile(samples, [25, 50, 75])
+    return {
+        "median": round(float(median), 4),
+        "q1": round(float(q1), 4),
+        "q3": round(float(q3), 4),
+        "min": round(min(samples), 4),
+    }
+
+
 def bench_sweep_workers(args: argparse.Namespace) -> dict:
     """Leased multi-worker drain vs the serial sweep orchestrator.
 
-    Runs the same grid into two fresh stores: once through ``run_sweep``
-    (serial, single process) and once through ``run_sweep_workers`` with
-    two crash-safe worker processes coordinating through store leases.
-    Both passes must complete the grid, and the aggregate rows must be
-    bit-identical — the distributed-execution contract — before the
-    speedup is recorded.  A degraded pass (worker spawn unavailable in
+    Runs the same grid into fresh stores, alternately through
+    ``run_sweep`` (one orchestrating process; its ``"auto"`` passes run
+    on the process backend at full size) and through
+    ``run_sweep_workers`` with two crash-safe worker processes
+    coordinating through store leases (each folds its passes inline,
+    on one thread), :data:`SWEEP_WORKERS_CALLS` times a side; one call
+    a side would make the speedup a single serial sample.  Every pass must complete the grid, and the
+    aggregate rows must be bit-identical — the distributed-execution
+    contract — before the medians, quartiles and the speedup of the
+    medians are recorded.  A degraded pass (worker spawn unavailable in
     this environment) is recorded as such rather than failing.
     """
     import shutil
@@ -876,35 +930,43 @@ def bench_sweep_workers(args: argparse.Namespace) -> dict:
         seeds=(args.seed, args.seed + 1),
         num_runs=args.runs,
     )
-    serial_root = tempfile.mkdtemp(prefix="bench_sweep_workers_serial_")
-    workers_root = tempfile.mkdtemp(prefix="bench_sweep_workers_pool_")
-    try:
-        serial_store = RunStore(serial_root)
-        serial_seconds, serial = _timed(lambda: run_sweep(grid, serial_store))
-        workers_store = RunStore(workers_root)
-        workers_seconds, distributed = _timed(
-            lambda: run_sweep_workers(grid, workers_store, workers=2)
-        )
-        if not serial.complete or not distributed.complete:
-            raise SystemExit("FATAL: a sweep pass left cells missing")
-        serial_rows = aggregate_rows(collect(grid, serial_store))
-        worker_rows = aggregate_rows(collect(grid, workers_store))
-    finally:
-        shutil.rmtree(serial_root, ignore_errors=True)
-        shutil.rmtree(workers_root, ignore_errors=True)
-    identical = json.dumps(serial_rows, sort_keys=True) == json.dumps(worker_rows, sort_keys=True)
-    if not identical:
+    sides = {
+        "serial": lambda store: run_sweep(grid, store),
+        "workers": lambda store: run_sweep_workers(grid, store, workers=2),
+    }
+    seconds: dict[str, list[float]] = {side: [] for side in sides}
+    rows: set[str] = set()
+    distributed = None
+    for _ in range(SWEEP_WORKERS_CALLS):
+        for side, drain in sides.items():
+            root = tempfile.mkdtemp(prefix=f"bench_sweep_workers_{side}_")
+            try:
+                store = RunStore(root)
+                elapsed, report = _timed(lambda: drain(store))
+                if not report.complete:
+                    raise SystemExit("FATAL: a sweep pass left cells missing")
+                rows.add(json.dumps(aggregate_rows(collect(grid, store)), sort_keys=True))
+            finally:
+                shutil.rmtree(root, ignore_errors=True)
+            seconds[side].append(elapsed)
+            if side == "workers":
+                distributed = report
+    if len(rows) != 1:
         raise SystemExit(
             "FATAL: multi-worker aggregates diverge from serial — distribution regression"
         )
+    serial, workers = _spread(seconds["serial"]), _spread(seconds["workers"])
     return {
         "cells": len(grid.cells()),
         "workers": distributed.workers,
         "degraded": distributed.degraded,
-        "serial_seconds": round(serial_seconds, 4),
-        "workers_seconds": round(workers_seconds, 4),
-        "speedup": round(serial_seconds / workers_seconds, 3) if workers_seconds else None,
-        "bit_identical": identical,
+        "calls_per_side": SWEEP_WORKERS_CALLS,
+        "serial_seconds": serial["median"],
+        "workers_seconds": workers["median"],
+        "serial_spread": serial,
+        "workers_spread": workers,
+        "speedup": round(serial["median"] / workers["median"], 3),
+        "bit_identical": True,
     }
 
 
@@ -1260,14 +1322,25 @@ def main(argv: list[str] | None = None) -> int:
     if wanted("batch_transport"):
         print(f"transport   ... ", end="", flush=True)
         report["results"]["batch_transport"] = transport = bench_batch_transport(args)
+        lanes = transport["lanes"]
+        lanes_line = (
+            f"; {lanes['streams']} streams: inline {lanes['inline_seconds']}s, "
+            f"{lanes['lanes']} lane(s) {lanes['lanes_seconds']}s"
+        )
         if "shm" in transport:
-            print(f"serial {transport['serial_seconds']}s, shm {transport['shm']['unavailable']}")
+            print(
+                f"serial {transport['serial_seconds']}s, shm {transport['shm']['unavailable']}"
+                + lanes_line
+            )
         else:
             print(
                 f"serial {transport['serial_seconds']}s, "
                 f"shm jobs=1 {transport['shm_jobs1']['seconds']}s, "
                 f"jobs=2 {transport['shm_jobs2']['seconds']}s -> "
                 f"{transport['shm_overhead_ns_per_pkt']} ns/pkt transport overhead"
+                + lanes_line
+                + f", shm jobs=1 {lanes['shm_jobs1_seconds']}s, "
+                f"jobs=2 {lanes['shm_jobs2_seconds']}s (bit-identical)"
                 + (f" [{transport['note']}]" if "note" in transport else "")
             )
 
@@ -1310,8 +1383,11 @@ def main(argv: list[str] | None = None) -> int:
         if _single_core():
             sweep_workers["note"] = SINGLE_CORE_NOTE
         print(
-            f"{sweep_workers['cells']} cells: serial {sweep_workers['serial_seconds']}s vs "
-            f"{sweep_workers['workers']} leased workers {sweep_workers['workers_seconds']}s "
+            f"{sweep_workers['cells']} cells, median of {sweep_workers['calls_per_side']} "
+            f"calls a side: serial {sweep_workers['serial_seconds']}s "
+            f"(IQR {sweep_workers['serial_spread']['q1']}-{sweep_workers['serial_spread']['q3']}s) "
+            f"vs {sweep_workers['workers']} leased workers {sweep_workers['workers_seconds']}s "
+            f"(IQR {sweep_workers['workers_spread']['q1']}-{sweep_workers['workers_spread']['q3']}s) "
             f"-> {sweep_workers['speedup']}x (bit-identical)"
             + (f" [degraded: {sweep_workers['degraded']}]" if sweep_workers["degraded"] else "")
             + (f" [{sweep_workers['note']}]" if "note" in sweep_workers else "")

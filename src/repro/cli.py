@@ -167,7 +167,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker processes for the independent sampling runs "
-        "(default: auto — parallel only when the workload is large; 1 forces serial)",
+        "(default: auto — parallel only when the workload is large; 1 forces one "
+        "process, which may still fold a large workload on more than one thread: "
+        "stream lanes)",
     )
     run.add_argument("--csv", metavar="PATH", help="also write a per-bin CSV to PATH")
     run.add_argument(

@@ -222,11 +222,6 @@ def run_stream(
                 f"at t={previous_end!r}; use a larger bin_duration"
             )
         sizes = chunk.sizes_bytes
-        if telemetry.enabled:
-            telemetry.count("stream.chunks")
-            telemetry.count("stream.packets", size)
-            telemetry.count("stream.bytes", int(sizes.sum()))
-
         with telemetry.span("stream.sample"):
             keep = np.empty((num_streams, size), dtype=bool)
             for stream, sampler in enumerate(stream_samplers):

@@ -8,8 +8,12 @@ turns that structure into an explicit :class:`ExecutionPlan` — one
 ``SeedSequence`` child — and dispatches contiguous *batches* of cells
 through one of two backends:
 
-* ``"serial"`` — all cells in one batch, in process (the reference
-  path: one expansion, one pass over the stream);
+* ``"serial"`` — every cell in this process, over one expansion and one
+  pass of the stream.  A large enough plan (see
+  :meth:`ExecutionPlan.execute`) on a process that may use more than one
+  CPU splits its cells into *lanes*, each folded on a thread of its own
+  (the calling thread is lane 0 and pulls the source); otherwise one
+  inline fold runs them all;
 * ``"process"`` — one batch per worker process.  The parent expands the
   packet stream once and ships every chunk to each worker through a
   parent-owned ring of ``multiprocessing.shared_memory`` slots
@@ -55,16 +59,19 @@ import multiprocessing
 import os
 import pickle
 import queue as queue_module
-from collections.abc import Iterator
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
 from .. import telemetry
 from ..flows.packets import PacketBatch
-from ..traces.source import DEFAULT_CHUNK_PACKETS, PacketSource
+from ..traces.source import DEFAULT_CHUNK_PACKETS, PacketSource, _usable_cpus
 from .executor import StreamOutcome, run_stream
+
+if TYPE_CHECKING:
+    from concurrent.futures import Future
 
 #: Backend names accepted by :meth:`ExecutionPlan.execute`.
 BACKENDS = ("auto", "serial", "process")
@@ -85,6 +92,33 @@ _POLL_S = 0.1
 #: cost of starting workers and copying every chunk into each worker's
 #: shared-memory ring exceeds what parallelism can win back.
 AUTO_PROCESS_MIN_WORK = 8_000_000
+
+#: Fewest streams a lane of the in-process backend folds.  Each lane
+#: pays for a truth engine, bin closing and top-t ranking of its own.
+#: Over ``rate_sweep``'s pre-built chunks (sprint, scale 0.05, 900 s, on
+#: a 2-vCPU host) a one-stream ``run_stream`` cost 36-44 ns a packet and
+#: each extra Bernoulli stream 6-8 ns, so a lane repays its engine only
+#: with well over 36 / 6 ~ 44 / 8 ~ 6 streams.
+_LANE_MIN_STREAMS = 8
+
+#: Most lanes an in-process run folds.  Every lane timing and memory
+#: figure so far was taken at two lanes on a 2-vCPU host, where two lanes
+#: raised ``rate_sweep``'s peak RSS ~11% (each lane keeps a truth engine
+#: and chunk temporaries of its own); three or more lanes were never
+#: measured, so a host with more CPUs still folds two until they are.
+#: The cap also bounds the lanes where the affinity mask overstates the
+#: CPUs, as it does under a cgroup CPU quota, which it does not see.
+_MAX_LANES = 2
+
+#: Fewest packet-cells (:attr:`ExecutionPlan.packet_work`) an in-process
+#: run splits into lanes.  The lane thread, its per-chunk hand-off and
+#: the second truth engine cost the same whatever the plan does, so a
+#: small plan loses: on a 2-vCPU host, sprint plans of 16 and 40
+#: Bernoulli cells took, with two lanes, 2.2x and 1.6x the inline fold's
+#: median time at 78k and 194k packet-cells, 1.14x at 1.2M, 0.93x at
+#: 3.0M and 0.75x at 3.5M.  A source that cannot predict its packet
+#: count reports no work, and its runs fold inline.
+_LANE_MIN_WORK = 3_000_000
 
 
 @dataclass(frozen=True)
@@ -121,6 +155,11 @@ class ExecutionPlan:
     is built by :meth:`repro.pipeline.Pipeline.plan` and consumed by
     :meth:`execute`; it is also the natural unit to inspect when
     reasoning about scaling (``plan.num_cells``, ``plan.packet_work``).
+
+    ``"serial"`` execution means *in process*, not one thread: a large
+    enough plan on more than one usable CPU has :meth:`execute` fold its
+    :meth:`batches` of cells as lanes, each on a thread of its own, over
+    one source pass.
 
     Attributes
     ----------
@@ -186,6 +225,20 @@ class ExecutionPlan:
         dispatch serial unless an explicit job count asks otherwise.
         """
         return int(self.source.expected_packets or 0) * self.num_cells
+
+    def _lanes(self) -> list[list[int]]:
+        """The cells of an in-process run, split into the lanes that fold them.
+
+        More than one lane only when the plan reaches ``_LANE_MIN_WORK``
+        packet-cells, each lane gets ``_LANE_MIN_STREAMS`` cells or more,
+        the process may use more than one CPU (its affinity mask) and
+        ``multiprocessing`` did not start it: a sweep drain's worker
+        processes, like process-backend workers, already share the CPUs
+        with their siblings.  At most ``_MAX_LANES``.
+        """
+        if self.packet_work < _LANE_MIN_WORK or multiprocessing.parent_process() is not None:
+            return self.batches(1)
+        return self.batches(min(_usable_cpus(), _MAX_LANES, self.num_cells // _LANE_MIN_STREAMS))
 
     def batches(self, count: int) -> list[list[int]]:
         """Split the cell indices into ``count`` contiguous batches.
@@ -284,15 +337,21 @@ class ExecutionPlan:
         Parameters
         ----------
         backend:
-            ``"serial"``, ``"process"`` or ``"auto"`` (the default).
-            When the process backend cannot run here (see
+            ``"serial"`` (in process), ``"process"`` or ``"auto"`` (the
+            default).  When the process backend cannot run here (see
             :meth:`pickle_check` and :func:`probe_shared_memory`),
             ``"auto"`` runs serially and records why in
             :attr:`fallback_reason`; ``"process"`` raises
-            ``ValueError``.
+            ``ValueError``.  In process, a plan of ``_LANE_MIN_WORK``
+            packet-cells or more folds as up to ``_MAX_LANES`` lanes,
+            one per usable CPU (the affinity mask), each of at least
+            ``_LANE_MIN_STREAMS`` cells on a thread of its own.  A
+            process pinned to one CPU, a smaller plan, a process that
+            ``multiprocessing`` started (a sweep drain's worker, say)
+            and process-backend workers fold inline.
         jobs:
             Worker processes for the process backend; ``None`` means one
-            per CPU.
+            per CPU.  It sets no lane count.
 
         Returns
         -------
@@ -304,7 +363,9 @@ class ExecutionPlan:
         ------
         RuntimeError
             When a worker process fails; the message carries the
-            worker's own error, or its exit code if it posted none.
+            worker's own error, or its exit code if it posted none.  A
+            lane's error (a sampler that raises, say) is raised as it
+            is, as the inline fold raises it.
         """
         choice, resolved_jobs = self.resolve_backend(backend, jobs)
         self.fallback_reason = None
@@ -317,28 +378,80 @@ class ExecutionPlan:
                 # auto mode degrades gracefully — and observably.
                 self.fallback_reason = f"auto backend fell back to serial: {problem}"
                 choice, resolved_jobs = "serial", 1
+        lanes = self._lanes() if choice == "serial" else []
         if telemetry.enabled:
             telemetry.gauge("parallel.backend", choice)
             telemetry.gauge("parallel.jobs", resolved_jobs)
+            telemetry.gauge("parallel.lanes", max(len(lanes), 1))
             if self.fallback_reason is not None:
                 telemetry.gauge("parallel.fallback", self.fallback_reason)
-        if choice == "serial":
-            samplers = _build_samplers(self.sampler_specs, self.cells)
-            outcome = run_stream(
-                self._chunks(),
-                self.groups,
-                samplers,
-                self.bin_duration,
-                self.top_t,
-                max_flows=self.max_flows,
-            )
-            parts = [([cell.stream_index for cell in self.cells], outcome)]
+        if len(lanes) > 1:
+            parts = self._execute_lanes(lanes)
+        elif choice == "serial":
+            parts = [self._fold(range(self.num_cells), self._chunks())]
         else:
             self.transport_used = "shm"
             if telemetry.enabled:
                 telemetry.gauge("parallel.transport", "shm")
             parts = self._execute_streamed(resolved_jobs)
         return merge_outcomes(parts, self.num_cells)
+
+    def _fold(
+        self, indices: Iterable[int], chunks: Iterable[PacketBatch]
+    ) -> tuple[list[int], StreamOutcome]:
+        """One lane's part: ``chunks`` folded through the cells at ``indices``."""
+        cells = [self.cells[index] for index in indices]
+        outcome = _fold_cells(
+            chunks, self.sampler_specs, cells, self.groups, self.bin_duration, self.top_t,
+            self.max_flows,
+        )
+        return [cell.stream_index for cell in cells], outcome
+
+    def _execute_lanes(self, lanes: list[list[int]]) -> list[tuple[list[int], StreamOutcome]]:
+        """Fold each lane of cells on a thread of its own over one source pass.
+
+        The calling thread is lane 0: it pulls each chunk from the
+        source, hands it to every other lane through a one-chunk queue,
+        then folds it through its own cells' streams.  A lane that
+        raises stops taking chunks, and lane 0 raises its error at its
+        next hand-off instead of waiting on a full queue; if lane 0
+        raises, the other lanes' streams end where they are.  Either
+        way no lane thread outlives the call.
+        """
+        # Imported here, as the merge read-ahead does: with the logging it
+        # loads, ~8 ms that a process which never runs lanes does not pay.
+        import concurrent.futures
+
+        feeds: list[queue_module.Queue] = [queue_module.Queue(maxsize=1) for _ in lanes[1:]]
+        pool = concurrent.futures.ThreadPoolExecutor(
+            max_workers=len(feeds), thread_name_prefix="stream-lane"
+        )
+        helpers: list[Future] = []
+
+        def lead() -> Iterator[PacketBatch]:
+            for chunk in self._chunks():
+                for feed, helper in zip(feeds, helpers):
+                    _hand_off(feed, helper, chunk)
+                yield chunk
+            for feed, helper in zip(feeds, helpers):
+                _hand_off(feed, helper, None)
+
+        stream = lead()
+        try:
+            for lane, feed in zip(lanes[1:], feeds):
+                helpers.append(pool.submit(self._fold, lane, _drain(feed)))
+            parts = [self._fold(lanes[0], stream)]
+            return parts + [helper.result() for helper in helpers]
+        finally:
+            stream.close()
+            for feed in feeds:
+                # Ends a stream lane 0 broke off; a queued chunk is dropped.
+                try:
+                    feed.get_nowait()
+                except queue_module.Empty:
+                    pass
+                feed.put_nowait(None)
+            pool.shutdown(wait=True)
 
     def _execute_streamed(self, jobs: int) -> list[tuple[list[int], StreamOutcome]]:
         """Expand once in the parent and stream chunks to every worker over shm.
@@ -411,10 +524,17 @@ class ExecutionPlan:
         sources that spawn child generators (``MergeSource``) advance
         the spawn counter of the sequence they are given, and a shared
         sequence would make the next execution replay a different
-        stream.
+        stream.  The ``stream.chunks`` / ``stream.packets`` /
+        ``stream.bytes`` counters count the stream here, once per source
+        pass, however many lanes or workers fold it.
         """
         rng = np.random.default_rng(copy.deepcopy(self.expand_entropy))
-        return self.source.iter_chunks(rng, chunk_packets=self.chunk_packets)
+        for chunk in self.source.iter_chunks(rng, chunk_packets=self.chunk_packets):
+            if telemetry.enabled and len(chunk):
+                telemetry.count("stream.chunks")
+                telemetry.count("stream.packets", len(chunk))
+                telemetry.count("stream.bytes", int(chunk.sizes_bytes.sum()))
+            yield chunk
 
 
 def _spawn_probe_target() -> None:
@@ -749,6 +869,44 @@ def _build_samplers(sampler_specs: list, cells: list[Cell]) -> list:
     ]
 
 
+def _fold_cells(
+    chunks: Iterable[PacketBatch],
+    sampler_specs: list,
+    cells: list[Cell],
+    groups: np.ndarray,
+    bin_duration: float,
+    top_t: int,
+    max_flows: int | None,
+) -> StreamOutcome:
+    """Fold ``chunks`` through one fresh sampler per cell: a lane's or a worker's work."""
+    samplers = _build_samplers(sampler_specs, cells)
+    return run_stream(chunks, groups, samplers, bin_duration, top_t, max_flows=max_flows)
+
+
+def _hand_off(feed: queue_module.Queue, lane: Future, item: PacketBatch | None) -> None:
+    """Queue ``item`` for a helper lane, or raise the lane's error once it has stopped.
+
+    The lane is checked before every wait, so a lane that failed (and
+    so stopped draining ``feed``) can never leave lane 0 blocked on a
+    full queue.
+    """
+    while True:
+        if lane.done():
+            lane.result()
+            raise RuntimeError("a stream lane ended before its packet stream did")
+        try:
+            feed.put(item, timeout=_POLL_S)
+            return
+        except queue_module.Full:
+            pass
+
+
+def _drain(feed: queue_module.Queue) -> Iterator[PacketBatch]:
+    """A helper lane's packet stream: the chunks lane 0 queues, up to ``None``."""
+    while (chunk := feed.get()) is not None:
+        yield chunk
+
+
 def _stream_worker(
     channel: SharedMemoryBatchChannel,
     sampler_specs: list,
@@ -772,9 +930,8 @@ def _stream_worker(
     try:
         if telemetry_enabled:
             telemetry.enable()
-        samplers = _build_samplers(sampler_specs, cells)
-        outcome = run_stream(
-            channel.receive(), groups, samplers, bin_duration, top_t, max_flows=max_flows
+        outcome = _fold_cells(
+            channel.receive(), sampler_specs, cells, groups, bin_duration, top_t, max_flows
         )
         snapshot = telemetry.snapshot() if telemetry_enabled else None
         channel.post_result(("ok", outcome, snapshot))

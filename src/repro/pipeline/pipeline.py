@@ -92,13 +92,20 @@ class SamplerSpec:
     factory: Callable[..., PacketSampler] | None = None
     instance: PacketSampler | None = None
     label: str | None = None
+    #: Whether ``factory`` takes ``rng``: decided once per spec, not per
+    #: cell (registry factories are decided when they are registered).
+    _factory_takes_rng: bool = field(default=False, init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.factory is not None:
+            self._factory_takes_rng = accepts_rng(self.factory)
 
     def build(self, rng: np.random.Generator) -> PacketSampler:
         """A fresh sampler for one independent run."""
         if self.instance is not None:
             return self.instance.spawn(rng)
         if self.factory is not None:
-            if accepts_rng(self.factory):
+            if self._factory_takes_rng:
                 return self.factory(**self.kwargs, rng=rng)
             return self.factory(**self.kwargs)
         if SAMPLERS.accepts_rng(self.name):

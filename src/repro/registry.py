@@ -94,6 +94,8 @@ class Registry:
         self.kind = kind
         self._factories: dict[str, Callable] = {}
         self._aliases: dict[str, str] = {}
+        #: Whether each factory takes ``rng``, decided once at registration.
+        self._takes_rng: dict[str, bool] = {}
 
     # ------------------------------------------------------------------
     def register(
@@ -117,6 +119,7 @@ class Registry:
             for key in (name, *aliases):
                 if key in self._factories or key in self._aliases:
                     raise ValueError(f"{self.kind} {key!r} is already registered")
+            self._takes_rng[name] = accepts_rng(func)
             self._factories[name] = func
             for alias in aliases:
                 self._aliases[alias] = name
@@ -163,8 +166,12 @@ class Registry:
         return dict(self._aliases)
 
     def accepts_rng(self, name: str) -> bool:
-        """Whether the factory takes an ``rng`` keyword (per-run randomisation)."""
-        return accepts_rng(self.get(name))
+        """Whether the factory takes an ``rng`` keyword (per-run randomisation).
+
+        Decided once, when the factory was registered: building a
+        sampler per cell inspects no signature.
+        """
+        return self._takes_rng[self._resolve(name)]
 
     def __contains__(self, name: str) -> bool:
         return name in self._factories or name in self._aliases

@@ -771,7 +771,10 @@ def run_sweep_workers(
     drain falls back to a serial in-process worker and records why in
     ``degraded``.  Workers default to ``parallel="serial"`` per source
     pass: with N workers running passes concurrently, nested process
-    pools would oversubscribe the machine.
+    pools would oversubscribe the machine.  For the same reason a
+    worker process folds each pass inline, on one thread; stream lanes
+    run only in a process that ``multiprocessing`` did not start, such
+    as the in-process drain of ``workers=1``.
 
     A non-zero exit code (e.g. a SIGKILLed worker) does **not** imply
     an incomplete sweep: surviving workers reclaim the dead worker's

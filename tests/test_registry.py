@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import inspect
+
+import numpy as np
 import pytest
 
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy, FlowKeyPolicy
@@ -56,6 +59,73 @@ class TestRegistry:
         with pytest.raises(TypeError) as excinfo:
             SAMPLERS.create("bernoulli", rate=0.1, bogus=1)
         assert "bernoulli" in str(excinfo.value)
+
+
+class TestRngDecidedOnce:
+    """Whether a factory takes ``rng`` is decided once, never per built cell."""
+
+    @pytest.fixture
+    def inspections(self, monkeypatch):
+        calls = []
+        signature = inspect.signature
+
+        def counted(obj, *args, **kwargs):
+            calls.append(obj)
+            return signature(obj, *args, **kwargs)
+
+        monkeypatch.setattr(inspect, "signature", counted)
+        return calls
+
+    def test_a_40_cell_build_inspects_no_signature(self, inspections):
+        from repro.pipeline import Pipeline
+        from repro.pipeline.parallel import _build_samplers
+
+        plan = (
+            Pipeline()
+            .with_trace("sprint", scale=0.001, duration=120.0)
+            .with_sampling_rates((0.001, 0.01, 0.1, 0.5))
+            .with_runs(10)
+            .plan()
+        )
+        inspections.clear()
+        samplers = _build_samplers(plan.sampler_specs, plan.cells)
+        assert len(samplers) == 40
+        assert inspections == []
+
+    def test_a_user_factory_is_inspected_once_per_spec(self, inspections):
+        from repro.pipeline.pipeline import SamplerSpec
+        from repro.sampling import BernoulliSampler
+
+        def with_rng(rate, rng=None):
+            return BernoulliSampler(rate, rng=rng)
+
+        def without_rng(rate):
+            return BernoulliSampler(rate, rng=0)
+
+        specs = [
+            SamplerSpec(factory=with_rng, kwargs={"rate": 0.5}),
+            SamplerSpec(factory=without_rng, kwargs={"rate": 0.5}),
+        ]
+        assert inspections == [with_rng, without_rng]
+        rngs = [np.random.default_rng(seed) for seed in range(20)]
+        drawn = [spec.build(rng) for spec in specs for rng in rngs]
+        assert len(inspections) == 2
+        # ``rng`` reaches only the factory that takes it.
+        masks = {tuple(s.sample_mask(np.zeros(64)).tolist()) for s in drawn[:20]}
+        assert len(masks) > 1
+        assert len({tuple(s.sample_mask(np.zeros(64)).tolist()) for s in drawn[20:]}) == 1
+
+    def test_registration_decides_and_errors_stay(self):
+        registry = Registry("demo")
+        registry.register("takes", lambda rate, rng=None: ("takes", rate, rng))
+        registry.register("keywords", lambda **kwargs: ("keywords", kwargs))
+        registry.register("plain", lambda rate: ("plain", rate))
+        assert registry.accepts_rng("takes") and registry.accepts_rng("keywords")
+        assert not registry.accepts_rng("plain")
+        with pytest.raises(UnknownComponentError):
+            registry.accepts_rng("missing")
+        with pytest.raises(TypeError, match="cannot build demo 'plain'"):
+            registry.create("plain", rate=0.1, rng=None)
 
 
 class TestParseSpec:

@@ -269,8 +269,13 @@ class TestBitIdentityOnVsOff:
             )
             snap = telemetry.snapshot()
         assert instrumented == baseline
-        # Worker-side chunk counters rode back with the results.
-        assert snap["counters"]["stream.chunks"] > 0
+        # The parent counts the chunks it ships; only the two workers fold
+        # them, so their sampling spans and addressing gauge rode back
+        # with the results.
+        chunks = snap["counters"]["stream.chunks"]
+        assert chunks > 0
+        assert snap["spans"]["stream.sample"]["count"] == 2 * chunks
+        assert snap["gauges"]["stream.addressing"] == "dense"
         assert snap["gauges"]["parallel.backend"] == "process"
         assert snap["gauges"]["parallel.jobs"] == 2
 
