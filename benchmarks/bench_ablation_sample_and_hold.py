@@ -13,9 +13,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.metrics import top_set_overlap
-from repro.flows.keys import FiveTupleKeyPolicy
-from repro.flows.packets import Packet
-from repro.sampling import BernoulliSampler, SampleAndHold
+from repro.sampling import BernoulliSampler, SampleAndHoldSampler
 from repro.traces import SyntheticTraceGenerator, expand_to_packets, sprint_like_config
 
 RATE = 0.02
@@ -35,15 +33,13 @@ def test_ablation_sample_and_hold(run_once):
         sampled_counts = np.bincount(batch.flow_ids[mask], minlength=trace.num_flows)
         packet_sampling_overlap = top_set_overlap(original_counts, sampled_counts, TOP_T)
 
-        # (b) sample-and-hold at the same admission rate.
-        tracker = SampleAndHold(RATE, key_policy=FiveTupleKeyPolicy(), rng=114)
-        for timestamp, flow_id in zip(batch.timestamps, batch.flow_ids):
-            tracker.observe(Packet(float(timestamp), trace.five_tuple(int(flow_id))))
-        estimates = tracker.estimated_sizes()
-        estimated = np.zeros(trace.num_flows)
-        for flow_index in range(trace.num_flows):
-            estimated[flow_index] = estimates.get(trace.five_tuple(flow_index), 0.0)
-        hold_overlap = top_set_overlap(original_counts, estimated, TOP_T)
+        # (b) sample-and-hold at the same admission rate: rank flows by
+        # the packets counted from their admission on.
+        hold = SampleAndHoldSampler(RATE, rng=114)
+        held_counts = np.bincount(
+            batch.flow_ids[hold.sample_mask(batch)], minlength=trace.num_flows
+        )
+        hold_overlap = top_set_overlap(original_counts, held_counts, TOP_T)
         return {"packet-sampling": packet_sampling_overlap, "sample-and-hold": hold_overlap}
 
     overlaps = run_once(evaluate)

@@ -51,15 +51,13 @@ import numpy as np  # noqa: E402
 from oracles.assembly import reference_chunks  # noqa: E402
 from oracles.groupby import sort_engine  # noqa: E402
 from oracles.metrics import reference_swapped_pair_counts  # noqa: E402
-from oracles.objectpath import ObjectFlowTable  # noqa: E402
+from oracles.objectpath import ObjectFlowTable, flow_bins  # noqa: E402
 from oracles.stream import reference_run_stream  # noqa: E402
 
 from repro.core.metrics import swapped_pair_counts  # noqa: E402
 from repro.flows.accounting import FlowAccountingEngine  # noqa: E402
 from repro.flows.keys import FiveTupleKeyPolicy  # noqa: E402
 from repro.flows.packets import Packet  # noqa: E402
-from repro.flows.records import FlowSummary, ranking_sort_key  # noqa: E402
-from repro.flows.table import FlowBin  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.registry import TRACES  # noqa: E402
 from repro.traces.source import DEFAULT_CHUNK_PACKETS, iter_expanded_chunks  # noqa: E402
@@ -289,27 +287,6 @@ def _sprint_workload(args: argparse.Namespace, quick_scale: float = 0.0):
     return trace, chunks, encoder, codes
 
 
-def _flow_bins(accounts, encoder) -> list[FlowBin]:
-    """Engine accounts as the object-level table reports them."""
-    bins = []
-    for account in accounts:
-        flows = sorted(
-            (
-                FlowSummary(encoder.decode(int(c)), int(p), int(b), float(f), float(l))
-                for c, p, b, f, l in zip(
-                    account.codes,
-                    account.packets,
-                    account.bytes,
-                    account.first_seen,
-                    account.last_seen,
-                )
-            ),
-            key=ranking_sort_key,
-        )
-        bins.append(FlowBin(account.index, account.start_time, account.end_time, tuple(flows)))
-    return bins
-
-
 def _timed_object_table(trace, chunks, table: ObjectFlowTable):
     """Feed ``chunks`` to ``table`` one Packet at a time; return (seconds, bins).
 
@@ -363,7 +340,7 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
 
     # Object path: the same stream, one Packet at a time.
     object_seconds, bins = _timed_object_table(trace, chunks, ObjectFlowTable(60.0))
-    identical = _flow_bins(accounts, encoder) == bins
+    identical = flow_bins(accounts, encoder) == bins
     if not identical:
         raise SystemExit(
             "FATAL: columnar accounting diverges from the object path — equivalence regression"
@@ -659,7 +636,7 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
     engine_seconds = min(engine_seconds, _timed(engine_pass)[0])
     table = ObjectFlowTable(60.0, max_flows=BOUNDED_MAX_FLOWS)
     object_seconds, bins = _timed_object_table(trace, sampled, table)
-    identical = _flow_bins(accounts, encoder) == bins and evictions == table.evictions
+    identical = flow_bins(accounts, encoder) == bins and evictions == table.evictions
     if not identical:
         raise SystemExit(
             "FATAL: the bounded engine diverges from the object-level monitor — "

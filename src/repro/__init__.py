@@ -12,18 +12,16 @@ Subpackages
 ``repro.distributions``
     Flow size distributions (Pareto, lognormal, empirical, ...).
 ``repro.flows``
-    Flow keys, packets, classification and flow tables.
+    Flow keys, packets and the columnar flow-accounting engine.
 ``repro.sampling``
-    Packet and flow samplers (Bernoulli, periodic, smart, heavy-hitter
-    baselines).
+    Packet and flow samplers (Bernoulli, periodic, flow-hash,
+    sample-and-hold).
 ``repro.traces``
     Synthetic flow-level and packet-level traces, and the streaming
     ``PacketSource`` abstraction the pipeline executes.
 ``repro.scenarios``
     Named workload scenarios (steady, diurnal, burst, churn,
     multilink) composed from packet sources.
-``repro.inversion``
-    Aggregate inversion estimators from prior work.
 ``repro.experiments``
     Drivers that regenerate each figure of the paper.
 ``repro.pipeline``

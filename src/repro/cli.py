@@ -1,6 +1,7 @@
 """Command-line interface.
 
-Seven subcommands cover the workflows the library supports:
+Six subcommands cover the workflows the library supports, and ``lint``
+runs the reprolint contract linter (``docs/analysis.md``):
 
 * ``run`` — run an arbitrary pipeline built from registry specs
   (``repro run --sampler bernoulli:rate=0.01 --trace sprint --bin 60
@@ -28,10 +29,7 @@ Seven subcommands cover the workflows the library supports:
 * ``figure`` — regenerate the data behind one figure of the paper and
   print it as a text table (``repro figure fig04``);
 * ``plan`` — compute the sampling rate required to rank or detect the
-  top-t flows of a link (``repro plan --flows 700000 --top 10``);
-* ``simulate`` — run the paper's trace-driven Bernoulli sweep on a
-  synthetic Sprint-like or Abilene-like trace
-  (``repro simulate --scale 0.01``).
+  top-t flows of a link (``repro plan --flows 700000 --top 10``).
 
 ``repro run --monitor [max_flows=N]`` switches ``run`` to the
 monitor-in-the-loop evaluation: each sampler's packets feed a real
@@ -41,10 +39,10 @@ sampler.
 
 Component specs use the ``name:key=value,key=value`` syntax of
 :func:`repro.registry.parse_spec`; ``repro run --list-components``
-prints every registered name.  ``run``, ``figure`` and ``simulate``
-accept ``--jobs N`` to fan the independent sampling runs out across
-``N`` worker processes (results are bit-identical to a serial run for
-the same seed).  Run ``python -m repro --help`` for the full option
+prints every registered name.  ``run`` and ``figure`` accept
+``--jobs N`` to fan the independent sampling runs out across ``N``
+worker processes (results are bit-identical to a serial run for the
+same seed).  Run ``python -m repro --help`` for the full option
 list; ``docs/cli.md`` is the complete reference with examples.
 """
 
@@ -72,7 +70,6 @@ from .experiments.report import (
     render_sweep_status,
     render_sweep_watch,
 )
-from .pipeline import Pipeline
 from .registry import (
     DISTRIBUTIONS,
     KEY_POLICIES,
@@ -167,9 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker processes for the independent sampling runs "
-        "(default: auto — parallel only when the workload is large; 1 forces one "
-        "process, which may still fold a large workload on more than one thread: "
-        "stream lanes)",
+        "(default: auto — parallel only when the workload is large and the process "
+        "may use more than one CPU; 1 forces one process, which may still fold a "
+        "large workload on more than one thread: stream lanes)",
     )
     run.add_argument("--csv", metavar="PATH", help="also write a per-bin CSV to PATH")
     run.add_argument(
@@ -309,30 +306,6 @@ def _build_parser() -> argparse.ArgumentParser:
     plan.add_argument("--shape", type=float, default=1.5, help="Pareto shape of the flow sizes")
     plan.add_argument(
         "--target", type=float, default=1.0, help="accuracy target (average swapped pairs)"
-    )
-
-    simulate = subparsers.add_parser("simulate", help="trace-driven sampling simulation")
-    simulate.add_argument("--trace", choices=("sprint", "abilene"), default="sprint")
-    simulate.add_argument("--scale", type=float, default=0.01, help="fraction of backbone flow rate")
-    simulate.add_argument("--duration", type=float, default=600.0, help="trace duration in seconds")
-    simulate.add_argument("--bin", type=float, default=60.0, help="measurement interval in seconds")
-    simulate.add_argument("--top", type=int, default=10, help="number of top flows")
-    simulate.add_argument("--runs", type=int, default=5, help="sampling runs per rate")
-    simulate.add_argument(
-        "--rates",
-        type=float,
-        nargs="+",
-        default=[0.001, 0.01, 0.1, 0.5],
-        help="packet sampling rates to evaluate",
-    )
-    simulate.add_argument("--prefix", action="store_true", help="use the /24 prefix flow definition")
-    simulate.add_argument("--seed", type=int, default=0)
-    simulate.add_argument(
-        "--jobs",
-        type=int,
-        default=None,
-        metavar="N",
-        help="worker processes for the independent sampling runs (default: auto)",
     )
     return parser
 
@@ -686,21 +659,6 @@ def _run_plan(args: argparse.Namespace) -> str:
     return "\n".join(lines)
 
 
-def _run_simulate(args: argparse.Namespace) -> str:
-    pipeline = (
-        Pipeline()
-        .with_trace(args.trace, scale=args.scale, duration=args.duration)
-        .with_sampling_rates(tuple(args.rates))
-        .with_key_policy("prefix" if args.prefix else "five-tuple")
-        .with_bin_duration(args.bin)
-        .with_top(args.top)
-        .with_runs(args.runs)
-        .with_seed(args.seed)
-        .streaming()
-    )
-    return render_pipeline_result(pipeline.run(jobs=args.jobs))
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """Entry point for ``python -m repro`` and the ``repro`` console script.
 
@@ -723,8 +681,6 @@ def main(argv: Sequence[str] | None = None) -> int:
             output = _run_figure(args.name, jobs=args.jobs)
         elif args.command == "plan":
             output = _run_plan(args)
-        elif args.command == "simulate":
-            output = _run_simulate(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
     # KeyError covers the registries' UnknownComponentError.

@@ -13,7 +13,6 @@ The models import SciPy where they first call it, so importing
 :mod:`repro` and running the pipeline need only NumPy.
 """
 
-from .adaptive import AdaptiveRateController, AdaptiveStep
 from .detection import DetectionAccuracy, DetectionModel
 from .flow_size_model import FlowPopulation
 from .gaussian import (
@@ -48,8 +47,6 @@ from .ranking import RankingAccuracy, RankingModel
 from .rate_planning import RatePlan, ranking_vs_detection_gain, required_sampling_rate
 
 __all__ = [
-    "AdaptiveRateController",
-    "AdaptiveStep",
     "misranking_probability_exact",
     "misranking_probability_equal_sizes",
     "minimum_misranking_probability",

@@ -5,7 +5,6 @@ from .discrete import DiscreteFlowSizes
 from .empirical import EmpiricalFlowSizes
 from .exponential import ExponentialFlowSizes
 from .lognormal import LognormalFlowSizes
-from .mixtures import MixtureFlowSizes
 from .pareto import ParetoFlowSizes
 from .sqrt_condition import SqrtConditionReport, check_sqrt_condition
 from .weibull import WeibullFlowSizes
@@ -19,7 +18,6 @@ __all__ = [
     "WeibullFlowSizes",
     "DiscreteFlowSizes",
     "EmpiricalFlowSizes",
-    "MixtureFlowSizes",
     "check_sqrt_condition",
     "SqrtConditionReport",
 ]

@@ -1,9 +1,8 @@
-"""Flow abstraction substrate: keys, packets, records, flow accounting.
+"""Flow abstraction substrate: keys, packets, flow accounting.
 
 The monitor path accounts :class:`PacketBatch` chunks through the
 :class:`FlowAccountingEngine`, with flow keys carried as integer codes
-(:class:`FlowKeyEncoder`); :class:`BinnedFlowTable` puts the same
-engine behind a per-:class:`Packet` object API.
+(:class:`FlowKeyEncoder`).
 """
 
 from .accounting import (
@@ -31,8 +30,6 @@ from .keys import (
     prefix_of,
 )
 from .packets import DEFAULT_PACKET_SIZE_BYTES, Packet, PacketBatch
-from .records import FlowRecord, FlowSummary, ranking_sort_key
-from .table import BinnedFlowTable, FlowBin
 
 __all__ = [
     "FiveTuple",
@@ -53,11 +50,6 @@ __all__ = [
     "Packet",
     "PacketBatch",
     "DEFAULT_PACKET_SIZE_BYTES",
-    "FlowRecord",
-    "FlowSummary",
-    "ranking_sort_key",
-    "BinnedFlowTable",
-    "FlowBin",
     "BinAccount",
     "FlowAccountingEngine",
     "HashAccumulator",

@@ -112,12 +112,9 @@ def bin_segments(bin_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BinAccount:
     """Columnar report of one closed measurement interval.
 
-    The engine-level counterpart of
-    :class:`~repro.flows.table.FlowBin`: per-flow statistics as aligned
-    arrays keyed by code, sorted by ascending code (not by rank — use
-    an encoder to decode and :func:`~repro.flows.records.ranking_sort_key`
-    to rank, or :meth:`repro.flows.table.BinnedFlowTable` which does
-    both).
+    Per-flow statistics as aligned arrays keyed by code, sorted by
+    ascending code, not by rank: decode the codes with the encoder that
+    made them.
     """
 
     index: int

@@ -2,8 +2,8 @@
 
 Two representations are provided:
 
-* :class:`Packet` — a small immutable record, convenient for unit tests,
-  examples and the object-level classification API;
+* :class:`Packet` — a small immutable record, convenient for unit tests
+  and the per-packet reference monitor the engine is checked against;
 * :class:`PacketBatch` — a structure-of-arrays view (NumPy) used by the
   trace-driven simulation, where a 30-minute backbone interval can hold
   tens of millions of packets and per-packet Python objects would be

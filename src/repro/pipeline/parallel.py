@@ -56,7 +56,6 @@ from __future__ import annotations
 import copy
 import math
 import multiprocessing
-import os
 import pickle
 import queue as queue_module
 from collections.abc import Iterable, Iterator
@@ -302,11 +301,12 @@ class ExecutionPlan:
         backend:
             One of :data:`BACKENDS`.  ``"auto"`` chooses ``"process"``
             when an explicit ``jobs > 1`` was requested, or when the
-            machine has more than one CPU and :attr:`packet_work`
-            reaches :data:`AUTO_PROCESS_MIN_WORK`.
+            process may use more than one CPU (its affinity mask, as
+            for lanes) and :attr:`packet_work` reaches
+            :data:`AUTO_PROCESS_MIN_WORK`.
         jobs:
-            Worker count; ``None`` means one per CPU.  Always capped at
-            the number of cells.
+            Worker count; ``None`` means one per usable CPU.  Always
+            capped at the number of cells.
 
         Returns
         -------
@@ -316,7 +316,7 @@ class ExecutionPlan:
         """
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        resolved_jobs = jobs if jobs is not None else (os.cpu_count() or 1)
+        resolved_jobs = jobs if jobs is not None else _usable_cpus()
         if resolved_jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         resolved_jobs = min(int(resolved_jobs), self.num_cells)
@@ -351,7 +351,7 @@ class ExecutionPlan:
             and process-backend workers fold inline.
         jobs:
             Worker processes for the process backend; ``None`` means one
-            per CPU.  It sets no lane count.
+            per usable CPU.  It sets no lane count.
 
         Returns
         -------

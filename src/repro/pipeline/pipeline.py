@@ -730,12 +730,13 @@ class Pipeline:
         parallel:
             Execution backend: ``"auto"`` (default) fans the independent
             (sampler, run) cells out across processes when the workload
-            is large enough, ``"serial"``/``False`` forces in-process
-            execution, ``"process"``/``True`` forces the process pool.
-            An integer is shorthand for ``jobs`` with auto dispatch.
+            is large enough and the process may use more than one CPU,
+            ``"serial"``/``False`` forces in-process execution,
+            ``"process"``/``True`` forces the process pool.  An integer
+            is shorthand for ``jobs`` with auto dispatch.
         jobs:
             Worker processes for the process backend; ``None`` means one
-            per CPU.
+            per usable CPU (the process's affinity mask).
 
         Returns
         -------

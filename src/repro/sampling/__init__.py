@@ -1,11 +1,9 @@
-"""Packet and flow sampling strategies, plus heavy-hitter baselines."""
+"""Packet and flow samplers: the strategies ``SAMPLERS`` registers."""
 
 from .base import PacketSampler
 from .bernoulli import BernoulliSampler
 from .periodic import PeriodicSampler
-from .sample_and_hold import SampleAndHold, SampleAndHoldSampler
-from .sketch import MultistageFilter
-from .smart import SampledFlowRecord, SmartFlowSampler
+from .sample_and_hold import SampleAndHoldSampler
 from .stratified import HashFlowSampler
 
 __all__ = [
@@ -13,9 +11,5 @@ __all__ = [
     "BernoulliSampler",
     "PeriodicSampler",
     "HashFlowSampler",
-    "SmartFlowSampler",
-    "SampledFlowRecord",
-    "SampleAndHold",
     "SampleAndHoldSampler",
-    "MultistageFilter",
 ]

@@ -109,7 +109,7 @@ class FlowLevelTrace:
 
     # ------------------------------------------------------------------
     def five_tuple(self, flow_index: int) -> FiveTuple:
-        """The 5-tuple of one flow (object view, used by the object-level API)."""
+        """The 5-tuple of one flow, as a :class:`~repro.flows.keys.FiveTuple` object."""
         return FiveTuple(
             src_ip=int(self.src_ips[flow_index]),
             dst_ip=int(self.dst_ips[flow_index]),

@@ -1,12 +1,14 @@
 """Reference monitor: per-packet classification into Python flow records.
 
-:class:`FlowClassifier` keeps one :class:`~repro.flows.records.FlowRecord`
-per flow key and evicts through a lazy min-heap; :class:`ObjectFlowTable`
-bins a :class:`~repro.flows.packets.Packet` stream with it, one packet
-at a time.  This is the object-level monitor the columnar
-:class:`~repro.flows.accounting.FlowAccountingEngine` and
-:class:`~repro.flows.table.BinnedFlowTable` must match bit for bit:
-same bins, rankings and eviction counts.
+:class:`FlowClassifier` keeps one :class:`FlowRecord` per flow key and
+evicts through a lazy min-heap; :class:`ObjectFlowTable` bins a
+:class:`~repro.flows.packets.Packet` stream with it, one packet at a
+time, into :class:`FlowBin` reports ranked by :func:`ranking_sort_key`.
+This is the object-level monitor the columnar
+:class:`~repro.flows.accounting.FlowAccountingEngine` must match bit
+for bit: same bins, rankings and eviction counts.  :func:`flow_bins`
+turns the engine's closed bins into the same reports for the
+comparison.
 
 The oracle shares no eviction code with the library: its heap takes a
 fresh entry on every record update and is rebuilt from the live records
@@ -18,18 +20,152 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Sequence
+from dataclasses import dataclass, field
 from itertools import count
 
+from repro.flows.accounting import BinAccount
 from repro.flows.groupby import aggregate_codes
-from repro.flows.keys import FiveTuple, FiveTupleKeyPolicy, FlowKeyPolicy, flow_key_order
+from repro.flows.keys import (
+    FiveTuple,
+    FiveTupleKeyPolicy,
+    FlowKeyEncoder,
+    FlowKeyPolicy,
+    flow_key_order,
+)
 from repro.flows.packets import Packet, PacketBatch
-from repro.flows.records import FlowRecord, FlowSummary, ranking_sort_key
-from repro.flows.table import FlowBin
 
 #: Rebuild the lazy eviction heap when it holds more than
 #: ``HEAP_SLACK + HEAP_GROWTH x`` live records (stale-entry cleanup).
 HEAP_SLACK = 64
 HEAP_GROWTH = 8
+
+
+@dataclass
+class FlowRecord:
+    """Mutable per-flow counters maintained during classification."""
+
+    key: object
+    packets: int = 0
+    bytes: int = 0
+    first_seen: float = field(default=float("inf"))
+    last_seen: float = field(default=float("-inf"))
+
+    def update(self, timestamp: float, size_bytes: int) -> None:
+        """Account one packet of this flow."""
+        if size_bytes <= 0:
+            raise ValueError(f"size_bytes must be positive, got {size_bytes}")
+        if timestamp < 0:
+            raise ValueError(f"timestamp must be non-negative, got {timestamp}")
+        self.packets += 1
+        self.bytes += int(size_bytes)
+        if timestamp < self.first_seen:
+            self.first_seen = timestamp
+        if timestamp > self.last_seen:
+            self.last_seen = timestamp
+
+    def merge(self, packets: int, size_bytes: int, first_seen: float, last_seen: float) -> None:
+        """Account ``packets`` packets of this flow, seen between the two times, at once."""
+        if packets < 1:
+            raise ValueError(f"packets must be at least 1, got {packets}")
+        if size_bytes < packets:
+            raise ValueError("size_bytes must cover at least one byte per packet")
+        if first_seen < 0 or last_seen < first_seen:
+            raise ValueError("need 0 <= first_seen <= last_seen")
+        self.packets += int(packets)
+        self.bytes += int(size_bytes)
+        if first_seen < self.first_seen:
+            self.first_seen = first_seen
+        if last_seen > self.last_seen:
+            self.last_seen = last_seen
+
+    @property
+    def duration(self) -> float:
+        """Time between the first and last accounted packet (0 for 1 packet)."""
+        if self.packets == 0:
+            return 0.0
+        return max(0.0, self.last_seen - self.first_seen)
+
+    def freeze(self) -> "FlowSummary":
+        """Export an immutable summary of the record."""
+        if self.packets == 0:
+            raise ValueError("cannot freeze a flow record with no packets")
+        return FlowSummary(self.key, self.packets, self.bytes, self.first_seen, self.last_seen)
+
+
+@dataclass(frozen=True, slots=True)
+class FlowSummary:
+    """Immutable per-flow statistics for one measurement interval."""
+
+    key: object
+    packets: int
+    bytes: int
+    first_seen: float
+    last_seen: float
+
+    def __post_init__(self) -> None:
+        if self.packets < 1:
+            raise ValueError("a flow summary must contain at least one packet")
+        if self.bytes < 1:
+            raise ValueError("a flow summary must contain at least one byte")
+        if self.last_seen < self.first_seen:
+            raise ValueError("last_seen must not precede first_seen")
+
+    @property
+    def duration(self) -> float:
+        """Flow duration within the interval, in seconds."""
+        return self.last_seen - self.first_seen
+
+    @property
+    def mean_packet_size(self) -> float:
+        """Average packet size of the flow in bytes."""
+        return self.bytes / self.packets
+
+
+def ranking_sort_key(flow: FlowSummary) -> tuple[object, ...]:
+    """The oracle's ranking order: decreasing packets, then decreasing
+    bytes, then :func:`~repro.flows.keys.flow_key_order` of the key, so
+    a bin's order never depends on dict insertion order."""
+    return (-flow.packets, -flow.bytes, flow_key_order(flow.key))
+
+
+@dataclass(frozen=True)
+class FlowBin:
+    """All flows reported for one measurement interval, in ranking order."""
+
+    index: int
+    start_time: float
+    end_time: float
+    flows: tuple[FlowSummary, ...]
+
+    @property
+    def num_flows(self) -> int:
+        """Number of flows reported in the bin."""
+        return len(self.flows)
+
+    @property
+    def total_packets(self) -> int:
+        """Total number of packets accounted in the bin."""
+        return sum(flow.packets for flow in self.flows)
+
+    def top(self, count: int) -> tuple[FlowSummary, ...]:
+        """The ``count`` largest flows of the bin (see :func:`ranking_sort_key`)."""
+        return tuple(sorted(self.flows, key=ranking_sort_key)[:count])
+
+
+def flow_bins(accounts: Iterable[BinAccount], encoder: FlowKeyEncoder) -> list[FlowBin]:
+    """The engine's closed bins as the oracle reports them: keys decoded, flows ranked."""
+    bins = []
+    for account in accounts:
+        columns = zip(
+            account.codes, account.packets, account.bytes, account.first_seen, account.last_seen
+        )
+        flows = [
+            FlowSummary(encoder.decode(int(code)), int(packets), int(size), float(lo), float(hi))
+            for code, packets, size, lo, hi in columns
+        ]
+        flows.sort(key=ranking_sort_key)
+        bins.append(FlowBin(account.index, account.start_time, account.end_time, tuple(flows)))
+    return bins
 
 
 class FlowClassifier:
@@ -173,9 +309,8 @@ class FlowClassifier:
 class ObjectFlowTable:
     """Binned flow table over :class:`FlowClassifier`, one packet at a time.
 
-    Same surface as :class:`repro.flows.table.BinnedFlowTable`: a new
-    flow arriving at a full table (``max_flows``) evicts the smallest
-    tracked flow, and each non-empty bin is reported on close.
+    A new flow arriving at a full table (``max_flows``) evicts the
+    smallest tracked flow, and each non-empty bin is reported on close.
     """
 
     def __init__(

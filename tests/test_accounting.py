@@ -18,11 +18,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.objectpath import FlowClassifier, ObjectFlowTable
+from oracles.objectpath import FlowClassifier, ObjectFlowTable, flow_bins
 
 from repro.cli import main
 from repro.flows.accounting import (
-    BinAccount,
     FlowAccountingEngine,
     _BoundedBin,
     aggregate_codes,
@@ -35,8 +34,6 @@ from repro.flows.keys import (
     flow_key_order,
 )
 from repro.flows.packets import Packet, PacketBatch
-from repro.flows.records import FlowSummary, ranking_sort_key
-from repro.flows.table import BinnedFlowTable
 from repro.pipeline import Pipeline
 from repro.pipeline.executor import run_stream
 from repro.store import RunSpec, store_key
@@ -85,30 +82,6 @@ def _run_object_table(timestamps, flow_ids, sizes, five_tuples, policy, max_flow
     return table.flush(), table.evictions
 
 
-def _accounts_to_bins(accounts: list[BinAccount], encoder) -> list:
-    from repro.flows.table import FlowBin
-
-    bins = []
-    for account in accounts:
-        flows = sorted(
-            (
-                FlowSummary(encoder.decode(int(c)), int(p), int(b), float(f), float(l))
-                for c, p, b, f, l in zip(
-                    account.codes,
-                    account.packets,
-                    account.bytes,
-                    account.first_seen,
-                    account.last_seen,
-                )
-            ),
-            key=ranking_sort_key,
-        )
-        bins.append(
-            FlowBin(account.index, account.start_time, account.end_time, tuple(flows))
-        )
-    return bins
-
-
 # ----------------------------------------------------------------------
 # Property: object path == columnar engine, any chunking, any bound
 # ----------------------------------------------------------------------
@@ -125,7 +98,7 @@ class TestObjectColumnarEquivalence:
     def test_engine_over_chunks_matches_object_table(
         self, seed, num_packets, num_flows, max_flows, chunk, prefix
     ):
-        """BinnedFlowTable over a packet stream == engine over the same
+        """The object table over a packet stream == engine over the same
         stream's chunks: identical bins and eviction counts for any
         chunk size, with and without ``max_flows``."""
         policy = DestinationPrefixKeyPolicy(12) if prefix else FiveTupleKeyPolicy()
@@ -148,36 +121,8 @@ class TestObjectColumnarEquivalence:
             engine.observe_batch(batch, code_of_flow)
         accounts = engine.flush()
 
-        assert _accounts_to_bins(accounts, encoder) == reference_bins
+        assert flow_bins(accounts, encoder) == reference_bins
         assert engine.evictions == reference_evictions
-
-    @given(
-        seed=st.integers(0, 10_000),
-        max_flows=st.one_of(st.none(), st.integers(1, 6)),
-    )
-    @settings(max_examples=25, deadline=None)
-    def test_columnar_wrapper_matches_object_backend(self, seed, max_flows):
-        """BinnedFlowTable is bit-identical to the object-level table,
-        including mid-stream accessors."""
-        five_tuples = _flow_universe(10, seed)
-        timestamps, flow_ids, sizes = _stream(300, 10, 35.0, seed + 1)
-        tables = {
-            "columnar": BinnedFlowTable(10.0, max_flows=max_flows),
-            "object": ObjectFlowTable(10.0, max_flows=max_flows),
-        }
-        for position, (ts, fid, size) in enumerate(zip(timestamps, flow_ids, sizes)):
-            packet = Packet(float(ts), five_tuples[int(fid)], int(size))
-            for table in tables.values():
-                table.observe(packet)
-            if position == 150:
-                # Mid-stream accessors must agree too (and must not
-                # disturb the stream).
-                assert (
-                    tables["columnar"].completed_bins == tables["object"].completed_bins
-                )
-                assert tables["columnar"].evictions == tables["object"].evictions
-        assert tables["columnar"].flush() == tables["object"].flush()
-        assert tables["columnar"].evictions == tables["object"].evictions
 
     @given(
         seed=st.integers(0, 10_000),
@@ -216,7 +161,7 @@ class TestObjectColumnarEquivalence:
         accounts = engine.flush()
 
         assert reference_evictions > 0
-        assert _accounts_to_bins(accounts, encoder) == reference_bins
+        assert flow_bins(accounts, encoder) == reference_bins
         assert engine.evictions == reference_evictions
 
     @given(
@@ -435,10 +380,11 @@ class TestKeyEncoders:
 # ----------------------------------------------------------------------
 class TestDeterministicRanking:
     def test_ties_break_by_flow_key_everywhere(self):
-        # Three equal flows (same packets, same bytes): ranking must be
-        # by key order, not insertion order.
+        # Three equal flows (same packets, same bytes): the oracle's bins,
+        # which the engine's are compared with, rank by key order, not
+        # insertion order.
         five_tuples = sorted(_flow_universe(3, 9), key=flow_key_order, reverse=True)
-        table = BinnedFlowTable(100.0)
+        table = ObjectFlowTable(100.0)
         for ft in five_tuples:  # insert in *descending* key order
             table.observe(Packet(1.0, ft, 500))
         (bin_,) = table.flush()
@@ -496,7 +442,6 @@ class TestClassifierObserveBatch:
 #: alone; ``repro run --monitor`` is checked through its exit status.
 MAX_FLOWS_ENTRY_POINTS = {
     "FlowAccountingEngine": lambda bound: FlowAccountingEngine(10.0, max_flows=bound),
-    "BinnedFlowTable": lambda bound: BinnedFlowTable(10.0, max_flows=bound),
     "run_stream": lambda bound: run_stream(
         iter([]), np.zeros(1, dtype=np.int64), [], 60.0, 5, max_flows=bound
     ),

@@ -474,38 +474,7 @@ class TestScenariosCommand:
         assert "--scenario" in output
 
 
-class TestSimulateCommand:
-    def test_small_simulation(self, capsys):
-        code = main(
-            [
-                "simulate",
-                "--scale", "0.002",
-                "--duration", "120",
-                "--bin", "60",
-                "--runs", "2",
-                "--rates", "0.1", "0.5",
-                "--top", "3",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "pipeline run (streamed)" in output
-        assert "ranking" in output and "detection" in output
-
-    def test_prefix_flag(self, capsys):
-        main(
-            [
-                "simulate",
-                "--scale", "0.002",
-                "--duration", "120",
-                "--runs", "1",
-                "--rates", "0.5",
-                "--prefix",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert "/24" in output
-
+class TestParser:
     def test_missing_command_rejected(self):
         with pytest.raises(SystemExit):
             main([])

@@ -74,16 +74,14 @@ class TestStoreAndSweepErrorPaths:
 class TestEverySubcommandReportsErrors:
     """One handler covers every subcommand but ``lint``."""
 
-    FAST_SIMULATE = ["simulate", "--scale", "0.001", "--duration", "60"]
-
     @pytest.mark.parametrize(
         "argv, message",
         [
-            (FAST_SIMULATE + ["--rates", "2.0"], "rate must be in (0, 1]"),
-            (FAST_SIMULATE + ["--runs", "0"], "num_runs must be at least 1"),
+            (FAST_RUN + ["--sampler", "bernoulli:rate=2.0"], "rate must be in (0, 1]"),
+            (FAST_RUN + ["--runs", "0"], "num_runs must be at least 1"),
             (["plan", "--flows", "0"], "total_flows must be at least 2"),
         ],
-        ids=["simulate-rate", "simulate-runs", "plan-flows"],
+        ids=["run-rate", "run-runs", "plan-flows"],
     )
     def test_bad_value_exits_2_without_traceback(self, argv, message, capsys):
         assert main(argv) == 2

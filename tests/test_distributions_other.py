@@ -1,4 +1,4 @@
-"""Tests for the exponential, lognormal, Weibull and mixture distributions."""
+"""Tests for the exponential, lognormal and Weibull distributions."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ import pytest
 from repro.distributions import (
     ExponentialFlowSizes,
     LognormalFlowSizes,
-    MixtureFlowSizes,
     ParetoFlowSizes,
     WeibullFlowSizes,
 )
@@ -95,51 +94,3 @@ class TestWeibull:
             WeibullFlowSizes(shape=-1.0, scale=1.0)
         with pytest.raises(ValueError):
             WeibullFlowSizes(shape=1.0, scale=0.0)
-
-
-class TestMixture:
-    def test_mean_is_weighted_average(self):
-        mixture = MixtureFlowSizes(
-            [ExponentialFlowSizes(mean=5.0), ExponentialFlowSizes(mean=50.0)],
-            weights=[0.9, 0.1],
-        )
-        assert mixture.mean == pytest.approx(0.9 * 5.0 + 0.1 * 50.0)
-
-    def test_weights_are_normalised(self):
-        mixture = MixtureFlowSizes(
-            [ExponentialFlowSizes(mean=5.0), ExponentialFlowSizes(mean=50.0)],
-            weights=[9.0, 1.0],
-        )
-        np.testing.assert_allclose(mixture.weights, [0.9, 0.1])
-
-    def test_rejects_mismatched_lengths(self):
-        with pytest.raises(ValueError):
-            MixtureFlowSizes([ExponentialFlowSizes(mean=5.0)], weights=[0.5, 0.5])
-
-    def test_rejects_all_zero_weights(self):
-        with pytest.raises(ValueError):
-            MixtureFlowSizes([ExponentialFlowSizes(mean=5.0)], weights=[0.0])
-
-    def test_cdf_between_component_cdfs(self):
-        small = ExponentialFlowSizes(mean=5.0)
-        large = ExponentialFlowSizes(mean=50.0)
-        mixture = MixtureFlowSizes([small, large], weights=[0.5, 0.5])
-        x = 20.0
-        assert large.cdf(x) <= mixture.cdf(x) <= small.cdf(x)
-
-    def test_quantile_inverts_cdf(self):
-        mixture = MixtureFlowSizes(
-            [ExponentialFlowSizes(mean=5.0), ExponentialFlowSizes(mean=50.0)],
-            weights=[0.7, 0.3],
-        )
-        for level in (0.1, 0.5, 0.9, 0.99):
-            x = mixture.quantile(level)
-            assert mixture.cdf(x) == pytest.approx(level, abs=1e-6)
-
-    def test_sampling_uses_both_components(self, rng):
-        mixture = MixtureFlowSizes(
-            [ExponentialFlowSizes(mean=2.0), ExponentialFlowSizes(mean=500.0)],
-            weights=[0.5, 0.5],
-        )
-        samples = mixture.sample(5_000, rng)
-        assert (samples < 20).any() and (samples > 100).any()

@@ -177,7 +177,6 @@ class TestCliDocs:
             "repro lint",
             "repro figure",
             "repro plan",
-            "repro simulate",
         ):
             assert subcommand in text
         assert "--jobs" in text

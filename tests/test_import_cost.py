@@ -104,7 +104,6 @@ from repro.core import (
     optimal_sampling_rate,
 )
 from repro.distributions import LognormalFlowSizes, ParetoFlowSizes
-from repro.inversion import estimate_flow_size
 
 loaded_before = "scipy" in sys.modules
 population = FlowPopulation.from_distribution(
@@ -124,7 +123,6 @@ values = {
     "lognormal_cdf": lognormal.cdf(np.array([1.5, 4.0, 30.0])).tolist(),
     "lognormal_quantile": lognormal.quantile(levels).tolist(),
     "lognormal_mean": lognormal.mean,
-    "estimate": dataclasses.asdict(estimate_flow_size(30, 0.1)),
 }
 """
 

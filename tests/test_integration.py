@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles.objectpath import FlowClassifier
+from oracles.objectpath import FlowClassifier, ObjectFlowTable
 
 from repro.core.flow_size_model import FlowPopulation
 from repro.core.metrics import ranking_swapped_pairs
@@ -16,7 +16,6 @@ from repro.distributions import EmpiricalFlowSizes, ParetoFlowSizes
 from repro.flows.accounting import FlowAccountingEngine
 from repro.flows.keys import FiveTupleKeyPolicy
 from repro.flows.packets import Packet
-from repro.flows.table import BinnedFlowTable
 from repro.pipeline import Pipeline
 from repro.sampling import BernoulliSampler
 from repro.traces import SyntheticTraceGenerator, expand_to_packets, sprint_like_config
@@ -62,7 +61,7 @@ class TestObjectAndVectorPathsAgree:
         trace = SyntheticTraceGenerator(config).generate(rng=17)
         batch = expand_to_packets(trace, rng=18)
 
-        table = BinnedFlowTable(bin_duration=60.0, key_policy=FiveTupleKeyPolicy())
+        table = ObjectFlowTable(bin_duration=60.0, key_policy=FiveTupleKeyPolicy())
         for timestamp, flow_id in zip(batch.timestamps, batch.flow_ids):
             table.observe(Packet(float(timestamp), trace.five_tuple(int(flow_id))))
         bins = table.flush()

@@ -26,6 +26,7 @@ import numpy as np
 import pytest
 
 from repro.pipeline import Pipeline
+from repro.pipeline import parallel as parallel_module
 from repro.pipeline.executor import StreamOutcome
 from repro.pipeline.parallel import (
     AUTO_PROCESS_MIN_WORK,
@@ -133,6 +134,19 @@ class TestExecutionPlan:
         backend, jobs = plan.resolve_backend("auto", 2)
         assert (backend, jobs) == ("process", 2)
         assert plan.resolve_backend("auto", 1) == ("serial", 1)
+
+    @pytest.mark.parametrize("cpus", [1, 2])
+    def test_auto_and_default_jobs_count_usable_cpus(self, small_trace, monkeypatch, cpus):
+        """The affinity mask, not the machine's CPU count, sets ``"auto"`` and
+        the default worker count: pinned to one CPU, no plan runs in
+        processes unless ``jobs > 1`` asks for it."""
+        monkeypatch.setattr(parallel_module, "_usable_cpus", lambda: cpus)
+        monkeypatch.setattr(parallel_module, "AUTO_PROCESS_MIN_WORK", 0)
+        plan = _sweep_pipeline(small_trace).plan()
+        auto = ("serial", 1) if cpus == 1 else ("process", cpus)
+        assert plan.resolve_backend("auto", None) == auto
+        assert plan.resolve_backend("process", None) == ("process", cpus)
+        assert plan.resolve_backend("auto", 2) == ("process", 2)
 
     def test_jobs_capped_at_cell_count(self, small_trace):
         plan = _sweep_pipeline(small_trace, runs=1).plan()
