@@ -51,13 +51,12 @@ import numpy as np  # noqa: E402
 from oracles.assembly import reference_chunks  # noqa: E402
 from oracles.groupby import sort_engine  # noqa: E402
 from oracles.metrics import reference_swapped_pair_counts  # noqa: E402
-from oracles.objectpath import ObjectFlowTable, flow_bins  # noqa: E402
+from oracles.objectpath import ObjectFlowTable, Packet, flow_bins  # noqa: E402
 from oracles.stream import reference_run_stream  # noqa: E402
 
 from repro.core.metrics import swapped_pair_counts  # noqa: E402
 from repro.flows.accounting import FlowAccountingEngine  # noqa: E402
 from repro.flows.keys import FiveTupleKeyPolicy  # noqa: E402
-from repro.flows.packets import Packet  # noqa: E402
 from repro.pipeline import Pipeline  # noqa: E402
 from repro.registry import TRACES  # noqa: E402
 from repro.traces.source import DEFAULT_CHUNK_PACKETS, iter_expanded_chunks  # noqa: E402
@@ -380,89 +379,121 @@ def _outcomes_identical(left, right) -> bool:
     )
 
 
+#: Alternated rounds of the ``batch_transport`` section; the medians and
+#: quartiles of its rows come from this many calls each.
+TRANSPORT_ROUNDS = 10
+
+
 def bench_batch_transport(args: argparse.Namespace) -> dict:
-    """Serial vs the shared-memory process transport, and lanes, bit-checked.
+    """Serial vs the shared-memory process transport, cold and warm, and lanes, bit-checked.
 
     Runs the same two-sampler plan serially and through the process
-    backend over shared memory at one and two workers, asserts every
-    outcome matches the serial result bit for bit, and records
-    ``shm_overhead_ns_per_pkt``: (shm at one worker - serial) / packets,
-    the transport's single-core cost per packet.  On single-core
-    machines the two-worker timing measures transport overhead, not
-    parallelism — the section says so explicitly.
+    backend over shared memory at one and two workers, in
+    :data:`TRANSPORT_ROUNDS` alternated rounds.  At each worker count a
+    round times a *cold* call (the idle worker pool closed first, so the
+    call starts its workers) and a *warm* call (the same workers
+    reused).  Every row records the median, quartiles and minimum of
+    its calls, and every outcome must equal the serial one bit for bit.
+    After the rounds, one cold and one warm call a worker count run with
+    telemetry on and record ``workers_started`` (FATAL unless it reads
+    the worker count, then 0).  ``shm_overhead_ns_per_pkt`` is (warm
+    shm median at one worker - serial median) / packets: the
+    transport's cost per packet, net of the overlap one worker already
+    gives (the parent expands the next chunk while the worker folds),
+    so on more than one CPU it can read below zero.  ``shm_start_ms``
+    is the cold median less the warm one at each worker count.  On
+    single-core machines the two-worker timing measures transport
+    overhead, not parallelism — the section says so explicitly.
 
-    The ``lanes`` row runs the sweep plan (every rate x ``--runs``, 40
-    streams at full size) four ways: one inline ``run_stream`` over
-    every cell, ``execute("serial")`` (as stream lanes, ``lanes`` of
-    them), and shm at one and two workers; all four must agree bit for
-    bit.
+    The ``lanes`` row times the sweep plan (every rate x ``--runs``, 40
+    streams at full size) in the same rounds, four ways: one inline
+    ``run_stream`` over every cell, ``execute("serial")`` (as stream
+    lanes, ``lanes`` of them), and warm shm at one and two workers (the
+    plan has the pair plan's slot capacity, so it reuses its workers);
+    all four must agree bit for bit.
     """
     from repro import telemetry
-    from repro.pipeline.parallel import probe_shared_memory
+    from repro.pipeline import parallel
 
-    def best_of_three(execute, **shape):
-        # On few-core machines the producer/consumer scheduling jitter
-        # dwarfs the transport cost on any single run.
-        runs = []
-        for _ in range(3):
-            plan = _pipeline(args, **shape).plan()
-            seconds, outcome = _timed(lambda: execute(plan))
-            runs.append((seconds, outcome, plan))
-        return min(runs, key=lambda run: run[0])
-
-    def on(backend: str, jobs: int | None = None):
-        return lambda plan: plan.execute(backend=backend, jobs=jobs)
+    pair = {"rates": (0.1, 0.5), "runs": 2}
 
     def inline(plan):
         return plan._fold(range(plan.num_cells), plan._chunks())[1]
+
+    def on(backend: str, jobs: int | None = None, cold: bool = False):
+        def execute(plan):
+            if cold:
+                parallel._close_idle_pool()
+            return plan.execute(backend=backend, jobs=jobs)
+
+        return execute
 
     def check(outcome, reference, label: str) -> None:
         if not _outcomes_identical(outcome, reference):
             raise SystemExit(f"FATAL: {label} diverges from serial — transport regression")
 
-    pair = {"rates": (0.1, 0.5), "runs": 2}
-    serial_seconds, serial, _ = best_of_three(on("serial", 1), **pair)
-    section: dict = {
-        "packets": serial.total_packets,
-        "serial_seconds": round(serial_seconds, 4),
+    references = {
+        "pair": on("serial", 1)(_pipeline(args, **pair).plan()),
+        "sweep": inline(_pipeline(args).plan()),
     }
-    sweep_shm = {}
-    shm_error = probe_shared_memory()
+    shm_error = parallel.probe_shared_memory()
+    calls = [("serial", "pair", on("serial", 1))]
+    if shm_error is None:
+        for jobs in (1, 2):
+            calls += [
+                (f"shm_jobs{jobs}_cold", "pair", on("process", jobs, cold=True)),
+                (f"shm_jobs{jobs}_warm", "pair", on("process", jobs)),
+                (f"lanes.shm_jobs{jobs}", "sweep", on("process", jobs)),
+            ]
+    calls += [("lanes.inline", "sweep", inline), ("lanes.lanes", "sweep", on("serial"))]
+    seconds: dict[str, list[float]] = {name: [] for name, _, _ in calls}
+    for _ in range(TRANSPORT_ROUNDS):
+        for name, plan_name, execute in calls:
+            plan = _pipeline(args, **(pair if plan_name == "pair" else {})).plan()
+            elapsed, outcome = _timed(lambda: execute(plan))
+            check(outcome, references[plan_name], f"{name} ({plan_name} plan)")
+            seconds[name].append(elapsed)
+
+    serial = references["pair"]
+    section: dict = {"packets": serial.total_packets, "rounds": TRANSPORT_ROUNDS}
+    for name, samples in seconds.items():
+        if not name.startswith("lanes."):
+            section[name] = _spread(samples)
+    section["serial_seconds"] = section["serial"]["median"]
     if shm_error is not None:
         section["shm"] = {"unavailable": shm_error}
     else:
-        shm_seconds = {}
         for jobs in (1, 2):
-            shm_seconds[jobs], outcome, plan = best_of_three(on("process", jobs), **pair)
-            check(outcome, serial, f"shm transport at jobs={jobs}")
-            section[f"shm_jobs{jobs}"] = {
-                "seconds": round(shm_seconds[jobs], 4),
-                "transport_used": plan.transport_used,
-                "fallback_reason": plan.fallback_reason,
-                "bit_identical": True,
-            }
-            sweep_shm[jobs] = best_of_three(on("process", jobs))
+            plan = _pipeline(args, **pair).plan()
+            for kind, cold in (("cold", True), ("warm", False)):
+                with telemetry.use_telemetry():
+                    check(on("process", jobs, cold)(plan), serial, f"shm {kind} jobs={jobs}")
+                    started = telemetry.snapshot()["counters"]["parallel.workers_started"]
+                if started != (jobs if cold else 0):
+                    raise SystemExit(
+                        f"FATAL: a {kind} call at jobs={jobs} started {started} workers"
+                    )
+                section[f"shm_jobs{jobs}_{kind}"]["workers_started"] = started
+            cold, warm = section[f"shm_jobs{jobs}_cold"], section[f"shm_jobs{jobs}_warm"]
+            section[f"shm_start_ms_jobs{jobs}"] = round((cold["median"] - warm["median"]) * 1e3, 1)
+        section["transport_used"] = plan.transport_used
+        section["fallback_reason"] = plan.fallback_reason
         section["shm_overhead_ns_per_pkt"] = round(
-            (shm_seconds[1] - serial_seconds) / serial.total_packets * 1e9, 1
+            (section["shm_jobs1_warm"]["median"] - section["serial"]["median"])
+            / serial.total_packets
+            * 1e9,
+            1,
         )
-    # The in-process runs come last: on some VMs the threads of a young
-    # process share one CPU for its first seconds, which would time the
-    # host's scheduler, not the lanes.
-    inline_seconds, reference, plan = best_of_three(inline)
-    lanes_seconds, outcome, _ = best_of_three(on("serial"))
-    check(outcome, reference, "stream lanes")
+    parallel._close_idle_pool()
+    section["bit_identical"] = True
+    plan = _pipeline(args).plan()
     with telemetry.use_telemetry():
         plan.execute(backend="serial")
         lanes = telemetry.snapshot()["gauges"]["parallel.lanes"]
-    section["lanes"] = lanes_row = {
-        "streams": plan.num_cells,
-        "lanes": lanes,
-        "inline_seconds": round(inline_seconds, 4),
-        "lanes_seconds": round(lanes_seconds, 4),
-    }
-    for jobs, (seconds, outcome, _) in sweep_shm.items():
-        check(outcome, reference, f"the sweep plan over shm at jobs={jobs}")
-        lanes_row[f"shm_jobs{jobs}_seconds"] = round(seconds, 4)
+    section["lanes"] = lanes_row = {"streams": plan.num_cells, "lanes": lanes}
+    for name, samples in seconds.items():
+        if name.startswith("lanes."):
+            lanes_row[name.removeprefix("lanes.") + "_seconds"] = _spread(samples)
     lanes_row["bit_identical"] = True
     if _single_core():
         section["note"] = SINGLE_CORE_NOTE
@@ -1301,8 +1332,8 @@ def main(argv: list[str] | None = None) -> int:
         report["results"]["batch_transport"] = transport = bench_batch_transport(args)
         lanes = transport["lanes"]
         lanes_line = (
-            f"; {lanes['streams']} streams: inline {lanes['inline_seconds']}s, "
-            f"{lanes['lanes']} lane(s) {lanes['lanes_seconds']}s"
+            f"; {lanes['streams']} streams: inline {lanes['inline_seconds']['median']}s, "
+            f"{lanes['lanes']} lane(s) {lanes['lanes_seconds']['median']}s"
         )
         if "shm" in transport:
             print(
@@ -1311,13 +1342,15 @@ def main(argv: list[str] | None = None) -> int:
             )
         else:
             print(
-                f"serial {transport['serial_seconds']}s, "
-                f"shm jobs=1 {transport['shm_jobs1']['seconds']}s, "
-                f"jobs=2 {transport['shm_jobs2']['seconds']}s -> "
+                f"medians of {transport['rounds']}: serial {transport['serial_seconds']}s, "
+                f"shm jobs=1 cold {transport['shm_jobs1_cold']['median']}s / warm "
+                f"{transport['shm_jobs1_warm']['median']}s, jobs=2 cold "
+                f"{transport['shm_jobs2_cold']['median']}s / warm "
+                f"{transport['shm_jobs2_warm']['median']}s -> "
                 f"{transport['shm_overhead_ns_per_pkt']} ns/pkt transport overhead"
                 + lanes_line
-                + f", shm jobs=1 {lanes['shm_jobs1_seconds']}s, "
-                f"jobs=2 {lanes['shm_jobs2_seconds']}s (bit-identical)"
+                + f", warm shm jobs=1 {lanes['shm_jobs1_seconds']['median']}s, "
+                f"jobs=2 {lanes['shm_jobs2_seconds']['median']}s (bit-identical)"
                 + (f" [{transport['note']}]" if "note" in transport else "")
             )
 

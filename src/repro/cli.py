@@ -164,9 +164,9 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="N",
         help="worker processes for the independent sampling runs "
-        "(default: auto — parallel only when the workload is large and the process "
-        "may use more than one CPU; 1 forces one process, which may still fold a "
-        "large workload on more than one thread: stream lanes)",
+        "(default: auto — one process, which folds a large workload on up to two "
+        "threads (stream lanes); worker processes only when the process may use "
+        "more than two CPUs and the workload is large; 1 forces one process)",
     )
     run.add_argument("--csv", metavar="PATH", help="also write a per-bin CSV to PATH")
     run.add_argument(

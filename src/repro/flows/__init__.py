@@ -29,7 +29,7 @@ from .keys import (
     ip_to_int,
     prefix_of,
 )
-from .packets import DEFAULT_PACKET_SIZE_BYTES, Packet, PacketBatch
+from .packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 
 __all__ = [
     "FiveTuple",
@@ -47,7 +47,6 @@ __all__ = [
     "PROTO_TCP",
     "PROTO_UDP",
     "PROTO_ICMP",
-    "Packet",
     "PacketBatch",
     "DEFAULT_PACKET_SIZE_BYTES",
     "BinAccount",

@@ -1,13 +1,9 @@
 """Packet records.
 
-Two representations are provided:
-
-* :class:`Packet` — a small immutable record, convenient for unit tests
-  and the per-packet reference monitor the engine is checked against;
-* :class:`PacketBatch` — a structure-of-arrays view (NumPy) used by the
-  trace-driven simulation, where a 30-minute backbone interval can hold
-  tens of millions of packets and per-packet Python objects would be
-  prohibitively slow.
+:class:`PacketBatch` is the one packet representation of the library: a
+structure-of-arrays view (NumPy) used by the trace-driven simulation,
+where a 30-minute backbone interval can hold tens of millions of
+packets and per-packet Python objects would be prohibitively slow.
 
 The paper assumes an average packet size of 500 bytes when converting
 flow sizes between bytes and packets; that constant lives here so every
@@ -16,39 +12,10 @@ module uses the same value.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-
-from .keys import FiveTuple
 
 #: Average Internet packet size in bytes assumed by the paper (CAIDA).
 DEFAULT_PACKET_SIZE_BYTES = 500
-
-
-@dataclass(frozen=True, slots=True)
-class Packet:
-    """A single observed packet.
-
-    Attributes
-    ----------
-    timestamp:
-        Arrival time in seconds (relative to the start of the trace).
-    five_tuple:
-        The packet's 5-tuple.
-    size_bytes:
-        Layer-3 packet size in bytes.
-    """
-
-    timestamp: float
-    five_tuple: FiveTuple
-    size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
-
-    def __post_init__(self) -> None:
-        if self.timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
-        if self.size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
 
 
 class PacketBatch:
@@ -164,4 +131,4 @@ class PacketBatch:
         return f"PacketBatch(num_packets={len(self)}, num_flows={self.num_flows})"
 
 
-__all__ = ["Packet", "PacketBatch", "DEFAULT_PACKET_SIZE_BYTES"]
+__all__ = ["PacketBatch", "DEFAULT_PACKET_SIZE_BYTES"]

@@ -19,9 +19,12 @@ through one of two backends:
   parent-owned ring of ``multiprocessing.shared_memory`` slots
   (:class:`SharedMemoryBatchChannel`): only small slot descriptors are
   pickled, the packet columns cross as plain memcpys, and each worker
-  evaluates only its cells;
-* ``"auto"`` — picks ``"process"`` when the workload is large enough to
-  amortise process start-up, ``"serial"`` otherwise.
+  evaluates only its cells.  Workers are *warm*: a call that ends
+  cleanly leaves them, with their rings, idle for the next call of the
+  same shape in this interpreter (see :meth:`ExecutionPlan.execute`);
+* ``"auto"`` — picks ``"process"`` when an explicit job count asks for
+  it, or on a host with more usable CPUs than in-process lanes use when
+  the workload is large; ``"serial"`` otherwise.
 
 The process backend needs picklable sampler specs (each worker rebuilds
 its samplers from them) and usable shared memory.  Without them
@@ -53,11 +56,15 @@ this equality.
 
 from __future__ import annotations
 
+import atexit
 import copy
 import math
 import multiprocessing
+import os
 import pickle
 import queue as queue_module
+import signal
+import threading
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any
@@ -66,11 +73,13 @@ import numpy as np
 
 from .. import telemetry
 from ..flows.packets import PacketBatch
+from ..registry import _BUILTIN_SAMPLERS, SAMPLERS
 from ..traces.source import DEFAULT_CHUNK_PACKETS, PacketSource, _usable_cpus
 from .executor import StreamOutcome, run_stream
 
 if TYPE_CHECKING:
     from concurrent.futures import Future
+    from multiprocessing.connection import Connection
 
 #: Backend names accepted by :meth:`ExecutionPlan.execute`.
 BACKENDS = ("auto", "serial", "process")
@@ -86,10 +95,28 @@ TRANSPORT_TIMEOUT_S = 120.0
 #: Seconds between liveness checks while the parent waits on a worker.
 _POLL_S = 0.1
 
+#: Seconds between an idle warm worker's checks that its parent lives.
+_IDLE_POLL_S = 0.5
+
+#: Seconds a closing pool waits for its workers at each step: stopped,
+#: then terminated, then killed.
+_STOP_WAIT_S = 1.0
+
+#: Seconds an idle pool waits for its next call before it closes, so its
+#: workers and their touched rings are held no longer than this after
+#: the call that left them.  Repeated calls and a sweep's next source
+#: pass come far sooner.
+_IDLE_KEEP_S = 5.0
+
 #: Minimum workload (total packets x cells, i.e. per-packet sampling
-#: decisions) below which ``"auto"`` stays serial: under this size the
-#: cost of starting workers and copying every chunk into each worker's
-#: shared-memory ring exceeds what parallelism can win back.
+#: decisions) from which ``"auto"`` without a job count runs the process
+#: backend, on a host with more usable CPUs than ``_MAX_LANES``.  The
+#: figure is a guess, unmeasured: no such host was available.  On hosts
+#: with at most ``_MAX_LANES`` usable CPUs ``"auto"`` stays in process,
+#: where lanes beat two freshly started workers on every plan measured
+#: (sprint, scale 0.05, 900 s, 2 vCPUs: 16 cells 0.195 s against 0.284 s,
+#: 40 cells 0.309 s against 0.413 s; medians of 10 calls) and matched
+#: two warm ones (40 cells: 0.298 s against 0.300 s, medians of 10).
 AUTO_PROCESS_MIN_WORK = 8_000_000
 
 #: Fewest streams a lane of the in-process backend folds.  Each lane
@@ -300,10 +327,12 @@ class ExecutionPlan:
         ----------
         backend:
             One of :data:`BACKENDS`.  ``"auto"`` chooses ``"process"``
-            when an explicit ``jobs > 1`` was requested, or when the
-            process may use more than one CPU (its affinity mask, as
-            for lanes) and :attr:`packet_work` reaches
-            :data:`AUTO_PROCESS_MIN_WORK`.
+            when an explicit ``jobs > 1`` was requested.  Without a job
+            count it chooses ``"process"`` only when the process may use
+            more CPUs (its affinity mask, as for lanes) than
+            ``_MAX_LANES`` and :attr:`packet_work` reaches
+            :data:`AUTO_PROCESS_MIN_WORK`; with fewer usable CPUs it
+            stays in process, where a large plan folds as lanes.
         jobs:
             Worker count; ``None`` means one per usable CPU.  Always
             capped at the number of cells.
@@ -316,14 +345,19 @@ class ExecutionPlan:
         """
         if backend not in BACKENDS:
             raise ValueError(f"unknown backend {backend!r}; expected one of {BACKENDS}")
-        resolved_jobs = jobs if jobs is not None else _usable_cpus()
+        cpus = _usable_cpus()
+        resolved_jobs = jobs if jobs is not None else cpus
         if resolved_jobs < 1:
             raise ValueError(f"jobs must be at least 1, got {jobs}")
         resolved_jobs = min(int(resolved_jobs), self.num_cells)
         if backend == "auto":
             if jobs is not None:
                 backend = "process" if resolved_jobs > 1 else "serial"
-            elif resolved_jobs > 1 and self.packet_work >= AUTO_PROCESS_MIN_WORK:
+            elif (
+                cpus > _MAX_LANES
+                and resolved_jobs > 1
+                and self.packet_work >= AUTO_PROCESS_MIN_WORK
+            ):
                 backend = "process"
             else:
                 backend = "serial"
@@ -352,6 +386,20 @@ class ExecutionPlan:
         jobs:
             Worker processes for the process backend; ``None`` means one
             per usable CPU.  It sets no lane count.
+
+        The process backend's workers are warm.  When every sampler
+        spec names a built-in registry sampler, the call takes the idle
+        workers this interpreter left from an earlier call of the same
+        start method, worker count and slot capacity (or starts them),
+        and a call that ends cleanly leaves them idle again, rings
+        mapped; any failure or interruption stops them.  A plan with a
+        sampler factory, an instance or a user-registered name gets
+        workers for its call alone.  The counter
+        ``parallel.workers_started`` reads the workers a call started:
+        ``jobs`` on a cold call, 0 on a warm one.  The idle workers stop
+        ``_IDLE_KEEP_S`` after the call that left them unless another
+        call takes them first, at interpreter exit, or within
+        ``_IDLE_POLL_S`` of the interpreter's death.
 
         Returns
         -------
@@ -456,28 +504,34 @@ class ExecutionPlan:
     def _execute_streamed(self, jobs: int) -> list[tuple[list[int], StreamOutcome]]:
         """Expand once in the parent and stream chunks to every worker over shm.
 
-        The parent owns every transport resource: channels are created
-        here and reclaimed in the ``finally`` whatever happens to the
-        workers, so a crashed (even SIGKILLed) worker cannot leak
-        shared-memory segments.  A slot holds twice the target chunk
-        size; the rarer larger chunks travel as slot-sized slices (see
-        :meth:`SharedMemoryBatchChannel.send`).  Each channel watches
-        its worker, so a worker that exits early is reported while the
+        The workers are the idle warm pool when it matches this call and
+        the plan runs only built-in samplers (:func:`_reusable`), fresh
+        ones otherwise.  Each gets its batch of cells as one job, then
+        the stream through its own :class:`SharedMemoryBatchChannel`.
+        A slot holds twice the target chunk size; the rarer larger
+        chunks travel as slot-sized slices (see
+        :meth:`SharedMemoryBatchChannel.send`).  Each channel watches its
+        worker, so a worker that exits early is reported while the
         parent is still sending instead of after a transport timeout.
+        The parent owns every segment, and a call that does not end
+        cleanly closes its pool, so a crashed (even SIGKILLed) worker
+        cannot leak shared memory.
         """
         context = multiprocessing.get_context()
         batches = self.batches(jobs)
         capacity = 2 * int(self.chunk_packets or DEFAULT_CHUNK_PACKETS)
-        channels: list[SharedMemoryBatchChannel] = []
-        workers: list[multiprocessing.process.BaseProcess] = []
+        reusable = _reusable(self.sampler_specs)
+        pool = _take_idle_pool((context.get_start_method(), jobs, capacity)) if reusable else None
+        started = 0
+        if pool is None:
+            pool = _WorkerPool(context, jobs, capacity)
+            started = jobs
+        telemetry.count("parallel.workers_started", started)
+        clean = False
         try:
-            for batch in batches:
-                channel = SharedMemoryBatchChannel(capacity, context=context)
-                channels.append(channel)
-                worker = context.Process(
-                    target=_stream_worker,
-                    args=(
-                        channel,
+            for batch, worker in zip(batches, pool.workers):
+                worker.post_job(
+                    (
                         self.sampler_specs,
                         [self.cells[index] for index in batch],
                         self.groups,
@@ -485,12 +539,9 @@ class ExecutionPlan:
                         self.top_t,
                         self.max_flows,
                         telemetry.enabled,
-                    ),
-                    daemon=True,
+                    )
                 )
-                worker.start()
-                workers.append(worker)
-                channel.consumer = worker
+            channels = [worker.channel for worker in pool.workers]
             for chunk in self._chunks():
                 for channel in channels:
                     channel.send(chunk)
@@ -505,16 +556,13 @@ class ExecutionPlan:
                     snapshots.append(snapshot)
             if snapshots:
                 telemetry.absorb(snapshots)
-            for worker in workers:
-                worker.join(TRANSPORT_TIMEOUT_S)
+            clean = True
             return parts
         finally:
-            for worker in workers:
-                if worker.is_alive():
-                    worker.terminate()
-                    worker.join(5.0)
-            for channel in channels:
-                channel.unlink()
+            if clean and reusable:
+                _leave_idle(pool)
+            else:
+                pool.close(stop=clean)
 
     # ------------------------------------------------------------------
     def _chunks(self) -> Iterator[PacketBatch]:
@@ -628,10 +676,14 @@ class SharedMemoryBatchChannel:
     :data:`TRANSPORT_TIMEOUT_S` bounds only a consumer that is alive
     but wedged.
 
-    Crash safety: the *parent* creates and unlinks every segment
-    (:meth:`unlink`, idempotent, called in a ``finally``).  A worker
-    that dies mid-transfer — even ``SIGKILL`` — leaks nothing, because
-    it never owns a segment.
+    A channel carries any number of streams, one after another: each
+    ends with :meth:`close_sending` and one answer, and the ring and the
+    worker's mappings stay for the next stream.
+
+    Crash safety: the *parent* creates, unlinks and closes every segment
+    (:meth:`unlink` and :meth:`close`, both idempotent).  A worker that
+    dies mid-transfer — even ``SIGKILL`` — leaks nothing, because it
+    never owns a segment.
 
     Parameters
     ----------
@@ -694,17 +746,21 @@ class SharedMemoryBatchChannel:
         self._owner = False
         self._unlinked = False
 
-    def _attach(self) -> None:
-        # A spawned worker shares the parent's resource tracker, which
-        # keys segments by name: attaching re-registers a name it already
-        # holds, and the parent's unlink unregisters it exactly once.  (A
-        # forked worker inherits the parent's handles and never attaches.)
-        if self._segments is None:
-            from multiprocessing import shared_memory
+    def _attach(self) -> bool:
+        """Map the segments by name in a worker that did not inherit them.
 
-            self._segments = [
-                shared_memory.SharedMemory(name=name) for name in self.segment_names
-            ]
+        Returns whether it had to: a forked worker inherits the parent's
+        handles and never attaches.  A spawned worker shares the parent's
+        resource tracker, which keys segments by name: attaching
+        re-registers a name it already holds, and the parent's unlink,
+        which waits until the worker has attached, unregisters it once.
+        """
+        if self._segments is not None:
+            return False
+        from multiprocessing import shared_memory
+
+        self._segments = [shared_memory.SharedMemory(name=name) for name in self.segment_names]
+        return True
 
     def _views(self, slot: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         assert self._segments is not None
@@ -813,52 +869,54 @@ class SharedMemoryBatchChannel:
         Each batch is copied out of its slot before the slot returns to
         the free ring, so the yielded arrays are ordinary process-local
         NumPy arrays (already validated by the producer — the
-        constructor checks are skipped).
+        constructor checks are skipped).  The worker keeps its mappings
+        for the channel's next stream; they go when it exits.
         """
         self._attach()
-        assert self._segments is not None
-        try:
-            while True:
-                item = self._ready.get(timeout=timeout)
-                if item is None:
-                    return
-                slot, count = item
-                timestamps, flow_ids, sizes = self._views(slot, count)
-                batch = PacketBatch.from_trusted_columns(
-                    timestamps.copy(), flow_ids.copy(), sizes.copy()
-                )
-                self._free.put(slot)
-                yield batch
-        finally:
-            # Workers detach on exit; the owner keeps its handles open
-            # so :meth:`unlink` remains the single reclamation point.
-            if not self._owner:
-                for segment in self._segments:
-                    segment.close()
-                self._segments = None
+        while True:
+            item = self._ready.get(timeout=timeout)
+            if item is None:
+                return
+            slot, count = item
+            timestamps, flow_ids, sizes = self._views(slot, count)
+            batch = PacketBatch.from_trusted_columns(
+                timestamps.copy(), flow_ids.copy(), sizes.copy()
+            )
+            self._free.put(slot)
+            yield batch
 
     def post_result(self, message: tuple) -> None:
-        """Send the worker's one answer: ``("ok", outcome, snapshot)`` or ``("error", text)``."""
+        """Send the answer to one stream: ``("ok", outcome, snapshot)`` or ``("error", text)``."""
         self._results.put(message)
 
     # -- owner cleanup ---------------------------------------------------
     def unlink(self) -> None:
-        """Release every segment (parent side; idempotent).
+        """Remove every segment's name (parent side; idempotent).
 
-        Safe to call regardless of worker state — a SIGKILLed worker
-        never owns a segment, so this is the single reclamation point
-        and ``/dev/shm`` can never leak past it.
+        Safe to call regardless of worker state.  The segments stay
+        usable in every process that has mapped them, and their memory
+        goes with the last mapping (see :meth:`close`).  The process
+        backend unlinks as soon as its worker has mapped the segments,
+        so no name outlives a pool's start-up, and a SIGKILLed parent
+        leaves nothing in ``/dev/shm``.
         """
         if not self._owner or self._unlinked:
             return
         self._unlinked = True
         assert self._segments is not None
         for segment in self._segments:
-            segment.close()
             try:
                 segment.unlink()
             except FileNotFoundError:  # pragma: no cover - already gone
                 pass
+
+    def close(self) -> None:
+        """Unlink every segment if not yet done, and unmap it (parent side; idempotent)."""
+        if not self._owner or self._segments is None:
+            return
+        self.unlink()
+        for segment in self._segments:
+            segment.close()
         self._segments = None
 
 
@@ -907,36 +965,282 @@ def _drain(feed: queue_module.Queue) -> Iterator[PacketBatch]:
         yield chunk
 
 
-def _stream_worker(
-    channel: SharedMemoryBatchChannel,
-    sampler_specs: list,
-    cells: list[Cell],
-    groups: np.ndarray,
-    bin_duration: float,
-    top_t: int,
-    max_flows: int | None,
-    telemetry_enabled: bool = False,
-) -> None:
-    """Worker entry point of the process backend.
+def _stream_worker(channel: SharedMemoryBatchChannel, job: bytes) -> bool:
+    """One job of a process-backend worker; returns whether it succeeded.
 
-    Receives the parent's exact packet stream through ``channel`` — so
-    every cell sees the very same packet stream the serial backend
-    would — evaluates ``cells`` on it, and posts ``("ok", outcome,
-    snapshot)`` or ``("error", message)`` back on the channel.
-    ``snapshot`` is this worker's telemetry registry when the parent
-    had telemetry on (children start fresh, so the flag must travel
-    explicitly); ``None`` otherwise.
+    ``job`` pickles ``(sampler_specs, cells, groups, bin_duration,
+    top_t, max_flows, telemetry_on)``.  Receives the parent's exact
+    packet stream through ``channel`` — so every cell sees the very same
+    packet stream the serial backend would — evaluates ``cells`` on it,
+    and posts ``("ok", outcome, snapshot)`` or ``("error", message)``
+    back on the channel.  ``snapshot`` is this job's telemetry registry
+    when the parent had telemetry on, ``None`` otherwise: the registry
+    is reset and the flag set from the job, since a reused worker still
+    holds its last job's.
     """
     try:
-        if telemetry_enabled:
-            telemetry.enable()
+        specs, cells, groups, bin_duration, top_t, max_flows, telemetry_on = pickle.loads(job)
+        telemetry.reset()
+        if telemetry_on:
+            telemetry.enable(reset=False)
+        else:
+            telemetry.disable()
         outcome = _fold_cells(
-            channel.receive(), sampler_specs, cells, groups, bin_duration, top_t, max_flows
+            channel.receive(), specs, cells, groups, bin_duration, top_t, max_flows
         )
-        snapshot = telemetry.snapshot() if telemetry_enabled else None
+        snapshot = telemetry.snapshot() if telemetry_on else None
         channel.post_result(("ok", outcome, snapshot))
+        return True
     except BaseException as error:  # noqa: BLE001 - marshalled to the parent
         channel.post_result(("error", f"{type(error).__name__}: {error}"))
+        return False
+
+
+def _warm_worker(channel: SharedMemoryBatchChannel, jobs: Connection) -> None:
+    """Entry point of a process-backend worker: one :func:`_stream_worker` per job.
+
+    Maps the ring (a spawned worker then tells the parent, which
+    unlinks the names), and leaves the resource tracker, whose pipe it
+    would otherwise hold open.  SIGINT is ignored, since the parent
+    decides when its workers stop, and SIGTERM takes its default action
+    whatever handler a forked worker inherited.  Returns when the
+    parent sends an empty job or closes its end of ``jobs``, after a
+    job that failed, or, while idle, within ``_IDLE_POLL_S`` of the
+    parent's death.
+    """
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    parent = os.getppid()
+    if channel._attach():
+        channel.post_result(("attached",))
+    _leave_resource_tracker()
+    try:
+        while True:
+            while not jobs.poll(_IDLE_POLL_S):
+                if os.getppid() != parent:
+                    return
+            job = jobs.recv_bytes()
+            if not job or not _stream_worker(channel, job):
+                return
+    except EOFError:
+        return
+
+
+def _leave_resource_tracker() -> None:
+    """Close this process's copy of the pipe to ``multiprocessing``'s resource tracker.
+
+    A forked or spawned worker holds it open, and the tracker exits only
+    when every copy is closed, so an idle worker would keep a parent
+    that stops its tracker (``perfbench/run.py`` does at exit) waiting.
+    The worker never creates or unlinks a segment; should it register
+    anything later, the tracker module starts one of its own.
+    """
+    from multiprocessing import resource_tracker
+
+    tracker: Any = resource_tracker._resource_tracker  # its pipe fields are private
+    if tracker._fd is not None:
+        os.close(tracker._fd)
+        tracker._fd = None
+        tracker._pid = None
+
+
+class _Worker:
+    """Parent side of one process-backend worker: its process, ring and job pipe."""
+
+    def __init__(self, context: multiprocessing.context.DefaultContext, capacity: int) -> None:
+        receiver, self.jobs = context.Pipe(duplex=False)
+        self.channel = SharedMemoryBatchChannel(capacity, context=context)
+        self.process = context.Process(
+            target=_warm_worker, args=(self.channel, receiver), daemon=True
+        )
+        self._receiver: Connection | None = receiver
+
+    def start(self) -> None:
+        """Start the process; the channel then watches it."""
+        assert self._receiver is not None
+        try:
+            self.process.start()
+        finally:
+            # The worker has its own end now; holding ours would hide its exit.
+            self._receiver.close()
+            self._receiver = None
+        self.channel.consumer = self.process
+
+    def post_job(self, job: tuple) -> None:
+        """Hand the worker its next job (see :func:`_stream_worker`); it is idle."""
+        try:
+            self.jobs.send_bytes(pickle.dumps(job))
+        except OSError as error:
+            raise RuntimeError(f"transport worker failed: cannot take a job ({error})") from error
+
+    def stop(self) -> None:
+        """Ask the worker to exit once it is idle; a worker already gone is ignored."""
+        try:
+            self.jobs.send_bytes(b"")
+        except OSError:
+            pass
+
+
+class _WorkerPool:
+    """The workers of one process-backend call, kept warm between calls.
+
+    ``key`` is (start method, worker count, slot capacity): a call takes
+    the idle pool only when its own key matches.  Starting unlinks each
+    worker's segment names as soon as the worker has mapped them: right
+    after start under ``fork``, after the worker's ``("attached",)``
+    answer under ``spawn`` and ``forkserver``.
+    """
+
+    def __init__(
+        self, context: multiprocessing.context.DefaultContext, jobs: int, capacity: int
+    ) -> None:
+        self.key = (context.get_start_method(), jobs, capacity)
+        self.workers: list[_Worker] = []
+        started = False
+        try:
+            for _ in range(jobs):
+                self.workers.append(_Worker(context, capacity))
+                self.workers[-1].start()
+            for worker in self.workers:
+                channel = worker.channel
+                if self.key[0] != "fork":
+                    message = channel._wait(
+                        channel._results,
+                        TRANSPORT_TIMEOUT_S,
+                        f"the transport worker did not start within {TRANSPORT_TIMEOUT_S:g}s",
+                    )
+                    if message != ("attached",):
+                        raise channel._failure(message)
+                channel.unlink()
+            started = True
+        finally:
+            if not started:
+                self.close(stop=False)
+        # Registered again after multiprocessing's own exit hook, which
+        # starting a worker installs, so that this one runs first and
+        # the idle workers exit on their own instead of being terminated.
+        atexit.unregister(_close_idle_pool)
+        atexit.register(_close_idle_pool)
+
+    def close(self, stop: bool = True) -> None:
+        """End every worker and release its ring (idempotent; every wait is bounded).
+
+        ``stop`` asks idle workers to exit and gives each ``_STOP_WAIT_S``
+        to do so; a call that failed passes ``False``, and its workers,
+        which may be mid-job, are terminated at once.  A worker that
+        survives termination is killed.
+        """
+        workers, self.workers = self.workers, []
+        processes = [worker.process for worker in workers if worker.channel.consumer is not None]
+        if stop:
+            for worker in workers:
+                worker.stop()
+            for process in processes:
+                process.join(_STOP_WAIT_S)
+        for process in processes:
+            if process.is_alive():
+                process.terminate()
+                process.join(_STOP_WAIT_S)
+            if process.is_alive():
+                process.kill()
+                process.join(_STOP_WAIT_S)
+        for worker in workers:
+            worker.jobs.close()
+            worker.channel.close()
+
+
+#: The idle pool: workers a call left for the next one.  At most one per
+#: interpreter; a call takes it out under ``_pool_lock``, so concurrent
+#: calls never share workers.  ``_idle_timer`` closes it ``_IDLE_KEEP_S``
+#: after it went idle.
+_idle_pool: _WorkerPool | None = None
+_idle_timer: threading.Timer | None = None
+_pool_lock = threading.Lock()
+
+
+def _reusable(sampler_specs: list) -> bool:
+    """Whether warm workers may run these specs: each names a built-in sampler.
+
+    A warm worker runs the library as it was when the worker started.  A
+    sampler factory, an instance or a name registered since may be code
+    it never saw, so such plans get workers for their call alone.
+    """
+    return all(
+        spec.factory is None
+        and spec.instance is None
+        and spec.name in SAMPLERS
+        and SAMPLERS.get(spec.name) in _BUILTIN_SAMPLERS
+        for spec in sampler_specs
+    )
+
+
+def _take_idle_pool(key: tuple) -> _WorkerPool | None:
+    """The idle pool, if its key matches and every worker lives; else ``None``.
+
+    The idle pool leaves its slot either way; one that does not fit is
+    closed, so a worker killed between calls is replaced.
+    """
+    global _idle_pool, _idle_timer
+    with _pool_lock:
+        pool, _idle_pool = _idle_pool, None
+        timer, _idle_timer = _idle_timer, None
+    _cancel(timer)
+    if pool is not None and (
+        pool.key != key or not all(worker.process.is_alive() for worker in pool.workers)
+    ):
+        pool.close()
+        pool = None
+    return pool
+
+
+def _leave_idle(pool: _WorkerPool | None) -> None:
+    """Keep ``pool`` for ``_IDLE_KEEP_S``, closing the idle pool it replaces."""
+    global _idle_pool, _idle_timer
+    with _pool_lock:
+        previous, _idle_pool = _idle_pool, pool
+        timer, _idle_timer = _idle_timer, None
+        if pool is not None:
+            _idle_timer = threading.Timer(_IDLE_KEEP_S, _expire_idle_pool, args=(pool,))
+            _idle_timer.daemon = True
+            _idle_timer.start()
+    _cancel(timer)
+    if previous is not None:
+        previous.close()
+
+
+def _expire_idle_pool(pool: _WorkerPool) -> None:
+    """Close ``pool`` if it is still the idle pool (``_idle_timer``'s thread)."""
+    global _idle_pool
+    with _pool_lock:
+        if _idle_pool is not pool:
+            return
+        _idle_pool = None
+    pool.close()
+
+
+def _cancel(timer: threading.Timer | None) -> None:
+    """Stop ``timer``, waiting out a close it has begun, so no fork overlaps it."""
+    if timer is not None:
+        timer.cancel()
+        timer.join()
+
+
+def _close_idle_pool() -> None:
+    """Stop the idle pool's workers and release their rings (at exit, and in tests)."""
+    _leave_idle(None)
+
+
+def _forget_idle_pool() -> None:
+    """In a forked child: no idle pool, since the workers are the parent's."""
+    global _idle_pool, _idle_timer, _pool_lock
+    _idle_pool = None
+    _idle_timer = None
+    _pool_lock = threading.Lock()
+
+
+# Without fork (Windows) no child can inherit the idle pool.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_idle_pool)
 
 
 def merge_outcomes(

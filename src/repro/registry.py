@@ -256,6 +256,12 @@ def _make_sample_and_hold(
     return SampleAndHoldSampler(rate, rng=rng)
 
 
+#: The factories of the samplers above: the only ones a reused worker of
+#: the process backend runs (see :mod:`repro.pipeline.parallel`), since a
+#: name registered later may be code the worker never imported.
+_BUILTIN_SAMPLERS = frozenset(SAMPLERS._factories.values())
+
+
 @KEY_POLICIES.register("five-tuple", aliases=("5-tuple", "5tuple"))
 def _make_five_tuple() -> FiveTupleKeyPolicy:
     return FiveTupleKeyPolicy()

@@ -8,7 +8,19 @@ import pytest
 from repro.core.flow_size_model import FlowPopulation
 from repro.distributions import DiscreteFlowSizes, ParetoFlowSizes
 from repro.flows.keys import FiveTuple
+from repro.pipeline import parallel
 from repro.traces.synthetic import SyntheticTraceGenerator, sprint_like_config
+
+
+@pytest.fixture(autouse=True)
+def _close_warm_workers():
+    """Stop the process backend's idle workers after every test.
+
+    A warm worker runs the code it was forked with, so a test that
+    patches a sampler must never meet workers another test left idle.
+    """
+    yield
+    parallel._close_idle_pool()
 
 
 @pytest.fixture

@@ -12,8 +12,8 @@ speed-ratio gates.
   sorted-union merges between chunks (the library uses the hash
   accumulator);
 * :mod:`oracles.objectpath` — per-packet flow classification and the
-  binned flow table over :class:`~repro.flows.packets.Packet` objects,
-  with the flow-record types they report in (the library accounts
+  binned flow table over ``Packet`` records, with the packet and
+  flow-record types they observe and report in (the library accounts
   columnar chunks);
 * :mod:`oracles.stream` — the stream fold with a per-chunk ``np.unique``
   over ``bin x group`` codes and sorted-union bin merges, scoring each

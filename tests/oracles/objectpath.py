@@ -2,8 +2,8 @@
 
 :class:`FlowClassifier` keeps one :class:`FlowRecord` per flow key and
 evicts through a lazy min-heap; :class:`ObjectFlowTable` bins a
-:class:`~repro.flows.packets.Packet` stream with it, one packet at a
-time, into :class:`FlowBin` reports ranked by :func:`ranking_sort_key`.
+:class:`Packet` stream with it, one packet at a time, into
+:class:`FlowBin` reports ranked by :func:`ranking_sort_key`.
 This is the object-level monitor the columnar
 :class:`~repro.flows.accounting.FlowAccountingEngine` must match bit
 for bit: same bins, rankings and eviction counts.  :func:`flow_bins`
@@ -32,12 +32,37 @@ from repro.flows.keys import (
     FlowKeyPolicy,
     flow_key_order,
 )
-from repro.flows.packets import Packet, PacketBatch
+from repro.flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 
 #: Rebuild the lazy eviction heap when it holds more than
 #: ``HEAP_SLACK + HEAP_GROWTH x`` live records (stale-entry cleanup).
 HEAP_SLACK = 64
 HEAP_GROWTH = 8
+
+
+@dataclass(frozen=True, slots=True)
+class Packet:
+    """A single observed packet: what the object-level monitor observes.
+
+    Attributes
+    ----------
+    timestamp:
+        Arrival time in seconds (relative to the start of the trace).
+    five_tuple:
+        The packet's 5-tuple.
+    size_bytes:
+        Layer-3 packet size in bytes.
+    """
+
+    timestamp: float
+    five_tuple: FiveTuple
+    size_bytes: int = DEFAULT_PACKET_SIZE_BYTES
+
+    def __post_init__(self) -> None:
+        if self.timestamp < 0:
+            raise ValueError(f"timestamp must be non-negative, got {self.timestamp}")
+        if self.size_bytes <= 0:
+            raise ValueError(f"size_bytes must be positive, got {self.size_bytes}")
 
 
 @dataclass

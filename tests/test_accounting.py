@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles.objectpath import FlowClassifier, ObjectFlowTable, flow_bins
+from oracles.objectpath import FlowClassifier, ObjectFlowTable, Packet, flow_bins
 
 from repro.cli import main
 from repro.flows.accounting import (
@@ -33,7 +33,7 @@ from repro.flows.keys import (
     FiveTupleKeyPolicy,
     flow_key_order,
 )
-from repro.flows.packets import Packet, PacketBatch
+from repro.flows.packets import PacketBatch
 from repro.pipeline import Pipeline
 from repro.pipeline.executor import run_stream
 from repro.store import RunSpec, store_key

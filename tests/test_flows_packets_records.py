@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from oracles.objectpath import FlowClassifier, FlowRecord
+from oracles.objectpath import FlowClassifier, FlowRecord, Packet
 
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTuple
-from repro.flows.packets import DEFAULT_PACKET_SIZE_BYTES, Packet, PacketBatch
+from repro.flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 
 
 def make_packet(ts: float, dst: str = "10.0.0.1", sport: int = 1000) -> Packet:

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles.objectpath import FlowClassifier, ObjectFlowTable
+from oracles.objectpath import FlowClassifier, ObjectFlowTable, Packet
 
 from repro.core.flow_size_model import FlowPopulation
 from repro.core.metrics import ranking_swapped_pairs
@@ -15,7 +15,6 @@ from repro.core.ranking import RankingModel
 from repro.distributions import EmpiricalFlowSizes, ParetoFlowSizes
 from repro.flows.accounting import FlowAccountingEngine
 from repro.flows.keys import FiveTupleKeyPolicy
-from repro.flows.packets import Packet
 from repro.pipeline import Pipeline
 from repro.sampling import BernoulliSampler
 from repro.traces import SyntheticTraceGenerator, expand_to_packets, sprint_like_config

@@ -135,15 +135,15 @@ class TestExecutionPlan:
         assert (backend, jobs) == ("process", 2)
         assert plan.resolve_backend("auto", 1) == ("serial", 1)
 
-    @pytest.mark.parametrize("cpus", [1, 2])
+    @pytest.mark.parametrize("cpus", [1, 2, 3])
     def test_auto_and_default_jobs_count_usable_cpus(self, small_trace, monkeypatch, cpus):
         """The affinity mask, not the machine's CPU count, sets ``"auto"`` and
-        the default worker count: pinned to one CPU, no plan runs in
-        processes unless ``jobs > 1`` asks for it."""
+        the default worker count: with no more usable CPUs than lanes,
+        no plan runs in processes unless ``jobs > 1`` asks for it."""
         monkeypatch.setattr(parallel_module, "_usable_cpus", lambda: cpus)
         monkeypatch.setattr(parallel_module, "AUTO_PROCESS_MIN_WORK", 0)
         plan = _sweep_pipeline(small_trace).plan()
-        auto = ("serial", 1) if cpus == 1 else ("process", cpus)
+        auto = ("serial", 1) if cpus <= parallel_module._MAX_LANES else ("process", cpus)
         assert plan.resolve_backend("auto", None) == auto
         assert plan.resolve_backend("process", None) == ("process", cpus)
         assert plan.resolve_backend("auto", 2) == ("process", 2)
@@ -525,6 +525,19 @@ def test_start_methods_run_clean(method, tmp_path):
     assert child.returncode == 0, child.stderr
     assert child.stdout.strip() == "[]"
     assert "resource_tracker" not in child.stderr and "Traceback" not in child.stderr, child.stderr
+
+
+def test_imports_where_fork_is_missing():
+    """Without ``fork`` (Windows) the module imports: it registers no fork hook."""
+    code = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(REPO_SRC)!r})\n"
+        "for name in ('fork', 'register_at_fork'):\n"
+        "    vars(os).pop(name, None)\n"
+        "import repro.pipeline.parallel\n"
+    )
+    child = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=60)
+    assert child.returncode == 0, child.stderr
 
 
 @pytest.mark.skipif(not _shm_available(), reason="shared memory unusable")
