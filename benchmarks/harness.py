@@ -50,6 +50,7 @@ for _path in (REPO_ROOT / "src", REPO_ROOT / "tests"):
 import numpy as np  # noqa: E402
 from oracles.assembly import reference_chunks  # noqa: E402
 from oracles.groupby import sort_engine  # noqa: E402
+from oracles.keys import five_tuples_of, keys_by_code, sorted_by_five_tuple  # noqa: E402
 from oracles.metrics import reference_swapped_pair_counts  # noqa: E402
 from oracles.objectpath import ObjectFlowTable, Packet, flow_bins  # noqa: E402
 from oracles.stream import reference_run_stream  # noqa: E402
@@ -259,12 +260,14 @@ def _sprint_workload(args: argparse.Namespace, quick_scale: float = 0.0):
 
     The scale is at least 0.06 outside ``--quick``, so a full run
     accounts over a million packets, and at least ``quick_scale`` with
-    it.  Returns the trace, its chunks, the five-tuple encoder and the
-    key code of every flow.
+    it.  The flow records are sorted by 5-tuple, so their group ids
+    under the five-tuple key (what the pipeline accounts by) order like
+    the object-level oracle's keys and eviction ties agree.  Returns the
+    trace, its chunks and the group id of every flow.
     """
     scale = max(args.scale, quick_scale if args.quick else 0.06)
     generator = TRACES.create("sprint", scale=scale, duration=args.duration)
-    trace = generator.generate(rng=np.random.default_rng(args.seed))
+    trace = sorted_by_five_tuple(generator.generate(rng=np.random.default_rng(args.seed)))
     chunks = list(
         iter_expanded_chunks(
             trace,
@@ -273,17 +276,22 @@ def _sprint_workload(args: argparse.Namespace, quick_scale: float = 0.0):
             clip_to_duration=trace.duration,
         )
     )
-    policy = FiveTupleKeyPolicy()
-    encoder = policy.make_encoder()
-    codes = policy.keys_of_batch(
-        trace.src_ips,
-        trace.dst_ips,
-        trace.src_ports,
-        trace.dst_ports,
-        trace.protocols,
-        encoder=encoder,
+    return trace, chunks, FiveTupleKeyPolicy().group_ids(trace)
+
+
+def _account(engine: FlowAccountingEngine, chunk, groups: np.ndarray) -> None:
+    """Account one chunk by group id as ``run_stream`` does: one gather, the
+    group-id universe reserved for dense addressing, trusted columns."""
+    sizes = chunk.sizes_bytes
+    const_size = int(sizes[0]) if len(chunk) and bool((sizes == sizes[0]).all()) else None
+    in_bounds = engine.reserve_codes(int(groups.min()), int(groups.max()))
+    engine.observe_sorted_chunk(
+        chunk.timestamps,
+        groups.take(chunk.flow_ids),
+        sizes,
+        in_bounds=in_bounds,
+        const_size=const_size,
     )
-    return trace, chunks, encoder, codes
 
 
 def _timed_object_table(trace, chunks, table: ObjectFlowTable):
@@ -292,7 +300,7 @@ def _timed_object_table(trace, chunks, table: ObjectFlowTable):
     Packet construction happens outside the timer, so the time is the
     table's accounting work alone.
     """
-    five_tuples = [trace.five_tuple(index) for index in range(trace.num_flows)]
+    five_tuples = five_tuples_of(trace)
     seconds = 0.0
     for chunk in chunks:
         packets = [
@@ -312,21 +320,23 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
     """Monitor flow accounting: object-level oracle vs columnar engine.
 
     Streams the same expanded packet trace through the per-packet
-    object-level table of ``tests/oracles/objectpath.py`` and through
-    the columnar ``FlowAccountingEngine`` — once as the library runs it
-    (the hash accumulator) and once with the sort-based group-by oracle
-    of ``tests/oracles/groupby.py`` — asserts all produced bins are
-    bit-identical, and records packets/second for each.  In full mode
+    object-level table of ``tests/oracles/objectpath.py``, keyed by
+    ``FiveTuple``, and through the columnar ``FlowAccountingEngine``,
+    keyed by five-tuple group id as ``run_stream`` keys it — once as the
+    library runs it (the hash accumulator) and once with the sort-based
+    group-by oracle of ``tests/oracles/groupby.py`` — asserts all
+    produced bins are bit-identical, and records packets/second for
+    each.  In full mode
     the workload is at least a million packets so the speedup is
     measured where it matters.
     """
-    trace, chunks, encoder, codes = _sprint_workload(args)
+    trace, chunks, groups = _sprint_workload(args)
     total_packets = sum(len(chunk) for chunk in chunks)
 
     def columnar(make_engine):
-        engine = make_engine(60.0, order_key=encoder.order_key)
+        engine = make_engine(60.0)
         for chunk in chunks:
-            engine.observe_batch(chunk, codes)
+            _account(engine, chunk, groups)
         return engine.flush()
 
     sort_seconds, sort_accounts = _timed(lambda: columnar(sort_engine))
@@ -339,7 +349,7 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
 
     # Object path: the same stream, one Packet at a time.
     object_seconds, bins = _timed_object_table(trace, chunks, ObjectFlowTable(60.0))
-    identical = flow_bins(accounts, encoder) == bins
+    identical = flow_bins(accounts, keys_by_code(FiveTupleKeyPolicy(), trace)) == bins
     if not identical:
         raise SystemExit(
             "FATAL: columnar accounting diverges from the object path — equivalence regression"
@@ -510,7 +520,7 @@ def _accumulator_workload(args: argparse.Namespace):
     """
     from repro.sampling import BernoulliSampler
 
-    _, chunks, _, groups = _sprint_workload(args)
+    _, chunks, groups = _sprint_workload(args)
     rates = [rate for rate in SWEEP_RATES for _ in range(args.runs)]
 
     def samplers():
@@ -631,10 +641,11 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
     """The bounded monitor under heavy eviction: engine vs the object-level oracle.
 
     Samples the shared sprint workload at p = 0.1 and feeds the kept
-    packets, keyed by five-tuple, to a ``max_flows=200``
-    ``FlowAccountingEngine`` and to the per-packet ``ObjectFlowTable`` of
-    ``tests/oracles/objectpath.py``.  Most admitted flows are evicted
-    again, so nearly every segment takes the engine's per-packet replay.
+    packets, keyed by five-tuple group id, to a ``max_flows=200``
+    ``FlowAccountingEngine`` and, keyed by ``FiveTuple``, to the
+    per-packet ``ObjectFlowTable`` of ``tests/oracles/objectpath.py``.
+    Most admitted flows are evicted again, so nearly every segment takes
+    the engine's per-packet replay.
     Exits FATAL unless the bins and eviction counts are identical, then
     records both times and ``speedup`` (oracle over engine).
     """
@@ -643,7 +654,7 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
 
     # Quick runs too must overflow the table: 0.02 of the backbone flow
     # rate fills it many times over in every bin.
-    trace, chunks, encoder, codes = _sprint_workload(args, quick_scale=0.02)
+    trace, chunks, groups = _sprint_workload(args, quick_scale=0.02)
     sampler = BernoulliSampler(BOUNDED_RATE, rng=np.random.default_rng(args.seed))
     sampled = []
     for chunk in chunks:
@@ -656,18 +667,17 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
     packets = sum(len(batch) for batch in sampled)
 
     def engine_pass():
-        engine = FlowAccountingEngine(
-            60.0, max_flows=BOUNDED_MAX_FLOWS, order_key=encoder.order_key
-        )
+        engine = FlowAccountingEngine(60.0, max_flows=BOUNDED_MAX_FLOWS)
         for batch in sampled:
-            engine.observe_batch(batch, codes)
+            _account(engine, batch, groups)
         return engine.flush(), engine.evictions
 
     engine_seconds, (accounts, evictions) = _timed(engine_pass)
     engine_seconds = min(engine_seconds, _timed(engine_pass)[0])
     table = ObjectFlowTable(60.0, max_flows=BOUNDED_MAX_FLOWS)
     object_seconds, bins = _timed_object_table(trace, sampled, table)
-    identical = flow_bins(accounts, encoder) == bins and evictions == table.evictions
+    keys = keys_by_code(FiveTupleKeyPolicy(), trace)
+    identical = flow_bins(accounts, keys) == bins and evictions == table.evictions
     if not identical:
         raise SystemExit(
             "FATAL: the bounded engine diverges from the object-level monitor — "

@@ -683,8 +683,9 @@ def main(argv: Sequence[str] | None = None) -> int:
             output = _run_plan(args)
         else:  # pragma: no cover - argparse enforces the choices
             raise ValueError(f"unknown command {args.command!r}")
-    # KeyError covers the registries' UnknownComponentError.
-    except (KeyError, ValueError, TypeError, OSError) as exc:
+    # KeyError covers the registries' UnknownComponentError;
+    # OverflowError, a bin_duration too small for the trace's timestamps.
+    except (KeyError, ValueError, TypeError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(output)

@@ -97,8 +97,10 @@ def required_sampling_rate(
     tolerance:
         Relative tolerance on the returned rate.
     """
-    if target_swapped_pairs <= 0:
-        raise ValueError("target_swapped_pairs must be positive")
+    if not target_swapped_pairs > 0:
+        raise ValueError(
+            f"target_swapped_pairs must be positive, got {target_swapped_pairs!r}"
+        )
     if not 0.0 < min_rate < 1.0:
         raise ValueError("min_rate must be in (0, 1)")
     model = _build_model(population, top_t, problem)

@@ -1,8 +1,9 @@
-"""Flow abstraction substrate: keys, packets, flow accounting.
+"""Flow abstraction substrate: flow definitions, packets, flow accounting.
 
-The monitor path accounts :class:`PacketBatch` chunks through the
-:class:`FlowAccountingEngine`, with flow keys carried as integer codes
-(:class:`FlowKeyEncoder`).
+A flow definition (:class:`FlowKeyPolicy`) maps the flow records of a
+trace to non-negative ``int64`` group ids, and the monitor path accounts
+:class:`PacketBatch` chunks by those ids through the
+:class:`FlowAccountingEngine`.
 """
 
 from .accounting import (
@@ -16,34 +17,20 @@ from .keys import (
     PROTO_ICMP,
     PROTO_TCP,
     PROTO_UDP,
-    DestinationPrefixKeyEncoder,
     DestinationPrefixKeyPolicy,
-    FiveTuple,
-    FiveTupleKeyEncoder,
     FiveTupleKeyPolicy,
-    FlowKeyEncoder,
     FlowKeyPolicy,
-    ObjectKeyEncoder,
-    flow_key_order,
     int_to_ip,
     ip_to_int,
-    prefix_of,
 )
 from .packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 
 __all__ = [
-    "FiveTuple",
     "FlowKeyPolicy",
     "FiveTupleKeyPolicy",
     "DestinationPrefixKeyPolicy",
-    "FlowKeyEncoder",
-    "FiveTupleKeyEncoder",
-    "DestinationPrefixKeyEncoder",
-    "ObjectKeyEncoder",
-    "flow_key_order",
     "ip_to_int",
     "int_to_ip",
-    "prefix_of",
     "PROTO_TCP",
     "PROTO_UDP",
     "PROTO_ICMP",

@@ -6,9 +6,9 @@ variant its related work uses — evicts the smallest tracked flow when
 the flow table is full.  This module is that monitor over
 :class:`~repro.flows.packets.PacketBatch` columns:
 
-* flows are identified by ``int64`` **key codes** (see
-  :meth:`repro.flows.keys.FlowKeyPolicy.keys_of_batch`), never by
-  Python objects;
+* flows are identified by non-negative ``int64`` **group ids** (see
+  :meth:`repro.flows.keys.FlowKeyPolicy.group_ids`), never by Python
+  objects, and a negative code raises :class:`ValueError`;
 * per-flow packet/byte counts and first/last timestamps of an
   unbounded bin accumulate in the hash-accumulator kernel of
   :mod:`repro.flows.groupby`, which folds each segment into an
@@ -44,14 +44,14 @@ all three).
 from __future__ import annotations
 
 import heapq
+import math
 import operator
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
 
 from .groupby import HashAccumulator, aggregate_codes
-from .packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
+from .packets import DEFAULT_PACKET_SIZE_BYTES
 
 #: Timestamps at or above 2^52 lose the integer resolution the
 #: searchsorted bin-edge fast path relies on; such chunks (never seen
@@ -74,6 +74,18 @@ def _checked_max_flows(max_flows: int | None) -> int | None:
     if bound < 1:
         raise ValueError(f"max_flows must be at least 1 when given, got {max_flows!r}")
     return bound
+
+
+def _checked_bin_duration(bin_duration: float) -> float:
+    """``bin_duration`` as a positive, finite ``float``.
+
+    Zero, a negative value, ``inf`` and ``nan`` raise
+    :class:`ValueError`: no stream can be cut into such bins.
+    """
+    duration = float(bin_duration)
+    if not (duration > 0 and math.isfinite(duration)):
+        raise ValueError(f"bin_duration must be positive and finite, got {bin_duration!r}")
+    return duration
 
 
 def bin_segments(bin_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -112,9 +124,8 @@ def bin_segments(bin_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BinAccount:
     """Columnar report of one closed measurement interval.
 
-    Per-flow statistics as aligned arrays keyed by code, sorted by
-    ascending code, not by rank: decode the codes with the encoder that
-    made them.
+    Per-flow statistics as aligned arrays keyed by code (the flow's
+    group id), sorted by ascending code, not by rank.
     """
 
     index: int
@@ -228,8 +239,8 @@ class _BoundedBin:
     """Open-bin accumulator with a ``max_flows`` bound and smallest-flow eviction.
 
     Per-flow state is a ``code -> [packets, bytes, first, last]`` dict
-    plus a lazy min-heap holding exactly one ``(packets, order_key(code),
-    code)`` entry per tracked flow, pushed when the flow is inserted.
+    plus a lazy min-heap holding exactly one ``(packets, code)`` entry
+    per tracked flow, pushed when the flow is inserted.
     Counts only grow while a flow is tracked, so an entry's count is at
     most its flow's live count.  Eviction pops the smallest entry: one
     whose count is out of date goes back with the live count, one that
@@ -237,11 +248,10 @@ class _BoundedBin:
     stale entries to clean up.
     """
 
-    __slots__ = ("max_flows", "order_key", "table", "heap", "evictions")
+    __slots__ = ("max_flows", "table", "heap", "evictions")
 
-    def __init__(self, max_flows: int, order_key: Callable[[int], object]) -> None:
+    def __init__(self, max_flows: int) -> None:
         self.max_flows = max_flows
-        self.order_key = order_key
         self.table: dict[int, list] = {}
         self.heap: list = []
         self.evictions = 0
@@ -258,19 +268,18 @@ class _BoundedBin:
         """Remove the smallest tracked flow and return its code.
 
         The smallest flow is the one with the fewest packets, ties
-        broken by the key order (for object keys,
-        :func:`repro.flows.keys.flow_key_order`).
+        broken by the smaller code.
         """
         heap = self.heap
         while heap:
-            packets, key, code = heap[0]
+            packets, code = heap[0]
             live = self.table[code][0]
             if live == packets:
                 heapq.heappop(heap)
                 del self.table[code]
                 self.evictions += 1
                 return code
-            heapq.heapreplace(heap, (live, key, code))
+            heapq.heapreplace(heap, (live, code))
         raise ValueError("cannot evict from an empty flow table")
 
     def apply(self, timestamps: np.ndarray, codes: np.ndarray, sizes: np.ndarray) -> None:
@@ -278,6 +287,8 @@ class _BoundedBin:
             return
         table = self.table
         unique, packets, byte_sums, first, last = aggregate_codes(codes, timestamps, sizes)
+        if unique[0] < 0:
+            raise ValueError(f"key codes must be non-negative group ids, got {unique[0]}")
         unique_codes = unique.tolist()
         new_flows = sum(1 for code in unique_codes if code not in table)
         if len(table) + new_flows > self.max_flows:
@@ -291,7 +302,7 @@ class _BoundedBin:
             record = table.get(code)
             if record is None:
                 table[code] = [count, size_bytes, low, high]
-                heapq.heappush(self.heap, (count, self.order_key(code), code))
+                heapq.heappush(self.heap, (count, code))
             else:
                 record[0] += count
                 record[1] += size_bytes
@@ -309,7 +320,6 @@ class _BoundedBin:
         """
         table = self.table
         heap = self.heap
-        order_key = self.order_key
         max_flows = self.max_flows
         for code, size, timestamp in zip(codes, sizes, timestamps):
             record = table.get(code)
@@ -317,7 +327,7 @@ class _BoundedBin:
                 if len(table) >= max_flows:
                     self.evict_smallest()
                 table[code] = [1, size, timestamp, timestamp]
-                heapq.heappush(heap, (1, order_key(code), code))
+                heapq.heappush(heap, (1, code))
             else:
                 record[0] += 1
                 record[1] += size
@@ -347,20 +357,13 @@ class FlowAccountingEngine:
     Parameters
     ----------
     bin_duration:
-        Measurement interval length in seconds.
+        Measurement interval length in seconds, positive and finite.
     max_flows:
         Optional bound on simultaneously tracked flows, an integer of at
         least 1 (a non-integer raises :class:`TypeError`); when a new
         flow arrives at a full table the smallest tracked flow is
-        evicted (fewest packets, ties by ``order_key``).  ``None`` means
-        unbounded, which is the fully vectorised fast path.
-    order_key:
-        Maps a key code to a comparable used for eviction tie-breaks.
-        Defaults to the code itself, which is correct whenever codes
-        order like the keys they stand for (group ids, prefix codes);
-        pass :meth:`FlowKeyEncoder.order_key
-        <repro.flows.keys.FlowKeyEncoder.order_key>` when codes come
-        from an interning encoder.
+        evicted (fewest packets, ties by the smaller code).  ``None``
+        means unbounded, which is the fully vectorised fast path.
 
     Examples
     --------
@@ -373,22 +376,13 @@ class FlowAccountingEngine:
     [[8]]
     """
 
-    def __init__(
-        self,
-        bin_duration: float,
-        *,
-        max_flows: int | None = None,
-        order_key: Callable[[int], object] | None = None,
-    ) -> None:
-        if bin_duration <= 0:
-            raise ValueError(f"bin_duration must be positive, got {bin_duration}")
+    def __init__(self, bin_duration: float, *, max_flows: int | None = None) -> None:
+        self.bin_duration = _checked_bin_duration(bin_duration)
         max_flows = _checked_max_flows(max_flows)
-        self.bin_duration = float(bin_duration)
         self.max_flows = max_flows
-        order = order_key if order_key is not None else (lambda code: code)
         self._open: _HashBin | _BoundedBin
         if max_flows is not None:
-            self._open = _BoundedBin(max_flows, order)
+            self._open = _BoundedBin(max_flows)
         else:
             self._open = _HashBin()
         self._current_bin = 0
@@ -433,7 +427,8 @@ class FlowAccountingEngine:
             non-decreasing within the chunk and not precede the open
             bin (chunks arrive in stream order).
         codes:
-            Integer flow-key code of every packet.
+            Flow group id of every packet, non-negative (a negative code
+            raises :class:`ValueError`).
         sizes_bytes:
             Packet sizes; defaults to the paper's constant
             ``DEFAULT_PACKET_SIZE_BYTES``.
@@ -643,50 +638,6 @@ class FlowAccountingEngine:
             return
         self._observe_checked(timestamps, codes, sizes_bytes, keep_masks)
 
-    def observe_batch(self, batch: PacketBatch, code_of_flow: np.ndarray) -> None:
-        """Account a :class:`PacketBatch` chunk through a flow-id -> code map.
-
-        Parameters
-        ----------
-        batch:
-            The packet chunk (timestamps sorted, flow ids referencing
-            an external flow table).
-        code_of_flow:
-            Key code of every flow id that can appear in the batch
-            (e.g. from :meth:`FlowKeyPolicy.keys_of_batch
-            <repro.flows.keys.FlowKeyPolicy.keys_of_batch>` over the
-            flow table's 5-tuple columns, or
-            :meth:`FlowLevelTrace.group_ids
-            <repro.traces.flow_trace.FlowLevelTrace.group_ids>`).
-        """
-        mapping = np.asarray(code_of_flow, dtype=np.int64)
-        if len(batch) and int(batch.flow_ids.max()) >= mapping.size:
-            raise ValueError("code_of_flow is too short for the flow ids present in the batch")
-        if len(batch) and isinstance(self._open, _HashBin):
-            # Trusted path: PacketBatch construction already validated
-            # sorted non-negative timestamps and positive sizes, so the
-            # fast path can run without revalidation or dtype copies.
-            # The mapping also bounds the whole code universe, so the
-            # accumulator can reserve its dense table once and skip the
-            # per-segment bounds scan, and a constant-size batch (the
-            # paper's fixed packet size) is detected here rather than
-            # per segment.
-            codes = mapping.take(batch.flow_ids)
-            in_bounds = bool(mapping.size) and self.reserve_codes(
-                int(mapping.min()), int(mapping.max())
-            )
-            sizes = batch.sizes_bytes
-            const_size = int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
-            self.observe_sorted_chunk(
-                batch.timestamps,
-                codes,
-                sizes,
-                in_bounds=in_bounds,
-                const_size=const_size,
-            )
-            return
-        self.observe_chunk(batch.timestamps, mapping[batch.flow_ids], batch.sizes_bytes)
-
     # ------------------------------------------------------------------
     def _close_open(self) -> None:
         if self._open.num_flows:
@@ -716,7 +667,7 @@ class FlowAccountingEngine:
         Returns
         -------
         int
-            The evicted flow's key code.
+            The evicted flow's code.
         """
         if not isinstance(self._open, _BoundedBin):
             raise ValueError("evict_smallest requires an engine with a max_flows bound")

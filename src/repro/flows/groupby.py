@@ -1,16 +1,17 @@
 """Group-by kernels for per-flow accumulation.
 
 The accounting engine reduces each measurement bin to per-flow
-``(packets, bytes, first_seen, last_seen)`` tuples keyed by ``int64``
-key codes.  This module holds the kernels that perform that reduction:
+``(packets, bytes, first_seen, last_seen)`` tuples keyed by
+non-negative ``int64`` key codes (flow group ids).  This module holds
+the kernels that perform that reduction:
 
 * :class:`HashAccumulator` — the unbounded engine's accumulator: an
   open-addressing ``int64`` hash table that accumulates all four
   statistics in one pass per segment, with no per-chunk sort and no
   sorted-union merge between chunks.  Codes drawn from a small
-  contiguous universe (the common case: interned five-tuple codes,
-  group ids) use *identity addressing* — the degenerate perfect hash —
-  while arbitrary codes fall back to Fibonacci hashing with linear
+  contiguous universe (the common case: the dense group ids of a
+  pipeline plan) use *identity addressing* — the degenerate perfect
+  hash — while sparse codes fall back to Fibonacci hashing with linear
   probing.  Given per-stream keep masks it also counts each sampled
   stream's packets per flow, in compact columns that share the table's
   code→slot map.
@@ -27,7 +28,8 @@ selections, none of which depend on accumulation order, and codes are
 emitted in ascending order.
 ``tests/test_groupby.py`` asserts the equivalence property-based
 against the sort-based oracle (``tests/oracles/groupby.py``), including
-adversarial codes that collide modulo the table size.
+adversarial codes that collide modulo the table size.  A negative code
+raises :class:`ValueError`, so no code can equal :data:`EMPTY_SLOT`.
 
 >>> import numpy as np
 >>> acc = HashAccumulator()
@@ -42,8 +44,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: Sentinel marking an unoccupied slot in a probing table.  A real key
-#: equal to the sentinel is tracked in a scalar side-car instead.
+#: Sentinel marking an unoccupied slot in a probing table.  Codes are
+#: non-negative, so none equals it.
 EMPTY_SLOT = np.int64(np.iinfo(np.int64).min)
 
 #: Fibonacci-hash multiplier (2^64 / phi, odd), the classic
@@ -174,9 +176,8 @@ class HashAccumulator:
     bin closes.  The table starts *dense* (identity addressing over the
     observed code span) whenever the span fits
     :data:`DENSE_SPAN_LIMIT`, and degrades to Fibonacci-hash linear
-    probing the moment the span outgrows it — so interned code
-    universes never probe at all while arbitrary ``int64`` codes stay
-    correct.
+    probing the moment the span outgrows it — so dense group ids never
+    probe at all while sparse codes stay correct.
 
     Per-stream sampled counts ride along when :meth:`ingest` is given
     ``keep_masks``: every flow the open bin sees gets the next free
@@ -184,13 +185,6 @@ class HashAccumulator:
     slot of the code span), packets reach their column through one
     gather per segment, and each stream adds one ``bincount`` of its
     kept packets.  :meth:`extract` returns the columns in code order.
-
-    Parameters
-    ----------
-    dense_bounds:
-        Optional ``(min_code, max_code)`` hint for the whole code
-        universe (e.g. from an interning encoder).  When the span fits
-        the dense limit the table is allocated once and never rebuilt.
     """
 
     __slots__ = (
@@ -206,7 +200,6 @@ class HashAccumulator:
         "_scratch",
         "_used",
         "_empty",
-        "_sentinel",
         "_minmax_primed",
         "_const_size",
         "_bytes_live",
@@ -216,7 +209,7 @@ class HashAccumulator:
         "_streams",
     )
 
-    def __init__(self, dense_bounds: tuple[int, int] | None = None) -> None:
+    def __init__(self) -> None:
         self._slots = 0
         self._used = 0
         self._dense = False
@@ -226,35 +219,25 @@ class HashAccumulator:
         self._const_size: int | None = None
         #: True once ``_bytes`` holds materialised per-slot byte sums.
         self._bytes_live = False
-        #: [packets, bytes, first, last] for a key equal to EMPTY_SLOT.
-        self._sentinel: list | None = None
         #: Sampled counts, one row per stream and one column per flow of
         #: the open bin (``_columns`` in use); ``_streams`` is the number
         #: of keep masks the bin was ingested with, ``None`` for none.
         self._columns = 0
         self._sampled: np.ndarray | None = None
         self._streams: int | None = None
-        if dense_bounds is not None:
-            low, high = int(dense_bounds[0]), int(dense_bounds[1])
-            span = high - low + 1
-            if 0 < span <= DENSE_SPAN_LIMIT:
-                self._allocate(True, low, _next_pow2(span))
 
     # ------------------------------------------------------------------
     @property
     def num_flows(self) -> int:
         """Number of distinct codes accumulated so far."""
         if self._slots and self._dense:
-            used = int(np.count_nonzero(self._packets))
-        else:
-            used = self._used
-        return used + (1 if self._sentinel is not None else 0)
+            return int(np.count_nonzero(self._packets))
+        return self._used
 
     def clear(self) -> None:
         """Reset all statistics, keeping the table layout for reuse."""
         self._used = 0
         self._empty = True
-        self._sentinel = None
         self._minmax_primed = False
         self._const_size = None
         self._bytes_live = False
@@ -273,10 +256,13 @@ class HashAccumulator:
         Returns ``True`` when the table is identity-addressed and covers
         ``[low, high]`` afterwards — the caller may then pass
         ``in_bounds=True`` to :meth:`ingest` for codes drawn from that
-        range, skipping the per-segment bounds scan entirely.
+        range, skipping the per-segment bounds scan entirely.  A
+        negative ``low`` raises :class:`ValueError`.
         """
         low = int(low)
         high = int(high)
+        if low < 0:
+            raise ValueError(f"key codes must be non-negative group ids, got {low}")
         self._ensure_capacity(low, high, 0)
         return bool(
             self._dense and low >= self._base and high < self._base + self._slots
@@ -410,9 +396,8 @@ class HashAccumulator:
             instead.  Both produce the same statistics.
         in_bounds:
             Caller guarantee that every code lies inside the dense range
-            last confirmed by :meth:`reserve_dense` (which also rules
-            out :data:`EMPTY_SLOT`), letting ingest skip its own bounds
-            scan.  Ignored unless the table is dense.
+            last confirmed by :meth:`reserve_dense`, letting ingest skip
+            its own bounds scan.  Ignored unless the table is dense.
         const_size:
             Caller guarantee that every entry of ``sizes`` equals this
             value; ``None`` means unknown and ingest checks itself.
@@ -423,9 +408,11 @@ class HashAccumulator:
             segment of one bin must carry masks for the same number of
             streams, or none.
 
-        Out-of-range codes smuggled past ``in_bounds`` fail loudly: the
-        slot bincount rejects negative slots and over-long counts break
-        the accumulate shapes — statistics are never silently wrong.
+        The bounds scan raises :class:`ValueError` on a negative code.
+        Out-of-range codes smuggled past ``in_bounds`` fail loudly too:
+        the slot bincount rejects negative slots and over-long counts
+        break the accumulate shapes — statistics are never silently
+        wrong.
         """
         if codes.size == 0:
             return
@@ -437,15 +424,9 @@ class HashAccumulator:
         dense = self._slots != 0 and self._dense
         if not (in_bounds and dense):
             low = int(codes.min())
+            if low < 0:
+                raise ValueError(f"key codes must be non-negative group ids, got {low}")
             high = int(codes.max())
-            if low == int(EMPTY_SLOT):
-                if keep_masks is not None:
-                    raise ValueError("keep masks cannot accompany the EMPTY_SLOT code")
-                timestamps, codes, sizes, low = self._ingest_sentinel(
-                    timestamps, codes, sizes
-                )
-                if codes.size == 0:
-                    return
             self._ensure_capacity(low, high, codes.size)
             dense = self._dense
         if dense:
@@ -531,23 +512,6 @@ class HashAccumulator:
             kept = column_of_packet.take(np.flatnonzero(mask))
             sampled[row, :columns] += np.bincount(kept, minlength=columns)
 
-    def _ingest_sentinel(
-        self, timestamps: np.ndarray, codes: np.ndarray, sizes: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Split off packets whose code equals the table sentinel."""
-        hit = codes == EMPTY_SLOT
-        record = self._sentinel
-        if record is None:
-            record = self._sentinel = [0, 0, np.inf, -np.inf]
-        record[0] += int(np.count_nonzero(hit))
-        record[1] += int(sizes[hit].sum())
-        record[2] = min(record[2], float(timestamps[hit].min()))
-        record[3] = max(record[3], float(timestamps[hit].max()))
-        keep = ~hit
-        codes = codes[keep]
-        low = int(codes.min()) if codes.size else 0
-        return timestamps[keep], codes, sizes[keep], low
-
     # ------------------------------------------------------------------
     def extract(
         self,
@@ -584,13 +548,6 @@ class HashAccumulator:
             # take() keeps each stream's row contiguous for scoring;
             # indexing with [:, positions] strides rows by the stream count.
             sampled = self._sampled[:, : self._columns].take(self._column[selected], axis=1)
-        if self._sentinel is not None:
-            record = self._sentinel
-            codes = np.concatenate(([EMPTY_SLOT], codes))
-            packets = np.concatenate(([record[0]], packets))
-            byte_sums = np.concatenate(([record[1]], byte_sums))
-            first = np.concatenate(([record[2]], first))
-            last = np.concatenate(([record[3]], last))
         return codes, packets, byte_sums, first, last, sampled
 
 

@@ -1,4 +1,4 @@
-"""Flow keys and flow definitions.
+"""Flow definitions: which flow records of a trace form one flow.
 
 The paper studies two flow definitions (Section 6):
 
@@ -7,33 +7,26 @@ The paper studies two flow definitions (Section 6):
 * the **/24 destination prefix**, which aggregates all packets sent
   towards the same /24 subnet.
 
-This module provides an immutable :class:`FiveTuple` key, prefix
-aggregation helpers, and :class:`FlowKeyPolicy` objects that map a
-packet (or a 5-tuple) to the flow identifier used for classification.
-IPv4 addresses are carried as unsigned 32-bit integers internally, with
-helpers to convert from and to dotted-quad notation.
-
-Two views of a flow key coexist:
-
-* the **object view** (``key_of``) — a hashable Python object
-  (:class:`FiveTuple` or an integer prefix), used by the per-packet
-  classification API;
-* the **columnar view** (``keys_of_batch`` / :class:`FlowKeyEncoder`) —
-  an ``int64`` *key code* per packet, produced vectorised from the
-  5-tuple columns.  The columnar flow-accounting engine
-  (:mod:`repro.flows.accounting`) works entirely on key codes; an
-  encoder can decode a code back to the object-view key, and exposes a
-  total order over codes (:meth:`FlowKeyEncoder.order_key`) that matches
-  :func:`flow_key_order` on the decoded keys, so both paths rank and
-  evict flows identically.
+A definition is a :class:`FlowKeyPolicy`, and its one method,
+:meth:`~FlowKeyPolicy.group_ids`, maps every flow record of a
+:class:`~repro.traces.flow_trace.FlowLevelTrace` to a non-negative
+``int64`` *group id*: records with equal ids are one flow.  Group ids
+are the only flow identity the accounting engine
+(:mod:`repro.flows.accounting`) sees, and their numeric order is the
+final ranking and eviction tie-break.  IPv4 addresses are carried as
+unsigned 32-bit integers, with helpers to convert from and to
+dotted-quad notation.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from ..traces.flow_trace import FlowLevelTrace
 
 #: Protocol numbers for the transports that dominate backbone traffic.
 PROTO_TCP = 6
@@ -41,7 +34,6 @@ PROTO_UDP = 17
 PROTO_ICMP = 1
 
 _MAX_IPV4 = 0xFFFFFFFF
-_MAX_PORT = 0xFFFF
 
 
 def ip_to_int(address: str) -> int:
@@ -73,377 +65,45 @@ def int_to_ip(value: int) -> str:
     return ".".join(str((value >> shift) & 0xFF) for shift in (24, 16, 8, 0))
 
 
-def prefix_of(address: int, prefix_length: int = 24) -> int:
-    """Return the network prefix of an address as an integer.
-
-    >>> int_to_ip(prefix_of(ip_to_int("192.168.17.33"), 24))
-    '192.168.17.0'
-    """
-    if not 0 <= prefix_length <= 32:
-        raise ValueError(f"prefix_length must be in [0, 32], got {prefix_length}")
-    if not 0 <= address <= _MAX_IPV4:
-        raise ValueError(f"address out of IPv4 range: {address}")
-    if prefix_length == 0:
-        return 0
-    mask = (_MAX_IPV4 << (32 - prefix_length)) & _MAX_IPV4
-    return address & mask
-
-
-@dataclass(frozen=True, slots=True)
-class FiveTuple:
-    """The classic 5-tuple flow identifier.
-
-    Addresses are unsigned 32-bit integers (see :func:`ip_to_int`);
-    ports are 16-bit integers; ``protocol`` is the IP protocol number.
-    """
-
-    src_ip: int
-    dst_ip: int
-    src_port: int
-    dst_port: int
-    protocol: int = PROTO_TCP
-
-    def __post_init__(self) -> None:
-        for name, value, maximum in (
-            ("src_ip", self.src_ip, _MAX_IPV4),
-            ("dst_ip", self.dst_ip, _MAX_IPV4),
-            ("src_port", self.src_port, _MAX_PORT),
-            ("dst_port", self.dst_port, _MAX_PORT),
-            ("protocol", self.protocol, 255),
-        ):
-            if not 0 <= value <= maximum:
-                raise ValueError(f"{name} out of range: {value}")
-
-    @classmethod
-    def from_strings(
-        cls,
-        src_ip: str,
-        dst_ip: str,
-        src_port: int,
-        dst_port: int,
-        protocol: int = PROTO_TCP,
-    ) -> "FiveTuple":
-        """Build a 5-tuple from dotted-quad addresses."""
-        return cls(ip_to_int(src_ip), ip_to_int(dst_ip), src_port, dst_port, protocol)
-
-    def destination_prefix(self, prefix_length: int = 24) -> int:
-        """The destination prefix this flow aggregates into."""
-        return prefix_of(self.dst_ip, prefix_length)
-
-    def reversed(self) -> "FiveTuple":
-        """The 5-tuple of the reverse direction (useful for bidirectional flows)."""
-        return FiveTuple(
-            src_ip=self.dst_ip,
-            dst_ip=self.src_ip,
-            src_port=self.dst_port,
-            dst_port=self.src_port,
-            protocol=self.protocol,
-        )
-
-    def __str__(self) -> str:
-        return (
-            f"{int_to_ip(self.src_ip)}:{self.src_port} -> "
-            f"{int_to_ip(self.dst_ip)}:{self.dst_port} proto={self.protocol}"
-        )
-
-
-def flow_key_order(key: object) -> tuple[object, ...]:
-    """Total order over flow keys, used as the final ranking/eviction tie-break.
-
-    Flows with identical packet and byte counts are ordered by this
-    value wherever a ranking is produced, so rankings never depend on
-    dict insertion order.  :class:`FiveTuple` keys order by their field
-    tuple, integer keys (prefixes, group ids) by value; any other key
-    type falls back to its ``repr``, which is deterministic for a fixed
-    key population.
-
-    >>> flow_key_order(7)
-    7
-    >>> flow_key_order(FiveTuple(1, 2, 3, 4, 6))
-    (1, 2, 3, 4, 6)
-    """
-    if isinstance(key, FiveTuple):
-        return (key.src_ip, key.dst_ip, key.src_port, key.dst_port, key.protocol)
-    if isinstance(key, (int, np.integer)):
-        return int(key)
-    return repr(key)
-
-
-class FlowKeyEncoder(abc.ABC):
-    """Stateful codec between flow keys and ``int64`` key codes.
-
-    An encoder assigns every distinct flow key a non-negative ``int64``
-    *code* and can map codes back to the object-view key.  Codes are
-    stable for the lifetime of one encoder instance, which is what lets
-    a chunked (streaming) consumer accumulate per-flow state across
-    chunks; two encoder instances may assign different codes to the
-    same key.
-    """
-
-    @abc.abstractmethod
-    def encode_batch(
-        self,
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        src_ports: np.ndarray,
-        dst_ports: np.ndarray,
-        protocols: np.ndarray,
-    ) -> np.ndarray:
-        """Key code of every 5-tuple row (vectorised)."""
-
-    @abc.abstractmethod
-    def encode_key(self, key: object) -> int:
-        """Code of one object-view key (as produced by ``key_of``)."""
-
-    @abc.abstractmethod
-    def decode(self, code: int) -> object:
-        """Object-view key of one code previously produced by this encoder."""
-
-    def order_key(self, code: int) -> object:
-        """Comparable value ordering codes like :func:`flow_key_order` orders keys."""
-        return code
-
-
-class FiveTupleKeyEncoder(FlowKeyEncoder):
-    """Interning encoder for 5-tuple keys.
-
-    A 5-tuple is packed into two integers — ``hi = src_ip << 32 |
-    dst_ip`` and ``lo = src_port << 24 | dst_port << 8 | protocol`` —
-    and each distinct packed pair is interned to the next free code the
-    first time the encoder meets it.  ``encode_batch`` finds the
-    distinct rows of a whole column batch with one ``np.unique`` over
-    the packed pairs and interns only those (in the sorted order
-    ``np.unique`` yields), so the per-packet work is pure NumPy.  Code
-    values are arbitrary but stable per encoder; only
-    :meth:`order_key` defines an ordering over them.
-    """
-
-    def __init__(self) -> None:
-        self._code_of: dict[tuple[int, int], int] = {}
-        self._hi: list[int] = []
-        self._lo: list[int] = []
-
-    @staticmethod
-    def _pack_arrays(
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        src_ports: np.ndarray,
-        dst_ports: np.ndarray,
-        protocols: np.ndarray,
-    ) -> np.ndarray:
-        packed = np.empty(len(src_ips), dtype=[("hi", np.uint64), ("lo", np.int64)])
-        packed["hi"] = (np.asarray(src_ips, dtype=np.uint64) << np.uint64(32)) | np.asarray(
-            dst_ips, dtype=np.uint64
-        )
-        packed["lo"] = (
-            (np.asarray(src_ports, dtype=np.int64) << 24)
-            | (np.asarray(dst_ports, dtype=np.int64) << 8)
-            | np.asarray(protocols, dtype=np.int64)
-        )
-        return packed
-
-    def _intern(self, hi: int, lo: int) -> int:
-        code = self._code_of.get((hi, lo))
-        if code is None:
-            code = len(self._hi)
-            self._code_of[(hi, lo)] = code
-            self._hi.append(hi)
-            self._lo.append(lo)
-        return code
-
-    def encode_batch(
-        self,
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        src_ports: np.ndarray,
-        dst_ports: np.ndarray,
-        protocols: np.ndarray,
-    ) -> np.ndarray:
-        packed = self._pack_arrays(src_ips, dst_ips, src_ports, dst_ports, protocols)
-        if packed.size == 0:
-            return np.empty(0, dtype=np.int64)
-        unique, inverse = np.unique(packed, return_inverse=True)
-        codes_of_unique = np.fromiter(
-            (self._intern(int(row["hi"]), int(row["lo"])) for row in unique),
-            dtype=np.int64,
-            count=unique.size,
-        )
-        return codes_of_unique[inverse.reshape(-1)]
-
-    def encode_key(self, key: FiveTuple) -> int:
-        hi = (key.src_ip << 32) | key.dst_ip
-        lo = (key.src_port << 24) | (key.dst_port << 8) | key.protocol
-        return self._intern(hi, lo)
-
-    def decode(self, code: int) -> FiveTuple:
-        hi, lo = self._hi[code], self._lo[code]
-        return FiveTuple(
-            src_ip=hi >> 32,
-            dst_ip=hi & _MAX_IPV4,
-            src_port=lo >> 24,
-            dst_port=(lo >> 8) & _MAX_PORT,
-            protocol=lo & 0xFF,
-        )
-
-    def order_key(self, code: int) -> tuple[int, int]:
-        # (hi, lo) orders exactly like flow_key_order on the decoded tuple.
-        return (self._hi[code], self._lo[code])
-
-
-class DestinationPrefixKeyEncoder(FlowKeyEncoder):
-    """Stateless encoder for destination-prefix keys: code = masked prefix.
-
-    The code is the prefix shifted down to its significant bits, so the
-    code order equals the numeric order of the prefix keys and no
-    interning state is needed.
-    """
-
-    def __init__(self, prefix_length: int = 24) -> None:
-        if not 0 <= prefix_length <= 32:
-            raise ValueError(f"prefix_length must be in [0, 32], got {prefix_length}")
-        self.prefix_length = int(prefix_length)
-        self._shift = 32 - self.prefix_length
-
-    def encode_batch(
-        self,
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        src_ports: np.ndarray,
-        dst_ports: np.ndarray,
-        protocols: np.ndarray,
-    ) -> np.ndarray:
-        dst = np.asarray(dst_ips, dtype=np.int64)
-        if self._shift >= 32:
-            return np.zeros(dst.shape, dtype=np.int64)
-        return dst >> self._shift
-
-    def encode_key(self, key: int) -> int:
-        if self._shift >= 32:
-            return 0
-        return int(key) >> self._shift
-
-    def decode(self, code: int) -> int:
-        if self._shift >= 32:
-            return 0
-        return int(code) << self._shift
-
-
-class ObjectKeyEncoder(FlowKeyEncoder):
-    """Generic interning encoder for custom :class:`FlowKeyPolicy` types.
-
-    Falls back to calling ``key_of`` row by row, so it is only as fast
-    as the object path — it exists so that third-party policies work
-    with the columnar engine unchanged.  Keys must be hashable.
-    """
-
-    def __init__(self, policy: "FlowKeyPolicy") -> None:
-        self._policy = policy
-        self._code_of: dict[object, int] = {}
-        self._keys: list[object] = []
-
-    def encode_batch(
-        self,
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        src_ports: np.ndarray,
-        dst_ports: np.ndarray,
-        protocols: np.ndarray,
-    ) -> np.ndarray:
-        codes = np.empty(len(src_ips), dtype=np.int64)
-        for row in range(len(src_ips)):
-            five_tuple = FiveTuple(
-                src_ip=int(src_ips[row]),
-                dst_ip=int(dst_ips[row]),
-                src_port=int(src_ports[row]),
-                dst_port=int(dst_ports[row]),
-                protocol=int(protocols[row]),
-            )
-            codes[row] = self.encode_key(self._policy.key_of(five_tuple))
-        return codes
-
-    def encode_key(self, key: object) -> int:
-        code = self._code_of.get(key)
-        if code is None:
-            code = len(self._keys)
-            self._code_of[key] = code
-            self._keys.append(key)
-        return code
-
-    def decode(self, code: int) -> object:
-        return self._keys[code]
-
-    def order_key(self, code: int) -> object:
-        return flow_key_order(self._keys[code])
-
-
 class FlowKeyPolicy(abc.ABC):
-    """Maps a 5-tuple to the flow identifier used for classification."""
+    """A flow definition: maps the flow records of a trace to flow groups."""
 
     #: Human-readable name used in reports and experiment tables.
     name: str = "abstract"
 
     @abc.abstractmethod
-    def key_of(self, five_tuple: FiveTuple) -> object:
-        """Flow identifier of a packet carrying this 5-tuple."""
+    def group_ids(self, trace: FlowLevelTrace) -> np.ndarray:
+        """The flow group of every flow record of ``trace``.
 
-    def make_encoder(self) -> FlowKeyEncoder:
-        """A fresh key-code encoder for this policy (see :class:`FlowKeyEncoder`).
-
-        The base implementation returns a generic
-        :class:`ObjectKeyEncoder`; the built-in policies override it
-        with fully vectorised codecs.
+        Returns a 1-D ``int64`` array with one non-negative id per flow
+        record; records with equal ids form one flow.  The ids' numeric
+        order breaks ranking and eviction ties.
         """
-        return ObjectKeyEncoder(self)
-
-    def keys_of_batch(
-        self,
-        src_ips: np.ndarray,
-        dst_ips: np.ndarray,
-        src_ports: np.ndarray,
-        dst_ports: np.ndarray,
-        protocols: np.ndarray,
-        encoder: FlowKeyEncoder | None = None,
-    ) -> np.ndarray:
-        """Vectorised flow-key extraction: one ``int64`` key code per row.
-
-        Parameters
-        ----------
-        src_ips, dst_ips, src_ports, dst_ports, protocols:
-            Columnar 5-tuple fields (one entry per packet or per flow).
-        encoder:
-            The encoder assigning the codes.  Pass the same encoder for
-            every chunk of a stream so codes stay stable across chunks;
-            when omitted a fresh :meth:`make_encoder` is used, making
-            the returned codes meaningful only within this one call.
-
-        Returns
-        -------
-        numpy.ndarray
-            ``int64`` key codes; rows with equal flow keys under this
-            policy receive equal codes.
-        """
-        if encoder is None:
-            encoder = self.make_encoder()
-        return encoder.encode_batch(src_ips, dst_ips, src_ports, dst_ports, protocols)
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}()"
 
 
 class FiveTupleKeyPolicy(FlowKeyPolicy):
-    """Each distinct 5-tuple is its own flow (the paper's first definition)."""
+    """Each flow record is its own flow (the paper's 5-tuple definition).
+
+    The group id of a record is its index in the trace.  The synthetic
+    traces give every record its own 5-tuple, so this is the 5-tuple
+    definition; records that share a 5-tuple stay separate flows.
+    """
 
     name = "5-tuple"
 
-    def key_of(self, five_tuple: FiveTuple) -> FiveTuple:
-        return five_tuple
-
-    def make_encoder(self) -> FiveTupleKeyEncoder:
-        return FiveTupleKeyEncoder()
+    def group_ids(self, trace: FlowLevelTrace) -> np.ndarray:
+        return np.arange(trace.num_flows, dtype=np.int64)
 
 
 class DestinationPrefixKeyPolicy(FlowKeyPolicy):
-    """Flows are aggregated by destination prefix (the paper's /24 definition)."""
+    """Flows are aggregated by destination prefix (the paper's /24 definition).
+
+    The group id is the destination address shifted down to its
+    ``prefix_length`` significant bits, so ids order like the prefixes.
+    """
 
     def __init__(self, prefix_length: int = 24) -> None:
         if not 0 <= prefix_length <= 32:
@@ -451,29 +111,23 @@ class DestinationPrefixKeyPolicy(FlowKeyPolicy):
         self.prefix_length = int(prefix_length)
         self.name = f"/{self.prefix_length} destination prefix"
 
-    def key_of(self, five_tuple: FiveTuple) -> int:
-        return prefix_of(five_tuple.dst_ip, self.prefix_length)
-
-    def make_encoder(self) -> DestinationPrefixKeyEncoder:
-        return DestinationPrefixKeyEncoder(self.prefix_length)
+    def group_ids(self, trace: FlowLevelTrace) -> np.ndarray:
+        shift = 32 - self.prefix_length
+        if shift == 32:
+            # A 32-bit shift of a uint32 is undefined: /0 is one group.
+            return np.zeros(trace.num_flows, dtype=np.int64)
+        return (trace.dst_ips >> np.uint32(shift)).astype(np.int64)
 
     def __repr__(self) -> str:
         return f"DestinationPrefixKeyPolicy(prefix_length={self.prefix_length})"
 
 
 __all__ = [
-    "FiveTuple",
     "FlowKeyPolicy",
     "FiveTupleKeyPolicy",
     "DestinationPrefixKeyPolicy",
-    "FlowKeyEncoder",
-    "FiveTupleKeyEncoder",
-    "DestinationPrefixKeyEncoder",
-    "ObjectKeyEncoder",
-    "flow_key_order",
     "ip_to_int",
     "int_to_ip",
-    "prefix_of",
     "PROTO_TCP",
     "PROTO_UDP",
     "PROTO_ICMP",

@@ -64,7 +64,12 @@ import numpy as np
 
 from .. import telemetry
 from ..core.metrics import SwappedPairCounts, _checked_top_t, swapped_pair_counts
-from ..flows.accounting import BinAccount, FlowAccountingEngine, _checked_max_flows
+from ..flows.accounting import (
+    BinAccount,
+    FlowAccountingEngine,
+    _checked_bin_duration,
+    _checked_max_flows,
+)
 from ..flows.packets import PacketBatch
 from ..sampling.base import PacketSampler
 from .result import MetricSeries
@@ -129,7 +134,7 @@ def run_stream(
         One sampler instance per independent stream (a (sampler spec,
         run) pair); each keeps its own state across chunks.
     bin_duration:
-        Measurement interval length in seconds.
+        Measurement interval length in seconds, positive and finite.
     top_t:
         Number of top flows to rank/detect, an integer of at least 1 (a
         bin with fewer flows ranks all of them).
@@ -150,15 +155,14 @@ def run_stream(
         When ``top_t`` or ``max_flows`` is not an integer (checked
         before any chunk is read).
     ValueError
-        When ``bin_duration`` is not positive, ``top_t < 1`` or
-        ``max_flows < 1`` (checked before any chunk is read), or on
+        When ``bin_duration`` is not positive and finite, ``top_t < 1``
+        or ``max_flows < 1`` (checked before any chunk is read), or on
         malformed chunks.
     OverflowError
         When a timestamp's bin index does not fit ``int64`` (a
         ``bin_duration`` far too small for the trace).
     """
-    if bin_duration <= 0:
-        raise ValueError("bin_duration must be positive")
+    bin_duration = _checked_bin_duration(bin_duration)
     top_t = _checked_top_t(top_t)
     max_flows = _checked_max_flows(max_flows)
     groups = np.asarray(group_of_flow, dtype=np.int64)

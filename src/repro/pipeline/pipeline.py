@@ -64,7 +64,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import telemetry
-from ..flows.accounting import _checked_max_flows
+from ..flows.accounting import _checked_bin_duration, _checked_max_flows
 from ..flows.keys import FlowKeyPolicy
 from ..registry import KEY_POLICIES, SAMPLERS, TRACES, accepts_rng, parse_spec
 from ..sampling.base import PacketSampler
@@ -355,14 +355,15 @@ class Pipeline:
         Parameters
         ----------
         seconds:
-            Bin duration in seconds (must be positive).
+            Bin duration in seconds, positive and finite (anything else
+            raises :class:`ValueError`).
 
         Returns
         -------
         Pipeline
             ``self``, for chaining.
         """
-        self._bin_duration = float(seconds)
+        self._bin_duration = _checked_bin_duration(seconds)
         return self
 
     def with_top(self, top_t: int) -> "Pipeline":
@@ -388,15 +389,17 @@ class Pipeline:
         Parameters
         ----------
         num_runs:
-            Runs per sampler; each run gets its own seed child and is an
-            independently dispatchable cell of the execution plan.
+            Runs per sampler, an integer (a non-integer raises
+            :class:`TypeError`) of at least 1; each run gets its own
+            seed child and is an independently dispatchable cell of the
+            execution plan.
 
         Returns
         -------
         Pipeline
             ``self``, for chaining.
         """
-        self._num_runs = int(num_runs)
+        self._num_runs = operator.index(num_runs)
         return self
 
     def with_seed(self, seed: int | None) -> "Pipeline":
@@ -442,17 +445,19 @@ class Pipeline:
         Parameters
         ----------
         chunk_packets:
-            Target packets per chunk (peak memory scales with this, the
-            results do not).
+            Target packets per chunk, an integer (a non-integer raises
+            :class:`TypeError`) of at least 1; peak memory scales with
+            it, the results do not.
 
         Returns
         -------
         Pipeline
             ``self``, for chaining.
         """
+        chunk_packets = operator.index(chunk_packets)
         if chunk_packets < 1:
             raise ValueError("chunk_packets must be positive")
-        self._chunk_packets = int(chunk_packets)
+        self._chunk_packets = chunk_packets
         return self
 
     def materialised(self) -> "Pipeline":
@@ -588,8 +593,6 @@ class Pipeline:
             )
         if not self._samplers:
             raise ValueError("no sampler configured; call with_sampler(...)")
-        if self._bin_duration <= 0:
-            raise ValueError("bin_duration must be positive")
         if self._top_t < 1:
             raise ValueError("top_t must be at least 1")
         if self._num_runs < 1:

@@ -81,7 +81,7 @@ import numpy as np
 
 from . import __version__, telemetry
 from .core.metrics import _checked_top_t
-from .flows.accounting import _checked_max_flows
+from .flows.accounting import _checked_bin_duration, _checked_max_flows
 from .pipeline.pipeline import Pipeline, _run_pipelines
 from .pipeline.result import PipelineResult
 from .spec import canonical_spec
@@ -114,7 +114,9 @@ class RunSpec:
     ``num_runs`` at least 1, and ``max_flows``, when given, an integer
     of at least 1: a non-integer (``2.5``, or a float such as ``2.0``)
     raises :class:`TypeError` rather than keying a run under the integer
-    it would be rounded to.
+    it would be rounded to.  ``bin_duration`` must be positive and
+    finite (:class:`ValueError` otherwise), so no key names a run that
+    cannot execute.
     """
 
     samplers: tuple[str, ...]
@@ -155,6 +157,7 @@ class RunSpec:
         object.__setattr__(self, "num_runs", num_runs)
         object.__setattr__(self, "seed", seed)
         object.__setattr__(self, "max_flows", _checked_max_flows(self.max_flows))
+        object.__setattr__(self, "bin_duration", _checked_bin_duration(self.bin_duration))
 
     # ------------------------------------------------------------------
     def canonical(self) -> "RunSpec":

@@ -58,7 +58,7 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 from . import telemetry
-from .flows.accounting import _checked_max_flows
+from .flows.accounting import _checked_bin_duration, _checked_max_flows
 from .pipeline.parallel import probe_process_spawn
 from .spec import format_spec, parse_spec
 from .store import Lease, RunSpec, RunStore, StoredRun, _atomic_write_text, _execute_specs
@@ -91,7 +91,8 @@ class SweepGrid:
     The remaining fields (``key``, ``bin_duration``, ``top_t``,
     ``num_runs``, ``monitor``, ``max_flows``) are fixed across the grid
     and map straight onto :class:`~repro.store.RunSpec`; ``max_flows``,
-    when given, must be an integer of at least 1.
+    when given, must be an integer of at least 1, and ``bin_duration``
+    positive and finite.
     """
 
     scenarios: tuple[str, ...] = ()
@@ -119,6 +120,7 @@ class SweepGrid:
         if not self.seeds:
             raise ValueError("a sweep grid needs at least one seed")
         _checked_max_flows(self.max_flows)
+        _checked_bin_duration(self.bin_duration)
 
     # ------------------------------------------------------------------
     @property

@@ -8,13 +8,13 @@ packets accounted, cache hits, lease renewals, per-stage time — without
 ever influencing what it computes:
 
 * **Counters** (:func:`count`) accumulate monotonically increasing
-  totals (``"executor.packets"``, ``"store.get.hit"``).
+  totals (``"stream.packets"``, ``"store.get.hit"``).
 * **Gauges** (:func:`gauge`) record a last-known value
-  (``"source.buffer_capacity"``, ``"source.assembly_backend"``).
+  (``"source.buffer_capacity"``, ``"parallel.backend"``).
 * **Histograms** (:func:`observe`) bucket observations by power-of-two
   magnitude so merging is a plain bucket-count sum.
 * **Spans** (:func:`span`) time named stages
-  (``span("source.assemble")``, ``span("flows.groupby")``) as context
+  (``span("stream.account")``, ``span("stream.score")``) as context
   managers that record on exit even when the body raises.
 
 Zero-overhead off-switch
@@ -23,7 +23,7 @@ The module-level :data:`enabled` flag is the *only* state hot paths
 consult; instrumented loops guard with a single attribute check::
 
     if telemetry.enabled:
-        telemetry.count("executor.chunks")
+        telemetry.count("stream.chunks")
 
 and :func:`span` returns a shared no-op context manager while disabled,
 so the disabled cost is one boolean attribute read per chunk — gated

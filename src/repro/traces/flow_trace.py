@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..flows.keys import DestinationPrefixKeyPolicy, FiveTuple, FiveTupleKeyPolicy, FlowKeyPolicy
+from ..flows.keys import FlowKeyPolicy
 
 
 @dataclass
@@ -108,34 +108,15 @@ class FlowLevelTrace:
         return self.num_flows / span
 
     # ------------------------------------------------------------------
-    def five_tuple(self, flow_index: int) -> FiveTuple:
-        """The 5-tuple of one flow, as a :class:`~repro.flows.keys.FiveTuple` object."""
-        return FiveTuple(
-            src_ip=int(self.src_ips[flow_index]),
-            dst_ip=int(self.dst_ips[flow_index]),
-            src_port=int(self.src_ports[flow_index]),
-            dst_port=int(self.dst_ports[flow_index]),
-            protocol=int(self.protocols[flow_index]),
-        )
-
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
         """Map every flow to an integer group id under a flow definition.
 
-        With the 5-tuple policy each trace flow is its own group; with a
+        Delegates to :meth:`FlowKeyPolicy.group_ids
+        <repro.flows.keys.FlowKeyPolicy.group_ids>`: with the 5-tuple
+        policy each trace flow is its own group; with a
         destination-prefix policy flows sharing the prefix share a group.
-        Group ids are arbitrary integers, suitable for ``np.unique``.
         """
-        if isinstance(key_policy, FiveTupleKeyPolicy):
-            return np.arange(self.num_flows, dtype=np.int64)
-        if isinstance(key_policy, DestinationPrefixKeyPolicy):
-            shift = 32 - key_policy.prefix_length
-            if shift >= 32:
-                return np.zeros(self.num_flows, dtype=np.int64)
-            return (self.dst_ips >> np.uint32(shift)).astype(np.int64)
-        # Generic fallback: hash the per-flow key objects.
-        keys = [key_policy.key_of(self.five_tuple(i)) for i in range(self.num_flows)]
-        _, inverse = np.unique(np.array([hash(k) for k in keys], dtype=np.int64), return_inverse=True)
-        return inverse.astype(np.int64)
+        return key_policy.group_ids(self)
 
     def select(self, mask: np.ndarray) -> "FlowLevelTrace":
         """Return a sub-trace containing only the flows where ``mask`` is True."""

@@ -4,10 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.keys import FiveTuple
 
 from repro.core.flow_size_model import FlowPopulation
 from repro.distributions import DiscreteFlowSizes, ParetoFlowSizes
-from repro.flows.keys import FiveTuple
 from repro.pipeline import parallel
 from repro.traces.synthetic import SyntheticTraceGenerator, sprint_like_config
 

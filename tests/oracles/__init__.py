@@ -15,6 +15,10 @@ speed-ratio gates.
   binned flow table over ``Packet`` records, with the packet and
   flow-record types they observe and report in (the library accounts
   columnar chunks);
+* :mod:`oracles.keys` — the object view of a flow key: ``FiveTuple``,
+  its destination prefix and their order, which the per-packet monitor
+  classifies by (the library knows a flow only by the group id its key
+  policy gives the flow's record);
 * :mod:`oracles.stream` — the stream fold with a per-chunk ``np.unique``
   over ``bin x group`` codes and sorted-union bin merges, scoring each
   stream with the loop oracle below (the library counts every stream in

@@ -11,8 +11,6 @@ engine level: same bins, same per-flow statistics, same evictions.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-
 import numpy as np
 
 from repro.flows.accounting import BinAccount, FlowAccountingEngine
@@ -87,18 +85,13 @@ class SortBin:
         )
 
 
-def sort_engine(
-    bin_duration: float,
-    *,
-    max_flows: int | None = None,
-    order_key: Callable[[int], object] | None = None,
-) -> FlowAccountingEngine:
+def sort_engine(bin_duration: float, *, max_flows: int | None = None) -> FlowAccountingEngine:
     """An accounting engine whose unbounded bins accumulate through :class:`SortBin`.
 
     Bounded engines are returned unchanged: their eviction replay has a
     single implementation, which the hash accumulator never touches.
     """
-    engine = FlowAccountingEngine(bin_duration, max_flows=max_flows, order_key=order_key)
+    engine = FlowAccountingEngine(bin_duration, max_flows=max_flows)
     if max_flows is None:
         engine._open = SortBin()
     return engine

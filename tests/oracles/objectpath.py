@@ -6,9 +6,11 @@ evicts through a lazy min-heap; :class:`ObjectFlowTable` bins a
 :class:`FlowBin` reports ranked by :func:`ranking_sort_key`.
 This is the object-level monitor the columnar
 :class:`~repro.flows.accounting.FlowAccountingEngine` must match bit
-for bit: same bins, rankings and eviction counts.  :func:`flow_bins`
-turns the engine's closed bins into the same reports for the
-comparison.
+for bit: same bins, rankings and eviction counts.  Packets carry
+:class:`~oracles.keys.FiveTuple` objects, classified by
+:func:`~oracles.keys.key_of`; :func:`flow_bins` turns the engine's
+closed bins into the same reports for the comparison, naming each group
+id by its key (:func:`~oracles.keys.keys_by_code`).
 
 The oracle shares no eviction code with the library: its heap takes a
 fresh entry on every record update and is rebuilt from the live records
@@ -19,19 +21,15 @@ the library keeps exactly one entry per tracked flow.
 from __future__ import annotations
 
 import heapq
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass, field
 from itertools import count
 
+from oracles.keys import FiveTuple, flow_key_order, key_of
+
 from repro.flows.accounting import BinAccount
 from repro.flows.groupby import aggregate_codes
-from repro.flows.keys import (
-    FiveTuple,
-    FiveTupleKeyPolicy,
-    FlowKeyEncoder,
-    FlowKeyPolicy,
-    flow_key_order,
-)
+from repro.flows.keys import FiveTupleKeyPolicy, FlowKeyPolicy
 from repro.flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 
 #: Rebuild the lazy eviction heap when it holds more than
@@ -148,7 +146,7 @@ class FlowSummary:
 
 def ranking_sort_key(flow: FlowSummary) -> tuple[object, ...]:
     """The oracle's ranking order: decreasing packets, then decreasing
-    bytes, then :func:`~repro.flows.keys.flow_key_order` of the key, so
+    bytes, then :func:`~oracles.keys.flow_key_order` of the key, so
     a bin's order never depends on dict insertion order."""
     return (-flow.packets, -flow.bytes, flow_key_order(flow.key))
 
@@ -177,15 +175,19 @@ class FlowBin:
         return tuple(sorted(self.flows, key=ranking_sort_key)[:count])
 
 
-def flow_bins(accounts: Iterable[BinAccount], encoder: FlowKeyEncoder) -> list[FlowBin]:
-    """The engine's closed bins as the oracle reports them: keys decoded, flows ranked."""
+def flow_bins(accounts: Iterable[BinAccount], keys: Mapping[int, object]) -> list[FlowBin]:
+    """The engine's closed bins as the oracle reports them: codes named by ``keys``, flows ranked.
+
+    ``keys`` maps each group id to its flow key, as
+    :func:`~oracles.keys.keys_by_code` returns it.
+    """
     bins = []
     for account in accounts:
         columns = zip(
             account.codes, account.packets, account.bytes, account.first_seen, account.last_seen
         )
         flows = [
-            FlowSummary(encoder.decode(int(code)), int(packets), int(size), float(lo), float(hi))
+            FlowSummary(keys[int(code)], int(packets), int(size), float(lo), float(hi))
             for code, packets, size, lo, hi in columns
         ]
         flows.sort(key=ranking_sort_key)
@@ -203,7 +205,7 @@ class FlowClassifier:
 
     Examples
     --------
-    >>> from repro.flows.keys import FiveTuple
+    >>> from oracles.keys import FiveTuple
     >>> classifier = FlowClassifier()
     >>> ft = FiveTuple.from_strings("10.0.0.1", "10.0.0.2", 1234, 80)
     >>> classifier.observe(Packet(0.0, ft))
@@ -250,7 +252,7 @@ class FlowClassifier:
 
     def observe(self, packet: Packet) -> None:
         """Account one packet."""
-        key = self.key_policy.key_of(packet.five_tuple)
+        key = key_of(self.key_policy, packet.five_tuple)
         record = self._record_for(key)
         record.update(packet.timestamp, packet.size_bytes)
         if self._heap is not None:
@@ -272,7 +274,7 @@ class FlowClassifier:
             batch.flow_ids, batch.timestamps, batch.sizes_bytes
         )
         for position in range(flow_ids.size):
-            key = self.key_policy.key_of(five_tuples[int(flow_ids[position])])
+            key = key_of(self.key_policy, five_tuples[int(flow_ids[position])])
             record = self._record_for(key)
             record.merge(
                 int(packets[position]),
@@ -288,7 +290,7 @@ class FlowClassifier:
         """Remove the smallest tracked flow and return its final summary.
 
         The smallest flow has the fewest packets; ties break by
-        :func:`~repro.flows.keys.flow_key_order` of the flow key.
+        :func:`~oracles.keys.flow_key_order` of the flow key.
         """
         if not self._records:
             raise ValueError("cannot evict from an empty classifier")
@@ -364,7 +366,7 @@ class ObjectFlowTable:
         while bin_index > self._current_bin_index:
             self._close_bin(self._current_bin_index)
             self._current_bin_index += 1
-        key = self._classifier.key_policy.key_of(packet.five_tuple)
+        key = key_of(self._classifier.key_policy, packet.five_tuple)
         if (
             not self._classifier.tracks(key)
             and self.max_flows is not None

@@ -4,12 +4,16 @@ The load-bearing guarantee of :mod:`repro.flows.accounting` is that the
 columnar engine is *bit-identical* to the per-packet object-level
 monitor (the oracle in ``tests/oracles/objectpath.py``) — same bins,
 same rankings, same eviction counts — for any packet stream, any
-chunking, with and without a ``max_flows`` bound.  The
+chunking, with and without a ``max_flows`` bound.  The engine is fed
+what users run, the group ids of ``policy.group_ids``; the oracle
+classifies each packet by its 5-tuple or destination prefix, over flows
+sorted by 5-tuple so that group ids order like the oracle's keys.  The
 property-based tests here generate adversarial streams (tiny key
 spaces, colliding counts, binding memory bounds) and assert exactly
 that.  The file also checks the bounded table's one-entry-per-flow
-eviction heap, and that ``max_flows`` is an integer of at least 1 at
-every entry point.
+eviction heap, that negative codes are rejected, and that
+``max_flows``, ``bin_duration``, ``num_runs`` and ``chunk_packets`` are
+checked at every entry point.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles.keys import FiveTuple, flow_key_order, keys_by_code, trace_of
 from oracles.objectpath import FlowClassifier, ObjectFlowTable, Packet, flow_bins
 
 from repro.cli import main
@@ -27,12 +32,7 @@ from repro.flows.accounting import (
     aggregate_codes,
     bin_segments,
 )
-from repro.flows.keys import (
-    DestinationPrefixKeyPolicy,
-    FiveTuple,
-    FiveTupleKeyPolicy,
-    flow_key_order,
-)
+from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.flows.packets import PacketBatch
 from repro.pipeline import Pipeline
 from repro.pipeline.executor import run_stream
@@ -43,18 +43,31 @@ from repro.sweep import SweepGrid
 # ----------------------------------------------------------------------
 # Stream generation helpers
 # ----------------------------------------------------------------------
+#: Prefix length of the destination-prefix policy under test.
+PREFIX_LENGTH = 12
+
+
 def _flow_universe(num_flows: int, seed: int) -> list[FiveTuple]:
+    """``num_flows`` distinct 5-tuples in :func:`flow_key_order`.
+
+    Flows ``2k`` and ``2k + 1`` (in draw order) share the destination
+    prefix ``0x0A0 + k`` with random host bits, so prefixes hold two
+    flows each and sit next to each other: a prefix shift off by one bit
+    merges or splits groups.
+    """
     rng = np.random.default_rng(seed)
-    return [
+    host_bits = 32 - PREFIX_LENGTH
+    five_tuples = {
         FiveTuple(
             src_ip=int(rng.integers(0, 2**32)),
-            dst_ip=int(rng.integers(0, 2**32)),
+            dst_ip=((0x0A0 + index // 2) << host_bits) | int(rng.integers(0, 2**host_bits)),
             src_port=int(rng.integers(0, 2**16)),
             dst_port=int(rng.integers(0, 2**16)),
             protocol=int(rng.choice([6, 17])),
         )
-        for _ in range(num_flows)
-    ]
+        for index in range(num_flows)
+    }
+    return sorted(five_tuples, key=flow_key_order)
 
 
 def _stream(num_packets: int, num_flows: int, time_span: float, seed: int):
@@ -63,16 +76,6 @@ def _stream(num_packets: int, num_flows: int, time_span: float, seed: int):
     flow_ids = rng.integers(0, num_flows, num_packets).astype(np.int64)
     sizes = rng.integers(40, 1500, num_packets).astype(np.int64)
     return timestamps, flow_ids, sizes
-
-
-def _columns(five_tuples: list[FiveTuple]):
-    return (
-        np.array([ft.src_ip for ft in five_tuples], dtype=np.uint32),
-        np.array([ft.dst_ip for ft in five_tuples], dtype=np.uint32),
-        np.array([ft.src_port for ft in five_tuples], dtype=np.uint16),
-        np.array([ft.dst_port for ft in five_tuples], dtype=np.uint16),
-        np.array([ft.protocol for ft in five_tuples], dtype=np.uint8),
-    )
 
 
 def _run_object_table(timestamps, flow_ids, sizes, five_tuples, policy, max_flows):
@@ -101,33 +104,41 @@ class TestObjectColumnarEquivalence:
         """The object table over a packet stream == engine over the same
         stream's chunks: identical bins and eviction counts for any
         chunk size, with and without ``max_flows``."""
-        policy = DestinationPrefixKeyPolicy(12) if prefix else FiveTupleKeyPolicy()
+        policy = DestinationPrefixKeyPolicy(PREFIX_LENGTH) if prefix else FiveTupleKeyPolicy()
         five_tuples = _flow_universe(num_flows, seed)
-        timestamps, flow_ids, sizes = _stream(num_packets, num_flows, 45.0, seed + 1)
+        timestamps, flow_ids, sizes = _stream(num_packets, len(five_tuples), 45.0, seed + 1)
 
         reference_bins, reference_evictions = _run_object_table(
             timestamps, flow_ids, sizes, five_tuples, policy, max_flows
         )
 
-        encoder = policy.make_encoder()
-        code_of_flow = policy.keys_of_batch(*_columns(five_tuples), encoder=encoder)
-        engine = FlowAccountingEngine(10.0, max_flows=max_flows, order_key=encoder.order_key)
+        trace = trace_of(five_tuples)
+        keys = keys_by_code(policy, trace)
+        groups = policy.group_ids(trace)
+        engine = FlowAccountingEngine(10.0, max_flows=max_flows)
         for lo in range(0, num_packets, chunk):
             batch = PacketBatch(
                 timestamps[lo : lo + chunk],
                 flow_ids[lo : lo + chunk],
                 sizes[lo : lo + chunk],
             )
-            engine.observe_batch(batch, code_of_flow)
+            # As run_stream accounts a chunk: the group-id universe
+            # reserved for dense addressing, trusted columns.
+            in_bounds = engine.reserve_codes(int(groups.min()), int(groups.max()))
+            codes = groups.take(batch.flow_ids)
+            engine.observe_sorted_chunk(
+                batch.timestamps, codes, batch.sizes_bytes, in_bounds=in_bounds
+            )
         accounts = engine.flush()
 
-        assert flow_bins(accounts, encoder) == reference_bins
+        assert flow_bins(accounts, keys) == reference_bins
         assert engine.evictions == reference_evictions
 
     @given(
         seed=st.integers(0, 10_000),
         num_packets=st.integers(1_500, 2_500),
-        num_flows=st.integers(9, 60),
+        # At least 17 flows: 9 prefixes, more than the largest table.
+        num_flows=st.integers(17, 60),
         max_flows=st.integers(1, 8),
         chunk=st.integers(1, 800),
         prefix=st.booleans(),
@@ -139,9 +150,9 @@ class TestObjectColumnarEquivalence:
         """Tables far too small for their flows, counts that tie all the
         time, and timestamps shuffled within each bin, fed through
         ``observe_chunk``: identical bins and eviction counts."""
-        policy = DestinationPrefixKeyPolicy(12) if prefix else FiveTupleKeyPolicy()
+        policy = DestinationPrefixKeyPolicy(PREFIX_LENGTH) if prefix else FiveTupleKeyPolicy()
         five_tuples = _flow_universe(num_flows, seed)
-        timestamps, flow_ids, _ = _stream(num_packets, num_flows, 45.0, seed + 1)
+        timestamps, flow_ids, _ = _stream(num_packets, len(five_tuples), 45.0, seed + 1)
         rng = np.random.default_rng(seed + 2)
         # Bin indices stay non-decreasing; the order inside a bin is random.
         timestamps = timestamps[np.lexsort((rng.random(num_packets), timestamps // 10.0))]
@@ -151,9 +162,10 @@ class TestObjectColumnarEquivalence:
             timestamps, flow_ids, sizes, five_tuples, policy, max_flows
         )
 
-        encoder = policy.make_encoder()
-        codes = policy.keys_of_batch(*_columns(five_tuples), encoder=encoder)[flow_ids]
-        engine = FlowAccountingEngine(10.0, max_flows=max_flows, order_key=encoder.order_key)
+        trace = trace_of(five_tuples)
+        keys = keys_by_code(policy, trace)
+        codes = policy.group_ids(trace)[flow_ids]
+        engine = FlowAccountingEngine(10.0, max_flows=max_flows)
         for lo in range(0, num_packets, chunk):
             engine.observe_chunk(
                 timestamps[lo : lo + chunk], codes[lo : lo + chunk], sizes[lo : lo + chunk]
@@ -161,7 +173,7 @@ class TestObjectColumnarEquivalence:
         accounts = engine.flush()
 
         assert reference_evictions > 0
-        assert flow_bins(accounts, encoder) == reference_bins
+        assert flow_bins(accounts, keys) == reference_bins
         assert engine.evictions == reference_evictions
 
     @given(
@@ -175,11 +187,11 @@ class TestObjectColumnarEquivalence:
         one entry per tracked flow, never above its live count, and
         evicts the true smallest flow."""
         rng = np.random.default_rng(seed)
-        table = _BoundedBin(max_flows, lambda code: code)
+        table = _BoundedBin(max_flows)
         for size in segments:
             codes = rng.integers(0, 2 * max_flows, size)
             table.apply(rng.uniform(0.0, 10.0, size), codes, np.full(size, 500))
-            entries = {code: count for count, _, code in table.heap}
+            entries = {code: count for count, code in table.heap}
             assert len(table.heap) == len(table.table) == len(entries)
             assert entries.keys() == table.table.keys()
             assert all(count <= table.table[code][0] for code, count in entries.items())
@@ -296,11 +308,20 @@ class TestFlowAccountingEngine:
         with pytest.raises(ValueError):
             engine.evict_smallest()
 
-    def test_observe_batch_validates_code_map(self):
-        engine = FlowAccountingEngine(10.0)
-        batch = PacketBatch([0.0, 1.0], [0, 5], [500, 500])
-        with pytest.raises(ValueError):
-            engine.observe_batch(batch, np.arange(3))
+    @pytest.mark.parametrize("max_flows", [None, 4])
+    def test_negative_codes_are_rejected(self, max_flows):
+        """Codes are group ids: a negative one raises on every engine path."""
+        message = "key codes must be non-negative"
+        engine = FlowAccountingEngine(10.0, max_flows=max_flows)
+        with pytest.raises(ValueError, match=message):
+            engine.observe_chunk([0.0, 1.0], [3, -1], [500, 500])
+        with pytest.raises(ValueError, match=message):
+            engine.observe_sorted_chunk(np.array([2.0]), np.array([-7]), np.array([500]))
+
+    def test_negative_codes_cannot_be_reserved(self):
+        """``in_bounds`` skips the scan, so the reservation it trusts refuses them."""
+        with pytest.raises(ValueError, match="key codes must be non-negative"):
+            FlowAccountingEngine(10.0).reserve_codes(-1, 5)
 
     def test_counts_for_alignment(self):
         engine = FlowAccountingEngine(10.0)
@@ -328,51 +349,6 @@ class TestHelpers:
         assert byte_sums.tolist() == [200, 400]
         assert first.tolist() == [2.0, 0.5]
         assert last.tolist() == [2.0, 1.0]
-
-
-# ----------------------------------------------------------------------
-# Key codes
-# ----------------------------------------------------------------------
-class TestKeyEncoders:
-    def test_five_tuple_codes_merge_duplicates_and_decode(self):
-        policy = FiveTupleKeyPolicy()
-        encoder = policy.make_encoder()
-        five_tuples = _flow_universe(5, 3)
-        five_tuples.append(five_tuples[0])  # duplicate flow
-        codes = policy.keys_of_batch(*_columns(five_tuples), encoder=encoder)
-        assert codes[-1] == codes[0]
-        assert len(set(codes.tolist())) == 5
-        for ft, code in zip(five_tuples, codes):
-            assert encoder.decode(int(code)) == ft
-
-    def test_five_tuple_codes_stable_across_chunks(self):
-        policy = FiveTupleKeyPolicy()
-        encoder = policy.make_encoder()
-        five_tuples = _flow_universe(8, 4)
-        first = policy.keys_of_batch(*_columns(five_tuples), encoder=encoder)
-        second = policy.keys_of_batch(*_columns(five_tuples), encoder=encoder)
-        assert first.tolist() == second.tolist()
-
-    def test_prefix_codes_mask_and_decode(self):
-        policy = DestinationPrefixKeyPolicy(24)
-        encoder = policy.make_encoder()
-        five_tuples = [
-            FiveTuple(1, int("0xC0A81101", 16), 1, 1, 6),  # 192.168.17.1
-            FiveTuple(2, int("0xC0A811FE", 16), 2, 2, 6),  # 192.168.17.254
-            FiveTuple(3, int("0xC0A81201", 16), 3, 3, 6),  # 192.168.18.1
-        ]
-        codes = policy.keys_of_batch(*_columns(five_tuples), encoder=encoder)
-        assert codes[0] == codes[1] != codes[2]
-        assert encoder.decode(int(codes[0])) == policy.key_of(five_tuples[0])
-
-    def test_order_key_matches_flow_key_order(self):
-        policy = FiveTupleKeyPolicy()
-        encoder = policy.make_encoder()
-        five_tuples = _flow_universe(20, 5)
-        codes = [encoder.encode_key(ft) for ft in five_tuples]
-        by_code_order = sorted(codes, key=encoder.order_key)
-        by_key_order = sorted(codes, key=lambda c: flow_key_order(encoder.decode(c)))
-        assert by_code_order == by_key_order
 
 
 # ----------------------------------------------------------------------
@@ -473,9 +449,55 @@ def test_max_flows_must_be_a_positive_integer(entry_point, max_flows, error, cap
             MAX_FLOWS_ENTRY_POINTS[entry_point](max_flows)
 
 
+def test_run_stream_validates_the_group_map():
+    """The group map must cover every flow id of the stream, with ids of at least 0."""
+    chunk = PacketBatch([0.0, 1.0], [0, 5], [500, 500])
+    with pytest.raises(ValueError, match="too short"):
+        run_stream(iter([chunk]), np.arange(3), [], 10.0, 5)
+    with pytest.raises(ValueError, match="must be non-negative"):
+        run_stream(iter([chunk]), np.array([0, 1, 2, 3, -4, 5]), [], 10.0, 5)
+
+
+#: Every entry point that takes ``bin_duration``, as a call of it alone;
+#: the CLI rows are in tests/test_cli_errors.py.
+BIN_DURATION_ENTRY_POINTS = {
+    "FlowAccountingEngine": lambda seconds: FlowAccountingEngine(seconds),
+    "run_stream": lambda seconds: run_stream(
+        iter([]), np.zeros(1, dtype=np.int64), [], seconds, 5
+    ),
+    "Pipeline.with_bin_duration": lambda seconds: Pipeline().with_bin_duration(seconds),
+    "Pipeline.from_spec": lambda seconds: Pipeline.from_spec(bin_duration=seconds),
+    "RunSpec": lambda seconds: RunSpec(samplers=("bernoulli:rate=0.1",), bin_duration=seconds),
+    "SweepGrid": lambda seconds: SweepGrid(bin_duration=seconds),
+}
+
+
+@pytest.mark.parametrize("entry_point", list(BIN_DURATION_ENTRY_POINTS))
+@pytest.mark.parametrize("seconds", [0.0, -1.0, np.inf, np.nan])
+def test_bin_duration_must_be_positive_and_finite(entry_point, seconds):
+    """An infinite or NaN bin would start at 0 x inf = NaN; no run gets that far."""
+    with pytest.raises(ValueError, match="bin_duration must be positive and finite"):
+        BIN_DURATION_ENTRY_POINTS[entry_point](seconds)
+
+
+@pytest.mark.parametrize(
+    "configure",
+    [lambda pipeline: pipeline.with_runs(2.7), lambda pipeline: pipeline.streaming(1000.9)],
+    ids=["with_runs", "streaming"],
+)
+def test_runs_and_chunk_packets_must_be_integers(configure):
+    """2.7 runs no longer runs 2, and 1000.9 packets no longer cut 1,000-packet chunks."""
+    with pytest.raises(TypeError):
+        configure(Pipeline())
+
+
 def test_integer_max_flows_keep_their_store_key():
-    """A NumPy integer bound is accepted and keys the run like a plain int."""
+    """A NumPy integer bound is accepted and keys the run like a plain int;
+    a checked bin duration keys it like the float it equals."""
     spec = RunSpec(samplers=("bernoulli:rate=0.1",), max_flows=np.int64(200))
     assert spec.canonical().max_flows == 200
     assert store_key(spec) == store_key(RunSpec(samplers=("bernoulli:rate=0.1",), max_flows=200))
     assert Pipeline().with_monitor(np.int64(7))._monitor_max_flows == 7
+    for seconds in (60, np.float32(60), np.int64(60)):
+        spec = RunSpec(samplers=("bernoulli:rate=0.1",), bin_duration=seconds)
+        assert store_key(spec) == store_key(RunSpec(samplers=("bernoulli:rate=0.1",)))

@@ -11,6 +11,9 @@ import pytest
 from repro.cli import main
 
 FAST_RUN = ["run", "--trace", "sprint", "--duration", "5", "--scale", "0.001"]
+#: ``{tmp}`` stands for the test's temporary directory.
+SWEEP_RUN = ["sweep", "run", "--store", "{tmp}/store", "--duration", "5", "--scale", "0.001"]
+SWEEP_STATUS = ["sweep", "status", "--store", "{tmp}/store", "--duration", "5", "--scale", "0.001"]
 
 
 class TestRunErrorPaths:
@@ -80,10 +83,27 @@ class TestEverySubcommandReportsErrors:
             (FAST_RUN + ["--sampler", "bernoulli:rate=2.0"], "rate must be in (0, 1]"),
             (FAST_RUN + ["--runs", "0"], "num_runs must be at least 1"),
             (["plan", "--flows", "0"], "total_flows must be at least 2"),
+            (FAST_RUN + ["--bin", "inf"], "bin_duration must be positive and finite"),
+            (FAST_RUN + ["--bin", "nan"], "bin_duration must be positive and finite"),
+            (FAST_RUN + ["--bin", "1e-300"], "gives bin indices beyond int64"),
+            (SWEEP_RUN + ["--bin", "nan"], "bin_duration must be positive and finite"),
+            (SWEEP_STATUS + ["--bin", "nan"], "bin_duration must be positive and finite"),
+            (["plan", "--target", "nan"], "target_swapped_pairs must be positive"),
         ],
-        ids=["run-rate", "run-runs", "plan-flows"],
+        ids=[
+            "run-rate",
+            "run-runs",
+            "plan-flows",
+            "run-bin-inf",
+            "run-bin-nan",
+            "run-bin-tiny",
+            "sweep-run-bin-nan",
+            "sweep-status-bin-nan",
+            "plan-target-nan",
+        ],
     )
-    def test_bad_value_exits_2_without_traceback(self, argv, message, capsys):
+    def test_bad_value_exits_2_without_traceback(self, argv, message, capsys, tmp_path):
+        argv = [arg.replace("{tmp}", str(tmp_path)) for arg in argv]
         assert main(argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:")

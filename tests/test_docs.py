@@ -9,11 +9,13 @@ from `repro run --list-components`.
 
 from __future__ import annotations
 
+import ast
 import re
 from pathlib import Path
 
 import pytest
 
+from repro import telemetry
 from repro.registry import DISTRIBUTIONS, KEY_POLICIES, SAMPLERS, TRACES
 from repro.scenarios import SCENARIOS
 
@@ -263,3 +265,39 @@ class TestCliDocs:
                 name, kwargs = parse_spec(spec)
                 sampler = SAMPLERS.create(name, **kwargs)
                 assert sampler.effective_rate > 0
+
+
+#: A telemetry name as the docs write it: dotted lowercase words.
+TELEMETRY_NAME = r"[a-z_][a-z0-9_]*(?:\.[a-z_][a-z0-9_]*)+"
+
+
+def _library_string_literals() -> set[str]:
+    """Every string literal in ``src/repro``: the names telemetry can record."""
+    literals: set[str] = set()
+    for path in (REPO_ROOT / "src" / "repro").rglob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Constant) and isinstance(node.value, str):
+                literals.add(node.value)
+    return literals
+
+
+class TestTelemetryNames:
+    """The docs name only counters, gauges and spans the library records."""
+
+    def test_module_docstring_names_recorded_names(self):
+        quoted = re.findall(rf'"({TELEMETRY_NAME})"', telemetry.__doc__)
+        # The doctest records its own doc.* names.
+        names = {name for name in quoted if not name.startswith("doc.")}
+        missing = names - _library_string_literals()
+        assert names and not missing, f"repro.telemetry's docstring names {sorted(missing)}"
+
+    def test_observability_layer_section_names_recorded_names(self):
+        text = (DOCS / "observability.md").read_text()
+        section = text.split("## What each layer records", 1)[1].split("\n## ", 1)[0]
+        names = {
+            name
+            for name in re.findall(r"`([^`]+)`", section)
+            if re.fullmatch(TELEMETRY_NAME, name) and not name.startswith("repro.")
+        }
+        missing = names - _library_string_literals()
+        assert names and not missing, f"docs/observability.md names {sorted(missing)}"

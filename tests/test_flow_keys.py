@@ -1,17 +1,25 @@
-"""Tests for flow keys, prefix aggregation and key policies."""
+"""Tests for flow keys, prefix aggregation and key policies.
+
+A key policy's one method is ``group_ids``; the object view of a key
+(``FiveTuple``, ``prefix_of``, ``key_of``) is the reference monitor's,
+in ``tests/oracles/keys.py``, and is tested here beside the policies.
+"""
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
+from oracles.keys import FiveTuple, key_of, prefix_of, trace_of
 
 from repro.flows.keys import (
     DestinationPrefixKeyPolicy,
-    FiveTuple,
     FiveTupleKeyPolicy,
+    FlowKeyPolicy,
     int_to_ip,
     ip_to_int,
-    prefix_of,
 )
+from repro.pipeline import Pipeline
+from repro.registry import KEY_POLICIES, TRACES
 
 
 class TestAddressConversion:
@@ -82,15 +90,15 @@ class TestFiveTuple:
 class TestKeyPolicies:
     def test_five_tuple_policy_identity(self, sample_five_tuple):
         policy = FiveTupleKeyPolicy()
-        assert policy.key_of(sample_five_tuple) == sample_five_tuple
+        assert key_of(policy, sample_five_tuple) == sample_five_tuple
 
     def test_prefix_policy_aggregates(self):
         policy = DestinationPrefixKeyPolicy(24)
         a = FiveTuple.from_strings("1.1.1.1", "10.20.30.40", 1, 80)
         b = FiveTuple.from_strings("2.2.2.2", "10.20.30.99", 2, 443)
         c = FiveTuple.from_strings("3.3.3.3", "10.20.31.99", 3, 443)
-        assert policy.key_of(a) == policy.key_of(b)
-        assert policy.key_of(a) != policy.key_of(c)
+        assert key_of(policy, a) == key_of(policy, b)
+        assert key_of(policy, a) != key_of(policy, c)
 
     def test_prefix_policy_name(self):
         assert DestinationPrefixKeyPolicy(24).name == "/24 destination prefix"
@@ -98,3 +106,113 @@ class TestKeyPolicies:
     def test_prefix_policy_rejects_bad_length(self):
         with pytest.raises(ValueError):
             DestinationPrefixKeyPolicy(40)
+
+    def test_prefix_group_ids_mask_the_prefix(self):
+        """The group id is the prefix's significant bits, so ids order like prefixes."""
+        five_tuples = [
+            FiveTuple.from_strings("1.1.1.1", "192.168.17.1", 1, 1),
+            FiveTuple.from_strings("2.2.2.2", "192.168.17.254", 2, 2),
+            FiveTuple.from_strings("3.3.3.3", "192.168.18.1", 3, 3),
+            FiveTuple.from_strings("4.4.4.4", "255.255.255.255", 4, 4),
+        ]
+        trace = trace_of(five_tuples)
+        for length in (0, 1, 8, 23, 24, 25, 31, 32):
+            groups = DestinationPrefixKeyPolicy(length).group_ids(trace)
+            assert groups.dtype == np.int64
+            expected = [key_of(DestinationPrefixKeyPolicy(length), ft) for ft in five_tuples]
+            assert groups.tolist() == [key >> (32 - length) for key in expected]
+        assert DestinationPrefixKeyPolicy(24).group_ids(trace).tolist() == [
+            0xC0A811,
+            0xC0A811,
+            0xC0A812,
+            0xFFFFFF,
+        ]
+
+    def test_five_tuple_group_ids_are_record_indices(self):
+        """Each flow record is its own group, even one repeating a 5-tuple."""
+        five_tuple = FiveTuple.from_strings("1.1.1.1", "10.0.0.1", 1, 80)
+        other = FiveTuple.from_strings("2.2.2.2", "10.0.0.1", 2, 80)
+        trace = trace_of([five_tuple, five_tuple, other])
+        groups = FiveTupleKeyPolicy().group_ids(trace)
+        assert groups.dtype == np.int64
+        assert groups.tolist() == [0, 1, 2]
+        assert trace.group_ids(FiveTupleKeyPolicy()).tolist() == [0, 1, 2]
+
+    def test_group_ids_is_the_one_abstract_method(self):
+        assert FlowKeyPolicy.__abstractmethods__ == frozenset({"group_ids"})
+
+
+#: The traces perfbench and the benchmark harness run under the 5-tuple key.
+BENCHMARK_TRACES = [
+    ("sprint", 0.05, 900.0),
+    ("sprint", 0.06, 600.0),
+    ("sprint", 0.01, 600.0),
+    ("abilene", 0.05, 900.0),
+]
+
+
+def _distinct_five_tuples(trace) -> int:
+    packed = np.empty(
+        trace.num_flows,
+        dtype=[("src", "u4"), ("dst", "u4"), ("sport", "u2"), ("dport", "u2"), ("proto", "u1")],
+    )
+    packed["src"], packed["dst"] = trace.src_ips, trace.dst_ips
+    packed["sport"], packed["dport"] = trace.src_ports, trace.dst_ports
+    packed["proto"] = trace.protocols
+    return int(np.unique(packed).size)
+
+
+class TestFiveTupleSemantics:
+    """The 5-tuple policy makes each flow record a flow; on the traces the
+    benchmarks run, that is each distinct 5-tuple too."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("name, scale, duration", BENCHMARK_TRACES)
+    def test_benchmark_traces_have_one_record_per_five_tuple(self, name, scale, duration, seed):
+        generator = TRACES.create(name, scale=scale, duration=duration)
+        trace = generator.generate(rng=np.random.default_rng(seed))
+        assert _distinct_five_tuples(trace) == trace.num_flows
+
+    @pytest.mark.parametrize("name, scale, duration", BENCHMARK_TRACES)
+    def test_pipeline_traces_have_one_record_per_five_tuple(self, name, scale, duration):
+        """The source a seeded pipeline resolves (perfbench streams seed 0's)."""
+        plan = (
+            Pipeline()
+            .with_trace(name, scale=scale, duration=duration)
+            .with_sampler("bernoulli", rate=0.1)
+            .with_seed(0)
+            .plan()
+        )
+        assert _distinct_five_tuples(plan.source.trace) == plan.source.trace.num_flows
+
+
+class SlashTwentyFour(FlowKeyPolicy):
+    """A custom flow definition with nothing but ``group_ids``."""
+
+    name = "/24 destination prefix"
+
+    def group_ids(self, trace):
+        return (trace.dst_ips // 256).astype(np.int64)
+
+
+class TestCustomPolicy:
+    @staticmethod
+    def _run(key):
+        return (
+            Pipeline()
+            .with_trace("sprint", scale=0.002, duration=120.0)
+            .with_sampler("bernoulli", rate=0.5)
+            .with_runs(2)
+            .with_key_policy(key)
+            .with_seed(4)
+            .run(parallel="serial")
+            .to_dict()
+        )
+
+    def test_runs_as_an_object_and_as_a_registered_name(self, monkeypatch):
+        monkeypatch.setattr(KEY_POLICIES, "_factories", dict(KEY_POLICIES._factories))
+        monkeypatch.setattr(KEY_POLICIES, "_takes_rng", dict(KEY_POLICIES._takes_rng))
+        KEY_POLICIES.register("slash-24", SlashTwentyFour)
+        expected = self._run("prefix")
+        assert self._run(SlashTwentyFour()) == expected
+        assert self._run("slash-24") == expected

@@ -4,9 +4,10 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.keys import FiveTuple
 from oracles.objectpath import FlowClassifier, FlowRecord, Packet
 
-from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTuple
+from repro.flows.keys import DestinationPrefixKeyPolicy
 from repro.flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
 
 

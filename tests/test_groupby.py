@@ -4,12 +4,12 @@ The hash-accumulator kernel (:mod:`repro.flows.groupby`) is the
 flow-accounting engine's unbounded accumulator.  Its contract is *bit
 identity* with the ``argsort`` + ``reduceat`` group-by it replaced (the
 oracle in ``tests/oracles/groupby.py``): for any packet stream, any
-chunking, dense or sparse code spaces, adversarial hash collisions, and
-the :data:`~repro.flows.groupby.EMPTY_SLOT` sentinel code, the engine
-produces exactly the same bins as the sort-based engine.  Everything
-here asserts exactly that, plus the kernel-internal paths (dense
-reservation, deferred byte sums, probing collisions) that the
-engine-level streams may not reach every run.
+chunking, the group ids both key policies give, and the dense, sparse
+and hash-colliding ids a custom policy may give, the engine produces
+exactly the same bins as the sort-based engine.  Everything here
+asserts exactly that, plus the kernel-internal paths (dense
+reservation, deferred byte sums, probing collisions, negative codes)
+that the engine-level streams may not reach every run.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles.groupby import sort_engine
+from oracles.keys import FiveTuple, trace_of
 
 from repro.flows.accounting import BinAccount, FlowAccountingEngine
 from repro.flows.groupby import (
@@ -28,6 +29,7 @@ from repro.flows.groupby import (
     HashAccumulator,
     aggregate_codes,
 )
+from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.flows.packets import PacketBatch
 
 
@@ -66,15 +68,33 @@ def run_engine(
             flow_ids[low : low + chunk],
             sizes[low : low + chunk],
         )
-        engine.observe_batch(batch, mapping)
+        # What run_stream does with a chunk: one gather, the group-id
+        # universe reserved, trusted columns.
+        in_bounds = engine.reserve_codes(int(mapping.min()), int(mapping.max()))
+        engine.observe_sorted_chunk(
+            batch.timestamps, mapping.take(batch.flow_ids), batch.sizes_bytes, in_bounds=in_bounds
+        )
     return engine.flush(), engine.evictions
 
 
 def make_mapping(style: str, num_flows: int) -> np.ndarray:
-    """Flow-id -> code maps exercising every addressing regime."""
+    """Flow-id -> group-id maps exercising every addressing regime.
+
+    ``five-tuple`` and ``prefix`` are what the key policies give a trace
+    of random 5-tuples (dense ids, and /24 ids that usually span more
+    than the dense limit); the others are ids a custom policy may give.
+    """
+    if style in ("five-tuple", "prefix"):
+        rng = np.random.default_rng(num_flows)
+        trace = trace_of(
+            [
+                FiveTuple(int(rng.integers(0, 2**32)), int(rng.integers(0, 2**32)), 1024, 80)
+                for _ in range(num_flows)
+            ]
+        )
+        policy = FiveTupleKeyPolicy() if style == "five-tuple" else DestinationPrefixKeyPolicy()
+        return policy.group_ids(trace)
     base = np.arange(num_flows, dtype=np.int64)
-    if style == "dense":
-        return base
     if style == "offset":
         return base + 1_000_000  # dense span at a far base
     if style == "sparse":
@@ -84,10 +104,6 @@ def make_mapping(style: str, num_flows: int) -> np.ndarray:
         # starts for power-of-two tables (the multiplied high bits only
         # differ below the shift), massing collisions on one chain.
         return base * np.int64(1 << 52)
-    if style == "sentinel":
-        mapping = base * np.int64(DENSE_SPAN_LIMIT + 1)
-        mapping[0] = EMPTY_SLOT  # the table's empty-slot marker as a real code
-        return mapping
     raise AssertionError(style)
 
 
@@ -97,7 +113,7 @@ STREAMS = st.fixed_dictionaries(
         "num_packets": st.integers(1, 150),
         "span": st.sampled_from([4.0, 35.0]),
         "seed": st.integers(0, 2**16),
-        "style": st.sampled_from(["dense", "offset", "sparse", "colliding", "sentinel"]),
+        "style": st.sampled_from(["five-tuple", "prefix", "offset", "sparse", "colliding"]),
         "chunk": st.integers(1, 48),
         "max_flows": st.sampled_from([None, 2]),
         "const_sizes": st.booleans(),
@@ -175,8 +191,8 @@ class TestHashAccumulator:
     def test_probe_chain_collisions(self):
         # Find codes that genuinely share a probe start in the initial
         # probing table, then make sure the collision chain resolves.
-        acc = HashAccumulator(dense_bounds=(0, DENSE_SPAN_LIMIT + 2))  # force probing
-        assert not acc.reserve_dense(0, DENSE_SPAN_LIMIT + 2)
+        acc = HashAccumulator()
+        assert not acc.reserve_dense(0, DENSE_SPAN_LIMIT + 2)  # force probing
         capacity = acc._slots
         shift = acc._shift
         candidates = np.arange(1, 200_000, dtype=np.int64)
@@ -206,15 +222,17 @@ class TestHashAccumulator:
         acc = HashAccumulator()
         assert not acc.reserve_dense(0, DENSE_SPAN_LIMIT + 1)
 
-    def test_sentinel_code_is_accounted(self):
-        sentinel = int(EMPTY_SLOT)
-        codes = np.array([sentinel, 5, sentinel], dtype=np.int64)
-        timestamps = np.array([0.0, 1.0, 2.0])
-        sizes = np.array([10, 20, 30], dtype=np.int64)
+    @pytest.mark.parametrize("reserved", [False, True])
+    def test_negative_codes_are_rejected(self, reserved):
+        """The bounds scan rejects a negative code before any state changes."""
         acc = HashAccumulator()
-        acc.ingest(timestamps, codes, sizes, time_sorted=True)
-        assert acc.num_flows == 2
-        self.assert_matches_reference(acc, timestamps, codes, sizes)
+        if reserved:
+            assert acc.reserve_dense(0, 10)
+        with pytest.raises(ValueError, match="key codes must be non-negative"):
+            acc.ingest(np.array([0.0, 1.0]), np.array([5, -1]), np.full(2, 500), time_sorted=True)
+        assert acc.num_flows == 0
+        with pytest.raises(ValueError, match="key codes must be non-negative"):
+            acc.reserve_dense(-1, 10)
 
     def test_deferred_bytes_survive_mixed_sizes(self):
         # First two segments share one constant size (deferred byte
@@ -259,7 +277,7 @@ class TestHashAccumulator:
         seed=st.integers(0, 2**16),
         num_codes=st.integers(1, 8),
         segments=st.integers(1, 5),
-        style=st.sampled_from(["dense", "sparse", "colliding"]),
+        style=st.sampled_from(["five-tuple", "prefix", "sparse", "colliding"]),
     )
     def test_segmented_sorted_ingest_matches_reference(self, seed, num_codes, segments, style):
         rng = np.random.default_rng(seed)
@@ -290,7 +308,7 @@ class TestSampledColumns:
         num_codes=st.integers(1, 2047),
         streams=st.integers(0, 4),
         segments=st.integers(1, 6),
-        style=st.sampled_from(["dense", "offset", "sparse", "colliding"]),
+        style=st.sampled_from(["five-tuple", "offset", "sparse", "colliding"]),
         time_sorted=st.booleans(),
     )
     def test_columns_count_each_stream_per_code(
@@ -375,7 +393,8 @@ class TestSampledColumns:
                        keep_masks=np.ones((3, 1), dtype=bool))
 
     def test_masks_reject_the_sentinel_code(self):
+        """The probing table's empty-slot marker is negative, so no code equals it."""
         acc = HashAccumulator()
-        with pytest.raises(ValueError, match="EMPTY_SLOT"):
+        with pytest.raises(ValueError, match="key codes must be non-negative"):
             acc.ingest(np.array([0.0, 1.0]), np.array([EMPTY_SLOT, 3]), np.full(2, 500),
                        time_sorted=True, keep_masks=np.ones((1, 2), dtype=bool))

@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles.keys import five_tuple_of
 from oracles.objectpath import FlowClassifier, ObjectFlowTable, Packet
 
 from repro.core.flow_size_model import FlowPopulation
@@ -62,11 +63,13 @@ class TestObjectAndVectorPathsAgree:
 
         table = ObjectFlowTable(bin_duration=60.0, key_policy=FiveTupleKeyPolicy())
         for timestamp, flow_id in zip(batch.timestamps, batch.flow_ids):
-            table.observe(Packet(float(timestamp), trace.five_tuple(int(flow_id))))
+            table.observe(Packet(float(timestamp), five_tuple_of(trace, int(flow_id))))
         bins = table.flush()
 
         engine = FlowAccountingEngine(60.0)
-        engine.observe_batch(batch, trace.group_ids(FiveTupleKeyPolicy()))
+        groups = trace.group_ids(FiveTupleKeyPolicy())
+        codes = groups.take(batch.flow_ids)
+        engine.observe_sorted_chunk(batch.timestamps, codes, batch.sizes_bytes)
         accounts = engine.flush()
         assert len(bins) == len(accounts)
         for flow_bin, account in zip(bins, accounts):
@@ -87,7 +90,7 @@ class TestObjectAndVectorPathsAgree:
         classifier = FlowClassifier()
         for keep, timestamp, flow_id in zip(mask, batch.timestamps, batch.flow_ids):
             if keep:
-                classifier.observe(Packet(float(timestamp), trace.five_tuple(int(flow_id))))
+                classifier.observe(Packet(float(timestamp), five_tuple_of(trace, int(flow_id))))
         object_total = sum(flow.packets for flow in classifier.export())
         assert object_total == int(mask.sum())
 

