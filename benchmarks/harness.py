@@ -249,7 +249,7 @@ def _accounts_identical(left, right) -> bool:
     for a, b in zip(left, right):
         if (a.index, a.start_time, a.end_time) != (b.index, b.start_time, b.end_time):
             return False
-        for field in ("codes", "packets", "bytes", "first_seen", "last_seen"):
+        for field in ("codes", "packets"):
             if not np.array_equal(getattr(a, field), getattr(b, field)):
                 return False
     return True
@@ -282,15 +282,9 @@ def _sprint_workload(args: argparse.Namespace, quick_scale: float = 0.0):
 def _account(engine: FlowAccountingEngine, chunk, groups: np.ndarray) -> None:
     """Account one chunk by group id as ``run_stream`` does: one gather, the
     group-id universe reserved for dense addressing, trusted columns."""
-    sizes = chunk.sizes_bytes
-    const_size = int(sizes[0]) if len(chunk) and bool((sizes == sizes[0]).all()) else None
     in_bounds = engine.reserve_codes(int(groups.min()), int(groups.max()))
     engine.observe_sorted_chunk(
-        chunk.timestamps,
-        groups.take(chunk.flow_ids),
-        sizes,
-        in_bounds=in_bounds,
-        const_size=const_size,
+        chunk.timestamps, groups.take(chunk.flow_ids), in_bounds=in_bounds
     )
 
 
@@ -316,6 +310,12 @@ def _timed_object_table(trace, chunks, table: ObjectFlowTable):
     return seconds + time.perf_counter() - start, bins
 
 
+#: Alternated rounds of the ``flow_accounting`` and ``bounded_monitor``
+#: sections: every side is timed this many times, and the sections
+#: report the median and quartiles of its passes.
+ACCOUNTING_ROUNDS = 5
+
+
 def bench_flow_accounting(args: argparse.Namespace) -> dict:
     """Monitor flow accounting: object-level oracle vs columnar engine.
 
@@ -324,14 +324,17 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
     ``FiveTuple``, and through the columnar ``FlowAccountingEngine``,
     keyed by five-tuple group id as ``run_stream`` keys it — once as the
     library runs it (the hash accumulator) and once with the sort-based
-    group-by oracle of ``tests/oracles/groupby.py`` — asserts all
-    produced bins are bit-identical, and records packets/second for
-    each.  In full mode
-    the workload is at least a million packets so the speedup is
-    measured where it matters.
+    group-by oracle of ``tests/oracles/groupby.py``.  The three sides
+    alternate over ``ACCOUNTING_ROUNDS`` rounds; every round asserts
+    that all produced bins (codes, packet counts) are bit-identical.
+    Records the median and quartiles of each side and takes
+    ``speedup`` (object over hash) and ``hash_speedup`` (sort over hash)
+    from the medians.  In full mode the workload is at least a million
+    packets so the speedup is measured where it matters.
     """
     trace, chunks, groups = _sprint_workload(args)
     total_packets = sum(len(chunk) for chunk in chunks)
+    keys = keys_by_code(FiveTupleKeyPolicy(), trace)
 
     def columnar(make_engine):
         engine = make_engine(60.0)
@@ -339,41 +342,44 @@ def bench_flow_accounting(args: argparse.Namespace) -> dict:
             _account(engine, chunk, groups)
         return engine.flush()
 
-    sort_seconds, sort_accounts = _timed(lambda: columnar(sort_engine))
-    columnar_seconds, accounts = _timed(lambda: columnar(FlowAccountingEngine))
-    hash_identical = _accounts_identical(accounts, sort_accounts)
-    if not hash_identical:
-        raise SystemExit(
-            "FATAL: hash group-by diverges from the sort-based oracle — kernel regression"
-        )
-
-    # Object path: the same stream, one Packet at a time.
-    object_seconds, bins = _timed_object_table(trace, chunks, ObjectFlowTable(60.0))
-    identical = flow_bins(accounts, keys_by_code(FiveTupleKeyPolicy(), trace)) == bins
-    if not identical:
-        raise SystemExit(
-            "FATAL: columnar accounting diverges from the object path — equivalence regression"
-        )
+    seconds: dict[str, list[float]] = {"hash": [], "sort": [], "object": []}
+    for _ in range(ACCOUNTING_ROUNDS):
+        elapsed, accounts = _timed(lambda: columnar(FlowAccountingEngine))
+        seconds["hash"].append(elapsed)
+        elapsed, sort_accounts = _timed(lambda: columnar(sort_engine))
+        seconds["sort"].append(elapsed)
+        if not _accounts_identical(accounts, sort_accounts):
+            raise SystemExit(
+                "FATAL: hash group-by diverges from the sort-based oracle — kernel regression"
+            )
+        # Object path: the same stream, one Packet at a time.
+        elapsed, bins = _timed_object_table(trace, chunks, ObjectFlowTable(60.0))
+        seconds["object"].append(elapsed)
+        if flow_bins(accounts, keys) != bins:
+            raise SystemExit(
+                "FATAL: columnar accounting diverges from the object path — equivalence regression"
+            )
+    # Ratios come from the unrounded medians: a quick run's passes take
+    # well under a millisecond.
+    hash_seconds, sort_seconds, object_seconds = (
+        float(np.median(seconds[side])) for side in ("hash", "sort", "object")
+    )
     return {
         "packets": total_packets,
         "bins": len(bins),
+        "rounds": ACCOUNTING_ROUNDS,
         "object_seconds": round(object_seconds, 4),
-        "columnar_seconds": round(columnar_seconds, 4),
-        "object_packets_per_second": round(total_packets / object_seconds)
-        if object_seconds
-        else None,
-        "columnar_packets_per_second": round(total_packets / columnar_seconds)
-        if columnar_seconds
-        else None,
-        "speedup": round(object_seconds / columnar_seconds, 2) if columnar_seconds else None,
-        "bit_identical": identical,
+        "columnar_seconds": round(hash_seconds, 4),
+        "object_packets_per_second": round(total_packets / object_seconds),
+        "columnar_packets_per_second": round(total_packets / hash_seconds),
+        "speedup": round(object_seconds / hash_seconds, 2),
+        "bit_identical": True,
         "sort_seconds": round(sort_seconds, 4),
-        "hash_seconds": round(columnar_seconds, 4),
-        "hash_packets_per_second": round(total_packets / columnar_seconds)
-        if columnar_seconds
-        else None,
-        "hash_speedup": round(sort_seconds / columnar_seconds, 2) if columnar_seconds else None,
-        "hash_bit_identical": hash_identical,
+        "hash_seconds": round(hash_seconds, 4),
+        "hash_packets_per_second": round(total_packets / hash_seconds),
+        "hash_speedup": round(sort_seconds / hash_seconds, 2),
+        "hash_bit_identical": True,
+        "spread": {side: _spread(samples) for side, samples in seconds.items()},
     }
 
 
@@ -593,7 +599,7 @@ def bench_scoring(args: argparse.Namespace) -> dict:
     for chunk in chunks:
         keep = np.stack([sampler.sample_mask(chunk) for sampler in streams])
         engine.observe_sorted_chunk(
-            chunk.timestamps, groups.take(chunk.flow_ids), chunk.sizes_bytes, keep_masks=keep
+            chunk.timestamps, groups.take(chunk.flow_ids), keep_masks=keep
         )
         accounts.extend(engine.drain_completed())
     accounts.extend(engine.flush())
@@ -645,9 +651,11 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
     ``FlowAccountingEngine`` and, keyed by ``FiveTuple``, to the
     per-packet ``ObjectFlowTable`` of ``tests/oracles/objectpath.py``.
     Most admitted flows are evicted again, so nearly every segment takes
-    the engine's per-packet replay.
-    Exits FATAL unless the bins and eviction counts are identical, then
-    records both times and ``speedup`` (oracle over engine).
+    the engine's per-packet replay.  The two sides alternate over
+    ``ACCOUNTING_ROUNDS`` rounds, and every round exits FATAL unless the
+    bins (codes, packet counts) and eviction counts are identical.
+    Records the median and quartiles of each side and ``speedup``
+    (oracle over engine) from the medians.
     """
     from repro.flows.packets import PacketBatch
     from repro.sampling import BernoulliSampler
@@ -665,6 +673,7 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
             )
         )
     packets = sum(len(batch) for batch in sampled)
+    keys = keys_by_code(FiveTupleKeyPolicy(), trace)
 
     def engine_pass():
         engine = FlowAccountingEngine(60.0, max_flows=BOUNDED_MAX_FLOWS)
@@ -672,17 +681,20 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
             _account(engine, batch, groups)
         return engine.flush(), engine.evictions
 
-    engine_seconds, (accounts, evictions) = _timed(engine_pass)
-    engine_seconds = min(engine_seconds, _timed(engine_pass)[0])
-    table = ObjectFlowTable(60.0, max_flows=BOUNDED_MAX_FLOWS)
-    object_seconds, bins = _timed_object_table(trace, sampled, table)
-    keys = keys_by_code(FiveTupleKeyPolicy(), trace)
-    identical = flow_bins(accounts, keys) == bins and evictions == table.evictions
-    if not identical:
-        raise SystemExit(
-            "FATAL: the bounded engine diverges from the object-level monitor — "
-            "eviction regression"
-        )
+    seconds: dict[str, list[float]] = {"engine": [], "object": []}
+    for _ in range(ACCOUNTING_ROUNDS):
+        elapsed, (accounts, evictions) = _timed(engine_pass)
+        seconds["engine"].append(elapsed)
+        table = ObjectFlowTable(60.0, max_flows=BOUNDED_MAX_FLOWS)
+        elapsed, bins = _timed_object_table(trace, sampled, table)
+        seconds["object"].append(elapsed)
+        if flow_bins(accounts, keys) != bins or evictions != table.evictions:
+            raise SystemExit(
+                "FATAL: the bounded engine diverges from the object-level monitor — "
+                "eviction regression"
+            )
+    engine_seconds = float(np.median(seconds["engine"]))
+    object_seconds = float(np.median(seconds["object"]))
     admitted = evictions + sum(len(flow_bin.flows) for flow_bin in bins)
     return {
         "packets": packets,
@@ -691,10 +703,12 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
         "bins": len(bins),
         "evictions": evictions,
         "evict_ratio": round(evictions / admitted, 4) if admitted else None,
+        "rounds": ACCOUNTING_ROUNDS,
         "engine_seconds": round(engine_seconds, 4),
         "object_seconds": round(object_seconds, 4),
-        "speedup": round(object_seconds / engine_seconds, 2) if engine_seconds else None,
-        "bit_identical": identical,
+        "speedup": round(object_seconds / engine_seconds, 2),
+        "bit_identical": True,
+        "spread": {side: _spread(samples) for side, samples in seconds.items()},
     }
 
 

@@ -8,13 +8,16 @@ the flow table is full.  This module is that monitor over
 
 * flows are identified by non-negative ``int64`` **group ids** (see
   :meth:`repro.flows.keys.FlowKeyPolicy.group_ids`), never by Python
-  objects, and a negative code raises :class:`ValueError`;
-* per-flow packet/byte counts and first/last timestamps of an
-  unbounded bin accumulate in the hash-accumulator kernel of
-  :mod:`repro.flows.groupby`, which folds each segment into an
-  open-addressing table in one pass — and, given per-stream keep masks,
-  counts every sampled stream's packets per flow alongside
-  (:attr:`BinAccount.sampled`);
+  objects; a negative code raises :class:`ValueError` and a float one
+  :class:`TypeError`;
+* a flow's packet count is the one statistic kept: the paper ranks and
+  detects flows by their size in packets, and no result reads anything
+  else;
+* per-flow packet counts of an unbounded bin accumulate in the
+  hash-accumulator kernel of :mod:`repro.flows.groupby`, which folds
+  each segment into an open-addressing table in one pass — and, given
+  per-stream keep masks, counts every sampled stream's packets per flow
+  alongside (:attr:`BinAccount.sampled`);
 * measurement bins are closed with a linear boundary pass over the
   chunk's non-decreasing bin indices (:func:`bin_segments`), or — for
   time-sorted chunks of an unbounded engine — a ``searchsorted``
@@ -23,7 +26,7 @@ the flow table is full.  This module is that monitor over
 * the ``max_flows`` bound is honoured *exactly*: a chunk segment that
   cannot overflow the table is folded in vectorised, and a segment
   where the bound may bind is replayed packet by packet over its
-  ``tolist()`` columns, evicting through a lazy min-heap with one entry
+  ``tolist()`` codes, evicting through a lazy min-heap with one entry
   per tracked flow — the per-packet eviction sequence, bit for bit.
 
 The engine is chunk-size invariant: feeding a packet stream in one
@@ -36,7 +39,7 @@ all three).
 
 >>> import numpy as np
 >>> engine = FlowAccountingEngine(bin_duration=10.0)
->>> engine.observe_chunk([0.0, 1.0, 12.0], [7, 7, 9], [500, 500, 500])
+>>> engine.observe_chunk([0.0, 1.0, 12.0], [7, 7, 9])
 >>> [(account.index, account.total_packets) for account in engine.flush()]
 [(0, 2), (1, 1)]
 """
@@ -51,7 +54,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .groupby import HashAccumulator, aggregate_codes
-from .packets import DEFAULT_PACKET_SIZE_BYTES
 
 #: Timestamps at or above 2^52 lose the integer resolution the
 #: searchsorted bin-edge fast path relies on; such chunks (never seen
@@ -74,6 +76,19 @@ def _checked_max_flows(max_flows: int | None) -> int | None:
     if bound < 1:
         raise ValueError(f"max_flows must be at least 1 when given, got {max_flows!r}")
     return bound
+
+
+def _checked_codes(codes: np.ndarray, name: str = "key codes") -> np.ndarray:
+    """``codes`` as an ``int64`` array, refusing a non-integer dtype.
+
+    A float code (``1.7``) raises :class:`TypeError` instead of being
+    truncated into another flow's id; an empty array passes whatever its
+    dtype, since it names no flow.
+    """
+    array = np.asarray(codes)
+    if array.size and array.dtype.kind not in "iu":
+        raise TypeError(f"{name} must be integers, got dtype {array.dtype}")
+    return array.astype(np.int64, copy=False)
 
 
 def _checked_bin_duration(bin_duration: float) -> float:
@@ -124,7 +139,7 @@ def bin_segments(bin_indices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class BinAccount:
     """Columnar report of one closed measurement interval.
 
-    Per-flow statistics as aligned arrays keyed by code (the flow's
+    Per-flow packet counts as aligned arrays keyed by code (the flow's
     group id), sorted by ascending code, not by rank.
     """
 
@@ -133,9 +148,6 @@ class BinAccount:
     end_time: float
     codes: np.ndarray
     packets: np.ndarray
-    bytes: np.ndarray
-    first_seen: np.ndarray
-    last_seen: np.ndarray
     #: ``(streams, flows)`` packet counts of each sampled stream, aligned
     #: with ``codes``, when the bin was observed with ``keep_masks``
     #: (see :meth:`FlowAccountingEngine.observe_sorted_chunk`).
@@ -181,8 +193,6 @@ class _HashBin:
     Every segment folds into a persistent
     :class:`~repro.flows.groupby.HashAccumulator` in one pass: no
     per-segment sort and no sorted-union merge between chunks.
-    ``apply`` accepts ``time_sorted`` so the engine's fast path can
-    enable scatter-store first/last updates.
     """
 
     __slots__ = ("_accumulator",)
@@ -202,35 +212,20 @@ class _HashBin:
 
     def apply(
         self,
-        timestamps: np.ndarray,
         codes: np.ndarray,
-        sizes: np.ndarray,
-        time_sorted: bool = False,
         in_bounds: bool = False,
-        const_size: int | None = None,
         keep_masks: np.ndarray | None = None,
     ) -> None:
-        self._accumulator.ingest(
-            timestamps,
-            codes,
-            sizes,
-            time_sorted=time_sorted,
-            in_bounds=in_bounds,
-            const_size=const_size,
-            keep_masks=keep_masks,
-        )
+        self._accumulator.ingest(codes, in_bounds=in_bounds, keep_masks=keep_masks)
 
     def account(self, index: int, bin_duration: float) -> BinAccount:
-        codes, packets, byte_sums, first, last, sampled = self._accumulator.extract()
+        codes, packets, sampled = self._accumulator.extract()
         return BinAccount(
             index=index,
             start_time=index * bin_duration,
             end_time=(index + 1) * bin_duration,
             codes=codes,
             packets=packets,
-            bytes=byte_sums,
-            first_seen=first,
-            last_seen=last,
             sampled=sampled,
         )
 
@@ -238,9 +233,9 @@ class _HashBin:
 class _BoundedBin:
     """Open-bin accumulator with a ``max_flows`` bound and smallest-flow eviction.
 
-    Per-flow state is a ``code -> [packets, bytes, first, last]`` dict
-    plus a lazy min-heap holding exactly one ``(packets, code)`` entry
-    per tracked flow, pushed when the flow is inserted.
+    Per-flow state is a ``code -> packets`` dict plus a lazy min-heap
+    holding exactly one ``(packets, code)`` entry per tracked flow,
+    pushed when the flow is inserted.
     Counts only grow while a flow is tracked, so an entry's count is at
     most its flow's live count.  Eviction pops the smallest entry: one
     whose count is out of date goes back with the live count, one that
@@ -252,8 +247,8 @@ class _BoundedBin:
 
     def __init__(self, max_flows: int) -> None:
         self.max_flows = max_flows
-        self.table: dict[int, list] = {}
-        self.heap: list = []
+        self.table: dict[int, int] = {}
+        self.heap: list[tuple[int, int]] = []
         self.evictions = 0
 
     def clear(self) -> None:
@@ -273,7 +268,7 @@ class _BoundedBin:
         heap = self.heap
         while heap:
             packets, code = heap[0]
-            live = self.table[code][0]
+            live = self.table[code]
             if live == packets:
                 heapq.heappop(heap)
                 del self.table[code]
@@ -282,72 +277,56 @@ class _BoundedBin:
             heapq.heapreplace(heap, (live, code))
         raise ValueError("cannot evict from an empty flow table")
 
-    def apply(self, timestamps: np.ndarray, codes: np.ndarray, sizes: np.ndarray) -> None:
+    def apply(self, codes: np.ndarray) -> None:
         if codes.size == 0:
             return
         table = self.table
-        unique, packets, byte_sums, first, last = aggregate_codes(codes, timestamps, sizes)
+        unique, packets = aggregate_codes(codes)
         if unique[0] < 0:
             raise ValueError(f"key codes must be non-negative group ids, got {unique[0]}")
         unique_codes = unique.tolist()
         new_flows = sum(1 for code in unique_codes if code not in table)
         if len(table) + new_flows > self.max_flows:
-            self._replay(timestamps.tolist(), codes.tolist(), sizes.tolist())
+            self._replay(codes.tolist())
             return
         # The table cannot overflow within this segment, so the replay
-        # would evict nothing: fold the aggregates in directly.
-        for code, count, size_bytes, low, high in zip(
-            unique_codes, packets.tolist(), byte_sums.tolist(), first.tolist(), last.tolist()
-        ):
-            record = table.get(code)
-            if record is None:
-                table[code] = [count, size_bytes, low, high]
+        # would evict nothing: fold the counts in directly.
+        for code, count in zip(unique_codes, packets.tolist()):
+            live = table.get(code)
+            if live is None:
+                table[code] = count
                 heapq.heappush(self.heap, (count, code))
             else:
-                record[0] += count
-                record[1] += size_bytes
-                if low < record[2]:
-                    record[2] = low
-                if high > record[3]:
-                    record[3] = high
+                table[code] = live + count
 
-    def _replay(self, timestamps: list, codes: list, sizes: list) -> None:
+    def _replay(self, codes: list[int]) -> None:
         """Account one segment packet by packet, the monitor's own semantics.
 
-        A packet of a tracked flow updates its record; a packet of an
+        A packet of a tracked flow adds one to its count; a packet of an
         untracked flow first evicts the smallest flow when the table is
-        full, then starts a fresh record.
+        full, then starts a count of one.
         """
         table = self.table
         heap = self.heap
         max_flows = self.max_flows
-        for code, size, timestamp in zip(codes, sizes, timestamps):
-            record = table.get(code)
-            if record is None:
+        for code in codes:
+            live = table.get(code)
+            if live is None:
                 if len(table) >= max_flows:
                     self.evict_smallest()
-                table[code] = [1, size, timestamp, timestamp]
+                table[code] = 1
                 heapq.heappush(heap, (1, code))
             else:
-                record[0] += 1
-                record[1] += size
-                if timestamp < record[2]:
-                    record[2] = timestamp
-                if timestamp > record[3]:
-                    record[3] = timestamp
+                table[code] = live + 1
 
     def account(self, index: int, bin_duration: float) -> BinAccount:
-        sorted_codes = np.sort(np.fromiter(self.table.keys(), dtype=np.int64, count=len(self.table)))
-        size = sorted_codes.size
+        codes = sorted(self.table)
         return BinAccount(
             index=index,
             start_time=index * bin_duration,
             end_time=(index + 1) * bin_duration,
-            codes=sorted_codes,
-            packets=np.fromiter((self.table[int(c)][0] for c in sorted_codes), np.int64, size),
-            bytes=np.fromiter((self.table[int(c)][1] for c in sorted_codes), np.int64, size),
-            first_seen=np.fromiter((self.table[int(c)][2] for c in sorted_codes), np.float64, size),
-            last_seen=np.fromiter((self.table[int(c)][3] for c in sorted_codes), np.float64, size),
+            codes=np.array(codes, dtype=np.int64),
+            packets=np.array([self.table[code] for code in codes], dtype=np.int64),
         )
 
 
@@ -369,7 +348,7 @@ class FlowAccountingEngine:
     --------
     >>> import numpy as np
     >>> engine = FlowAccountingEngine(bin_duration=60.0, max_flows=1)
-    >>> engine.observe_chunk([0.0, 1.0, 2.0], [5, 5, 8], [500, 500, 500])
+    >>> engine.observe_chunk([0.0, 1.0, 2.0], [5, 5, 8])
     >>> engine.evictions  # flow 5 (2 packets) was evicted for flow 8
     1
     >>> [account.codes.tolist() for account in engine.flush()]
@@ -388,7 +367,6 @@ class FlowAccountingEngine:
         self._current_bin = 0
         self._completed: list[BinAccount] = []
         self._packets_seen = 0
-        self._stream_max_ts = -np.inf
 
     # ------------------------------------------------------------------
     @property
@@ -412,12 +390,7 @@ class FlowAccountingEngine:
         return self._open.evictions if isinstance(self._open, _BoundedBin) else 0
 
     # ------------------------------------------------------------------
-    def observe_chunk(
-        self,
-        timestamps: np.ndarray,
-        codes: np.ndarray,
-        sizes_bytes: np.ndarray | None = None,
-    ) -> None:
+    def observe_chunk(self, timestamps: np.ndarray, codes: np.ndarray) -> None:
         """Account one chunk of packets given as aligned columns.
 
         Parameters
@@ -427,51 +400,39 @@ class FlowAccountingEngine:
             non-decreasing within the chunk and not precede the open
             bin (chunks arrive in stream order).
         codes:
-            Flow group id of every packet, non-negative (a negative code
-            raises :class:`ValueError`).
-        sizes_bytes:
-            Packet sizes; defaults to the paper's constant
-            ``DEFAULT_PACKET_SIZE_BYTES``.
+            Flow group id of every packet: integers (a float raises
+            :class:`TypeError`), non-negative (a negative code raises
+            :class:`ValueError`).
         """
-        self._observe_checked(timestamps, codes, sizes_bytes)
+        self._observe_checked(timestamps, codes)
 
     def _observe_checked(
         self,
         timestamps: np.ndarray,
         codes: np.ndarray,
-        sizes_bytes: np.ndarray | None,
         keep_masks: np.ndarray | None = None,
     ) -> None:
         """:meth:`observe_chunk`, with the keep masks of :meth:`observe_sorted_chunk`."""
         ts = np.asarray(timestamps, dtype=np.float64)
-        code_arr = np.asarray(codes, dtype=np.int64)
+        code_arr = np.asarray(codes)
         if ts.ndim != 1 or code_arr.shape != ts.shape:
             raise ValueError("timestamps and codes must be 1-D arrays of equal length")
         if ts.size == 0:
             return
+        code_arr = _checked_codes(code_arr)
         if not np.isfinite(ts).all():
             raise ValueError("timestamps must be finite")
         if np.any(ts < 0):
             raise ValueError("timestamps must be non-negative")
-        if sizes_bytes is None:
-            sizes = np.full(ts.shape, DEFAULT_PACKET_SIZE_BYTES, dtype=np.int64)
-        else:
-            sizes = np.asarray(sizes_bytes, dtype=np.int64)
-            if sizes.shape != ts.shape:
-                raise ValueError("sizes_bytes must match the number of packets")
-            if np.any(sizes <= 0):
-                raise ValueError("packet sizes must be positive")
         open_bin = self._open
         if isinstance(open_bin, _HashBin) and self._observe_fast(
-            ts, code_arr, sizes, keep_masks=keep_masks
+            ts, code_arr, keep_masks=keep_masks
         ):
             self._packets_seen += int(ts.size)
             return
         bin_indices = np.floor_divide(ts, self.bin_duration).astype(np.int64)
         if int(bin_indices[0]) < self._current_bin or np.any(np.diff(bin_indices) < 0):
             raise ValueError("packets must be observed in non-decreasing time order")
-        if isinstance(open_bin, _HashBin):
-            self._stream_max_ts = max(self._stream_max_ts, float(ts.max()))
         bins, bounds = bin_segments(bin_indices)
         for segment in range(bins.size):
             bin_index = int(bins[segment])
@@ -480,44 +441,37 @@ class FlowAccountingEngine:
                 self._current_bin = bin_index
             lo, hi = int(bounds[segment]), int(bounds[segment + 1])
             if keep_masks is None:
-                open_bin.apply(ts[lo:hi], code_arr[lo:hi], sizes[lo:hi])
+                open_bin.apply(code_arr[lo:hi])
             else:
                 assert isinstance(open_bin, _HashBin)
-                open_bin.apply(
-                    ts[lo:hi], code_arr[lo:hi], sizes[lo:hi], keep_masks=keep_masks[:, lo:hi]
-                )
+                open_bin.apply(code_arr[lo:hi], keep_masks=keep_masks[:, lo:hi])
         self._packets_seen += int(ts.size)
 
     def _observe_fast(
         self,
         ts: np.ndarray,
         codes: np.ndarray,
-        sizes: np.ndarray,
         chunk_sorted: bool = False,
         in_bounds: bool = False,
-        const_size: int | None = None,
         keep_masks: np.ndarray | None = None,
     ) -> bool:
         """Unbounded chunk observation without per-packet bin indices.
 
-        Applies only to time-sorted chunks that continue a time-sorted
-        stream: measurement-bin boundaries are then located with a
-        ``searchsorted`` against the bin edges (verified exactly
-        against the ``floor_divide`` bin rule at every cut, O(bins)
-        scalar work) and the accumulator can use scatter-store
-        first/last updates.  Returns ``False`` when any precondition
-        fails, in which case the caller runs the generic path — the
-        two produce bit-identical bins.  ``chunk_sorted=True`` asserts
-        the chunk is already known non-decreasing (a
-        :class:`PacketBatch` invariant) and skips re-checking.
+        Applies only to time-sorted chunks: measurement-bin boundaries
+        are then located with a ``searchsorted`` against the bin edges
+        (verified exactly against the ``floor_divide`` bin rule at every
+        cut, O(bins) scalar work).  Returns ``False`` when any
+        precondition fails, in which case the caller runs the generic
+        path — the two produce bit-identical bins.
+        ``chunk_sorted=True`` asserts the chunk is already known
+        non-decreasing (a :class:`PacketBatch` invariant) and skips
+        re-checking.
         """
         open_bin = self._open
         assert isinstance(open_bin, _HashBin)
         last_ts = float(ts[-1])
-        if (
-            last_ts >= _FAST_PATH_MAX_TIMESTAMP
-            or float(ts[0]) < self._stream_max_ts
-            or not (chunk_sorted or bool(np.all(ts[1:] >= ts[:-1])))
+        if last_ts >= _FAST_PATH_MAX_TIMESTAMP or not (
+            chunk_sorted or bool(np.all(ts[1:] >= ts[:-1]))
         ):
             return False
         duration = self.bin_duration
@@ -546,7 +500,6 @@ class FlowAccountingEngine:
             tail = np.floor_divide(ts[stops[occupied] - 1], duration).astype(np.int64)
             if not (np.array_equal(head, seg_bins) and np.array_equal(tail, seg_bins)):
                 return False
-        self._stream_max_ts = last_ts
         for segment in range(bounds.size - 1):
             lo, hi = int(bounds[segment]), int(bounds[segment + 1])
             if lo == hi:
@@ -556,12 +509,8 @@ class FlowAccountingEngine:
                 self._close_open()
                 self._current_bin = bin_index
             open_bin.apply(
-                ts[lo:hi],
                 codes[lo:hi],
-                sizes[lo:hi],
-                time_sorted=True,
                 in_bounds=in_bounds,
-                const_size=const_size,
                 keep_masks=None if keep_masks is None else keep_masks[:, lo:hi],
             )
         return True
@@ -584,18 +533,18 @@ class FlowAccountingEngine:
         self,
         timestamps: np.ndarray,
         codes: np.ndarray,
-        sizes_bytes: np.ndarray,
         *,
         in_bounds: bool = False,
-        const_size: int | None = None,
         keep_masks: np.ndarray | None = None,
     ) -> None:
         """Trusted columnar observation for pre-validated columns.
 
         The caller guarantees what :meth:`observe_chunk` would check:
         ``timestamps`` sorted non-decreasing and non-negative, ``codes``
-        aligned ``int64``, ``sizes_bytes`` aligned and positive.  Chunks
-        from a :class:`PacketBatch` satisfy all of it by construction.
+        aligned ``int64``.  Chunks from a :class:`PacketBatch` satisfy
+        all of it by construction.  Codes of a non-integer dtype raise
+        :class:`TypeError` all the same, since no later check would
+        catch a float truncated into another flow's id.
         Hash-backed engines go straight to the fused fast path;
         everything else falls back to the validating path (which
         re-checks, so a broken guarantee degrades to the generic error
@@ -603,14 +552,11 @@ class FlowAccountingEngine:
 
         Parameters
         ----------
-        timestamps, codes, sizes_bytes:
+        timestamps, codes:
             Aligned per-packet columns.
         in_bounds:
             Guarantee that every code lies in the dense range last
             confirmed by :meth:`reserve_codes`.
-        const_size:
-            Guarantee that every size equals this value (``None`` =
-            unknown).
         keep_masks:
             Optional ``(streams, packets)`` boolean array, one row per
             sampled stream flagging the packets it keeps.  Each closed
@@ -625,18 +571,17 @@ class FlowAccountingEngine:
                 raise ValueError("keep_masks must hold one flag per packet for every stream")
         if timestamps.size == 0:
             return
+        codes = _checked_codes(codes)
         if isinstance(self._open, _HashBin) and self._observe_fast(
             timestamps,
             codes,
-            sizes_bytes,
             chunk_sorted=True,
             in_bounds=in_bounds,
-            const_size=const_size,
             keep_masks=keep_masks,
         ):
             self._packets_seen += int(timestamps.size)
             return
-        self._observe_checked(timestamps, codes, sizes_bytes, keep_masks)
+        self._observe_checked(timestamps, codes, keep_masks)
 
     # ------------------------------------------------------------------
     def _close_open(self) -> None:

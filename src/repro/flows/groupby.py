@@ -1,30 +1,27 @@
-"""Group-by kernels for per-flow accumulation.
+"""Group-by kernels for per-flow packet counting.
 
-The accounting engine reduces each measurement bin to per-flow
-``(packets, bytes, first_seen, last_seen)`` tuples keyed by
-non-negative ``int64`` key codes (flow group ids).  This module holds
-the kernels that perform that reduction:
+The accounting engine reduces each measurement bin to a packet count
+per flow, keyed by non-negative ``int64`` key codes (flow group ids).
+This module holds the kernels that perform that reduction:
 
 * :class:`HashAccumulator` — the unbounded engine's accumulator: an
-  open-addressing ``int64`` hash table that accumulates all four
-  statistics in one pass per segment, with no per-chunk sort and no
-  sorted-union merge between chunks.  Codes drawn from a small
-  contiguous universe (the common case: the dense group ids of a
-  pipeline plan) use *identity addressing* — the degenerate perfect
-  hash — while sparse codes fall back to Fibonacci hashing with linear
-  probing.  Given per-stream keep masks it also counts each sampled
-  stream's packets per flow, in compact columns that share the table's
-  code→slot map.
+  open-addressing ``int64`` hash table that counts packets in one pass
+  per segment, with no per-chunk sort and no sorted-union merge between
+  chunks.  Codes drawn from a small contiguous universe (the common
+  case: the dense group ids of a pipeline plan) use *identity
+  addressing* — the degenerate perfect hash — while sparse codes fall
+  back to Fibonacci hashing with linear probing.  Given per-stream keep
+  masks it also counts each sampled stream's packets per flow, in
+  compact columns that share the table's code→slot map.
 * :func:`aggregate_codes` / :func:`sort_group_index` — a stable
-  ``argsort`` + ``reduceat`` group-by of one segment.  The bounded
-  engine folds a segment that cannot overflow its table through it, so
-  these two functions are the designated home of the sorts that
-  reprolint rule ``REP205`` bans elsewhere on the accounting path.
+  ``argsort`` group-by of one segment.  The bounded engine folds a
+  segment that cannot overflow its table through it, so these two
+  functions are the designated home of the sorts that reprolint rule
+  ``REP205`` bans elsewhere on the accounting path.
 
 The kernels are pure NumPy.  The hash accumulator is bit-identical to
-a sort-based group-by by construction: packet counts and byte sums are
-integer additions and first/last timestamps are floating min/max
-selections, none of which depend on accumulation order, and codes are
+a sort-based group-by by construction: packet counts are integer
+additions, which do not depend on accumulation order, and codes are
 emitted in ascending order.
 ``tests/test_groupby.py`` asserts the equivalence property-based
 against the sort-based oracle (``tests/oracles/groupby.py``), including
@@ -33,11 +30,10 @@ raises :class:`ValueError`, so no code can equal :data:`EMPTY_SLOT`.
 
 >>> import numpy as np
 >>> acc = HashAccumulator()
->>> acc.ingest(np.array([0.0, 1.0, 2.0]), np.array([7, 9, 7]),
-...            np.array([500, 500, 500]), time_sorted=True)
->>> codes, packets, _, first, last, _ = acc.extract()
->>> codes.tolist(), packets.tolist(), first.tolist(), last.tolist()
-([7, 9], [2, 1], [0.0, 1.0], [2.0, 1.0])
+>>> acc.ingest(np.array([7, 9, 7]))
+>>> codes, packets, _ = acc.extract()
+>>> codes.tolist(), packets.tolist()
+([7, 9], [2, 1])
 """
 
 from __future__ import annotations
@@ -89,40 +85,29 @@ def sort_group_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndar
     return order, sorted_codes, starts
 
 
-def aggregate_codes(
-    codes: np.ndarray,
-    timestamps: np.ndarray,
-    sizes_bytes: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Group-by-code aggregation of one packet segment (sort-based).
+def aggregate_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Group-by-code packet counts of one segment (sort-based).
 
     Parameters
     ----------
     codes:
         Integer key code of every packet.
-    timestamps, sizes_bytes:
-        Matching per-packet columns.
 
     Returns
     -------
-    tuple of arrays
-        ``(codes, packets, bytes, first_seen, last_seen)`` with one
-        entry per distinct code, codes sorted ascending.
+    tuple[numpy.ndarray, numpy.ndarray]
+        ``(codes, packets)`` with one entry per distinct code, codes
+        sorted ascending.
+
+    >>> unique, packets = aggregate_codes(np.array([9, 7, 9]))
+    >>> unique.tolist(), packets.tolist()
+    ([7, 9], [1, 2])
     """
     codes = np.asarray(codes, dtype=np.int64)
-    timestamps = np.asarray(timestamps, dtype=np.float64)
-    sizes = np.asarray(sizes_bytes, dtype=np.int64)
     if codes.size == 0:
-        empty_i = np.empty(0, dtype=np.int64)
-        empty_f = np.empty(0, dtype=np.float64)
-        return empty_i, empty_i.copy(), empty_i.copy(), empty_f, empty_f.copy()
-    order, sorted_codes, starts = sort_group_index(codes)
-    unique = sorted_codes[starts]
-    packets = np.diff(np.append(starts, codes.size)).astype(np.int64)
-    byte_sums = np.add.reduceat(sizes[order], starts)
-    first = np.minimum.reduceat(timestamps[order], starts)
-    last = np.maximum.reduceat(timestamps[order], starts)
-    return unique, packets, byte_sums, first, last
+        return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
+    _, sorted_codes, starts = sort_group_index(codes)
+    return sorted_codes[starts], np.diff(np.append(starts, codes.size))
 
 
 def _next_pow2(value: int) -> int:
@@ -169,7 +154,7 @@ def _probe_slots(keys: np.ndarray, codes: np.ndarray, shift: int) -> np.ndarray:
 
 
 class HashAccumulator:
-    """Open-addressing accumulator of per-code flow statistics.
+    """Open-addressing accumulator of per-code packet counts.
 
     One instance accumulates a single measurement bin: call
     :meth:`ingest` once per chunk segment and :meth:`extract` when the
@@ -194,15 +179,8 @@ class HashAccumulator:
         "_keys",
         "_shift",
         "_packets",
-        "_bytes",
-        "_first",
-        "_last",
-        "_scratch",
         "_used",
         "_empty",
-        "_minmax_primed",
-        "_const_size",
-        "_bytes_live",
         "_column",
         "_columns",
         "_sampled",
@@ -214,11 +192,6 @@ class HashAccumulator:
         self._used = 0
         self._dense = False
         self._empty = True
-        self._minmax_primed = False
-        #: Uniform packet size while byte sums are deferred (see ingest).
-        self._const_size: int | None = None
-        #: True once ``_bytes`` holds materialised per-slot byte sums.
-        self._bytes_live = False
         #: Sampled counts, one row per stream and one column per flow of
         #: the open bin (``_columns`` in use); ``_streams`` is the number
         #: of keep masks the bin was ingested with, ``None`` for none.
@@ -235,12 +208,9 @@ class HashAccumulator:
         return self._used
 
     def clear(self) -> None:
-        """Reset all statistics, keeping the table layout for reuse."""
+        """Reset all counts, keeping the table layout for reuse."""
         self._used = 0
         self._empty = True
-        self._minmax_primed = False
-        self._const_size = None
-        self._bytes_live = False
         if self._sampled is not None:
             self._sampled[:, : self._columns] = 0
         self._columns = 0
@@ -280,50 +250,20 @@ class HashAccumulator:
             else np.full(slots, EMPTY_SLOT, dtype=np.int64)
         )
         self._packets = np.zeros(slots, dtype=np.int64)
-        # bytes/first/last/column stay garbage for dead slots: byte sums
-        # are deferred while packet sizes are uniform (_materialise_bytes
-        # overwrites every slot when they stop being), first/last are
-        # primed lazily only when a reduction-based ingest needs them, and
-        # a slot gets its column when it goes live under keep masks.
-        self._bytes = np.empty(slots, dtype=np.int64)
-        self._first = np.empty(slots)
-        self._last = np.empty(slots)
-        self._scratch = np.empty(slots)
+        # A slot gets its column when it goes live under keep masks; dead
+        # slots' columns are never read.
         self._column = np.empty(slots, dtype=np.int64)
         self._empty = True
-        self._minmax_primed = False
-        self._const_size = None
-        self._bytes_live = False
-
-    def _prime_minmax(self) -> None:
-        """Give every dead slot min/max identities before ``ufunc.at`` runs."""
-        if not self._minmax_primed:
-            dead = self._packets == 0
-            self._first[dead] = np.inf
-            self._last[dead] = -np.inf
-            self._minmax_primed = True
-
-    def _materialise_bytes(self) -> None:
-        """Expand deferred constant-size byte sums into ``_bytes``."""
-        np.multiply(self._packets, self._const_size or 0, out=self._bytes)
-        self._const_size = None
-        self._bytes_live = True
 
     def _live_slots(self) -> np.ndarray:
         return np.flatnonzero(self._packets != 0)
 
     def _rebuild(self, dense: bool, base: int, slots: int) -> None:
-        """Move live statistics into a fresh table layout."""
+        """Move live counts into a fresh table layout."""
         live = self._live_slots() if self._slots else np.empty(0, dtype=np.int64)
         if live.size:
             codes = (live + self._base) if self._dense else self._keys[live]
             packets = self._packets[live]
-            if self._bytes_live:
-                byte_sums = self._bytes[live]
-            else:
-                byte_sums = packets * (self._const_size or 0)
-            first = self._first[live]
-            last = self._last[live]
             columns = self._column[live]
         self._allocate(dense, base, slots)
         if live.size:
@@ -332,11 +272,6 @@ class HashAccumulator:
             else:
                 target = _probe_slots(self._keys, codes, self._shift)
             self._packets[target] = packets
-            self._bytes.fill(0)
-            self._bytes[target] = byte_sums
-            self._bytes_live = True
-            self._first[target] = first
-            self._last[target] = last
             self._column[target] = columns
             self._used = int(live.size)
             self._empty = False
@@ -372,35 +307,21 @@ class HashAccumulator:
     # ------------------------------------------------------------------
     def ingest(
         self,
-        timestamps: np.ndarray,
         codes: np.ndarray,
-        sizes: np.ndarray,
         *,
-        time_sorted: bool,
         in_bounds: bool = False,
-        const_size: int | None = None,
         keep_masks: np.ndarray | None = None,
     ) -> None:
-        """Accumulate one segment of packets.
+        """Count one segment of packets.
 
         Parameters
         ----------
-        timestamps, codes, sizes:
-            Aligned per-packet columns (``float64`` / ``int64`` /
-            ``int64``).
-        time_sorted:
-            ``True`` when ``timestamps`` is non-decreasing *and* no
-            earlier ingest into this accumulator saw a later timestamp.
-            Enables scatter-store first/last updates; when ``False``
-            the exact ``minimum.at`` / ``maximum.at`` reductions run
-            instead.  Both produce the same statistics.
+        codes:
+            Key code of every packet (``int64``).
         in_bounds:
             Caller guarantee that every code lies inside the dense range
             last confirmed by :meth:`reserve_dense`, letting ingest skip
             its own bounds scan.  Ignored unless the table is dense.
-        const_size:
-            Caller guarantee that every entry of ``sizes`` equals this
-            value; ``None`` means unknown and ingest checks itself.
         keep_masks:
             Optional ``(streams, packets)`` boolean array: row ``s``
             flags the packets sampled stream ``s`` keeps.  Their counts
@@ -411,8 +332,7 @@ class HashAccumulator:
         The bounds scan raises :class:`ValueError` on a negative code.
         Out-of-range codes smuggled past ``in_bounds`` fail loudly too:
         the slot bincount rejects negative slots and over-long counts
-        break the accumulate shapes — statistics are never silently
-        wrong.
+        break the accumulate shapes — counts are never silently wrong.
         """
         if codes.size == 0:
             return
@@ -434,69 +354,20 @@ class HashAccumulator:
         else:
             slots = _probe_slots(self._keys, codes, self._shift)
         counts = np.bincount(slots, minlength=self._slots)
-        if keep_masks is not None:
-            self._count_sampled(slots, counts, keep_masks)
-        if const_size is None:
-            first_size = int(sizes[0])
-            if bool((sizes == first_size).all()):
-                const_size = first_size
-        # Byte sums for constant-size traffic (synthetic traces, fixed
-        # MTU) are just scaled packet counts — and while every segment
-        # shares one size they are not even accumulated: extract scales
-        # the packet counts directly.  The first segment that breaks the
-        # pattern materialises the sums and accumulation turns eager.
-        if not self._bytes_live:
-            if const_size is not None and (
-                self._empty or self._const_size == const_size
-            ):
-                self._const_size = const_size
-            else:
-                self._materialise_bytes()
-        if self._bytes_live:
-            if const_size is not None:
-                self._bytes += counts * const_size
-            elif sizes.dtype == np.int64:
-                np.add.at(self._bytes, slots, sizes)
-            else:
-                np.add.at(self._bytes, slots, sizes.astype(np.int64))
-        new_count = 0
-        if time_sorted:
-            # Non-decreasing time: the first occurrence of a new code is
-            # its minimum and a plain scatter (last write wins) yields
-            # the maximum, so neither needs a reduction.
-            if self._empty:
-                # Every touched slot is new — scatter first/last straight
-                # into the table, no new-slot detection pass at all.
-                self._first[slots[::-1]] = timestamps[::-1]
-                new_count = -1
-            else:
-                new = np.flatnonzero((self._packets == 0) & (counts != 0))
-                scratch = self._scratch
-                scratch[slots[::-1]] = timestamps[::-1]
-                self._first[new] = scratch[new]
-                new_count = int(new.size)
-            self._last[slots] = timestamps
-        else:
-            self._prime_minmax()
-            if not dense:
-                new = np.flatnonzero((self._packets == 0) & (counts != 0))
-                new_count = int(new.size)
-            else:
-                new_count = -1
-            np.minimum.at(self._first, slots, timestamps)
-            np.maximum.at(self._last, slots, timestamps)
+        if keep_masks is not None or not dense:
+            # Slots this segment brings to life: probing tables count
+            # them, and each takes the next free stream column.
+            new = np.flatnonzero((self._packets == 0) & (counts != 0))
+            self._used += int(new.size)
+            if keep_masks is not None:
+                self._count_sampled(new, slots, keep_masks)
         self._packets += counts
-        if new_count >= 0:
-            self._used += new_count
-        elif not dense:
-            self._used = int(np.count_nonzero(self._packets))
         self._empty = False
 
     def _count_sampled(
-        self, slots: np.ndarray, counts: np.ndarray, keep_masks: np.ndarray
+        self, new: np.ndarray, slots: np.ndarray, keep_masks: np.ndarray
     ) -> None:
         """Give the segment's new flows columns, then count each stream's kept packets."""
-        new = np.flatnonzero((self._packets == 0) & (counts != 0))
         start = self._columns
         columns = self._columns = start + int(new.size)
         self._column[new] = np.arange(start, columns)
@@ -513,10 +384,8 @@ class HashAccumulator:
             sampled[row, :columns] += np.bincount(kept, minlength=columns)
 
     # ------------------------------------------------------------------
-    def extract(
-        self,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray | None]:
-        """Return ``(codes, packets, bytes, first, last, sampled)`` sorted by code.
+    def extract(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+        """Return ``(codes, packets, sampled)`` sorted by code.
 
         ``sampled`` is the ``(streams, flows)`` array of per-stream
         packet counts, aligned with ``codes``, when the bin was ingested
@@ -537,18 +406,12 @@ class HashAccumulator:
             codes = keys[order]
             selected = live[order]
         packets = self._packets[selected]
-        if self._bytes_live:
-            byte_sums = self._bytes[selected]
-        else:
-            byte_sums = packets * (self._const_size or 0)
-        first = self._first[selected]
-        last = self._last[selected]
         sampled = None
         if self._streams is not None and self._sampled is not None:
             # take() keeps each stream's row contiguous for scoring;
             # indexing with [:, positions] strides rows by the stream count.
             sampled = self._sampled[:, : self._columns].take(self._column[selected], axis=1)
-        return codes, packets, byte_sums, first, last, sampled
+        return codes, packets, sampled
 
 
 __all__ = [

@@ -21,6 +21,7 @@ dotted-quad notation.
 from __future__ import annotations
 
 import abc
+import operator
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -103,12 +104,20 @@ class DestinationPrefixKeyPolicy(FlowKeyPolicy):
 
     The group id is the destination address shifted down to its
     ``prefix_length`` significant bits, so ids order like the prefixes.
+    ``prefix_length`` is an integer in ``[0, 32]``: a fraction (``24.5``)
+    raises :class:`TypeError` instead of being rounded down to /24.
     """
 
     def __init__(self, prefix_length: int = 24) -> None:
-        if not 0 <= prefix_length <= 32:
+        try:
+            length = operator.index(prefix_length)
+        except TypeError:
+            raise TypeError(
+                f"prefix_length must be an integer, got {prefix_length!r}"
+            ) from None
+        if not 0 <= length <= 32:
             raise ValueError(f"prefix_length must be in [0, 32], got {prefix_length}")
-        self.prefix_length = int(prefix_length)
+        self.prefix_length = length
         self.name = f"/{self.prefix_length} destination prefix"
 
     def group_ids(self, trace: FlowLevelTrace) -> np.ndarray:

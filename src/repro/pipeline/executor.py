@@ -68,6 +68,7 @@ from ..flows.accounting import (
     BinAccount,
     FlowAccountingEngine,
     _checked_bin_duration,
+    _checked_codes,
     _checked_max_flows,
 )
 from ..flows.packets import PacketBatch
@@ -128,8 +129,8 @@ def run_stream(
         Packet chunks whose concatenation is sorted by timestamp (see
         :meth:`repro.traces.source.PacketSource.iter_chunks`).
     group_of_flow:
-        Array mapping flow ids to non-negative flow-group identifiers
-        under the chosen flow definition.
+        Array mapping flow ids to non-negative integer flow-group
+        identifiers under the chosen flow definition.
     stream_samplers:
         One sampler instance per independent stream (a (sampler spec,
         run) pair); each keeps its own state across chunks.
@@ -152,8 +153,9 @@ def run_stream(
     Raises
     ------
     TypeError
-        When ``top_t`` or ``max_flows`` is not an integer (checked
-        before any chunk is read).
+        When ``top_t`` or ``max_flows`` is not an integer, or
+        ``group_of_flow`` is not of an integer dtype (checked before any
+        chunk is read).
     ValueError
         When ``bin_duration`` is not positive and finite, ``top_t < 1``
         or ``max_flows < 1`` (checked before any chunk is read), or on
@@ -165,7 +167,7 @@ def run_stream(
     bin_duration = _checked_bin_duration(bin_duration)
     top_t = _checked_top_t(top_t)
     max_flows = _checked_max_flows(max_flows)
-    groups = np.asarray(group_of_flow, dtype=np.int64)
+    groups = _checked_codes(group_of_flow, "flow group identifiers")
     if groups.ndim != 1:
         raise ValueError("group_of_flow must be a 1-D array")
     if groups.size and int(groups.min()) < 0:
@@ -225,7 +227,6 @@ def run_stream(
                 f"bin_duration={bin_duration!r} gives bin indices beyond int64 "
                 f"at t={previous_end!r}; use a larger bin_duration"
             )
-        sizes = chunk.sizes_bytes
         with telemetry.span("stream.sample"):
             keep = np.empty((num_streams, size), dtype=bool)
             for stream, sampler in enumerate(stream_samplers):
@@ -236,27 +237,19 @@ def run_stream(
                         f"packet: got shape {mask.shape} for {size} packets"
                     )
                 keep[stream] = mask
-        # One code gather and one constant-size check per chunk; the
-        # truth engine and every monitor consume the same trusted columns.
+        # One code gather per chunk; the truth engine and every monitor
+        # consume the same trusted columns.
         with telemetry.span("stream.account"):
             codes = groups.take(chunk.flow_ids)
-            const_size = int(sizes[0]) if bool((sizes == sizes[0]).all()) else None
             dense = truth.reserve_codes(group_low, group_high)
             if telemetry.enabled:
                 telemetry.gauge("stream.addressing", "dense" if dense else "probing")
             truth.observe_sorted_chunk(
-                timestamps,
-                codes,
-                sizes,
-                in_bounds=dense,
-                const_size=const_size,
-                keep_masks=None if monitors else keep,
+                timestamps, codes, in_bounds=dense, keep_masks=None if monitors else keep
             )
             for monitor, mask in zip(monitors, keep):
                 kept = np.flatnonzero(mask)
-                monitor.observe_sorted_chunk(
-                    timestamps.take(kept), codes.take(kept), sizes.take(kept), const_size=const_size
-                )
+                monitor.observe_sorted_chunk(timestamps.take(kept), codes.take(kept))
             # Bins the stream head has moved past can never grow again.
             closed = truth.drain_completed()
         _score(closed)

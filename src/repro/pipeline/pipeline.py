@@ -140,8 +140,6 @@ class Pipeline:
         self._num_runs: int = 5
         self._seed: int | None = None
         self._chunk_packets: int | None = DEFAULT_CHUNK_PACKETS
-        self._evaluate_ranking: bool = True
-        self._evaluate_detection: bool = True
         self._monitor: bool = False
         self._monitor_max_flows: int | None = None
         # (source, key spec, dense groups) of the last plan over a source
@@ -417,26 +415,6 @@ class Pipeline:
             ``self``, for chaining.
         """
         self._seed = seed
-        return self
-
-    def with_problems(self, *, ranking: bool = True, detection: bool = True) -> "Pipeline":
-        """Choose which problems to report (both by default).
-
-        Parameters
-        ----------
-        ranking, detection:
-            Whether to produce the respective series; at least one must
-            remain enabled.
-
-        Returns
-        -------
-        Pipeline
-            ``self``, for chaining.
-        """
-        if not (ranking or detection):
-            raise ValueError("at least one of ranking/detection must be evaluated")
-        self._evaluate_ranking = bool(ranking)
-        self._evaluate_detection = bool(detection)
         return self
 
     def streaming(self, chunk_packets: int = DEFAULT_CHUNK_PACKETS) -> "Pipeline":
@@ -783,14 +761,12 @@ class Pipeline:
             result.samplers.append(
                 SamplerSummary(label=label, effective_rate=first.effective_rate)
             )
-            if self._evaluate_ranking:
-                result.ranking[label] = metric_series_for_stream(
-                    outcome, "ranking", first.effective_rate, stream_slice
-                )
-            if self._evaluate_detection:
-                result.detection[label] = metric_series_for_stream(
-                    outcome, "detection", first.effective_rate, stream_slice
-                )
+            result.ranking[label] = metric_series_for_stream(
+                outcome, "ranking", first.effective_rate, stream_slice
+            )
+            result.detection[label] = metric_series_for_stream(
+                outcome, "detection", first.effective_rate, stream_slice
+            )
             if self._monitor:
                 result.evictions[label] = [
                     int(value) for value in outcome.evictions[stream_slice]

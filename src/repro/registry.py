@@ -269,7 +269,7 @@ def _make_five_tuple() -> FiveTupleKeyPolicy:
 
 @KEY_POLICIES.register("prefix", aliases=("dst-prefix", "/24"))
 def _make_prefix(prefix_length: int = 24) -> DestinationPrefixKeyPolicy:
-    return DestinationPrefixKeyPolicy(int(prefix_length))
+    return DestinationPrefixKeyPolicy(prefix_length)
 
 
 @DISTRIBUTIONS.register("pareto")

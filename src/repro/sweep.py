@@ -60,6 +60,7 @@ from pathlib import Path
 from . import telemetry
 from .flows.accounting import _checked_bin_duration, _checked_max_flows
 from .pipeline.parallel import probe_process_spawn
+from .registry import KEY_POLICIES
 from .spec import format_spec, parse_spec
 from .store import Lease, RunSpec, RunStore, StoredRun, _atomic_write_text, _execute_specs
 
@@ -91,8 +92,9 @@ class SweepGrid:
     The remaining fields (``key``, ``bin_duration``, ``top_t``,
     ``num_runs``, ``monitor``, ``max_flows``) are fixed across the grid
     and map straight onto :class:`~repro.store.RunSpec`; ``max_flows``,
-    when given, must be an integer of at least 1, and ``bin_duration``
-    positive and finite.
+    when given, must be an integer of at least 1, ``bin_duration``
+    positive and finite, and ``key`` a spec a key policy can be built
+    from.
     """
 
     scenarios: tuple[str, ...] = ()
@@ -121,6 +123,10 @@ class SweepGrid:
             raise ValueError("a sweep grid needs at least one seed")
         _checked_max_flows(self.max_flows)
         _checked_bin_duration(self.bin_duration)
+        # Build the key policy once, so a bad key spec fails here and not
+        # after the first cells have been stored.
+        name, kwargs = parse_spec(self.key)
+        KEY_POLICIES.create(name, **kwargs)
 
     # ------------------------------------------------------------------
     @property

@@ -8,7 +8,7 @@ speed-ratio gates.
 
 * :mod:`oracles.assembly` — concatenate + stable-argsort chunk assembly
   for every packet source (the library uses pooled buffers and merges);
-* :mod:`oracles.groupby` — the argsort + ``reduceat`` group-by with
+* :mod:`oracles.groupby` — the stable-argsort group-by with
   sorted-union merges between chunks (the library uses the hash
   accumulator);
 * :mod:`oracles.objectpath` — per-packet flow classification and the

@@ -6,7 +6,9 @@ evicts through a lazy min-heap; :class:`ObjectFlowTable` bins a
 :class:`FlowBin` reports ranked by :func:`ranking_sort_key`.
 This is the object-level monitor the columnar
 :class:`~repro.flows.accounting.FlowAccountingEngine` must match bit
-for bit: same bins, rankings and eviction counts.  Packets carry
+for bit: same bins, per-flow packet counts, rankings and eviction
+counts.  Like the engine, it keeps one statistic per flow, the packet
+count; a packet's size rides along unread.  Packets carry
 :class:`~oracles.keys.FiveTuple` objects, classified by
 :func:`~oracles.keys.key_of`; :func:`flow_bins` turns the engine's
 closed bins into the same reports for the comparison, naming each group
@@ -22,7 +24,7 @@ from __future__ import annotations
 
 import heapq
 from collections.abc import Iterable, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import count
 
 from oracles.keys import FiveTuple, flow_key_order, key_of
@@ -65,90 +67,45 @@ class Packet:
 
 @dataclass
 class FlowRecord:
-    """Mutable per-flow counters maintained during classification."""
+    """Mutable per-flow packet counter maintained during classification."""
 
     key: object
     packets: int = 0
-    bytes: int = 0
-    first_seen: float = field(default=float("inf"))
-    last_seen: float = field(default=float("-inf"))
 
-    def update(self, timestamp: float, size_bytes: int) -> None:
+    def update(self) -> None:
         """Account one packet of this flow."""
-        if size_bytes <= 0:
-            raise ValueError(f"size_bytes must be positive, got {size_bytes}")
-        if timestamp < 0:
-            raise ValueError(f"timestamp must be non-negative, got {timestamp}")
         self.packets += 1
-        self.bytes += int(size_bytes)
-        if timestamp < self.first_seen:
-            self.first_seen = timestamp
-        if timestamp > self.last_seen:
-            self.last_seen = timestamp
 
-    def merge(self, packets: int, size_bytes: int, first_seen: float, last_seen: float) -> None:
-        """Account ``packets`` packets of this flow, seen between the two times, at once."""
+    def merge(self, packets: int) -> None:
+        """Account ``packets`` packets of this flow at once."""
         if packets < 1:
             raise ValueError(f"packets must be at least 1, got {packets}")
-        if size_bytes < packets:
-            raise ValueError("size_bytes must cover at least one byte per packet")
-        if first_seen < 0 or last_seen < first_seen:
-            raise ValueError("need 0 <= first_seen <= last_seen")
         self.packets += int(packets)
-        self.bytes += int(size_bytes)
-        if first_seen < self.first_seen:
-            self.first_seen = first_seen
-        if last_seen > self.last_seen:
-            self.last_seen = last_seen
-
-    @property
-    def duration(self) -> float:
-        """Time between the first and last accounted packet (0 for 1 packet)."""
-        if self.packets == 0:
-            return 0.0
-        return max(0.0, self.last_seen - self.first_seen)
 
     def freeze(self) -> "FlowSummary":
         """Export an immutable summary of the record."""
         if self.packets == 0:
             raise ValueError("cannot freeze a flow record with no packets")
-        return FlowSummary(self.key, self.packets, self.bytes, self.first_seen, self.last_seen)
+        return FlowSummary(self.key, self.packets)
 
 
 @dataclass(frozen=True, slots=True)
 class FlowSummary:
-    """Immutable per-flow statistics for one measurement interval."""
+    """Immutable per-flow packet count for one measurement interval."""
 
     key: object
     packets: int
-    bytes: int
-    first_seen: float
-    last_seen: float
 
     def __post_init__(self) -> None:
         if self.packets < 1:
             raise ValueError("a flow summary must contain at least one packet")
-        if self.bytes < 1:
-            raise ValueError("a flow summary must contain at least one byte")
-        if self.last_seen < self.first_seen:
-            raise ValueError("last_seen must not precede first_seen")
-
-    @property
-    def duration(self) -> float:
-        """Flow duration within the interval, in seconds."""
-        return self.last_seen - self.first_seen
-
-    @property
-    def mean_packet_size(self) -> float:
-        """Average packet size of the flow in bytes."""
-        return self.bytes / self.packets
 
 
 def ranking_sort_key(flow: FlowSummary) -> tuple[object, ...]:
-    """The oracle's ranking order: decreasing packets, then decreasing
-    bytes, then :func:`~oracles.keys.flow_key_order` of the key, so
-    a bin's order never depends on dict insertion order."""
-    return (-flow.packets, -flow.bytes, flow_key_order(flow.key))
+    """The oracle's ranking order: decreasing packets, then
+    :func:`~oracles.keys.flow_key_order` of the key, so a bin's order
+    never depends on dict insertion order."""
+    return (-flow.packets, flow_key_order(flow.key))
 
 
 @dataclass(frozen=True)
@@ -183,12 +140,9 @@ def flow_bins(accounts: Iterable[BinAccount], keys: Mapping[int, object]) -> lis
     """
     bins = []
     for account in accounts:
-        columns = zip(
-            account.codes, account.packets, account.bytes, account.first_seen, account.last_seen
-        )
         flows = [
-            FlowSummary(keys[int(code)], int(packets), int(size), float(lo), float(hi))
-            for code, packets, size, lo, hi in columns
+            FlowSummary(keys[int(code)], int(packets))
+            for code, packets in zip(account.codes, account.packets)
         ]
         flows.sort(key=ranking_sort_key)
         bins.append(FlowBin(account.index, account.start_time, account.end_time, tuple(flows)))
@@ -254,7 +208,7 @@ class FlowClassifier:
         """Account one packet."""
         key = key_of(self.key_policy, packet.five_tuple)
         record = self._record_for(key)
-        record.update(packet.timestamp, packet.size_bytes)
+        record.update()
         if self._heap is not None:
             self._heap_push(key, record)
         self._packets_seen += 1
@@ -270,18 +224,11 @@ class FlowClassifier:
             return
         if int(batch.flow_ids.max()) >= len(five_tuples):
             raise ValueError("five_tuples is too short for the flow ids present in the batch")
-        flow_ids, packets, byte_sums, first, last = aggregate_codes(
-            batch.flow_ids, batch.timestamps, batch.sizes_bytes
-        )
-        for position in range(flow_ids.size):
-            key = key_of(self.key_policy, five_tuples[int(flow_ids[position])])
+        flow_ids, packets = aggregate_codes(batch.flow_ids)
+        for flow_id, count in zip(flow_ids.tolist(), packets.tolist()):
+            key = key_of(self.key_policy, five_tuples[flow_id])
             record = self._record_for(key)
-            record.merge(
-                int(packets[position]),
-                int(byte_sums[position]),
-                float(first[position]),
-                float(last[position]),
-            )
+            record.merge(count)
             if self._heap is not None:
                 self._heap_push(key, record)
         self._packets_seen += len(batch)

@@ -9,8 +9,8 @@ what users run, the group ids of ``policy.group_ids``; the oracle
 classifies each packet by its 5-tuple or destination prefix, over flows
 sorted by 5-tuple so that group ids order like the oracle's keys.  The
 property-based tests here generate adversarial streams (tiny key
-spaces, colliding counts, binding memory bounds) and assert exactly
-that.  The file also checks the bounded table's one-entry-per-flow
+spaces, colliding counts, binding memory bounds, packet sizes the
+engine never reads) and assert exactly that.  The file also checks the bounded table's one-entry-per-flow
 eviction heap, that negative codes are rejected, and that
 ``max_flows``, ``bin_duration``, ``num_runs`` and ``chunk_packets`` are
 checked at every entry point.
@@ -126,9 +126,7 @@ class TestObjectColumnarEquivalence:
             # reserved for dense addressing, trusted columns.
             in_bounds = engine.reserve_codes(int(groups.min()), int(groups.max()))
             codes = groups.take(batch.flow_ids)
-            engine.observe_sorted_chunk(
-                batch.timestamps, codes, batch.sizes_bytes, in_bounds=in_bounds
-            )
+            engine.observe_sorted_chunk(batch.timestamps, codes, in_bounds=in_bounds)
         accounts = engine.flush()
 
         assert flow_bins(accounts, keys) == reference_bins
@@ -167,9 +165,7 @@ class TestObjectColumnarEquivalence:
         codes = policy.group_ids(trace)[flow_ids]
         engine = FlowAccountingEngine(10.0, max_flows=max_flows)
         for lo in range(0, num_packets, chunk):
-            engine.observe_chunk(
-                timestamps[lo : lo + chunk], codes[lo : lo + chunk], sizes[lo : lo + chunk]
-            )
+            engine.observe_chunk(timestamps[lo : lo + chunk], codes[lo : lo + chunk])
         accounts = engine.flush()
 
         assert reference_evictions > 0
@@ -189,35 +185,27 @@ class TestObjectColumnarEquivalence:
         rng = np.random.default_rng(seed)
         table = _BoundedBin(max_flows)
         for size in segments:
-            codes = rng.integers(0, 2 * max_flows, size)
-            table.apply(rng.uniform(0.0, 10.0, size), codes, np.full(size, 500))
+            table.apply(rng.integers(0, 2 * max_flows, size))
             entries = {code: count for count, code in table.heap}
             assert len(table.heap) == len(table.table) == len(entries)
             assert entries.keys() == table.table.keys()
-            assert all(count <= table.table[code][0] for code, count in entries.items())
+            assert all(count <= table.table[code] for code, count in entries.items())
             if table.table and rng.random() < 0.3:
-                expected = min(table.table, key=lambda code: (table.table[code][0], code))
+                expected = min(table.table, key=lambda code: (table.table[code], code))
                 assert table.evict_smallest() == expected
 
     def test_engine_is_chunk_size_invariant(self):
-        timestamps, flow_ids, sizes = _stream(500, 12, 40.0, 7)
+        timestamps, flow_ids, _ = _stream(500, 12, 40.0, 7)
         outputs = []
         for chunk in (1, 7, 100, 500):
             engine = FlowAccountingEngine(10.0, max_flows=5)
             for lo in range(0, 500, chunk):
-                engine.observe_chunk(
-                    timestamps[lo : lo + chunk],
-                    flow_ids[lo : lo + chunk],
-                    sizes[lo : lo + chunk],
-                )
+                engine.observe_chunk(timestamps[lo : lo + chunk], flow_ids[lo : lo + chunk])
             accounts = engine.flush()
             outputs.append(
                 (
                     engine.evictions,
-                    [
-                        (a.index, a.codes.tolist(), a.packets.tolist(), a.bytes.tolist())
-                        for a in accounts
-                    ],
+                    [(a.index, a.codes.tolist(), a.packets.tolist()) for a in accounts],
                 )
             )
         assert all(output == outputs[0] for output in outputs[1:])
@@ -235,27 +223,27 @@ class TestFlowAccountingEngine:
 
     def test_rejects_time_going_backwards_across_bins(self):
         engine = FlowAccountingEngine(10.0)
-        engine.observe_chunk([15.0], [1], [500])
+        engine.observe_chunk([15.0], [1])
         with pytest.raises(ValueError):
-            engine.observe_chunk([5.0], [1], [500])
+            engine.observe_chunk([5.0], [1])
         with pytest.raises(ValueError):
-            engine.observe_chunk([25.0, 12.0], [1, 1], [500, 500])
+            engine.observe_chunk([25.0, 12.0], [1, 1])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_observe_chunk_rejects_non_finite_timestamps(self, bad):
         engine = FlowAccountingEngine(10.0)
         with pytest.raises(ValueError, match="timestamps must be finite"):
-            engine.observe_chunk([0.0, bad], [1, 2], [500, 500])
+            engine.observe_chunk([0.0, bad], [1, 2])
         bounded = FlowAccountingEngine(10.0, max_flows=4)
         with pytest.raises(ValueError, match="timestamps must be finite"):
-            bounded.observe_chunk([bad], [1], [500])
+            bounded.observe_chunk([bad], [1])
 
     def test_keep_masks_count_each_stream_per_flow(self):
         engine = FlowAccountingEngine(10.0)
         timestamps = np.array([0.0, 1.0, 2.0, 12.0, 13.0])
         codes = np.array([9, 4, 9, 4, 4], dtype=np.int64)
         keep = np.array([[1, 1, 0, 1, 0], [0, 0, 0, 0, 0]], dtype=bool)
-        engine.observe_sorted_chunk(timestamps, codes, np.full(5, 500), keep_masks=keep)
+        engine.observe_sorted_chunk(timestamps, codes, keep_masks=keep)
         first, second = engine.flush()
         assert first.codes.tolist() == [4, 9]
         assert first.sampled.tolist() == [[1, 1], [0, 0]]
@@ -266,31 +254,29 @@ class TestFlowAccountingEngine:
         keep = np.ones((1, 2), dtype=bool)
         bounded = FlowAccountingEngine(10.0, max_flows=4)
         with pytest.raises(ValueError, match="unbounded"):
-            bounded.observe_sorted_chunk(
-                np.array([0.0, 1.0]), np.array([1, 2]), np.full(2, 500), keep_masks=keep
-            )
+            bounded.observe_sorted_chunk(np.array([0.0, 1.0]), np.array([1, 2]), keep_masks=keep)
         engine = FlowAccountingEngine(10.0)
         with pytest.raises(ValueError, match="one flag per packet"):
             engine.observe_sorted_chunk(
-                np.array([0.0, 1.0, 2.0]), np.array([1, 2, 3]), np.full(3, 500), keep_masks=keep
+                np.array([0.0, 1.0, 2.0]), np.array([1, 2, 3]), keep_masks=keep
             )
 
     def test_observe_chunk_reports_no_sampled_counts(self):
         engine = FlowAccountingEngine(10.0)
-        engine.observe_chunk([0.0, 1.0], [1, 2], [500, 500])
+        engine.observe_chunk([0.0, 1.0], [1, 2])
         (account,) = engine.flush()
         assert account.sampled is None
 
     def test_empty_bins_are_skipped(self):
         engine = FlowAccountingEngine(1.0)
-        engine.observe_chunk([0.5, 5.5], [1, 2], [500, 500])
+        engine.observe_chunk([0.5, 5.5], [1, 2])
         assert [account.index for account in engine.flush()] == [0, 5]
 
     def test_bounded_eviction_restarts_counts(self):
         engine = FlowAccountingEngine(100.0, max_flows=1)
         # Flow 1 accumulates 3 packets, then flow 2 evicts it; flow 1
         # returns and evicts flow 2, restarting from zero.
-        engine.observe_chunk([0.0, 1.0, 2.0, 3.0, 4.0], [1, 1, 1, 2, 1], [500] * 5)
+        engine.observe_chunk([0.0, 1.0, 2.0, 3.0, 4.0], [1, 1, 1, 2, 1])
         assert engine.evictions == 2
         (account,) = engine.flush()
         assert account.codes.tolist() == [1]
@@ -298,7 +284,7 @@ class TestFlowAccountingEngine:
 
     def test_close_until_closes_lagging_bin(self):
         engine = FlowAccountingEngine(10.0)
-        engine.observe_chunk([0.0], [1], [500])
+        engine.observe_chunk([0.0], [1])
         engine.close_until(3)
         assert [account.index for account in engine.drain_completed()] == [0]
         assert engine.current_bin_index == 3
@@ -310,13 +296,23 @@ class TestFlowAccountingEngine:
 
     @pytest.mark.parametrize("max_flows", [None, 4])
     def test_negative_codes_are_rejected(self, max_flows):
-        """Codes are group ids: a negative one raises on every engine path."""
+        """Codes are integer group ids: a negative one raises ``ValueError`` and
+        a float one ``TypeError`` on every engine path, instead of being
+        truncated into another flow's id; an empty chunk is still a no-op."""
         message = "key codes must be non-negative"
         engine = FlowAccountingEngine(10.0, max_flows=max_flows)
         with pytest.raises(ValueError, match=message):
-            engine.observe_chunk([0.0, 1.0], [3, -1], [500, 500])
+            engine.observe_chunk([0.0, 1.0], [3, -1])
         with pytest.raises(ValueError, match=message):
-            engine.observe_sorted_chunk(np.array([2.0]), np.array([-7]), np.array([500]))
+            engine.observe_sorted_chunk(np.array([2.0]), np.array([-7]))
+        with pytest.raises(TypeError, match="key codes must be integers"):
+            engine.observe_chunk([0.0, 1.0], [1.7, 1.2])
+        with pytest.raises(TypeError, match="key codes must be integers"):
+            engine.observe_sorted_chunk(np.array([0.0, 1.0]), np.array([0.2, 0.7]))
+        engine.observe_chunk([], [])
+        engine.observe_sorted_chunk(np.empty(0), np.empty(0))
+        assert engine.packets_seen == 0
+        assert engine.flush() == []
 
     def test_negative_codes_cannot_be_reserved(self):
         """``in_bounds`` skips the scan, so the reservation it trusts refuses them."""
@@ -325,7 +321,7 @@ class TestFlowAccountingEngine:
 
     def test_counts_for_alignment(self):
         engine = FlowAccountingEngine(10.0)
-        engine.observe_chunk([0.0, 1.0, 2.0], [4, 9, 4], [500] * 3)
+        engine.observe_chunk([0.0, 1.0, 2.0], [4, 9, 4])
         (account,) = engine.flush()
         assert account.counts_for(np.array([9, 4, 777])).tolist() == [1, 2, 0]
 
@@ -341,14 +337,11 @@ class TestHelpers:
         assert bins.size == 0 and bounds.tolist() == [0]
 
     def test_aggregate_codes(self):
-        codes, packets, byte_sums, first, last = aggregate_codes(
-            np.array([7, 3, 7]), np.array([1.0, 2.0, 0.5]), np.array([100, 200, 300])
-        )
+        codes, packets = aggregate_codes(np.array([7, 3, 7]))
         assert codes.tolist() == [3, 7]
         assert packets.tolist() == [1, 2]
-        assert byte_sums.tolist() == [200, 400]
-        assert first.tolist() == [2.0, 0.5]
-        assert last.tolist() == [2.0, 1.0]
+        codes, packets = aggregate_codes(np.array([], dtype=np.int64))
+        assert codes.size == packets.size == 0
 
 
 # ----------------------------------------------------------------------
@@ -356,7 +349,7 @@ class TestHelpers:
 # ----------------------------------------------------------------------
 class TestDeterministicRanking:
     def test_ties_break_by_flow_key_everywhere(self):
-        # Three equal flows (same packets, same bytes): the oracle's bins,
+        # Three equal flows (same packets): the oracle's bins,
         # which the engine's are compared with, rank by key order, not
         # insertion order.
         five_tuples = sorted(_flow_universe(3, 9), key=flow_key_order, reverse=True)
@@ -456,6 +449,15 @@ def test_run_stream_validates_the_group_map():
         run_stream(iter([chunk]), np.arange(3), [], 10.0, 5)
     with pytest.raises(ValueError, match="must be non-negative"):
         run_stream(iter([chunk]), np.array([0, 1, 2, 3, -4, 5]), [], 10.0, 5)
+
+
+def test_run_stream_rejects_non_integer_group_ids():
+    """Group ids 0.2, 0.7 and 1.5 no longer truncate three flows into two."""
+    chunk = PacketBatch([0.0, 1.0, 2.0], [0, 1, 2], [500, 500, 500])
+    with pytest.raises(TypeError, match="flow group identifiers must be integers"):
+        run_stream(iter([chunk]), np.array([0.2, 0.7, 1.5]), [], 10.0, 5)
+    outcome = run_stream(iter([chunk]), np.array([0, 1, 2]), [], 10.0, 5)
+    assert outcome.flows_per_bin == 3.0
 
 
 #: Every entry point that takes ``bin_duration``, as a call of it alone;

@@ -89,6 +89,11 @@ class TestEverySubcommandReportsErrors:
             (SWEEP_RUN + ["--bin", "nan"], "bin_duration must be positive and finite"),
             (SWEEP_STATUS + ["--bin", "nan"], "bin_duration must be positive and finite"),
             (["plan", "--target", "nan"], "target_swapped_pairs must be positive"),
+            (FAST_RUN + ["--key", "prefix:prefix_length=24.5"], "prefix_length must be an integer"),
+            (
+                SWEEP_STATUS + ["--key", "prefix:prefix_length=24.5"],
+                "prefix_length must be an integer",
+            ),
         ],
         ids=[
             "run-rate",
@@ -100,6 +105,8 @@ class TestEverySubcommandReportsErrors:
             "sweep-run-bin-nan",
             "sweep-status-bin-nan",
             "plan-target-nan",
+            "run-prefix-fraction",
+            "sweep-status-prefix-fraction",
         ],
     )
     def test_bad_value_exits_2_without_traceback(self, argv, message, capsys, tmp_path):

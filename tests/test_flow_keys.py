@@ -106,6 +106,12 @@ class TestKeyPolicies:
     def test_prefix_policy_rejects_bad_length(self):
         with pytest.raises(ValueError):
             DestinationPrefixKeyPolicy(40)
+        # A fraction is no longer rounded down to /24.
+        with pytest.raises(TypeError, match="prefix_length must be an integer"):
+            DestinationPrefixKeyPolicy(24.5)
+        with pytest.raises(TypeError, match="prefix_length must be an integer"):
+            KEY_POLICIES.create("prefix", prefix_length=24.9)
+        assert DestinationPrefixKeyPolicy(np.int64(16)).prefix_length == 16
 
     def test_prefix_group_ids_mask_the_prefix(self):
         """The group id is the prefix's significant bits, so ids order like prefixes."""

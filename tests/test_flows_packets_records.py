@@ -71,11 +71,12 @@ class TestPacketBatch:
 class TestFlowRecord:
     def test_update_accumulates(self):
         record = FlowRecord(key="k")
-        record.update(1.0, 500)
-        record.update(3.0, 500)
-        assert record.packets == 2
-        assert record.bytes == 1000
-        assert record.duration == pytest.approx(2.0)
+        record.update()
+        record.update()
+        record.merge(3)
+        assert record.packets == 5
+        with pytest.raises(ValueError):
+            record.merge(0)
 
     def test_freeze_requires_packets(self):
         with pytest.raises(ValueError):
@@ -83,11 +84,12 @@ class TestFlowRecord:
 
     def test_frozen_summary_properties(self):
         record = FlowRecord(key="k")
-        record.update(0.0, 400)
-        record.update(10.0, 600)
+        record.update()
+        record.update()
         summary = record.freeze()
-        assert summary.mean_packet_size == pytest.approx(500.0)
-        assert summary.duration == pytest.approx(10.0)
+        assert (summary.key, summary.packets) == ("k", 2)
+        with pytest.raises(AttributeError):
+            summary.packets = 3
 
 
 class TestFlowClassifier:

@@ -69,7 +69,7 @@ class TestObjectAndVectorPathsAgree:
         engine = FlowAccountingEngine(60.0)
         groups = trace.group_ids(FiveTupleKeyPolicy())
         codes = groups.take(batch.flow_ids)
-        engine.observe_sorted_chunk(batch.timestamps, codes, batch.sizes_bytes)
+        engine.observe_sorted_chunk(batch.timestamps, codes)
         accounts = engine.flush()
         assert len(bins) == len(accounts)
         for flow_bin, account in zip(bins, accounts):

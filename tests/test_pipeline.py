@@ -51,8 +51,6 @@ class TestBuilder:
                 "bernoulli", rate=0.1
             ).run()
         with pytest.raises(ValueError):
-            Pipeline().with_problems(ranking=False, detection=False)
-        with pytest.raises(ValueError):
             Pipeline().streaming(0)
 
     def test_from_spec_strings(self, small_trace):
@@ -478,6 +476,37 @@ class TestMonitorMode:
         assert bounded.series("ranking", 0.5).overall_mean >= (
             unbounded.series("ranking", 0.5).overall_mean
         )
+
+
+@pytest.mark.parametrize("max_flows", [None, 8], ids=["unbounded", "monitor-8"])
+def test_results_do_not_depend_on_packet_sizes(max_flows):
+    """Flows are ranked and detected by packets: one packet table run with
+    sizes drawn from 40-1500 bytes and with every size 500 gives equal
+    results, unbounded and under an evicting 8-flow monitor."""
+    from repro.traces.source import PacketTableSource
+
+    rng = np.random.default_rng(41)
+    timestamps = np.sort(rng.uniform(0.0, 300.0, 6000))
+    # Zipf-like flow popularity, so the top flows are well defined.
+    flow_ids = np.minimum(rng.zipf(1.6, timestamps.size), 120) - 1
+    results = []
+    for sizes in (rng.integers(40, 1501, timestamps.size), np.full(timestamps.size, 500)):
+        pipeline = (
+            Pipeline()
+            .with_source(PacketTableSource(timestamps, flow_ids, sizes))
+            .with_sampler("bernoulli", rate=0.3)
+            .with_sampler("periodic", period=4)
+            .with_bin_duration(60.0)
+            .with_top(5)
+            .with_runs(3)
+            .with_seed(5)
+        )
+        if max_flows is not None:
+            pipeline.with_monitor(max_flows)
+        results.append(pipeline.run(parallel="serial").to_dict())
+    assert results[0] == results[1]
+    if max_flows is not None:
+        assert sum(sum(runs) for runs in results[0]["evictions"].values()) > 0
 
 
 class TestFusedMonitorPass:

@@ -111,8 +111,6 @@ class TestSimulationRunner:
             _simulate(small_trace, rates=(1.5,), runs=1, seed=0, top_t=5)
         with pytest.raises(ValueError):
             _simulate(small_trace, rates=(0.5,), runs=0, seed=0, top_t=5)
-        with pytest.raises(ValueError):
-            Pipeline().with_problems(ranking=False, detection=False)
 
     def test_result_structure(self, simulation_result):
         assert simulation_result.sampling_rates == [0.01, 0.5]
