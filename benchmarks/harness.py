@@ -104,7 +104,7 @@ def _assert_streams_identical(source, rng_seed: int, chunk_packets, label: str) 
                 f"FATAL: {label} assembly emits a different chunk count than the "
                 "reference — assembly regression"
             )
-        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+        for column in ("timestamps", "flow_ids"):
             left = getattr(fast_chunk, column)
             right = getattr(ref_chunk, column)
             if left.dtype != right.dtype or not np.array_equal(left, right):
@@ -114,61 +114,77 @@ def _assert_streams_identical(source, rng_seed: int, chunk_packets, label: str) 
                 )
 
 
-def _timed_source_pass(source, rng_seed: int, chunk_packets, chunks_of) -> tuple[float, int]:
-    """Best-of-two pass over ``chunks_of(source, rng, chunk_packets)``."""
+#: Alternated rounds of the ``expansion`` and ``scenarios`` sections:
+#: every round times one library and one reference pass over the
+#: source, and the sections report the median and quartiles of each side.
+SOURCE_ROUNDS = 5
 
-    def consume() -> int:
+
+def _timed_source_passes(source, rng_seed: int, chunk_packets) -> dict:
+    """Library vs reference passes over one source, alternated; the section entry.
+
+    Each of :data:`SOURCE_ROUNDS` rounds drains the library stream and
+    the oracle's (``tests/oracles/assembly.py``) once, in alternating
+    order, so drift in the host's speed falls on both sides.  The entry
+    records the library side as ``seconds``/``packets_per_second`` (the
+    trajectory the section has always kept, now a median) and
+    ``assembly_speedup`` as the ratio of the medians, with the median,
+    quartiles and minimum of each side under ``spread``.
+    """
+
+    def drain(chunks_of) -> int:
         chunks = chunks_of(source, np.random.default_rng(rng_seed), chunk_packets)
         return sum(len(chunk) for chunk in chunks)
 
-    # Best of two passes: at smoke scales a single pass is scheduling
-    # noise, and the CI gate asserts on the recorded ratio.
-    first_seconds, packets = _timed(consume)
-    second_seconds, _ = _timed(consume)
-    return min(first_seconds, second_seconds), packets
+    sides = (("reference", reference_chunks), ("library", _library_chunks))
+    seconds: dict[str, list[float]] = {"library": [], "reference": []}
+    counts = set()
+    for round_index in range(SOURCE_ROUNDS):
+        for side, chunks_of in sides if round_index % 2 == 0 else sides[::-1]:
+            start = time.perf_counter()
+            counts.add(drain(chunks_of))
+            seconds[side].append(time.perf_counter() - start)
+    if len(counts) != 1:
+        raise SystemExit(f"FATAL: source passes disagree on the packet count: {sorted(counts)}")
+    packets = counts.pop()
+    library = float(np.median(seconds["library"]))
+    reference = float(np.median(seconds["reference"]))
+    return {
+        "packets": packets,
+        "rounds": SOURCE_ROUNDS,
+        "seconds": round(library, 4),
+        "packets_per_second": round(packets / library) if library else None,
+        "reference_seconds": round(reference, 4),
+        "reference_packets_per_second": round(packets / reference) if reference else None,
+        "assembly_speedup": round(reference / library, 2) if library else None,
+        "bit_identical": True,
+        "spread": {side: _spread(samples) for side, samples in seconds.items()},
+    }
 
 
 def bench_expansion(args: argparse.Namespace) -> dict:
     """Throughput of the chunked packet expansion alone, library vs reference.
 
-    Times one full pass of the library assembly and one of the oracle's
-    concatenate-and-argsort assembly and, before recording anything,
-    replays both streams in lockstep asserting every chunk is
-    bit-identical — a divergence fails the harness rather than
-    polluting the baseline.  ``seconds``/``packets_per_second`` record
-    the library path so the trajectory stays comparable across PRs.
+    Replays the library's and the oracle's concatenate-and-argsort
+    assembly in lockstep, asserting every chunk is bit-identical (a
+    divergence fails the harness rather than polluting the baseline),
+    then times both over alternated rounds
+    (:func:`_timed_source_passes`).
     """
     plan = _pipeline(args).plan()
     _assert_streams_identical(plan.source, args.seed, plan.chunk_packets, "expansion")
-    reference_seconds, packets = _timed_source_pass(
-        plan.source, args.seed, plan.chunk_packets, reference_chunks
-    )
-    seconds, fast_packets = _timed_source_pass(
-        plan.source, args.seed, plan.chunk_packets, _library_chunks
-    )
-    assert fast_packets == packets
-    return {
-        "seconds": round(seconds, 4),
-        "packets": packets,
-        "packets_per_second": round(packets / seconds) if seconds else None,
-        "reference_seconds": round(reference_seconds, 4),
-        "reference_packets_per_second": round(packets / reference_seconds)
-        if reference_seconds
-        else None,
-        "assembly_speedup": round(reference_seconds / seconds, 2) if seconds else None,
-        "bit_identical": True,
-    }
+    return _timed_source_passes(plan.source, args.seed, plan.chunk_packets)
 
 
 def bench_scenarios(args: argparse.Namespace) -> dict:
     """Source throughput of every registered workload scenario.
 
-    Builds each scenario at the harness scale and times one full pass
+    Builds each scenario at the harness scale and times full passes
     over its chunked stream — the cost of the source layer alone
     (expansion + merge + transforms), before any sampling — for the
-    library and the reference assembly, after asserting the two streams
-    are bit-identical chunk for chunk.  ``seconds`` and
-    ``packets_per_second`` record the library path.
+    library and the reference assembly over alternated rounds
+    (:func:`_timed_source_passes`), after asserting the two streams are
+    bit-identical chunk for chunk.
     """
     from repro.scenarios import SCENARIOS
 
@@ -179,21 +195,7 @@ def bench_scenarios(args: argparse.Namespace) -> dict:
             rng=np.random.default_rng(args.seed),
         )
         _assert_streams_identical(source, args.seed, DEFAULT_CHUNK_PACKETS, f"scenario {name}")
-        reference_seconds, packets = _timed_source_pass(
-            source, args.seed, DEFAULT_CHUNK_PACKETS, reference_chunks
-        )
-        seconds, _ = _timed_source_pass(source, args.seed, DEFAULT_CHUNK_PACKETS, _library_chunks)
-        results[name] = {
-            "packets": packets,
-            "seconds": round(seconds, 4),
-            "packets_per_second": round(packets / seconds) if seconds else None,
-            "reference_seconds": round(reference_seconds, 4),
-            "reference_packets_per_second": round(packets / reference_seconds)
-            if reference_seconds
-            else None,
-            "assembly_speedup": round(reference_seconds / seconds, 2) if seconds else None,
-            "bit_identical": True,
-        }
+        results[name] = _timed_source_passes(source, args.seed, DEFAULT_CHUNK_PACKETS)
     return results
 
 
@@ -298,8 +300,8 @@ def _timed_object_table(trace, chunks, table: ObjectFlowTable):
     seconds = 0.0
     for chunk in chunks:
         packets = [
-            Packet(float(ts), five_tuples[int(fid)], int(size))
-            for ts, fid, size in zip(chunk.timestamps, chunk.flow_ids, chunk.sizes_bytes)
+            Packet(float(ts), five_tuples[int(fid)])
+            for ts, fid in zip(chunk.timestamps, chunk.flow_ids)
         ]
         start = time.perf_counter()
         for packet in packets:
@@ -667,11 +669,7 @@ def bench_bounded_monitor(args: argparse.Namespace) -> dict:
     sampled = []
     for chunk in chunks:
         kept = np.flatnonzero(sampler.sample_mask(chunk))
-        sampled.append(
-            PacketBatch(
-                chunk.timestamps[kept], chunk.flow_ids[kept], chunk.sizes_bytes[kept]
-            )
-        )
+        sampled.append(PacketBatch(chunk.timestamps[kept], chunk.flow_ids[kept]))
     packets = sum(len(batch) for batch in sampled)
     keys = keys_by_code(FiveTupleKeyPolicy(), trace)
 

@@ -609,10 +609,10 @@ class NonAtomicWriteRule(Rule):
 #: sort-based group-by.
 _HOT_PATH_MODULES = frozenset({"repro.flows.accounting", "repro.flows.groupby"})
 
-#: The sort-based group-by functions — exempt from REP205 by design:
-#: the bounded table folds a segment that cannot overflow it through
-#: them, so their sorts are the point, not a regression.
-_SORT_GROUPBY_FUNCTIONS = frozenset({"sort_group_index", "aggregate_codes"})
+#: The sort-based group-by function — exempt from REP205 by design: the
+#: bounded table folds a segment that cannot overflow it through it, so
+#: its sort is the point, not a regression.
+_SORT_GROUPBY_FUNCTIONS = frozenset({"aggregate_codes"})
 
 #: Call leaf names that perform an O(N log N) sort-based group-by.
 _SORT_CALL_NAMES = frozenset({"argsort", "lexsort"})
@@ -700,7 +700,7 @@ class SourceHotConcatRule(Rule):
         "repro.traces.source copies the entire pending state on every "
         "chunk, turning O(N) streaming into O(N^2/chunk) churn.  Grow "
         "pending packets through repro.traces.buffers (ChunkBuffer "
-        "amortised appends, RunQueue zero-copy runs) instead.  "
+        "amortised growth, RunQueue zero-copy runs) instead.  "
         "Suppressions must say why the copy is not per-chunk work."
     )
 

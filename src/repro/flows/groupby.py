@@ -13,11 +13,10 @@ This module holds the kernels that perform that reduction:
   back to Fibonacci hashing with linear probing.  Given per-stream keep
   masks it also counts each sampled stream's packets per flow, in
   compact columns that share the table's code→slot map.
-* :func:`aggregate_codes` / :func:`sort_group_index` — a stable
-  ``argsort`` group-by of one segment.  The bounded engine folds a
-  segment that cannot overflow its table through it, so these two
-  functions are the designated home of the sorts that reprolint rule
-  ``REP205`` bans elsewhere on the accounting path.
+* :func:`aggregate_codes` — a sort-based group-by of one segment.  The
+  bounded engine folds a segment that cannot overflow its table
+  through it, so it is the designated home of the sorts that
+  reprolint rule ``REP205`` bans elsewhere on the accounting path.
 
 The kernels are pure NumPy.  The hash accumulator is bit-identical to
 a sort-based group-by by construction: packet counts are integer
@@ -59,32 +58,6 @@ DENSE_SPAN_LIMIT = 1 << 20
 _INITIAL_PROBE_SLOTS = 1 << 12
 
 
-def sort_group_index(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stable group-by index of one code column.
-
-    Parameters
-    ----------
-    codes:
-        Integer key code of every packet.
-
-    Returns
-    -------
-    tuple[numpy.ndarray, numpy.ndarray, numpy.ndarray]
-        ``(order, sorted_codes, starts)``: the stable sort permutation,
-        the codes in sorted order, and the start offset of every
-        distinct-code run within ``sorted_codes``.
-
-    >>> order, sorted_codes, starts = sort_group_index(np.array([9, 7, 9]))
-    >>> order.tolist(), sorted_codes.tolist(), starts.tolist()
-    ([1, 0, 2], [7, 9, 9], [0, 1])
-    """
-    codes = np.asarray(codes, dtype=np.int64)
-    order = np.argsort(codes, kind="stable")
-    sorted_codes = codes[order]
-    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_codes)) + 1))
-    return order, sorted_codes, starts
-
-
 def aggregate_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Group-by-code packet counts of one segment (sort-based).
 
@@ -106,7 +79,8 @@ def aggregate_codes(codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     codes = np.asarray(codes, dtype=np.int64)
     if codes.size == 0:
         return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)
-    _, sorted_codes, starts = sort_group_index(codes)
+    sorted_codes = np.sort(codes)
+    starts = np.concatenate(([0], np.flatnonzero(np.diff(sorted_codes)) + 1))
     return sorted_codes[starts], np.diff(np.append(starts, codes.size))
 
 
@@ -420,5 +394,4 @@ __all__ = [
     "HASH_MULTIPLIER",
     "HashAccumulator",
     "aggregate_codes",
-    "sort_group_index",
 ]

@@ -572,16 +572,15 @@ class ExecutionPlan:
         sources that spawn child generators (``MergeSource``) advance
         the spawn counter of the sequence they are given, and a shared
         sequence would make the next execution replay a different
-        stream.  The ``stream.chunks`` / ``stream.packets`` /
-        ``stream.bytes`` counters count the stream here, once per source
-        pass, however many lanes or workers fold it.
+        stream.  The ``stream.chunks`` / ``stream.packets`` counters
+        count the stream here, once per source pass, however many lanes
+        or workers fold it.
         """
         rng = np.random.default_rng(copy.deepcopy(self.expand_entropy))
         for chunk in self.source.iter_chunks(rng, chunk_packets=self.chunk_packets):
             if telemetry.enabled and len(chunk):
                 telemetry.count("stream.chunks")
                 telemetry.count("stream.packets", len(chunk))
-                telemetry.count("stream.bytes", int(chunk.sizes_bytes.sum()))
             yield chunk
 
 
@@ -658,9 +657,9 @@ class SharedMemoryBatchChannel:
 
     One channel connects the parent (producer) to one worker process
     (consumer).  The parent pre-creates ``slots`` fixed-size shared
-    memory segments, each laid out as the three :class:`PacketBatch`
-    columns back to back (``float64`` timestamps, ``int64`` flow ids,
-    ``int32`` sizes); :meth:`send` copies a batch's columns into free
+    memory segments, each laid out as the two :class:`PacketBatch`
+    columns back to back (``float64`` timestamps, ``int64`` flow ids:
+    16 bytes a packet); :meth:`send` copies a batch's columns into free
     slots and posts ``(slot, count)`` descriptors, :meth:`receive` (in
     the worker) rebuilds each batch from its slot and returns the slot
     to the free ring.  Only the small descriptors are pickled — the
@@ -713,7 +712,7 @@ class SharedMemoryBatchChannel:
             raise ValueError(f"slots must be at least 1, got {slots}")
         ctx = context if context is not None else multiprocessing.get_context()
         self.capacity = int(capacity_packets)
-        self._slot_bytes = self.capacity * (8 + 8 + 4)
+        self._slot_bytes = self.capacity * (8 + 8)
         self._segments: list | None = [
             shared_memory.SharedMemory(create=True, size=self._slot_bytes)
             for _ in range(slots)
@@ -762,15 +761,12 @@ class SharedMemoryBatchChannel:
         self._segments = [shared_memory.SharedMemory(name=name) for name in self.segment_names]
         return True
 
-    def _views(self, slot: int, count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    def _views(self, slot: int, count: int) -> tuple[np.ndarray, np.ndarray]:
         assert self._segments is not None
         buffer = self._segments[slot].buf
-        ids_offset = self.capacity * 8
-        sizes_offset = ids_offset + self.capacity * 8
         timestamps = np.ndarray(count, dtype=np.float64, buffer=buffer)
-        flow_ids = np.ndarray(count, dtype=np.int64, buffer=buffer, offset=ids_offset)
-        sizes = np.ndarray(count, dtype=np.int32, buffer=buffer, offset=sizes_offset)
-        return timestamps, flow_ids, sizes
+        flow_ids = np.ndarray(count, dtype=np.int64, buffer=buffer, offset=self.capacity * 8)
+        return timestamps, flow_ids
 
     def _wait(self, source: multiprocessing.queues.Queue, timeout: float, stalled: str) -> Any:
         """Take the next item from ``source``, or ``None`` once the consumer has exited.
@@ -832,10 +828,9 @@ class SharedMemoryBatchChannel:
                 # The worker left before the end of the stream, so what
                 # it posted, if anything, is its error.
                 raise self._failure(self._wait(self._results, timeout, stalled))
-            timestamps, flow_ids, sizes = self._views(slot, hi - lo)
+            timestamps, flow_ids = self._views(slot, hi - lo)
             timestamps[:] = batch.timestamps[lo:hi]
             flow_ids[:] = batch.flow_ids[lo:hi]
-            sizes[:] = batch.sizes_bytes[lo:hi]
             self._ready.put((slot, hi - lo))
 
     def close_sending(self) -> None:
@@ -878,10 +873,8 @@ class SharedMemoryBatchChannel:
             if item is None:
                 return
             slot, count = item
-            timestamps, flow_ids, sizes = self._views(slot, count)
-            batch = PacketBatch.from_trusted_columns(
-                timestamps.copy(), flow_ids.copy(), sizes.copy()
-            )
+            timestamps, flow_ids = self._views(slot, count)
+            batch = PacketBatch.from_trusted_columns(timestamps.copy(), flow_ids.copy())
             self._free.put(slot)
             yield batch
 

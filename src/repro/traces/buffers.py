@@ -8,11 +8,11 @@ which capped packet *generation* near 5M pkt/s while the accounting
 engine downstream runs at ~38M pkt/s.  This module provides the
 primitives the fast assembly backend is built from:
 
-* :class:`ChunkBuffer` — a growable columnar pending store (timestamps,
-  flow ids, optional sizes) with amortised doubling appends and an O(1)
-  consume-from-the-front cursor, replacing per-chunk concatenate churn.
+* :class:`ChunkBuffer` — a growable columnar pending store (timestamps
+  and flow ids) whose capacity doubles, so the expansion draws each
+  admitted block into it in place instead of concatenating per chunk.
   The buffer is internal state that is never handed out as an emitted
-  chunk, so compaction and growth can safely reuse its backing arrays.
+  chunk, so growth can safely reuse its backing arrays.
 * :func:`stable_sort` — ``np.argsort(values, kind="stable")``, plus
   the values in that order, built on the (~5x faster on
   random float64 data) default introsort plus an exact tie fix-up:
@@ -43,8 +43,8 @@ back.
 >>> list(stable_sort(ts)[0]) == list(np.argsort(ts, kind="stable"))
 True
 >>> merged = merge_sorted_runs([
-...     (np.array([1.0, 3.0]), np.array([10, 11]), None),
-...     (np.array([1.0, 2.0]), np.array([20, 21]), None),
+...     (np.array([1.0, 3.0]), np.array([10, 11])),
+...     (np.array([1.0, 2.0]), np.array([20, 21])),
 ... ])
 >>> merged[0].tolist(), merged[1].tolist()
 ([1.0, 1.0, 2.0, 3.0], [10, 20, 21, 11])
@@ -54,8 +54,8 @@ from __future__ import annotations
 
 import numpy as np
 
-#: One sorted run: ``(timestamps, flow_ids, sizes_bytes or None)``.
-SortedRun = tuple[np.ndarray, np.ndarray, "np.ndarray | None"]
+#: One sorted run: ``(timestamps, flow_ids)``.
+SortedRun = tuple[np.ndarray, np.ndarray]
 
 #: Initial per-column capacity of a freshly grown :class:`ChunkBuffer`.
 _MIN_CAPACITY = 1024
@@ -110,48 +110,25 @@ def merge_sorted_runs(runs: list[SortedRun]) -> SortedRun:
     measurements against explicit ``searchsorted`` splicing.  The
     returned columns are freshly allocated, so callers may emit
     zero-copy views into them; a single input run is copied for the
-    same reason.  Sizes are carried iff every run carries them; when
-    every packet carries one size (as every flow-trace expansion
-    emits), the size column is filled, not gathered.
+    same reason.
 
     >>> import numpy as np
-    >>> ts, ids, _ = merge_sorted_runs([
-    ...     (np.array([0.0, 2.0]), np.array([1, 1]), None),
-    ...     (np.array([0.0, 1.0]), np.array([2, 2]), None),
+    >>> ts, ids = merge_sorted_runs([
+    ...     (np.array([0.0, 2.0]), np.array([1, 1])),
+    ...     (np.array([0.0, 1.0]), np.array([2, 2])),
     ... ])
     >>> ts.tolist(), ids.tolist()
     ([0.0, 0.0, 1.0, 2.0], [1, 2, 2, 1])
     """
     if not runs:
         raise ValueError("merge_sorted_runs needs at least one run")
-    with_sizes = all(run[2] is not None for run in runs)
     if len(runs) == 1:
-        ts, ids, sizes = runs[0]
-        return ts.copy(), ids.copy(), sizes.copy() if with_sizes and sizes is not None else None
+        ts, ids = runs[0]
+        return ts.copy(), ids.copy()
     ts = np.concatenate([run[0] for run in runs])
     ids = np.concatenate([run[1] for run in runs])
     order = np.argsort(ts, kind="stable")
-    if not with_sizes:
-        return ts[order], ids[order], None
-    columns = [np.asarray(run[2]) for run in runs]
-    size = _single_value(columns)
-    if size is not None:
-        return ts[order], ids[order], np.full(ts.size, size, dtype=np.result_type(*columns))
-    return ts[order], ids[order], np.concatenate(columns)[order]
-
-
-def _single_value(columns: list[np.ndarray]) -> object | None:
-    """The one value every element of ``columns`` holds, or ``None``.
-
-    ``None`` also when every column is empty: there is no value to fill.
-    """
-    filled = [column for column in columns if column.size]
-    if not filled:
-        return None
-    value = filled[0][0]
-    if all((column == value).all() for column in filled):
-        return value
-    return None
+    return ts[order], ids[order]
 
 
 class RunQueue:
@@ -167,8 +144,8 @@ class RunQueue:
 
     >>> import numpy as np
     >>> queue = RunQueue()
-    >>> queue.append((np.array([1.0, 2.0]), np.array([1, 2]), None))
-    >>> queue.append((np.array([2.0, 3.0]), np.array([3, 4]), None))
+    >>> queue.append((np.array([1.0, 2.0]), np.array([1, 2])))
+    >>> queue.append((np.array([2.0, 3.0]), np.array([3, 4])))
     >>> [run[0].tolist() for run in queue.cut_below(2.0)]
     [[1.0]]
     >>> queue.last_time()
@@ -200,65 +177,57 @@ class RunQueue:
         tie order exactly.
         """
         out: list[SortedRun] = []
-        for position, (ts, ids, sizes) in enumerate(self._runs):
+        for position, (ts, ids) in enumerate(self._runs):
             if ts[0] >= bound:
                 # This and every later run sit at/after the bound.
                 self._runs = self._runs[position:]
                 return out
             if ts[-1] < bound:
-                out.append((ts, ids, sizes))
+                out.append((ts, ids))
                 continue
             cut = int(np.searchsorted(ts, bound, side="left"))
-            out.append((ts[:cut], ids[:cut], None if sizes is None else sizes[:cut]))
-            remainder: SortedRun = (ts[cut:], ids[cut:], None if sizes is None else sizes[cut:])
-            self._runs = [remainder, *self._runs[position + 1 :]]
+            out.append((ts[:cut], ids[:cut]))
+            self._runs = [(ts[cut:], ids[cut:]), *self._runs[position + 1 :]]
             return out
         self._runs = []
         return out
 
 
 class ChunkBuffer:
-    """Growable columnar store for a source's pending (unemitted) packets.
+    """Growable columnar store for the expansion's pending (unemitted) packets.
 
-    Columns are ``timestamps`` (float64), ``flow_ids`` (int64) and,
-    when ``with_sizes`` is set, ``sizes_bytes`` (int32).  Appends are
-    amortised O(1) per element (capacity doubles; the live region is
-    compacted to the front when it helps), and :meth:`consume` advances
-    a head cursor without touching data.
+    Columns are ``timestamps`` (float64) and ``flow_ids`` (int64).
+    :meth:`grow` hands out the next uninitialised stretch for the caller
+    to fill in place, doubling the capacity when it runs out, and
+    :meth:`replace` resets the buffer to a round's pending tail.
 
-    The buffer's backing arrays are *reused* across appends and
-    compactions, so nothing obtained from :attr:`timestamps` /
-    :attr:`flow_ids` / :attr:`sizes_bytes` may be emitted or retained
-    beyond the next mutating call — the fast assembly paths only ever
-    read the views while gathering into freshly allocated output
+    The buffer's backing arrays are *reused* across calls, so nothing
+    obtained from :attr:`timestamps` / :attr:`flow_ids` may be emitted or
+    retained beyond the next mutating call — the expansion only ever
+    reads the views while gathering into freshly allocated output
     arrays.
 
     >>> import numpy as np
     >>> buf = ChunkBuffer()
-    >>> buf.append(np.array([1.0, 2.0]), np.array([7, 8]))
-    >>> buf.consume(1)
-    >>> buf.append(np.array([3.0]), np.array([0]), id_offset=9)
+    >>> buf.replace(np.array([2.0]), np.array([8]))
+    >>> ts, ids = buf.grow(1)
+    >>> ts[:], ids[:] = 3.0, 9
     >>> buf.timestamps.tolist(), buf.flow_ids.tolist()
     ([2.0, 3.0], [8, 9])
     """
 
-    __slots__ = ("_ts", "_ids", "_sizes", "_lo", "_hi")
+    __slots__ = ("_ts", "_ids", "_size")
 
-    def __init__(self, with_sizes: bool = False, capacity: int = 0) -> None:
-        capacity = max(int(capacity), 0)
-        self._ts = np.empty(capacity, dtype=np.float64)
-        self._ids = np.empty(capacity, dtype=np.int64)
-        self._sizes: np.ndarray | None = (
-            np.empty(capacity, dtype=np.int32) if with_sizes else None
-        )
-        self._lo = 0
-        self._hi = 0
+    def __init__(self) -> None:
+        self._ts = np.empty(0, dtype=np.float64)
+        self._ids = np.empty(0, dtype=np.int64)
+        self._size = 0
 
     # ------------------------------------------------------------------
     @property
     def size(self) -> int:
-        """Number of live (appended, not yet consumed) packets."""
-        return self._hi - self._lo
+        """Number of live (pending) packets."""
+        return self._size
 
     @property
     def capacity(self) -> int:
@@ -268,53 +237,25 @@ class ChunkBuffer:
     @property
     def timestamps(self) -> np.ndarray:
         """View of the live timestamps (valid until the next mutation)."""
-        return self._ts[self._lo : self._hi]
+        return self._ts[: self._size]
 
     @property
     def flow_ids(self) -> np.ndarray:
         """View of the live flow ids (valid until the next mutation)."""
-        return self._ids[self._lo : self._hi]
-
-    @property
-    def sizes_bytes(self) -> np.ndarray | None:
-        """View of the live sizes, or ``None`` for a sizeless buffer."""
-        if self._sizes is None:
-            return None
-        return self._sizes[self._lo : self._hi]
-
-    def run(self) -> SortedRun:
-        """The live region as a :data:`SortedRun` of views."""
-        return self.timestamps, self.flow_ids, self.sizes_bytes
+        return self._ids[: self._size]
 
     # ------------------------------------------------------------------
-    def _reserve(self, extra: int) -> None:
-        """Make room for ``extra`` more packets past the live region."""
-        needed = self.size + extra
+    def _reserve(self, needed: int) -> None:
+        """Make room for ``needed`` packets in all, keeping the live ones."""
         if needed <= self._ts.size:
-            if self._hi + extra > self._ts.size:
-                # Enough total capacity — slide the live region to the
-                # front (safe: the buffer is never emitted, so no view
-                # escaping this object can alias the moved bytes).
-                size = self.size
-                self._ts[:size] = self._ts[self._lo : self._hi]
-                self._ids[:size] = self._ids[self._lo : self._hi]
-                if self._sizes is not None:
-                    self._sizes[:size] = self._sizes[self._lo : self._hi]
-                self._lo, self._hi = 0, size
             return
         capacity = max(self._ts.size * 2, needed, _MIN_CAPACITY)
         ts = np.empty(capacity, dtype=np.float64)
         ids = np.empty(capacity, dtype=np.int64)
-        size = self.size
-        ts[:size] = self._ts[self._lo : self._hi]
-        ids[:size] = self._ids[self._lo : self._hi]
-        if self._sizes is not None:
-            sizes = np.empty(capacity, dtype=np.int32)
-            sizes[:size] = self._sizes[self._lo : self._hi]
-            self._sizes = sizes
+        ts[: self._size] = self._ts[: self._size]
+        ids[: self._size] = self._ids[: self._size]
         self._ts = ts
         self._ids = ids
-        self._lo, self._hi = 0, size
 
     def grow(self, count: int) -> tuple[np.ndarray, np.ndarray]:
         """Extend the live region by ``count`` uninitialised packets.
@@ -322,56 +263,23 @@ class ChunkBuffer:
         Returns mutable ``(timestamps, flow_ids)`` views of the new
         region for the caller to fill in place — e.g. drawing packet
         placements directly into the buffer with ``rng.random(out=...)``
-        instead of allocating a temporary per chunk.  Only valid for
-        sizeless buffers (the expansion path's pending store).
+        instead of allocating a temporary per chunk.
         """
-        if self._sizes is not None:
-            raise ValueError("grow() is only supported on sizeless buffers")
         if count < 0:
             raise ValueError("count must be non-negative")
-        self._reserve(count)
-        lo, hi = self._hi, self._hi + count
-        self._hi = hi
+        lo, hi = self._size, self._size + count
+        self._reserve(hi)
+        self._size = hi
         return self._ts[lo:hi], self._ids[lo:hi]
 
-    def append(
-        self,
-        timestamps: np.ndarray,
-        flow_ids: np.ndarray,
-        sizes_bytes: np.ndarray | None = None,
-        id_offset: int = 0,
-    ) -> None:
-        """Append packets, optionally offsetting their flow ids in place.
-
-        The offset is applied while copying into the buffer, fusing the
-        ``flow_ids + offset`` temporary the reference path allocates.
-        """
-        count = int(timestamps.size)
-        if count == 0:
-            return
-        self._reserve(count)
-        lo, hi = self._hi, self._hi + count
-        self._ts[lo:hi] = timestamps
-        if id_offset:
-            np.add(flow_ids, id_offset, out=self._ids[lo:hi])
-        else:
-            self._ids[lo:hi] = flow_ids
-        if self._sizes is not None:
-            if sizes_bytes is None:
-                raise ValueError("buffer carries sizes; append them too")
-            self._sizes[lo:hi] = sizes_bytes
-        self._hi = hi
-
-    def consume(self, count: int) -> None:
-        """Drop ``count`` packets from the front (already merged out)."""
-        if count < 0 or count > self.size:
-            raise ValueError(f"cannot consume {count} of {self.size} packets")
-        self._lo += count
-
     def replace(self, timestamps: np.ndarray, flow_ids: np.ndarray) -> None:
-        """Reset the buffer to exactly the given (sizeless) columns."""
-        self._lo = self._hi = 0
-        self.append(timestamps, flow_ids)
+        """Reset the buffer to exactly the given columns (copied in)."""
+        count = int(timestamps.size)
+        self._size = 0
+        self._reserve(count)
+        self._ts[:count] = timestamps
+        self._ids[:count] = flow_ids
+        self._size = count
 
 
 __all__ = ["ChunkBuffer", "RunQueue", "SortedRun", "merge_sorted_runs", "stable_sort"]

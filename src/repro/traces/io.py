@@ -8,12 +8,17 @@ a given experiment run.  Flow-trace columns:
 with addresses in dotted-quad notation.
 
 Packet-level batches (:class:`~repro.flows.packets.PacketBatch`) round
-trip too — as CSV (``timestamp,flow_id,size_bytes``, human-inspectable)
-or as compressed NPZ (columnar, the format to prefer at scale).  The
-matching streaming sources are
-:class:`~repro.traces.source.CSVPacketSource` and
+trip too — as CSV (``timestamp,flow_id``, human-inspectable) or as
+compressed NPZ (columnar, the format to prefer at scale).  The matching
+streaming sources are :class:`~repro.traces.source.CSVPacketSource` and
 :class:`~repro.traces.source.NPZPacketSource`.  Empty batches round
-trip as a header-only CSV / zero-length NPZ arrays.
+trip as a header-only CSV / zero-length NPZ arrays.  Packet files from
+when packets carried a size column (a ``timestamp,flow_id,size_bytes``
+CSV, an NPZ holding ``sizes_bytes``) still load, and the size column
+is ignored.
+
+Both CSV readers raise :class:`ValueError` naming the file and line of
+a row whose field count differs from its header's.
 """
 
 from __future__ import annotations
@@ -60,16 +65,35 @@ def write_flow_trace_csv(trace: FlowLevelTrace, path: str | Path) -> None:
             )
 
 
-def read_flow_trace_csv(path: str | Path) -> FlowLevelTrace:
-    """Read a flow-level trace from a CSV file written by :func:`write_flow_trace_csv`."""
-    path = Path(path)
-    rows: list[list[str]] = []
+def _read_rows(path: Path, headers: tuple[list[str], ...], kind: str) -> list[list[str]]:
+    """The non-blank rows of a CSV file whose header is one of ``headers``.
+
+    Raises :class:`ValueError` for any other header, and for a row
+    whose field count differs from the header's, naming the file and
+    the row's line.
+    """
     with path.open("r", newline="") as handle:
         reader = csv.reader(handle)
         header = next(reader, None)
-        if header != _HEADER:
-            raise ValueError(f"unexpected CSV header in {path}: {header}")
-        rows = [row for row in reader if row]
+        if header is None or header not in headers:
+            raise ValueError(f"unexpected {kind} header in {path}: {header}")
+        rows: list[list[str]] = []
+        for row in reader:
+            if not row:
+                continue
+            if len(row) != len(header):
+                raise ValueError(
+                    f"{path}, line {reader.line_num}: expected {len(header)} "
+                    f"fields ({','.join(header)}), got {len(row)}"
+                )
+            rows.append(row)
+    return rows
+
+
+def read_flow_trace_csv(path: str | Path) -> FlowLevelTrace:
+    """Read a flow-level trace from a CSV file written by :func:`write_flow_trace_csv`."""
+    path = Path(path)
+    rows = _read_rows(path, (_HEADER,), "CSV")
     if not rows:
         raise ValueError(f"trace file {path} contains no flows")
 
@@ -103,7 +127,11 @@ def read_flow_trace_csv(path: str | Path) -> FlowLevelTrace:
     )
 
 
-_PACKET_HEADER = ["timestamp", "flow_id", "size_bytes"]
+_PACKET_HEADER = ["timestamp", "flow_id"]
+
+#: The packet CSV header from when packets carried a size column; the
+#: reader still accepts it and ignores the third field.
+_SIZED_PACKET_HEADER = [*_PACKET_HEADER, "size_bytes"]
 
 
 def write_packet_batch_csv(batch: PacketBatch, path: str | Path) -> None:
@@ -116,62 +144,53 @@ def write_packet_batch_csv(batch: PacketBatch, path: str | Path) -> None:
     with path.open("w", newline="") as handle:
         writer = csv.writer(handle)
         writer.writerow(_PACKET_HEADER)
-        for ts, flow_id, size in zip(batch.timestamps, batch.flow_ids, batch.sizes_bytes):
-            writer.writerow([repr(float(ts)), int(flow_id), int(size)])
+        for ts, flow_id in zip(batch.timestamps, batch.flow_ids):
+            writer.writerow([repr(float(ts)), int(flow_id)])
 
 
 def read_packet_batch_csv(path: str | Path) -> PacketBatch:
-    """Read a packet batch from a CSV written by :func:`write_packet_batch_csv`."""
+    """Read a packet batch from a CSV written by :func:`write_packet_batch_csv`.
+
+    A ``timestamp,flow_id,size_bytes`` file (the format before packets
+    dropped their size column) loads too; its sizes are ignored.
+    """
     path = Path(path)
-    with path.open("r", newline="") as handle:
-        reader = csv.reader(handle)
-        header = next(reader, None)
-        if header != _PACKET_HEADER:
-            raise ValueError(f"unexpected packet CSV header in {path}: {header}")
-        rows = [row for row in reader if row]
+    rows = _read_rows(path, (_PACKET_HEADER, _SIZED_PACKET_HEADER), "packet CSV")
     timestamps = np.array([float(row[0]) for row in rows], dtype=np.float64)
     flow_ids = np.array([int(row[1]) for row in rows], dtype=np.int64)
-    sizes = np.array([int(row[2]) for row in rows], dtype=np.int32)
-    return PacketBatch(timestamps, flow_ids, sizes)
+    return PacketBatch(timestamps, flow_ids)
 
 
 def write_packet_batch_npz(batch: PacketBatch, path: str | Path, compressed: bool = True) -> None:
     """Write a packet batch as an NPZ (columnar) file.
 
     ``compressed=False`` stores the columns raw inside the archive
-    (larger on disk, but byte-aligned), which lets
-    :func:`read_packet_batch_npz` memory-map them instead of
-    decompressing into fresh heap arrays — the format to prefer for
-    packet tables that are re-read many times at scale.
+    (larger on disk, but read back without decompressing).
     """
     save = np.savez_compressed if compressed else np.savez
-    save(
-        Path(path),
-        timestamps=batch.timestamps,
-        flow_ids=batch.flow_ids,
-        sizes_bytes=batch.sizes_bytes,
-    )
+    save(Path(path), timestamps=batch.timestamps, flow_ids=batch.flow_ids)
 
 
 def read_packet_batch_npz(path: str | Path, mmap: bool = False) -> PacketBatch:
     """Read a packet batch from an NPZ written by :func:`write_packet_batch_npz`.
 
-    With ``mmap=True``, columns stored uncompressed are returned as
-    read-only memory maps (zero-copy, paged in on demand); compressed
-    columns degrade gracefully to the ordinary in-memory read.  The
-    mapping outlives the archive handle, so the batch stays valid.
+    ``mmap=True`` opens the archive with ``mmap_mode="r"``; NumPy reads
+    the members of an NPZ archive into memory whatever the mode, so
+    either way the columns are in-memory arrays.  Any other array in
+    the archive (a ``sizes_bytes`` column, in files written before
+    packets dropped it) is not read.
     """
     if mmap:
         data = np.load(Path(path), mmap_mode="r")
-        missing = {"timestamps", "flow_ids", "sizes_bytes"} - set(data.files)
+        missing = {"timestamps", "flow_ids"} - set(data.files)
         if missing:
             raise ValueError(f"packet NPZ {path} is missing arrays: {sorted(missing)}")
-        return PacketBatch(data["timestamps"], data["flow_ids"], data["sizes_bytes"])
+        return PacketBatch(data["timestamps"], data["flow_ids"])
     with np.load(Path(path)) as data:
-        missing = {"timestamps", "flow_ids", "sizes_bytes"} - set(data.files)
+        missing = {"timestamps", "flow_ids"} - set(data.files)
         if missing:
             raise ValueError(f"packet NPZ {path} is missing arrays: {sorted(missing)}")
-        return PacketBatch(data["timestamps"], data["flow_ids"], data["sizes_bytes"])
+        return PacketBatch(data["timestamps"], data["flow_ids"])
 
 
 __all__ = [

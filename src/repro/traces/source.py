@@ -58,7 +58,7 @@ import numpy as np
 
 from .. import telemetry
 from ..flows.keys import FlowKeyPolicy
-from ..flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
+from ..flows.packets import PacketBatch
 from .buffers import ChunkBuffer, RunQueue, SortedRun, merge_sorted_runs, stable_sort
 from .flow_trace import FlowLevelTrace
 
@@ -88,7 +88,6 @@ def iter_expanded_chunks(
     rng: np.random.Generator,
     chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
     clip_to_duration: float | None = None,
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
 ) -> Iterator[PacketBatch]:
     """Expand a flow-level trace into time-ordered packet chunks.
 
@@ -133,8 +132,6 @@ def iter_expanded_chunks(
     clip_to_duration:
         When given, packets at or beyond this time are dropped (flow
         tails that spill past the measurement window).
-    packet_size_bytes:
-        Constant per-packet size recorded in the emitted batches.
 
     Yields
     ------
@@ -190,11 +187,7 @@ def iter_expanded_chunks(
                 telemetry.count("source.chunks")
                 telemetry.count("source.packets", emit)
                 telemetry.gauge("source.buffer_capacity", pending.capacity)
-            yield PacketBatch.from_trusted_columns(
-                merged_ts[:emit],
-                merged_ids[:emit],
-                np.full(emit, packet_size_bytes, dtype=np.int32),
-            )
+            yield PacketBatch.from_trusted_columns(merged_ts[:emit], merged_ids[:emit])
         pending.replace(merged_ts[emit:], merged_ids[emit:])
 
 
@@ -284,8 +277,6 @@ class FlowTraceSource(PacketSource):
         Drop packets at or beyond this time.  The default ``"auto"``
         clips at ``trace.duration`` (the pipeline's historical
         behaviour); pass ``None`` to keep every packet.
-    packet_size_bytes:
-        Constant per-packet size recorded in the emitted batches.
     """
 
     name = "flow-trace"
@@ -294,13 +285,11 @@ class FlowTraceSource(PacketSource):
         self,
         trace: FlowLevelTrace,
         clip_to_duration: float | None | str = "auto",
-        packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
     ) -> None:
         self.trace = trace
         if clip_to_duration == "auto":
             clip_to_duration = trace.duration if trace.duration > 0 else None
         self.clip_to_duration = clip_to_duration
-        self.packet_size_bytes = int(packet_size_bytes)
 
     def iter_chunks(
         self,
@@ -308,11 +297,7 @@ class FlowTraceSource(PacketSource):
         chunk_packets: int | None = DEFAULT_CHUNK_PACKETS,
     ) -> Iterator[PacketBatch]:
         return iter_expanded_chunks(
-            self.trace,
-            rng,
-            chunk_packets=chunk_packets,
-            clip_to_duration=self.clip_to_duration,
-            packet_size_bytes=self.packet_size_bytes,
+            self.trace, rng, chunk_packets=chunk_packets, clip_to_duration=self.clip_to_duration
         )
 
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
@@ -350,29 +335,23 @@ class PacketTableSource(PacketSource):
 
     Parameters
     ----------
-    timestamps, flow_ids, sizes_bytes:
+    timestamps, flow_ids:
         Columnar packet data; timestamps must be sorted non-decreasing
-        (validated).  ``sizes_bytes`` defaults to the paper's 500-byte
-        packets.
+        (validated).
     """
 
     name = "packet-table"
 
-    def __init__(
-        self,
-        timestamps: np.ndarray,
-        flow_ids: np.ndarray,
-        sizes_bytes: np.ndarray | None = None,
-    ) -> None:
+    def __init__(self, timestamps: np.ndarray, flow_ids: np.ndarray) -> None:
         ids = np.asarray(flow_ids, dtype=np.int64)
         if ids.size:
             _, ids = np.unique(ids, return_inverse=True)
-        self._batch = PacketBatch(timestamps, ids.astype(np.int64), sizes_bytes)
+        self._batch = PacketBatch(timestamps, ids.astype(np.int64))
 
     @classmethod
     def from_batch(cls, batch: PacketBatch) -> "PacketTableSource":
         """Build a source from an existing :class:`PacketBatch`."""
-        return cls(batch.timestamps, batch.flow_ids, batch.sizes_bytes)
+        return cls(batch.timestamps, batch.flow_ids)
 
     def iter_chunks(
         self,
@@ -391,9 +370,7 @@ class PacketTableSource(PacketSource):
             # The stored batch was validated at construction; every slice
             # of it satisfies the invariants, so chunks are emitted as
             # zero-copy views with no re-validation.
-            yield PacketBatch.from_trusted_columns(
-                batch.timestamps[lo:hi], batch.flow_ids[lo:hi], batch.sizes_bytes[lo:hi]
-            )
+            yield PacketBatch.from_trusted_columns(batch.timestamps[lo:hi], batch.flow_ids[lo:hi])
 
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
         return np.arange(self.num_flows, dtype=np.int64)
@@ -426,20 +403,17 @@ class CSVPacketSource(PacketTableSource):
 
         self.path = Path(path)
         batch = read_packet_batch_csv(self.path)
-        super().__init__(batch.timestamps, batch.flow_ids, batch.sizes_bytes)
+        super().__init__(batch.timestamps, batch.flow_ids)
 
 
 class NPZPacketSource(PacketTableSource):
     """A packet table read from an NPZ file written by
     :func:`repro.traces.io.write_packet_batch_npz`.
 
-    By default the file is opened memory-mapped: for NPZ files written
-    uncompressed (``write_packet_batch_npz(..., compressed=False)``)
-    the timestamp and size columns stay OS-paged views instead of heap
-    copies, so opening a multi-gigabyte packet table is cheap and
-    streaming it touches pages on demand.  Compressed archives fall
-    back to the ordinary in-memory read transparently; pass
-    ``mmap=False`` to force it.
+    The two columns are read into memory (``mmap`` is passed on to
+    :func:`~repro.traces.io.read_packet_batch_npz`, where NumPy ignores
+    it for NPZ archives), and the flow ids are compacted into a fresh
+    array at construction.
     """
 
     name = "packet-npz"
@@ -449,7 +423,7 @@ class NPZPacketSource(PacketTableSource):
 
         self.path = Path(path)
         batch = read_packet_batch_npz(self.path, mmap=mmap)
-        super().__init__(batch.timestamps, batch.flow_ids, batch.sizes_bytes)
+        super().__init__(batch.timestamps, batch.flow_ids)
 
 
 class MergeSource(PacketSource):
@@ -517,7 +491,7 @@ class MergeSource(PacketSource):
         def _as_run(chunk: PacketBatch, index: int) -> SortedRun:
             offset = int(self._flow_offsets[index])
             flow_ids = chunk.flow_ids + offset if offset else chunk.flow_ids
-            return chunk.timestamps, flow_ids, chunk.sizes_bytes
+            return chunk.timestamps, flow_ids
 
         ahead = self._read_ahead_parts(chunk_packets)
         if telemetry.enabled:
@@ -532,9 +506,7 @@ class MergeSource(PacketSource):
                         runs.append(_as_run(chunk, index))
             if not runs:
                 return
-            ts, ids, sizes = merge_sorted_runs(runs)
-            assert sizes is not None
-            yield PacketBatch.from_trusted_columns(ts, ids, sizes)
+            yield PacketBatch.from_trusted_columns(*merge_sorted_runs(runs))
             return
         iterators = [
             iter(source.iter_chunks(child, chunk_packets))
@@ -585,12 +557,11 @@ class MergeSource(PacketSource):
                 runs.extend(queues[index].cut_below(bound))
             if not runs:
                 return
-            ts, ids, sizes = merge_sorted_runs(runs)
-            assert sizes is not None
+            ts, ids = merge_sorted_runs(runs)
             step = ts.size if chunk_packets is None else int(chunk_packets)
             for lo in range(0, ts.size, step):
                 hi = min(lo + step, ts.size)
-                yield PacketBatch.from_trusted_columns(ts[lo:hi], ids[lo:hi], sizes[lo:hi])
+                yield PacketBatch.from_trusted_columns(ts[lo:hi], ids[lo:hi])
 
         try:
             if pool is not None:
@@ -740,9 +711,7 @@ class LoadScaleSource(PacketSource):
                 if not repeats.any():
                     continue
                 yield PacketBatch.from_trusted_columns(
-                    np.repeat(chunk.timestamps, repeats),
-                    np.repeat(chunk.flow_ids, repeats),
-                    np.repeat(chunk.sizes_bytes, repeats),
+                    np.repeat(chunk.timestamps, repeats), np.repeat(chunk.flow_ids, repeats)
                 )
             return
         # Integer factor: constant per-packet repeat count.  The inner
@@ -755,9 +724,7 @@ class LoadScaleSource(PacketSource):
                 yield chunk
             else:
                 yield PacketBatch.from_trusted_columns(
-                    np.repeat(chunk.timestamps, base),
-                    np.repeat(chunk.flow_ids, base),
-                    np.repeat(chunk.sizes_bytes, base),
+                    np.repeat(chunk.timestamps, base), np.repeat(chunk.flow_ids, base)
                 )
 
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
@@ -857,8 +824,8 @@ class TimeWarpSource(PacketSource):
 
     Each packet's timestamp is mapped through ``warp`` (a monotone
     non-decreasing callable over arrays, e.g.
-    :class:`PiecewiseLinearWarp`); flow ids, sizes and the relative
-    packet order are untouched.  Use :func:`diurnal_warp` for the
+    :class:`PiecewiseLinearWarp`); flow ids and the relative packet
+    order are untouched.  Use :func:`diurnal_warp` for the
     day/night load curve.
     """
 
@@ -884,9 +851,9 @@ class TimeWarpSource(PacketSource):
         for chunk in self.source.iter_chunks(rng, chunk_packets):
             warped = self.warp(chunk.timestamps)
             if trusted:
-                yield PacketBatch.from_trusted_columns(warped, chunk.flow_ids, chunk.sizes_bytes)
+                yield PacketBatch.from_trusted_columns(warped, chunk.flow_ids)
             else:
-                yield PacketBatch(warped, chunk.flow_ids, chunk.sizes_bytes)
+                yield PacketBatch(warped, chunk.flow_ids)
 
     def group_ids(self, key_policy: FlowKeyPolicy) -> np.ndarray:
         return self.source.group_ids(key_policy)

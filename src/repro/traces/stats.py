@@ -64,9 +64,12 @@ def summarize_trace(
     trace: FlowLevelTrace,
     key_policy: FlowKeyPolicy,
     intervals: tuple[float, ...] = (60.0, 300.0),
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
 ) -> TraceSummary:
-    """Compute the headline statistics of a trace under a flow definition."""
+    """Compute the headline statistics of a trace under a flow definition.
+
+    ``mean_flow_size_bytes`` counts every packet at the paper's 500
+    bytes (:data:`~repro.flows.packets.DEFAULT_PACKET_SIZE_BYTES`).
+    """
     groups = trace.group_ids(key_policy)
     unique_groups = np.unique(groups)
     sizes = aggregate_sizes(trace, key_policy)
@@ -89,7 +92,7 @@ def summarize_trace(
         duration=trace.duration,
         flow_arrival_rate=float(unique_groups.size / trace.duration) if trace.duration else 0.0,
         mean_flow_size_packets=float(sizes.mean()),
-        mean_flow_size_bytes=float(sizes.mean() * packet_size_bytes),
+        mean_flow_size_bytes=float(sizes.mean() * DEFAULT_PACKET_SIZE_BYTES),
         mean_flow_duration=float(trace.durations.mean()) if trace.num_flows else 0.0,
         p99_flow_size_packets=float(np.percentile(sizes, 99)),
         max_flow_size_packets=int(sizes.max()),

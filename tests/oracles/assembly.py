@@ -18,7 +18,7 @@ from collections.abc import Iterator
 
 import numpy as np
 
-from repro.flows.packets import DEFAULT_PACKET_SIZE_BYTES, PacketBatch
+from repro.flows.packets import PacketBatch
 from repro.traces.flow_trace import FlowLevelTrace
 from repro.traces.source import (
     FlowTraceSource,
@@ -36,11 +36,7 @@ def reference_chunks(
     """The chunks ``source.iter_chunks(rng, chunk_packets)`` must yield."""
     if isinstance(source, FlowTraceSource):
         return reference_expanded_chunks(
-            source.trace,
-            rng,
-            chunk_packets,
-            clip_to_duration=source.clip_to_duration,
-            packet_size_bytes=source.packet_size_bytes,
+            source.trace, rng, chunk_packets, clip_to_duration=source.clip_to_duration
         )
     if isinstance(source, PacketTableSource):
         return _table_chunks(source, chunk_packets)
@@ -58,7 +54,6 @@ def reference_expanded_chunks(
     rng: np.random.Generator,
     chunk_packets: int | None,
     clip_to_duration: float | None = None,
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
 ) -> Iterator[PacketBatch]:
     """Flow-trace expansion with concatenated pending packets."""
     num_flows = trace.num_flows
@@ -112,14 +107,13 @@ def reference_expanded_chunks(
             pending_ts = pending_ts[~emit]
             pending_ids = pending_ids[~emit]
             sort = np.argsort(emit_ts, kind="stable")
-            sizes_bytes = np.full(emit_ts.size, packet_size_bytes, dtype=np.int32)
-            yield PacketBatch(emit_ts[sort], emit_ids[sort], sizes_bytes)
+            yield PacketBatch(emit_ts[sort], emit_ids[sort])
 
 
 def reference_expand_to_packets(
     trace: FlowLevelTrace,
     rng: np.random.Generator | int | None = None,
-    packet_size_bytes: int = DEFAULT_PACKET_SIZE_BYTES,
+    *,
     clip_to_duration: float | None = None,
 ) -> PacketBatch:
     """Whole-trace expansion ordered by one stable argsort.
@@ -142,8 +136,7 @@ def reference_expand_to_packets(
         timestamps = timestamps[keep]
         flow_ids = flow_ids[keep]
     order = np.argsort(timestamps, kind="stable")
-    sizes_bytes = np.full(timestamps.size, packet_size_bytes, dtype=np.int32)
-    return PacketBatch(timestamps[order], flow_ids[order], sizes_bytes)
+    return PacketBatch(timestamps[order], flow_ids[order])
 
 
 def _table_chunks(source: PacketTableSource, chunk_packets: int | None) -> Iterator[PacketBatch]:
@@ -157,7 +150,7 @@ def _table_chunks(source: PacketTableSource, chunk_packets: int | None) -> Itera
     step = total if chunk_packets is None else int(chunk_packets)
     for lo in range(0, total, step):
         hi = min(lo + step, total)
-        yield PacketBatch(batch.timestamps[lo:hi], batch.flow_ids[lo:hi], batch.sizes_bytes[lo:hi])
+        yield PacketBatch(batch.timestamps[lo:hi], batch.flow_ids[lo:hi])
 
 
 def _merge_chunks(
@@ -186,9 +179,8 @@ def _merge_chunks(
             return
         all_ts = np.concatenate([chunk.timestamps for _, chunk in flat])
         all_ids = np.concatenate([chunk.flow_ids + offsets[index] for index, chunk in flat])
-        all_sizes = np.concatenate([chunk.sizes_bytes for _, chunk in flat])
         order = np.argsort(all_ts, kind="stable")
-        yield PacketBatch(all_ts[order], all_ids[order], all_sizes[order])
+        yield PacketBatch(all_ts[order], all_ids[order])
         return
 
     iterators = [
@@ -197,7 +189,6 @@ def _merge_chunks(
     n = len(parts)
     pending_ts = [np.empty(0, dtype=np.float64) for _ in range(n)]
     pending_ids = [np.empty(0, dtype=np.int64) for _ in range(n)]
-    pending_sizes = [np.empty(0, dtype=np.int32) for _ in range(n)]
     exhausted = [False] * n
 
     def load(index: int) -> None:
@@ -208,33 +199,29 @@ def _merge_chunks(
                 pending_ids[index] = np.concatenate(
                     (pending_ids[index], chunk.flow_ids + offsets[index])
                 )
-                pending_sizes[index] = np.concatenate((pending_sizes[index], chunk.sizes_bytes))
                 return
         exhausted[index] = True
 
     def emit(bound: float) -> Iterator[PacketBatch]:
         """Yield every pending packet strictly below ``bound``, merged."""
-        cut_ts, cut_ids, cut_sizes = [], [], []
+        cut_ts, cut_ids = [], []
         for index in range(n):
             cut = int(np.searchsorted(pending_ts[index], bound, side="left"))
             if cut == 0:
                 continue
             cut_ts.append(pending_ts[index][:cut])
             cut_ids.append(pending_ids[index][:cut])
-            cut_sizes.append(pending_sizes[index][:cut])
             pending_ts[index] = pending_ts[index][cut:]
             pending_ids[index] = pending_ids[index][cut:]
-            pending_sizes[index] = pending_sizes[index][cut:]
         if not cut_ts:
             return
         ts = np.concatenate(cut_ts)
         order = np.argsort(ts, kind="stable")
         ts = ts[order]
         ids = np.concatenate(cut_ids)[order]
-        sizes = np.concatenate(cut_sizes)[order]
         for lo in range(0, ts.size, int(chunk_packets)):
             hi = min(lo + int(chunk_packets), ts.size)
-            yield PacketBatch(ts[lo:hi], ids[lo:hi], sizes[lo:hi])
+            yield PacketBatch(ts[lo:hi], ids[lo:hi])
 
     for index in range(n):
         load(index)
@@ -284,11 +271,7 @@ def _load_scale_chunks(
         repeats = base + (uniforms < fraction).astype(np.int64)
         if not repeats.any():
             continue
-        yield PacketBatch(
-            np.repeat(chunk.timestamps, repeats),
-            np.repeat(chunk.flow_ids, repeats),
-            np.repeat(chunk.sizes_bytes, repeats),
-        )
+        yield PacketBatch(np.repeat(chunk.timestamps, repeats), np.repeat(chunk.flow_ids, repeats))
 
 
 def _time_warp_chunks(
@@ -296,4 +279,4 @@ def _time_warp_chunks(
 ) -> Iterator[PacketBatch]:
     """Warp every chunk's timestamps and re-validate the batch."""
     for chunk in reference_chunks(source.source, rng, chunk_packets):
-        yield PacketBatch(source.warp(chunk.timestamps), chunk.flow_ids, chunk.sizes_bytes)
+        yield PacketBatch(source.warp(chunk.timestamps), chunk.flow_ids)

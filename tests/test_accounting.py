@@ -9,8 +9,8 @@ what users run, the group ids of ``policy.group_ids``; the oracle
 classifies each packet by its 5-tuple or destination prefix, over flows
 sorted by 5-tuple so that group ids order like the oracle's keys.  The
 property-based tests here generate adversarial streams (tiny key
-spaces, colliding counts, binding memory bounds, packet sizes the
-engine never reads) and assert exactly that.  The file also checks the bounded table's one-entry-per-flow
+spaces, colliding counts, binding memory bounds) and assert exactly
+that.  The file also checks the bounded table's one-entry-per-flow
 eviction heap, that negative codes are rejected, and that
 ``max_flows``, ``bin_duration``, ``num_runs`` and ``chunk_packets`` are
 checked at every entry point.
@@ -74,14 +74,13 @@ def _stream(num_packets: int, num_flows: int, time_span: float, seed: int):
     rng = np.random.default_rng(seed)
     timestamps = np.sort(rng.uniform(0.0, time_span, num_packets))
     flow_ids = rng.integers(0, num_flows, num_packets).astype(np.int64)
-    sizes = rng.integers(40, 1500, num_packets).astype(np.int64)
-    return timestamps, flow_ids, sizes
+    return timestamps, flow_ids
 
 
-def _run_object_table(timestamps, flow_ids, sizes, five_tuples, policy, max_flows):
+def _run_object_table(timestamps, flow_ids, five_tuples, policy, max_flows):
     table = ObjectFlowTable(10.0, key_policy=policy, max_flows=max_flows)
-    for ts, fid, size in zip(timestamps, flow_ids, sizes):
-        table.observe(Packet(float(ts), five_tuples[int(fid)], int(size)))
+    for ts, fid in zip(timestamps, flow_ids):
+        table.observe(Packet(float(ts), five_tuples[int(fid)]))
     return table.flush(), table.evictions
 
 
@@ -106,10 +105,10 @@ class TestObjectColumnarEquivalence:
         chunk size, with and without ``max_flows``."""
         policy = DestinationPrefixKeyPolicy(PREFIX_LENGTH) if prefix else FiveTupleKeyPolicy()
         five_tuples = _flow_universe(num_flows, seed)
-        timestamps, flow_ids, sizes = _stream(num_packets, len(five_tuples), 45.0, seed + 1)
+        timestamps, flow_ids = _stream(num_packets, len(five_tuples), 45.0, seed + 1)
 
         reference_bins, reference_evictions = _run_object_table(
-            timestamps, flow_ids, sizes, five_tuples, policy, max_flows
+            timestamps, flow_ids, five_tuples, policy, max_flows
         )
 
         trace = trace_of(five_tuples)
@@ -117,11 +116,7 @@ class TestObjectColumnarEquivalence:
         groups = policy.group_ids(trace)
         engine = FlowAccountingEngine(10.0, max_flows=max_flows)
         for lo in range(0, num_packets, chunk):
-            batch = PacketBatch(
-                timestamps[lo : lo + chunk],
-                flow_ids[lo : lo + chunk],
-                sizes[lo : lo + chunk],
-            )
+            batch = PacketBatch(timestamps[lo : lo + chunk], flow_ids[lo : lo + chunk])
             # As run_stream accounts a chunk: the group-id universe
             # reserved for dense addressing, trusted columns.
             in_bounds = engine.reserve_codes(int(groups.min()), int(groups.max()))
@@ -150,14 +145,13 @@ class TestObjectColumnarEquivalence:
         ``observe_chunk``: identical bins and eviction counts."""
         policy = DestinationPrefixKeyPolicy(PREFIX_LENGTH) if prefix else FiveTupleKeyPolicy()
         five_tuples = _flow_universe(num_flows, seed)
-        timestamps, flow_ids, _ = _stream(num_packets, len(five_tuples), 45.0, seed + 1)
+        timestamps, flow_ids = _stream(num_packets, len(five_tuples), 45.0, seed + 1)
         rng = np.random.default_rng(seed + 2)
         # Bin indices stay non-decreasing; the order inside a bin is random.
         timestamps = timestamps[np.lexsort((rng.random(num_packets), timestamps // 10.0))]
-        sizes = rng.choice(np.array([40, 1500]), num_packets)
 
         reference_bins, reference_evictions = _run_object_table(
-            timestamps, flow_ids, sizes, five_tuples, policy, max_flows
+            timestamps, flow_ids, five_tuples, policy, max_flows
         )
 
         trace = trace_of(five_tuples)
@@ -195,7 +189,7 @@ class TestObjectColumnarEquivalence:
                 assert table.evict_smallest() == expected
 
     def test_engine_is_chunk_size_invariant(self):
-        timestamps, flow_ids, _ = _stream(500, 12, 40.0, 7)
+        timestamps, flow_ids = _stream(500, 12, 40.0, 7)
         outputs = []
         for chunk in (1, 7, 100, 500):
             engine = FlowAccountingEngine(10.0, max_flows=5)
@@ -394,12 +388,12 @@ class TestClassifierEviction:
 class TestClassifierObserveBatch:
     def test_batch_matches_per_packet(self):
         five_tuples = _flow_universe(6, 17)
-        timestamps, flow_ids, sizes = _stream(200, 6, 30.0, 18)
+        timestamps, flow_ids = _stream(200, 6, 30.0, 18)
         one_by_one = FlowClassifier()
-        for ts, fid, size in zip(timestamps, flow_ids, sizes):
-            one_by_one.observe(Packet(float(ts), five_tuples[int(fid)], int(size)))
+        for ts, fid in zip(timestamps, flow_ids):
+            one_by_one.observe(Packet(float(ts), five_tuples[int(fid)]))
         batched = FlowClassifier()
-        batched.observe_batch(PacketBatch(timestamps, flow_ids, sizes), five_tuples)
+        batched.observe_batch(PacketBatch(timestamps, flow_ids), five_tuples)
         assert batched.export_sorted() == one_by_one.export_sorted()
         assert batched.packets_seen == one_by_one.packets_seen
 
@@ -444,7 +438,7 @@ def test_max_flows_must_be_a_positive_integer(entry_point, max_flows, error, cap
 
 def test_run_stream_validates_the_group_map():
     """The group map must cover every flow id of the stream, with ids of at least 0."""
-    chunk = PacketBatch([0.0, 1.0], [0, 5], [500, 500])
+    chunk = PacketBatch([0.0, 1.0], [0, 5])
     with pytest.raises(ValueError, match="too short"):
         run_stream(iter([chunk]), np.arange(3), [], 10.0, 5)
     with pytest.raises(ValueError, match="must be non-negative"):
@@ -453,7 +447,7 @@ def test_run_stream_validates_the_group_map():
 
 def test_run_stream_rejects_non_integer_group_ids():
     """Group ids 0.2, 0.7 and 1.5 no longer truncate three flows into two."""
-    chunk = PacketBatch([0.0, 1.0, 2.0], [0, 1, 2], [500, 500, 500])
+    chunk = PacketBatch([0.0, 1.0, 2.0], [0, 1, 2])
     with pytest.raises(TypeError, match="flow group identifiers must be integers"):
         run_stream(iter([chunk]), np.array([0.2, 0.7, 1.5]), [], 10.0, 5)
     outcome = run_stream(iter([chunk]), np.array([0, 1, 2]), [], 10.0, 5)

@@ -32,11 +32,7 @@ def _values_strategy(max_size: int = 40):
 
 def _run_strategy():
     return _values_strategy(max_size=12).map(
-        lambda vals: (
-            np.sort(vals),
-            np.arange(vals.size, dtype=np.int64),
-            np.full(vals.size, 500, dtype=np.int32),
-        )
+        lambda vals: (np.sort(vals), np.arange(vals.size, dtype=np.int64))
     )
 
 
@@ -71,63 +67,39 @@ class TestMergeSortedRuns:
     @given(runs=st.lists(_run_strategy(), min_size=1, max_size=4))
     def test_equals_stable_sort_of_concatenation(self, runs):
         # Make per-run ids globally distinct so tie order is observable.
-        runs = [
-            (ts, ids + 100 * index, sizes) for index, (ts, ids, sizes) in enumerate(runs)
-        ]
-        ts, ids, sizes = merge_sorted_runs(runs)
+        runs = [(ts, ids + 100 * index) for index, (ts, ids) in enumerate(runs)]
+        ts, ids = merge_sorted_runs(runs)
         expected_ts = np.concatenate([run[0] for run in runs])
         expected_ids = np.concatenate([run[1] for run in runs])
-        expected_sizes = np.concatenate([run[2] for run in runs])
         order = np.argsort(expected_ts, kind="stable")
         np.testing.assert_array_equal(ts, expected_ts[order])
         np.testing.assert_array_equal(ids, expected_ids[order])
-        np.testing.assert_array_equal(sizes, expected_sizes[order])
 
     def test_single_run_is_copied(self):
         ts = np.array([1.0, 2.0])
         ids = np.array([3, 4], dtype=np.int64)
-        merged_ts, merged_ids, merged_sizes = merge_sorted_runs([(ts, ids, None)])
-        assert merged_sizes is None
+        merged_ts, merged_ids = merge_sorted_runs([(ts, ids)])
         assert merged_ts is not ts and merged_ids is not ids
         merged_ts[0] = -1.0
         assert ts[0] == 1.0
-
-    def test_sizes_carried_only_when_all_runs_have_them(self):
-        with_sizes = (np.array([0.0]), np.array([0]), np.array([500], dtype=np.int32))
-        without = (np.array([1.0]), np.array([1]), None)
-        assert merge_sorted_runs([with_sizes, without])[2] is None
 
     def test_empty_input_rejected(self):
         with pytest.raises(ValueError, match="at least one run"):
             merge_sorted_runs([])
 
-    def test_one_size_is_filled_and_other_sizes_are_gathered(self):
-        ts = (np.array([0.0, 2.0]), np.array([1.0, 3.0]))
-        ids = (np.array([0, 1]), np.array([2, 3]))
-
-        def merged_sizes(*columns):
-            runs = [(t, i, np.asarray(c, dtype=np.int32)) for t, i, c in zip(ts, ids, columns)]
-            sizes = merge_sorted_runs(runs)[2]
-            assert sizes.dtype == np.int32
-            return sizes.tolist()
-
-        assert merged_sizes([500, 500], [500, 500]) == [500, 500, 500, 500]
-        assert merged_sizes([40, 40], [500, 500]) == [40, 500, 40, 500]
-        assert merged_sizes([40, 500], [500, 500]) == [40, 500, 500, 500]
-
     def test_empty_runs_keep_their_dtypes(self):
-        empty = (np.empty(0), np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int32))
-        ts, ids, sizes = merge_sorted_runs([empty, empty])
-        assert ts.size == ids.size == sizes.size == 0
-        assert (ts.dtype, ids.dtype, sizes.dtype) == (np.float64, np.int64, np.int32)
-        filled = (np.array([1.0]), np.array([7]), np.array([64], dtype=np.int32))
-        assert merge_sorted_runs([empty, filled, empty])[2].tolist() == [64]
+        empty = (np.empty(0), np.empty(0, dtype=np.int64))
+        ts, ids = merge_sorted_runs([empty, empty])
+        assert ts.size == ids.size == 0
+        assert (ts.dtype, ids.dtype) == (np.float64, np.int64)
+        filled = (np.array([1.0]), np.array([7]))
+        assert merge_sorted_runs([empty, filled, empty])[1].tolist() == [7]
 
 
 class TestRunQueue:
     def _run(self, *ts):
         arr = np.asarray(ts, dtype=np.float64)
-        return arr, np.arange(arr.size, dtype=np.int64), None
+        return arr, np.arange(arr.size, dtype=np.int64)
 
     def test_empty_runs_skipped_and_bool(self):
         queue = RunQueue()
@@ -158,8 +130,8 @@ class TestRunQueue:
     def test_cut_returns_views_not_copies(self):
         ts = np.array([0.0, 5.0])
         queue = RunQueue()
-        queue.append((ts, np.array([0, 1], dtype=np.int64), None))
-        (cut_ts, _, _), = queue.cut_below(1.0)
+        queue.append((ts, np.array([0, 1], dtype=np.int64)))
+        (cut_ts, _), = queue.cut_below(1.0)
         assert cut_ts.base is ts or cut_ts.base is ts.base
 
     @settings(max_examples=100, deadline=None)
@@ -190,29 +162,18 @@ class TestRunQueue:
 
 
 class TestChunkBuffer:
-    def test_append_consume_replace_cycle(self):
+    def test_grow_replace_cycle(self):
         buf = ChunkBuffer()
-        buf.append(np.array([1.0, 2.0]), np.array([5, 6]))
-        buf.append(np.array([3.0]), np.array([0]), id_offset=7)
+        ts, ids = buf.grow(2)
+        ts[:], ids[:] = [1.0, 2.0], [5, 6]
+        ts, ids = buf.grow(1)
+        ts[:], ids[:] = 3.0, 7
         assert buf.size == 3
         assert buf.timestamps.tolist() == [1.0, 2.0, 3.0]
         assert buf.flow_ids.tolist() == [5, 6, 7]
-        assert buf.sizes_bytes is None
-        buf.consume(2)
-        assert buf.timestamps.tolist() == [3.0]
         buf.replace(np.array([9.0]), np.array([9]))
         assert buf.size == 1 and buf.flow_ids.tolist() == [9]
-
-    def test_sizes_column_round_trip(self):
-        buf = ChunkBuffer(with_sizes=True)
-        buf.append(
-            np.array([0.0]), np.array([1]), sizes_bytes=np.array([1500], dtype=np.int32)
-        )
-        assert buf.sizes_bytes.tolist() == [1500]
-        ts, ids, sizes = buf.run()
-        assert sizes is not None and sizes.dtype == np.int32
-        with pytest.raises(ValueError, match="append them too"):
-            buf.append(np.array([1.0]), np.array([2]))
+        assert buf.timestamps.tolist() == [9.0]
 
     def test_grow_returns_writable_views(self):
         buf = ChunkBuffer()
@@ -221,41 +182,39 @@ class TestChunkBuffer:
         ids[:] = [7, 8, 9]
         assert buf.timestamps.tolist() == [1.0, 2.0, 3.0]
         assert buf.flow_ids.tolist() == [7, 8, 9]
-        with pytest.raises(ValueError, match="sizeless"):
-            ChunkBuffer(with_sizes=True).grow(1)
 
-    def test_compaction_and_doubling_preserve_live_region(self):
-        buf = ChunkBuffer(capacity=8)
-        buf.append(np.arange(6, dtype=np.float64), np.arange(6, dtype=np.int64))
-        buf.consume(5)  # live region near the tail
-        buf.append(np.arange(4, dtype=np.float64), np.arange(4, dtype=np.int64))
-        assert buf.timestamps.tolist() == [5.0, 0.0, 1.0, 2.0, 3.0]
-        # Now force an actual reallocation well past capacity.
-        buf.append(
-            np.arange(5000, dtype=np.float64), np.arange(5000, dtype=np.int64)
-        )
-        assert buf.size == 5005
-        assert buf.timestamps[:5].tolist() == [5.0, 0.0, 1.0, 2.0, 3.0]
-
-    def test_consume_bounds_checked(self):
+    def test_doubling_preserves_live_region(self):
         buf = ChunkBuffer()
-        buf.append(np.array([1.0]), np.array([1]))
-        with pytest.raises(ValueError, match="cannot consume"):
-            buf.consume(2)
+        buf.replace(np.arange(5, dtype=np.float64), np.arange(5, dtype=np.int64))
+        first = buf.capacity
+        # Force an actual reallocation well past the capacity.
+        ts, ids = buf.grow(5000)
+        ts[:] = -1.0
+        assert buf.size == 5005
+        assert buf.capacity >= max(2 * first, 5005)
+        assert buf.timestamps[:5].tolist() == [0.0, 1.0, 2.0, 3.0, 4.0]
+        assert buf.flow_ids[:5].tolist() == [0, 1, 2, 3, 4]
+
+    def test_grow_bounds_checked(self):
+        with pytest.raises(ValueError, match="non-negative"):
+            ChunkBuffer().grow(-1)
 
     @settings(max_examples=60, deadline=None)
     @given(
         chunks=st.lists(_values_strategy(max_size=10), min_size=1, max_size=6),
-        consume_every=st.integers(1, 3),
+        keep_every=st.integers(1, 3),
     )
-    def test_matches_concatenate_reference(self, chunks, consume_every):
+    def test_matches_concatenate_reference(self, chunks, keep_every):
+        # The expansion's round: grow and fill a block, then replace the
+        # buffer by the tail it keeps pending (here: all but the first).
         buf = ChunkBuffer()
         reference = np.empty(0)
         for index, chunk in enumerate(chunks):
-            ids = np.arange(chunk.size, dtype=np.int64)
-            buf.append(chunk, ids)
+            ts, ids = buf.grow(chunk.size)
+            ts[:] = chunk
+            ids[:] = np.arange(chunk.size, dtype=np.int64)
             reference = np.concatenate((reference, chunk))
-            if index % consume_every == 0 and reference.size:
-                buf.consume(1)
+            if index % keep_every == 0 and reference.size:
                 reference = reference[1:]
-        np.testing.assert_array_equal(buf.timestamps, reference)
+                buf.replace(buf.timestamps[1:].copy(), buf.flow_ids[1:].copy())
+            np.testing.assert_array_equal(buf.timestamps, reference)

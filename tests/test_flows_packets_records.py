@@ -33,8 +33,11 @@ class TestPacketBatch:
     def test_basic_properties(self):
         batch = PacketBatch(np.array([0.0, 1.0, 2.0]), np.array([0, 1, 0]))
         assert len(batch) == 3
-        assert batch.num_flows == 2
-        assert batch.duration == pytest.approx(2.0)
+        assert (batch.timestamps.dtype, batch.flow_ids.dtype) == (np.float64, np.int64)
+        # A packet is a timestamp and a flow id: there is no size column.
+        assert not hasattr(batch, "sizes_bytes")
+        trusted = PacketBatch.from_trusted_columns(batch.timestamps, batch.flow_ids)
+        assert trusted.timestamps is batch.timestamps and trusted.flow_ids is batch.flow_ids
 
     def test_rejects_unsorted_timestamps(self):
         with pytest.raises(ValueError):
@@ -49,23 +52,19 @@ class TestPacketBatch:
         with pytest.raises(ValueError, match="timestamps must be finite"):
             PacketBatch(np.array([0.0, 1.0, bad]), np.array([0, 1, 0]))
 
-    def test_select_and_time_slice(self):
+    def test_select(self):
         batch = PacketBatch(np.array([0.0, 1.0, 2.0, 3.0]), np.array([0, 1, 0, 1]))
         kept = batch.select(np.array([True, False, True, False]))
-        assert len(kept) == 2
-        window = batch.time_slice(1.0, 3.0)
-        assert len(window) == 2
-        np.testing.assert_allclose(window.timestamps, [1.0, 2.0])
-
-    def test_flow_packet_counts(self):
-        batch = PacketBatch(np.array([0.0, 1.0, 2.0]), np.array([7, 7, 3]))
-        assert batch.flow_packet_counts() == {7: 2, 3: 1}
+        assert kept.timestamps.tolist() == [0.0, 2.0]
+        assert kept.flow_ids.tolist() == [0, 0]
+        with pytest.raises(ValueError, match="one entry per packet"):
+            batch.select(np.array([True]))
 
     def test_empty_batch(self):
         batch = PacketBatch(np.empty(0), np.empty(0, dtype=np.int64))
         assert len(batch) == 0
-        assert batch.duration == 0.0
-        assert batch.flow_packet_counts() == {}
+        assert len(batch.select(np.empty(0, dtype=bool))) == 0
+        assert repr(batch) == "PacketBatch(num_packets=0)"
 
 
 class TestFlowRecord:

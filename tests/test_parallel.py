@@ -317,8 +317,7 @@ def _batch(count: int, start: float = 0.0) -> "PacketBatch":
 
     timestamps = start + np.linspace(0.0, 1.0, count)
     flow_ids = np.arange(count, dtype=np.int64) % 7
-    sizes = np.full(count, 500, dtype=np.int32)
-    return PacketBatch(timestamps, flow_ids, sizes)
+    return PacketBatch(timestamps, flow_ids)
 
 
 def _consume_one_and_hang(channel, started) -> None:
@@ -568,7 +567,6 @@ class TestSharedMemoryChannel:
         for got, want in zip(batches, sent):
             np.testing.assert_array_equal(got.timestamps, want.timestamps)
             np.testing.assert_array_equal(got.flow_ids, want.flow_ids)
-            np.testing.assert_array_equal(got.sizes_bytes, want.sizes_bytes)
 
     def test_oversized_batch_split_across_slots(self):
         channel = self._channel(capacity=8, slots=2)
@@ -580,7 +578,7 @@ class TestSharedMemoryChannel:
         finally:
             channel.unlink()
         assert [len(batch) for batch in received] == [8, 5]
-        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+        for column in ("timestamps", "flow_ids"):
             np.testing.assert_array_equal(
                 np.concatenate([getattr(batch, column) for batch in received]),
                 getattr(sent, column),
@@ -592,6 +590,14 @@ class TestSharedMemoryChannel:
             channel.send(_batch(4))
             with pytest.raises(TimeoutError, match="stopped draining"):
                 channel.send(_batch(4), timeout=0.05)
+        finally:
+            channel.unlink()
+
+    def test_a_slot_holds_two_columns(self):
+        # A float64 timestamp and an int64 flow id: 16 bytes a packet.
+        channel = self._channel(capacity=1000, slots=2)
+        try:
+            assert [os.path.getsize(path) for path in self._segment_paths(channel)] == [16000] * 2
         finally:
             channel.unlink()
 
@@ -622,5 +628,10 @@ class TestSharedMemoryChannel:
             worker.join(timeout=30.0)
             assert not worker.is_alive()
         finally:
+            # Whatever failed above, the hung worker must not outlive
+            # the test (later tests count the live child processes).
+            if worker.is_alive():
+                worker.kill()
+                worker.join(timeout=30.0)
             channel.unlink()
         assert not any(os.path.exists(path) for path in paths)

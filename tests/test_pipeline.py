@@ -479,21 +479,34 @@ class TestMonitorMode:
 
 
 @pytest.mark.parametrize("max_flows", [None, 8], ids=["unbounded", "monitor-8"])
-def test_results_do_not_depend_on_packet_sizes(max_flows):
-    """Flows are ranked and detected by packets: one packet table run with
-    sizes drawn from 40-1500 bytes and with every size 500 gives equal
-    results, unbounded and under an evicting 8-flow monitor."""
-    from repro.traces.source import PacketTableSource
+def test_results_do_not_depend_on_packet_sizes(tmp_path, max_flows):
+    """Flows are ranked and detected by packets: packet CSVs of earlier
+    versions, with sizes drawn from 40-1500 bytes and with every size 500,
+    give the results of the two-column file of the same packets,
+    unbounded and under an evicting 8-flow monitor."""
+    from repro.traces.io import write_packet_batch_csv
+    from repro.traces.source import CSVPacketSource
 
     rng = np.random.default_rng(41)
     timestamps = np.sort(rng.uniform(0.0, 300.0, 6000))
     # Zipf-like flow popularity, so the top flows are well defined.
     flow_ids = np.minimum(rng.zipf(1.6, timestamps.size), 120) - 1
+    paths = [tmp_path / "packets.csv"]
+    write_packet_batch_csv(PacketBatch(timestamps, flow_ids), paths[0])
+    for name, sizes in (
+        ("mixed", rng.integers(40, 1501, timestamps.size)),
+        ("constant", np.full(timestamps.size, 500)),
+    ):
+        paths.append(tmp_path / f"{name}.csv")
+        rows = zip(timestamps.tolist(), flow_ids.tolist(), sizes.tolist())
+        paths[-1].write_text(
+            "timestamp,flow_id,size_bytes\n" + "".join(f"{t!r},{f},{z}\n" for t, f, z in rows)
+        )
     results = []
-    for sizes in (rng.integers(40, 1501, timestamps.size), np.full(timestamps.size, 500)):
+    for path in paths:
         pipeline = (
             Pipeline()
-            .with_source(PacketTableSource(timestamps, flow_ids, sizes))
+            .with_source(CSVPacketSource(path))
             .with_sampler("bernoulli", rate=0.3)
             .with_sampler("periodic", period=4)
             .with_bin_duration(60.0)
@@ -504,7 +517,7 @@ def test_results_do_not_depend_on_packet_sizes(max_flows):
         if max_flows is not None:
             pipeline.with_monitor(max_flows)
         results.append(pipeline.run(parallel="serial").to_dict())
-    assert results[0] == results[1]
+    assert results[0] == results[1] == results[2]
     if max_flows is not None:
         assert sum(sum(runs) for runs in results[0]["evictions"].values()) > 0
 

@@ -10,6 +10,7 @@ honour.
 from __future__ import annotations
 
 import pickle
+import random
 import threading
 
 import numpy as np
@@ -58,7 +59,6 @@ def _concat(source, rng_seed=5, chunk_packets=None) -> PacketBatch:
     return PacketBatch(
         np.concatenate([c.timestamps for c in chunks]),
         np.concatenate([c.flow_ids for c in chunks]),
-        np.concatenate([c.sizes_bytes for c in chunks]),
     )
 
 
@@ -176,27 +176,48 @@ class TestPacketTableSource:
 
 class TestPacketIO:
     def _batch(self) -> PacketBatch:
-        return PacketBatch(
-            np.array([0.125, 1.0, 1.0, 7.5]),
-            np.array([2, 0, 1, 2]),
-            np.array([100, 500, 500, 1500]),
-        )
+        return PacketBatch(np.array([0.125, 1.0, 1.0, 7.5]), np.array([2, 0, 1, 2]))
+
+    def _assert_loads_the_batch(self, loaded) -> None:
+        np.testing.assert_array_equal(loaded.timestamps, self._batch().timestamps)
+        np.testing.assert_array_equal(loaded.flow_ids, self._batch().flow_ids)
+        assert (loaded.timestamps.dtype, loaded.flow_ids.dtype) == (np.float64, np.int64)
 
     def test_csv_round_trip(self, tmp_path):
         path = tmp_path / "packets.csv"
         write_packet_batch_csv(self._batch(), path)
-        loaded = read_packet_batch_csv(path)
-        np.testing.assert_array_equal(loaded.timestamps, self._batch().timestamps)
-        np.testing.assert_array_equal(loaded.flow_ids, self._batch().flow_ids)
-        np.testing.assert_array_equal(loaded.sizes_bytes, self._batch().sizes_bytes)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "timestamp,flow_id"
+        assert lines[1] == "0.125,2"
+        self._assert_loads_the_batch(read_packet_batch_csv(path))
 
     def test_npz_round_trip(self, tmp_path):
         path = tmp_path / "packets.npz"
         write_packet_batch_npz(self._batch(), path)
-        loaded = read_packet_batch_npz(path)
-        np.testing.assert_array_equal(loaded.timestamps, self._batch().timestamps)
-        np.testing.assert_array_equal(loaded.flow_ids, self._batch().flow_ids)
-        np.testing.assert_array_equal(loaded.sizes_bytes, self._batch().sizes_bytes)
+        with np.load(path) as data:
+            assert sorted(data.files) == ["flow_ids", "timestamps"]
+        self._assert_loads_the_batch(read_packet_batch_npz(path))
+
+    @pytest.mark.parametrize("mmap", [True, False])
+    @pytest.mark.parametrize("compressed", [True, False])
+    def test_sized_files_of_earlier_versions_still_load(self, tmp_path, mmap, compressed):
+        """A packet file with a size column loads into the same two columns."""
+        batch = self._batch()
+        sizes = np.array([100, 500, 500, 1500], dtype=np.int32)
+        csv_path, npz_path = tmp_path / "sized.csv", tmp_path / "sized.npz"
+        csv_path.write_text(
+            "timestamp,flow_id,size_bytes\n"
+            + "".join(
+                f"{ts!r},{fid},{size}\n"
+                for ts, fid, size in zip(batch.timestamps.tolist(), batch.flow_ids, sizes)
+            )
+        )
+        save = np.savez_compressed if compressed else np.savez
+        save(npz_path, timestamps=batch.timestamps, flow_ids=batch.flow_ids, sizes_bytes=sizes)
+        self._assert_loads_the_batch(read_packet_batch_csv(csv_path))
+        self._assert_loads_the_batch(read_packet_batch_npz(npz_path, mmap=mmap))
+        for source in (CSVPacketSource(csv_path), NPZPacketSource(npz_path, mmap=mmap)):
+            self._assert_loads_the_batch(_concat(source, chunk_packets=3))
 
     @pytest.mark.parametrize("fmt", ["csv", "npz"])
     def test_empty_batch_round_trip(self, tmp_path, fmt):
@@ -216,16 +237,37 @@ class TestPacketIO:
         with pytest.raises(ValueError, match="header"):
             read_packet_batch_csv(path)
 
+    @pytest.mark.parametrize(
+        "header, row",
+        [
+            ("timestamp,flow_id", "1.0"),
+            ("timestamp,flow_id", "1.0,3,500"),
+            ("timestamp,flow_id,size_bytes", "1.0,3"),
+            ("timestamp,flow_id,size_bytes", "1.0,3,500,9"),
+        ],
+        ids=["short", "long", "sized-short", "sized-long"],
+    )
+    def test_csv_rejects_a_row_of_the_wrong_length(self, tmp_path, header, row):
+        fields = len(header.split(","))
+        first = "0.5,1" + (",500" if fields == 3 else "")
+        path = tmp_path / "rows.csv"
+        path.write_text(f"{header}\n{first}\n\n{row}\n")
+        # The blank line is skipped but still counted: the row is on line 4.
+        match = rf"rows\.csv, line 4: expected {fields} fields .*got {len(row.split(','))}"
+        with pytest.raises(ValueError, match=match):
+            read_packet_batch_csv(path)
+        with pytest.raises(ValueError, match=match):
+            CSVPacketSource(path)
+
     def test_file_sources_stream_the_file(self, tmp_path):
         batch = self._batch()
         csv_path, npz_path = tmp_path / "p.csv", tmp_path / "p.npz"
         write_packet_batch_csv(batch, csv_path)
-        write_packet_batch_npz(batch, npz_path)
-        for source in (CSVPacketSource(csv_path), NPZPacketSource(npz_path)):
-            streamed = _concat(source, chunk_packets=2)
-            np.testing.assert_array_equal(streamed.timestamps, batch.timestamps)
-            np.testing.assert_array_equal(streamed.flow_ids, batch.flow_ids)
-            np.testing.assert_array_equal(streamed.sizes_bytes, batch.sizes_bytes)
+        self._assert_loads_the_batch(_concat(CSVPacketSource(csv_path), chunk_packets=2))
+        for mmap in (True, False):
+            write_packet_batch_npz(batch, npz_path, compressed=not mmap)
+            source = NPZPacketSource(npz_path, mmap=mmap)
+            self._assert_loads_the_batch(_concat(source, chunk_packets=2))
 
 
 class TestMergeSource:
@@ -400,7 +442,6 @@ class TestChunkSizeInvariance:
         chunked = _concat(source, rng_seed=11, chunk_packets=chunk_packets)
         np.testing.assert_array_equal(chunked.timestamps, reference.timestamps)
         np.testing.assert_array_equal(chunked.flow_ids, reference.flow_ids)
-        np.testing.assert_array_equal(chunked.sizes_bytes, reference.sizes_bytes)
         assert np.all(np.diff(reference.timestamps) >= 0)
 
     @settings(max_examples=40, deadline=None)
@@ -477,7 +518,7 @@ def _reference(source, seed, chunk_packets):
 def _assert_chunks_identical(fast, reference):
     assert len(fast) == len(reference)
     for a, b in zip(fast, reference):
-        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+        for column in ("timestamps", "flow_ids"):
             x, y = getattr(a, column), getattr(b, column)
             assert x.dtype == y.dtype
             np.testing.assert_array_equal(x, y)
@@ -739,9 +780,14 @@ class TestMergeReadAhead:
 
     def test_oracle_stack_test_runs_the_threaded_path(self, two_cpus):
         """``test_merge_and_transform_stack_bit_identical`` reads ahead:
-        its chunks of 1-9 packets make its small parts span many chunks."""
+        its chunks of 1-9 packets make its small parts span many chunks.
+
+        The search is seeded: unseeded, one run in a few drew 60 cases
+        without a read-ahead part.  Seed 4 finds one at the fourth draw
+        (hypothesis 6.155)."""
         find(
             st.tuples(_merged_and_transformed(), st.one_of(st.none(), st.integers(1, 9))),
             lambda case: _read_ahead_gauge(*case) > 0,
             settings=settings(max_examples=60, database=None, phases=[Phase.generate]),
+            random=random.Random(4),
         )

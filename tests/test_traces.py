@@ -197,11 +197,22 @@ class TestExpansion:
         (streamed,) = iter_expanded_chunks(
             backward, np.random.default_rng(3), chunk_packets=None, clip_to_duration=clip
         )
-        for column in ("timestamps", "flow_ids", "sizes_bytes"):
+        for column in ("timestamps", "flow_ids"):
             np.testing.assert_array_equal(getattr(b, column), getattr(streamed, column))
 
     def test_utilisation_estimate_positive(self):
-        assert expected_link_utilisation_bps(tiny_trace()) > 0
+        trace = tiny_trace()
+        assert expected_link_utilisation_bps(trace) > 0
+        # Every packet counts at the paper's 500 bytes.
+        assert expected_link_utilisation_bps(trace) == pytest.approx(
+            trace.total_packets * 500 * 8 / trace.duration
+        )
+
+    def test_a_packet_size_argument_is_rejected(self):
+        # Packets carry no size: a size passed where it used to go fails
+        # instead of clipping the expansion at 500 s.
+        with pytest.raises(TypeError):
+            expand_to_packets(tiny_trace(), 3, 500)
 
 
 class TestTraceIO:
@@ -221,6 +232,19 @@ class TestTraceIO:
         with pytest.raises(ValueError):
             read_flow_trace_csv(path)
 
+    @pytest.mark.parametrize("fields", [7, 9])
+    def test_read_rejects_a_row_of_the_wrong_length(self, tmp_path, fields):
+        good = "0.0,1.0,3,10.0.0.1,10.0.0.2,1000,80,6"
+        row = ",".join((good.split(",") + ["17"])[:fields])
+        path = tmp_path / "rows.csv"
+        path.write_text(
+            "start_time,duration,packets,src_ip,dst_ip,src_port,dst_port,protocol\n"
+            f"{good}\n{row}\n"
+        )
+        match = rf"rows\.csv, line 3: expected 8 fields .*got {fields}"
+        with pytest.raises(ValueError, match=match):
+            read_flow_trace_csv(path)
+
     def test_read_rejects_empty_file(self, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text(
@@ -235,6 +259,8 @@ class TestTraceStats:
         summary = summarize_trace(small_trace, FiveTupleKeyPolicy(), intervals=(60.0,))
         assert summary.num_flows == small_trace.num_flows
         assert summary.mean_flow_size_packets > 1.0
+        # Bytes are packets at the paper's 500-byte packet size.
+        assert summary.mean_flow_size_bytes == pytest.approx(500 * summary.mean_flow_size_packets)
         assert 60.0 in summary.mean_flows_per_interval
 
     def test_prefix_summary_has_fewer_larger_flows(self, small_trace):
